@@ -17,6 +17,11 @@ and expectations reduce to reweighted anchor expectations:
 
     E_{Q_t}[g] = E_{Q_0}[ Prod_k exp(theta_k c_k(x)) / Z_k * g(x, a) ].
 
+The stack therefore holds only the anchor's per-group conditionals, one
+cumulative tilt Sum_k theta_k c_k(x) over the feature cells, and the running
+sums of log Z_k and log Z_k(a).  Expectations take a vectorized
+``g(rows) -> array`` that maps a coordinate matrix to one value per row.
+
 Normalizers are computed exactly (full log-space sums over the discrete
 domain), frozen when a round is appended, and serialized with the model;
 evaluation never recomputes them.
@@ -29,9 +34,10 @@ below is the direct tabulated form used by the property suites.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.special import logsumexp
@@ -77,7 +83,8 @@ class InitialDensity:
     """The fair anchor: per-group conditionals under an exactly uniform marginal.
 
     The sensitive marginal is the constant 1/|A| by construction, never
-    estimated, so the anchor's representation rate is exactly 1.
+    estimated, so the anchor's representation rate is exactly 1.  The
+    conditionals are held once, as the (|A|, n_x) matrix ``cond``.
     """
 
     def __init__(self, schema: AttributeSchema, conditionals: Sequence[TabularDensity]):
@@ -85,27 +92,16 @@ class InitialDensity:
             raise ValueError("schema must designate a sensitive attribute")
         self.schema = schema
         self.x_schema = schema.x_subschema()
-        card = schema.sensitive.cardinality
         conditionals = tuple(conditionals)
-        if len(conditionals) != card:
+        if len(conditionals) != schema.sensitive.cardinality:
             raise ValueError("need one conditional per sensitive value")
         for cond in conditionals:
             if cond.schema != self.x_schema:
                 raise ValueError("conditional schema mismatch")
-        self.conditionals = conditionals
         self.cond = _readonly(np.stack([c.mass for c in conditionals]))
         with np.errstate(divide="ignore"):
             self.log_cond = _readonly(np.log(self.cond))
         self.x_cells = _readonly(self.x_schema.all_cells())
-        # per full-cell lookups: which x-cell / sensitive value a flat cell holds
-        n_x = self.x_schema.n_cells
-        self.cell_to_x = _readonly(
-            schema.flatten_groups(np.tile(np.arange(n_x), (card, 1))).astype(np.int64)
-        )
-        self.cell_to_a = _readonly(
-            schema.flatten_groups(np.repeat(np.arange(card), n_x).reshape(card, n_x)).astype(np.int64)
-        )
-        self.joint_flat = _readonly(schema.flatten_groups(self.cond) / card)
 
     @classmethod
     def from_matrix(cls, schema: AttributeSchema, cond: np.ndarray) -> "InitialDensity":
@@ -114,7 +110,7 @@ class InitialDensity:
         return cls(schema, conds)
 
     def joint(self) -> TabularDensity:
-        return TabularDensity(self.schema, self.joint_flat)
+        return TabularDensity(self.schema, self.schema.flatten_groups(self.cond) / self.cond.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,14 +121,14 @@ class BoostRound:
     classifier: object
     z: float
     z_by_group: np.ndarray
-    scores: np.ndarray  # classifier values tabulated over the feature cells
 
     def __post_init__(self) -> None:
         zg = np.asarray(self.z_by_group, dtype=np.float64)
+        if not (math.isfinite(self.theta) and math.isfinite(self.z) and np.isfinite(zg).all()):
+            raise ValueError("theta and normalizers must be finite")
         if self.z <= 0 or (zg <= 0).any():
             raise ValueError("normalizers must be > 0")
         object.__setattr__(self, "z_by_group", _readonly(zg))
-        object.__setattr__(self, "scores", _readonly(np.asarray(self.scores, dtype=np.float64)))
 
 
 @dataclass(frozen=True)
@@ -142,7 +138,7 @@ class ExpectationEstimate:
     n: int
 
 
-GFun = Callable[[np.ndarray], float]
+GFun = Callable[[np.ndarray], np.ndarray]
 
 
 class BoostedDensity:
@@ -151,18 +147,21 @@ class BoostedDensity:
     def __init__(self, q0: InitialDensity, rounds: Sequence[BoostRound] = ()):
         self.q0 = q0
         self.schema = q0.schema
-        self.rounds = tuple(rounds)
-        n_x = q0.x_schema.n_cells
-        tilt = np.zeros(n_x)
-        log_z = 0.0
-        log_zg = np.zeros(q0.cond.shape[0])
-        for rnd in self.rounds:
-            tilt += rnd.theta * rnd.scores
-            log_z += math.log(rnd.z)
-            log_zg += np.log(rnd.z_by_group)
-        self._tilt = _readonly(tilt)
-        self._log_z_total = log_z
-        self._log_zg_total = _readonly(log_zg)
+        self.rounds = ()
+        self._tilt = _readonly(np.zeros(q0.x_schema.n_cells))
+        self._log_z_total = 0.0
+        self._log_zg_total = _readonly(np.zeros(q0.cond.shape[0]))
+        for rnd in rounds:
+            self._push(rnd, _checked_scores(q0, rnd.classifier))
+
+    def _push(self, rnd: BoostRound, scores: np.ndarray) -> None:
+        # the same left-to-right sums as rebuilding from every round
+        self.rounds = self.rounds + (rnd,)
+        self._tilt = self._tilt + rnd.theta * scores
+        self._log_z_total = self._log_z_total + math.log(rnd.z)
+        self._log_zg_total = self._log_zg_total + np.log(rnd.z_by_group)
+        self._tilt.setflags(write=False)
+        self._log_zg_total.setflags(write=False)
 
     # -- structure ------------------------------------------------------
 
@@ -176,10 +175,11 @@ class BoostedDensity:
 
     def extended(self, classifier, theta: float) -> "BoostedDensity":
         """Append one round, computing its exact normalizers."""
-        scores = _checked_scores(self, classifier)
+        scores = _checked_scores(self.q0, classifier)
         z, z_by_group = self._normalizers(scores, theta)
-        rnd = BoostRound(theta, classifier, z, z_by_group, scores)
-        return BoostedDensity(self.q0, self.rounds + (rnd,))
+        child = copy.copy(self)
+        child._push(BoostRound(theta, classifier, z, z_by_group), scores)
+        return child
 
     def _normalizers(self, scores: np.ndarray, theta: float) -> tuple[float, np.ndarray]:
         log_cond = self._log_cond()
@@ -196,12 +196,18 @@ class BoostedDensity:
 
     def density_at(self, row) -> float:
         """Unrolled product density Q0(x,a) * Prod_k exp(theta_k c_k(x)) / Z_k."""
-        cell = self.schema.encode(np.asarray(row))[0]
-        x_idx = self.q0.cell_to_x[cell]
-        base = self.q0.joint_flat[cell]
+        rows = np.atleast_2d(row)
+        self.schema.encode(rows)  # rejects coordinates outside the domain
+        x_idx, a = self._split_cells(rows)
+        base = self.q0.cond[a[0], x_idx[0]] / self.q0.cond.shape[0]
         if base == 0.0:
             return 0.0
-        return float(math.exp(math.log(base) + self._tilt[x_idx] - self._log_z_total))
+        return float(math.exp(math.log(base) + self._tilt[x_idx[0]] - self._log_z_total))
+
+    def _split_cells(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(feature-cell index, sensitive value) of each full coordinate row."""
+        x_rows, a = self.schema.split_rows(rows)
+        return self.q0.x_schema.encode(x_rows), a
 
     def _raw_joint_vector(self) -> np.ndarray:
         card = self.q0.cond.shape[0]
@@ -240,7 +246,7 @@ class BoostedDensity:
         sample_budget: Union[int, str] = "exact",
         seed: int = 0,
     ) -> ExpectationEstimate:
-        """E_{Q_T}[g] over full coordinate rows.
+        """E_{Q_T}[g], where g maps a coordinate matrix to one value per row.
 
         Exact mode sums the unrolled product over the whole domain.  Monte
         Carlo mode draws from the anchor and averages the importance-weighted
@@ -249,17 +255,15 @@ class BoostedDensity:
         """
         if sample_budget == "exact":
             rows = self.schema.all_cells()
-            vals = np.array([float(g(r)) for r in rows])
-            return ExpectationEstimate(float(self._raw_joint_vector() @ vals), 0.0, len(rows))
+            return ExpectationEstimate(float(self._raw_joint_vector() @ _values(g, rows)), 0.0, len(rows))
         n = int(sample_budget)
         if n < 2:
             raise ValueError("sample_budget must be >= 2 in Monte Carlo mode")
         rng = np.random.default_rng(seed)
-        cells = _draw_cells(self.q0.joint_flat, n, rng)
-        rows = self.schema.decode(cells)
-        log_w = self._tilt[self.q0.cell_to_x[cells]] - self._log_z_total
-        vals = np.exp(log_w) * np.array([float(g(r)) for r in rows])
-        return _mc_estimate(vals)
+        rows = self.schema.decode(_draw_cells(self.q0.joint().mass, n, rng))
+        x_idx, _ = self._split_cells(rows)
+        log_w = self._tilt[x_idx] - self._log_z_total
+        return _mc_estimate(np.exp(log_w) * _values(g, rows))
 
     def conditional_expectation(
         self,
@@ -268,15 +272,15 @@ class BoostedDensity:
         sample_budget: Union[int, str] = "exact",
         seed: int = 0,
     ) -> ExpectationEstimate:
-        """E_{q_T(.|a)}[g] over feature rows, via the per-group normalizers."""
+        """E_{q_T(.|a)}[g] over feature rows, via the per-group normalizers;
+        g maps a feature-coordinate matrix to one value per row."""
         card = self.q0.cond.shape[0]
         if not (0 <= a < card):
             raise ValueError("sensitive value out of range")
         if sample_budget == "exact":
             rows = self.q0.x_cells
-            vals = np.array([float(g(r)) for r in rows])
             raw = np.exp(self.q0.log_cond[a] + self._tilt - self._log_zg_total[a])
-            return ExpectationEstimate(float(raw @ vals), 0.0, len(rows))
+            return ExpectationEstimate(float(raw @ _values(g, rows)), 0.0, len(rows))
         n = int(sample_budget)
         if n < 2:
             raise ValueError("sample_budget must be >= 2 in Monte Carlo mode")
@@ -284,49 +288,32 @@ class BoostedDensity:
         x_idx = _draw_cells(self.q0.cond[a], n, rng)
         rows = self.q0.x_schema.decode(x_idx)
         log_w = self._tilt[x_idx] - self._log_zg_total[a]
-        vals = np.exp(log_w) * np.array([float(g(r)) for r in rows])
-        return _mc_estimate(vals)
+        return _mc_estimate(np.exp(log_w) * _values(g, rows))
 
     # -- sampling -------------------------------------------------------
 
-    def sample(self, n: int, seed: int, method: str = "table") -> Dataset:
-        """Draw n rows from Q_T, deterministically for a given seed.
-
-        "table" inverts the CDF of the explicit joint table (the default on
-        these finite domains).  "sir" is sampling-importance-resampling from
-        the anchor with weights Prod_k exp(theta_k c_k(x))/Z_k, kept for
-        pipelines whose anchor is cheap to sample but expensive to tabulate.
-        """
+    def sample(self, n: int, seed: int) -> Dataset:
+        """Draw n rows from Q_T by inverting the CDF of its joint table,
+        deterministically for a given seed."""
         if n < 1:
             raise ValueError("n must be >= 1")
         rng = np.random.default_rng(seed)
-        if method == "table":
-            cells = _draw_cells(self.joint().mass, n, rng)
-        elif method == "sir":
-            m = max(4 * n, 1000)
-            proposal = _draw_cells(self.q0.joint_flat, m, rng)
-            w = np.exp(self._tilt[self.q0.cell_to_x[proposal]])
-            cells = proposal[rng.choice(m, size=n, p=w / w.sum())]
-        else:
-            raise ValueError(f"unknown sampling method {method!r}")
+        cells = _draw_cells(self.joint().mass, n, rng)
         return Dataset(self.schema, self.schema.decode(cells))
 
 
-def compute_normalizers(prev: BoostedDensity, classifier, theta: float) -> tuple[float, np.ndarray]:
-    """Exact (Z, Z(a)) for appending one round with this classifier to prev.
-
-    Z(a) = E_{q_prev(.|a)}[exp(theta * c(x))], summed in log space over the
-    discrete domain; Z = Sum_a q_prev(a) * Z(a).
-    """
-    scores = _checked_scores(prev, classifier)
-    return prev._normalizers(scores, theta)
-
-
-def _checked_scores(bd: BoostedDensity, classifier) -> np.ndarray:
-    scores = np.asarray(classifier.scores(bd.q0.x_cells), dtype=np.float64)
-    if scores.shape != (bd.q0.x_schema.n_cells,) or not np.isfinite(scores).all():
+def _checked_scores(q0: InitialDensity, classifier) -> np.ndarray:
+    scores = np.asarray(classifier.scores(q0.x_cells), dtype=np.float64)
+    if scores.shape != (q0.x_schema.n_cells,) or not np.isfinite(scores).all():
         raise ValueError("classifier unbounded")
     return scores
+
+
+def _values(g: GFun, rows: np.ndarray) -> np.ndarray:
+    vals = np.asarray(g(rows), dtype=np.float64)
+    if vals.shape != (len(rows),):
+        raise ValueError("g must return one value per row")
+    return vals
 
 
 def _draw_cells(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:

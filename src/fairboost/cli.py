@@ -17,12 +17,11 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__, seeds
-from .engine import KL_HELD_OUT, KL_TRAIN, FitConfig, LeveragingScheme, fbde_fit
+from .engine import FitConfig, LeveragingScheme, fbde_fit
 from .guarantees import build_report
 from .pipeline import (
     MixtureParams,
@@ -52,6 +51,8 @@ from .tree import TreeConfig
 log = logging.getLogger("fairboost")
 
 _LN2 = math.log(2.0)
+#: largest |RR_table - RR_normalizers| eval accepts from a consistent model
+_RR_SELF_CHECK_TOL = 1e-9
 
 
 def _setup_logging() -> None:
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--min-leaf", type=int, default=5)
     fit.add_argument("--c-bound", type=float, default=_LN2, help="classifier output bound C")
     fit.add_argument("--smoothing", type=float, default=1.0, help="anchor conditional smoothing")
-    fit.add_argument("--folds", type=int, default=0, help="k >= 2 adds k-fold held-out evaluation")
+    fit.add_argument("--folds", type=int, default=0, help="0, or k >= 2 for k-fold held-out evaluation")
     fit.add_argument("--seed", type=int, default=0)
     fit.add_argument("--out", required=True, help="model JSON path")
     fit.add_argument("--trace", help="per-round trace CSV path")
@@ -115,6 +116,8 @@ def _emit(doc: dict, out) -> None:
 
 
 def cmd_fit(args) -> int:
+    if args.folds == 1 or args.folds < 0:
+        raise ValueError("folds must be 0 or >= 2")
     timings = {}
     t0 = time.perf_counter()
     spec = infer_csv_spec(args.data, args.sensitive, args.target, args.bins, args.ignore)
@@ -128,7 +131,7 @@ def cmd_fit(args) -> int:
 
     t0 = time.perf_counter()
     q0 = build_initial(dataset, schema, args.smoothing)
-    stack, trace = fbde_fit(dataset, q0, FitConfig(kl_eval=KL_TRAIN, seed=args.seed, **base_cfg))
+    stack, trace = fbde_fit(dataset, q0, FitConfig(seed=args.seed, **base_cfg))
     timings["fit"] = time.perf_counter() - t0
     if trace:
         log.info("final rr=%.6f kl_train=%s", trace[-1].rr, trace[-1].kl_train)
@@ -136,27 +139,22 @@ def cmd_fit(args) -> int:
     fold_summaries = fold_aggregate = None
     if args.folds >= 2:
         t0 = time.perf_counter()
-        splits = kfold(dataset, args.folds, seeds.subseed(args.seed, seeds.FOLDS))
-
-        def run_fold(i: int) -> dict:
-            train, test = splits[i]
+        fold_summaries = []
+        for i, (train, test) in enumerate(kfold(dataset, args.folds, seeds.subseed(args.seed, seeds.FOLDS))):
             q0_i = build_initial(train, schema, args.smoothing)
-            cfg_i = FitConfig(
-                kl_eval=KL_HELD_OUT, seed=seeds.subseed(args.seed, seeds.FOLDS, i), **base_cfg
-            )
+            cfg_i = FitConfig(seed=seeds.subseed(args.seed, seeds.FOLDS, i), **base_cfg)
             _, trace_i = fbde_fit(train, q0_i, cfg_i, test=test)
             first, last = trace_i[0], trace_i[-1]
-            return {
-                "fold": i,
-                "final_rr": last.rr,
-                "final_kl_train": last.kl_train,
-                "final_kl_test": last.kl_test,
-                "anchor_kl_train": first.kl_train,
-                "anchor_kl_test": first.kl_test,
-            }
-
-        with ThreadPoolExecutor(max_workers=min(args.folds, os.cpu_count() or 1)) as pool:
-            fold_summaries = sorted(pool.map(run_fold, range(args.folds)), key=lambda d: d["fold"])
+            fold_summaries.append(
+                {
+                    "fold": i,
+                    "final_rr": last.rr,
+                    "final_kl_train": last.kl_train,
+                    "final_kl_test": last.kl_test,
+                    "anchor_kl_train": first.kl_train,
+                    "anchor_kl_test": first.kl_test,
+                }
+            )
         timings["folds"] = time.perf_counter() - t0
 
         def agg(key: str) -> dict:
@@ -232,6 +230,11 @@ def cmd_eval(args) -> int:
         "sr": sr,
     }
     _emit(metrics, args.out)
+    if metrics["rr_difference"] > _RR_SELF_CHECK_TOL:
+        raise ValueError(
+            f"self-check failed: rr_difference {metrics['rr_difference']!r} exceeds {_RR_SELF_CHECK_TOL}; "
+            "the model's stored normalizers do not match its joint table"
+        )
     return 0
 
 

@@ -2,8 +2,9 @@
 
 Each round draws negatives from the current model, trains a bounded tree to
 separate them from the data sample, and multiplies the density stack by
-exp(theta_t * c_t).  The leveraging coefficient theta_t controls the fairness
-budget spent per round:
+exp(theta_t * c_t).  Every round records the KL divergence from the training
+data, and from held-out data when a test set is passed.  The leveraging
+coefficient theta_t controls the fairness budget spent per round:
 
     exact      theta_t = -ln(tau) / (C * 2^(t+1))   keeps RR(Q_t) > tau forever
     relative   theta_t = -ln(tau) / (2 C t)         RR(Q_T) > tau^(1 + ln T)
@@ -21,21 +22,18 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from . import seeds
 from .boosted import BoostedDensity, InitialDensity
 from .schema import Dataset
-from .tabular import TabularDensity, fit_empirical, kl_divergence
-from .tree import FAIL, TreeConfig, estimate_wla, train_tree
+from .tabular import fit_empirical, kl_divergence
+from .tree import TreeConfig, estimate_wla, train_tree
 
 EXACT = "exact"
 RELATIVE = "relative"
 CONSTANT = "constant"
 
-KL_NONE = "none"
-KL_TRAIN = "train"
-KL_HELD_OUT = "held-out"
+#: negatives drawn from the current model per data row, each round
+NEGATIVES_PER_ROW = 2
 
 
 @dataclass(frozen=True)
@@ -108,20 +106,11 @@ class FitConfig:
     rounds: int
     scheme: LeveragingScheme
     tree: TreeConfig = field(default_factory=TreeConfig)
-    negatives_multiplier: int = 2
-    # reweight one fixed anchor pool instead of resampling the model each round
-    fixed_anchor_pool: bool = False
-    stop_on_wla_failure: bool = False
-    kl_eval: str = KL_TRAIN
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
-        if self.negatives_multiplier < 1:
-            raise ValueError("negatives_multiplier must be >= 1")
-        if self.kl_eval not in (KL_NONE, KL_TRAIN, KL_HELD_OUT):
-            raise ValueError(f"unknown kl_eval mode {self.kl_eval!r}")
 
 
 @dataclass(frozen=True)
@@ -152,7 +141,9 @@ def fbde_fit(
     Returns the fitted stack and its trace.  The trace opens with a t=0 row
     for the anchor (rr and z exactly 1) so downstream consumers can read off
     per-round drops and total progress without refitting; rounds == 0 returns
-    the bare anchor with an empty trace.  Deterministic given cfg.seed.
+    the bare anchor with an empty trace.  Every row records kl_train, the KL
+    divergence from the training data; kl_test is recorded exactly when a
+    `test` dataset is passed.  Deterministic given cfg.seed.
     """
     if p.schema != q0.schema:
         raise ValueError("schema mismatch")
@@ -163,44 +154,24 @@ def fbde_fit(
     if cfg.rounds == 0:
         return stack, trace
 
-    p_hat = test_hat = None
-    if cfg.kl_eval != KL_NONE:
-        p_hat = fit_empirical(p, 0.0)
-    if cfg.kl_eval == KL_HELD_OUT:
-        if test is None:
-            raise ValueError("held-out kl_eval needs a test dataset")
-        test_hat = fit_empirical(test, 0.0)
+    p_hat = fit_empirical(p, 0.0)
+    test_hat = fit_empirical(test, 0.0) if test is not None else None
 
-    def kl_pair(bd: BoostedDensity) -> tuple[Optional[float], Optional[float]]:
-        joint = bd.joint() if (p_hat is not None or test_hat is not None) else None
-        kl_tr = kl_divergence(p_hat, joint) if p_hat is not None else None
+    def kl_pair(bd: BoostedDensity) -> tuple[float, Optional[float]]:
+        joint = bd.joint()
         kl_te = kl_divergence(test_hat, joint) if test_hat is not None else None
-        return kl_tr, kl_te
+        return kl_divergence(p_hat, joint), kl_te
 
     kl_tr, kl_te = kl_pair(stack)
     trace.append(TraceRow(0, 0.0, None, None, None, 1.0, 1.0, kl_tr, kl_te, 1.0))
 
-    n_neg = cfg.negatives_multiplier * len(p)
-    pool = None
-    pool_logw = None
-    if cfg.fixed_anchor_pool:
-        pool = stack.sample(n_neg, seeds.subseed(cfg.seed, seeds.NEGATIVES, 0))
-        pool_logw = np.zeros(n_neg)
-
+    n_neg = NEGATIVES_PER_ROW * len(p)
     for t in range(1, cfg.rounds + 1):
         theta = leverage(cfg.scheme, t)
-        if pool is not None:
-            w = np.exp(pool_logw - pool_logw.max())
-            negatives = Dataset(p.schema, pool.rows, weights=w * (n_neg / w.sum()))
-        else:
-            negatives = stack.sample(n_neg, seeds.subseed(cfg.seed, seeds.NEGATIVES, t))
-        classifier = train_tree(p, negatives, cfg.tree, seeds.subseed(cfg.seed, seeds.TREE, t))
+        negatives = stack.sample(n_neg, seeds.subseed(cfg.seed, seeds.NEGATIVES, t))
+        classifier = train_tree(p, negatives, cfg.tree)
         wla = estimate_wla(classifier, p, negatives)
-        if wla.regime == FAIL and cfg.stop_on_wla_failure:
-            break
         stack = stack.extended(classifier, theta)
-        if pool is not None:
-            pool_logw += theta * classifier.scores(pool.x_rows())
         kl_tr, kl_te = kl_pair(stack)
         rnd = stack.rounds[-1]
         trace.append(

@@ -17,8 +17,8 @@ Three families of results are covered, all in natural-log units:
   ceiling, and a false-negative-rate budget under which any predictor
   satisfies approximate equal opportunity.
 
-The per-round and total-progress formulas assume C = ln 2; callers with a
-different bound must rescale before asking for certificates.
+The per-round and total-progress formulas assume C = ln 2; build_report
+marks them not applicable for a run fitted with any other bound.
 """
 
 from __future__ import annotations
@@ -256,7 +256,7 @@ def exact_round_margins(p: TabularDensity, prev: BoostedDensity, classifier) -> 
     if p.schema != prev.schema:
         raise ValueError("schema mismatch")
     scores_x = np.asarray(classifier.scores(prev.q0.x_cells), dtype=np.float64)
-    full = scores_x[prev.q0.cell_to_x]
+    full = prev.schema.flatten_groups(np.tile(scores_x, (prev.q0.cond.shape[0], 1)))
     c = float(classifier.c_bound)
     gamma_p = float(p.mass @ full) / c
     gamma_q = -float(prev.joint().mass @ full) / c
@@ -264,6 +264,8 @@ def exact_round_margins(p: TabularDensity, prev: BoostedDensity, classifier) -> 
 
 
 _EO_RHO_GRID = (0.5, 0.7, 0.8, 0.9, 0.95)
+#: how far a scheme's C may sit from ln 2 for the C = ln 2 certificates to apply
+_C_LN2_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -298,7 +300,14 @@ class GuaranteeReport:
 
 
 def build_report(trace: Sequence[TraceRow], scheme: LeveragingScheme) -> GuaranteeReport:
-    """Evaluate every bound a finished trace carries evidence for."""
+    """Evaluate every bound a finished trace carries evidence for.
+
+    The drop floors and the lower bound on Delta are derived for C = ln 2
+    only; for any other C they are None, with a note saying why.
+    """
+    c_note = None
+    if abs(scheme.c_bound - _LN2) > _C_LN2_TOL:
+        c_note = f"not applicable: certified only for C = ln 2, this run used C = {scheme.c_bound!r}"
     rows = [r for r in trace if r.t >= 1]
     baseline = next((r for r in trace if r.t == 0), None)
     rounds = rows[-1].t if rows else 0
@@ -316,7 +325,7 @@ def build_report(trace: Sequence[TraceRow], scheme: LeveragingScheme) -> Guarant
         if r.kl_train is not None and prev_kl is not None:
             measured = prev_kl - r.kl_train
         entry["measured_drop"] = measured
-        if r.gamma_p is not None and r.gamma_q is not None and r.gamma_p > 0 and r.gamma_q > 0:
+        if c_note is None and r.gamma_p is not None and r.gamma_q is not None and r.gamma_p > 0 and r.gamma_q > 0:
             db = kl_drop_bound(r.theta, min(r.gamma_p, 1.0), min(r.gamma_q, 1.0))
             entry["drop_floor"] = db.bound
             entry["floor_positive"] = db.positive
@@ -325,6 +334,8 @@ def build_report(trace: Sequence[TraceRow], scheme: LeveragingScheme) -> Guarant
             entry["drop_floor"] = None
             entry["floor_positive"] = None
             entry["holds"] = None
+            if c_note is not None:
+                entry["floor_note"] = c_note
         drops.append(entry)
         if r.kl_train is not None:
             prev_kl = r.kl_train
@@ -344,7 +355,9 @@ def build_report(trace: Sequence[TraceRow], scheme: LeveragingScheme) -> Guarant
             r.gamma_p is not None and r.gamma_q is not None and 0 < r.gamma_p <= 1 and 1 / 3 <= r.gamma_q <= 1
             for r in rows
         )
-        if (
+        if c_note is not None:
+            delta["lower_note"] = c_note
+        elif (
             scheme.kind in (EXACT, RELATIVE)
             and rounds > 1
             and scheme.tau is not None

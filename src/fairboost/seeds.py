@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# phase numbers enter every derived seed, so a retired number is never reused
 NEGATIVES = 1
-TREE = 2
 SYNTH = 3
 FOLDS = 4
-MONTE_CARLO = 5
 
 
 def subseed(root: int, *path: int) -> int:

@@ -1,4 +1,4 @@
-"""File formats: density, model, trace, metrics, report, manifest.
+"""File formats: model, trace, metrics, report, manifest.
 
 All JSON documents carry a ``format`` tag and integer ``version``.  Floats
 round-trip exactly (shortest-repr encoding on write, exact parse on read),
@@ -21,7 +21,6 @@ import numpy as np
 from .boosted import BoostedDensity, BoostRound, InitialDensity, TableClassifier
 from .engine import LeveragingScheme, TraceRow
 from .schema import AttributeSchema
-from .tabular import TabularDensity
 from .tree import DecisionTreeClassifier
 
 MODEL_FORMAT = "fairboost.model"
@@ -51,17 +50,6 @@ def sha256_file(path: str) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-# -- densities ----------------------------------------------------------
-
-
-def save_density(density: TabularDensity, path: str) -> None:
-    dump_json(density.to_dict(), path)
-
-
-def load_density(path: str) -> TabularDensity:
-    return TabularDensity.from_dict(load_json(path))
 
 
 # -- models -------------------------------------------------------------
@@ -125,17 +113,18 @@ def load_model(path: str) -> tuple[BoostedDensity, Optional[LeveragingScheme], d
     schema = AttributeSchema.from_dict(doc["q0"]["schema"])
     q0 = InitialDensity.from_matrix(schema, np.asarray(doc["q0"]["conditionals"], dtype=np.float64))
     x_schema = schema.x_subschema()
+    card = schema.sensitive.cardinality
     rounds = []
-    for r in doc["rounds"]:
-        classifier = _decode_classifier(r["classifier"], x_schema)
-        scores = np.asarray(classifier.scores(q0.x_cells), dtype=np.float64)
+    for t, r in enumerate(doc["rounds"], start=1):
+        z_by_group = np.asarray(r["z_by_group"], dtype=np.float64)
+        if z_by_group.shape != (card,):
+            raise ValueError(f"round {t}: z_by_group needs {card} entries, one per sensitive value")
         rounds.append(
             BoostRound(
                 theta=float(r["theta"]),
-                classifier=classifier,
+                classifier=_decode_classifier(r["classifier"], x_schema),
                 z=float(r["z"]),
-                z_by_group=np.asarray(r["z_by_group"], dtype=np.float64),
-                scores=scores,
+                z_by_group=z_by_group,
             )
         )
     scheme = _scheme_from_dict(doc["scheme"]) if doc.get("scheme") else None

@@ -24,9 +24,6 @@ _SUM_TOL = 1e-12
 #: slack applied to log-space ratio comparisons at constraint boundaries
 _LOG_TOL = 1e-12
 
-DENSITY_FORMAT = "fairboost.density"
-DENSITY_VERSION = 1
-
 
 @dataclass(frozen=True, eq=False)
 class TabularDensity:
@@ -73,22 +70,6 @@ class TabularDensity:
         if s.target_index > s.sensitive_index:
             joint = joint.T
         return joint
-
-    def to_dict(self) -> dict:
-        return {
-            "format": DENSITY_FORMAT,
-            "version": DENSITY_VERSION,
-            "schema": self.schema.to_dict(),
-            "mass": [float(v) for v in self.mass],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "TabularDensity":
-        if d.get("format") != DENSITY_FORMAT:
-            raise ValueError("not a density document")
-        if int(d.get("version", -1)) != DENSITY_VERSION:
-            raise ValueError(f"unsupported density version {d.get('version')!r}")
-        return TabularDensity(AttributeSchema.from_dict(d["schema"]), np.asarray(d["mass"]))
 
 
 def fit_empirical(dataset: Dataset, smoothing: float = 0.0) -> TabularDensity:

@@ -123,17 +123,6 @@ class DecisionTreeClassifier:
                 stack.extend([node.left, node.right])
         return names
 
-    def leaf_values(self) -> list:
-        vals = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                vals.append(node.leaf)
-            else:
-                stack.extend([node.left, node.right])
-        return vals
-
     def to_dict(self) -> dict:
         def encode(node):
             if node.is_leaf:
@@ -207,9 +196,8 @@ def _best_split_for_column(col, is_p, w, counts_card, ordinal, min_leaf):
     return best
 
 
-def train_tree(p_samples: Dataset, q_samples: Dataset, cfg: TreeConfig, seed: int = 0) -> DecisionTreeClassifier:
-    """Fit the P-vs-Q tree.  `seed` is accepted for interface stability; the
-    induction itself is deterministic through its tie-breaking rules."""
+def train_tree(p_samples: Dataset, q_samples: Dataset, cfg: TreeConfig) -> DecisionTreeClassifier:
+    """Fit the P-vs-Q tree; deterministic through its tie-breaking rules."""
     if len(p_samples) == 0 or len(q_samples) == 0:
         raise ValueError("empty sample side")
     x_schema = p_samples.schema.x_subschema()

@@ -235,7 +235,7 @@ def test_criterion_06_expectation_trick():
         schema = xa_schema(nx=int(rng.integers(2, 10)), na=2)
         bd = random_stack(schema, rng, rounds=int(rng.integers(1, 6)), theta_scale=0.5)
         gv = rng.uniform(0.0, 2.0, schema.n_cells)
-        g = lambda row: float(gv[schema.encode(np.asarray(row))[0]])
+        g = lambda rows: gv[schema.encode(rows)]
         direct = float(bd.joint().mass @ gv)
 
         est = bd.expectation(g)

@@ -10,7 +10,6 @@ from fairboost import (
     BoostRound,
     InitialDensity,
     TableClassifier,
-    compute_normalizers,
     kl_divergence,
     representation_rate,
 )
@@ -33,6 +32,12 @@ def degenerate_initial(schema):
 
 def plusminus_classifier(schema):
     return table_classifier(schema, [LN2, -LN2])
+
+
+def normalizers(bd, classifier, theta):
+    """(Z, Z(a)) of the round that appending this classifier would add."""
+    rnd = bd.extended(classifier, theta).rounds[-1]
+    return rnd.z, rnd.z_by_group
 
 
 # -- TableClassifier ----------------------------------------------------
@@ -102,7 +107,7 @@ def test_initial_density_validation():
 def test_normalizers_identity_classifier(rng):
     s = xa_schema(nx=4, na=3)
     bd = BoostedDensity(random_initial(s, rng))
-    z, zg = compute_normalizers(bd, table_classifier(s, np.zeros(4)), theta=0.7)
+    z, zg = normalizers(bd, table_classifier(s, np.zeros(4)), theta=0.7)
     assert z == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(zg, 1.0, atol=1e-12)
 
@@ -110,7 +115,7 @@ def test_normalizers_identity_classifier(rng):
 def test_normalizers_four_cell_example():
     s = xa_schema()
     bd = BoostedDensity(uniform_initial(s))
-    z, zg = compute_normalizers(bd, plusminus_classifier(s), theta=1.0)
+    z, zg = normalizers(bd, plusminus_classifier(s), theta=1.0)
     # e^{ln 2} = 2 and e^{-ln 2} = 1/2, each with anchor weight 1/2
     assert z == pytest.approx(1.25, abs=1e-12)
     assert np.allclose(zg, [1.25, 1.25], atol=1e-12)
@@ -119,7 +124,7 @@ def test_normalizers_four_cell_example():
 def test_normalizers_degenerate_conditionals():
     s = xa_schema()
     bd = BoostedDensity(degenerate_initial(s))
-    z, zg = compute_normalizers(bd, plusminus_classifier(s), theta=1.0)
+    z, zg = normalizers(bd, plusminus_classifier(s), theta=1.0)
     assert zg[0] == pytest.approx(2.0, abs=1e-12)
     assert zg[1] == pytest.approx(0.5, abs=1e-12)
     assert z == pytest.approx(1.25, abs=1e-12)
@@ -130,7 +135,7 @@ def test_normalizers_respect_marginal_recursion(rng):
     s = xa_schema(nx=3, na=2)
     bd = random_stack(s, rng, rounds=4)
     clf = table_classifier(s, rng.uniform(-LN2, LN2, size=3))
-    z, zg = compute_normalizers(bd, clf, theta=0.4)
+    z, zg = normalizers(bd, clf, theta=0.4)
     assert z == pytest.approx(float(bd.sensitive_marginal() @ zg), rel=1e-10)
 
 
@@ -143,18 +148,36 @@ def test_unbounded_scores_rejected(rng):
             return np.array([np.inf, 0.0])
 
     with pytest.raises(ValueError, match="classifier unbounded"):
-        compute_normalizers(bd, Wild(), theta=1.0)
-    with pytest.raises(ValueError, match="classifier unbounded"):
         bd.extended(Wild(), 1.0)
+    # a stack rebuilt from stored rounds scores each classifier again
+    with pytest.raises(ValueError, match="classifier unbounded"):
+        BoostedDensity(bd.q0, [BoostRound(1.0, Wild(), 1.0, np.array([1.0, 1.0]))])
 
 
 def test_boost_round_requires_positive_normalizers():
     s = xa_schema()
     clf = plusminus_classifier(s)
     with pytest.raises(ValueError, match="normalizers must be > 0"):
-        BoostRound(1.0, clf, 0.0, np.array([1.0, 1.0]), np.array([LN2, -LN2]))
+        BoostRound(1.0, clf, 0.0, np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="normalizers must be > 0"):
-        BoostRound(1.0, clf, 1.0, np.array([1.0, -0.1]), np.array([LN2, -LN2]))
+        BoostRound(1.0, clf, 1.0, np.array([1.0, -0.1]))
+
+
+@pytest.mark.parametrize(
+    "theta, z, z_by_group",
+    [
+        (np.inf, 1.0, [1.0, 1.0]),
+        (np.nan, 1.0, [1.0, 1.0]),
+        (1.0, np.inf, [1.0, 1.0]),
+        (1.0, np.nan, [1.0, 1.0]),
+        (1.0, 1.0, [np.nan, 1.0]),
+        (1.0, 1.0, [1.0, np.inf]),
+    ],
+)
+def test_boost_round_requires_finite_values(theta, z, z_by_group):
+    clf = plusminus_classifier(xa_schema())
+    with pytest.raises(ValueError, match="theta and normalizers must be finite"):
+        BoostRound(theta, clf, z, np.array(z_by_group))
 
 
 # -- density evaluation -------------------------------------------------
@@ -249,7 +272,7 @@ def test_shared_conditionals_keep_marginal_uniform(rng):
 def test_expectation_of_one_is_one(rng):
     s = xa_schema(nx=4, na=2)
     bd = random_stack(s, rng, rounds=5)
-    est = bd.expectation(lambda r: 1.0)
+    est = bd.expectation(lambda rows: np.ones(len(rows)))
     assert est.value == pytest.approx(1.0, abs=1e-10)
     assert est.stderr == 0.0
 
@@ -259,21 +282,21 @@ def test_expectation_indicator_matches_density(rng):
     bd = random_stack(s, rng, rounds=4)
     for row in s.all_cells():
         target = row.copy()
-        est = bd.expectation(lambda r: float(np.array_equal(r, target)))
+        est = bd.expectation(lambda rows: (rows == target).all(axis=1).astype(float))
         assert est.value == pytest.approx(bd.density_at(target), abs=1e-12)
 
 
 def test_expectation_four_cell_example():
     s = xa_schema()
     bd = BoostedDensity(uniform_initial(s)).extended(plusminus_classifier(s), 1.0)
-    est = bd.expectation(lambda r: 1.0 if r[0] == 0 else 0.0)
+    est = bd.expectation(lambda rows: (rows[:, 0] == 0).astype(float))
     assert est.value == pytest.approx(0.8, abs=1e-12)
 
 
 def test_monte_carlo_expectation_unbiased(rng):
     s = xa_schema(nx=4, na=3)
     bd = random_stack(s, rng, rounds=5)
-    g = lambda r: float(r[0] + 2 * r[1])
+    g = lambda rows: (rows[:, 0] + 2 * rows[:, 1]).astype(float)
     exact = bd.expectation(g).value
     mc = bd.expectation(g, sample_budget=20000, seed=11)
     assert mc.n == 20000
@@ -287,18 +310,32 @@ def test_expectation_budget_validation(rng):
     s = xa_schema()
     bd = BoostedDensity(uniform_initial(s))
     with pytest.raises(ValueError, match="sample_budget must be >= 2"):
-        bd.expectation(lambda r: 1.0, sample_budget=1)
+        bd.expectation(lambda rows: np.ones(len(rows)), sample_budget=1)
     with pytest.raises(ValueError, match="sample_budget must be >= 2"):
-        bd.conditional_expectation(lambda r: 1.0, 0, sample_budget=0)
+        bd.conditional_expectation(lambda rows: np.ones(len(rows)), 0, sample_budget=0)
+
+
+def test_expectation_rejects_misshapen_g():
+    s = xa_schema()
+    bd = BoostedDensity(uniform_initial(s))
+    for g in (lambda rows: 1.0, lambda rows: np.ones((len(rows), 1)), lambda rows: np.ones(len(rows) + 1)):
+        with pytest.raises(ValueError, match="g must return one value per row"):
+            bd.expectation(g)
+        with pytest.raises(ValueError, match="g must return one value per row"):
+            bd.expectation(g, sample_budget=10)
+        with pytest.raises(ValueError, match="g must return one value per row"):
+            bd.conditional_expectation(g, 0)
+        with pytest.raises(ValueError, match="g must return one value per row"):
+            bd.conditional_expectation(g, 0, sample_budget=10)
 
 
 def test_conditional_expectation_exact(rng):
     s = xa_schema()
     bd = BoostedDensity(uniform_initial(s)).extended(plusminus_classifier(s), 1.0)
     for a in range(2):
-        est = bd.conditional_expectation(lambda r: 1.0, a)
+        est = bd.conditional_expectation(lambda rows: np.ones(len(rows)), a)
         assert est.value == pytest.approx(1.0, abs=1e-12)
-        est = bd.conditional_expectation(lambda r: 1.0 if r[0] == 0 else 0.0, a)
+        est = bd.conditional_expectation(lambda rows: (rows[:, 0] == 0).astype(float), a)
         assert est.value == pytest.approx(0.8, abs=1e-12)
 
 
@@ -306,16 +343,16 @@ def test_conditional_expectation_degenerate_group():
     s = xa_schema()
     bd = BoostedDensity(degenerate_initial(s)).extended(plusminus_classifier(s), 1.0)
     # group a0 sits entirely on x0 regardless of tilting
-    est = bd.conditional_expectation(lambda r: 1.0 if r[0] == 0 else 0.0, 0)
+    est = bd.conditional_expectation(lambda rows: (rows[:, 0] == 0).astype(float), 0)
     assert est.value == pytest.approx(1.0, abs=1e-12)
-    est = bd.conditional_expectation(lambda r: 1.0 if r[0] == 0 else 0.0, 1)
+    est = bd.conditional_expectation(lambda rows: (rows[:, 0] == 0).astype(float), 1)
     assert est.value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_conditional_expectation_monte_carlo(rng):
     s = xa_schema(nx=5, na=2)
     bd = random_stack(s, rng, rounds=4)
-    g = lambda r: float(r[0])
+    g = lambda rows: rows[:, 0].astype(float)
     for a in range(2):
         exact = bd.conditional_expectation(g, a).value
         mc = bd.conditional_expectation(g, a, sample_budget=20000, seed=3)
@@ -329,8 +366,8 @@ def test_conditional_expectation_agrees_with_table(rng):
     bd = random_stack(s, rng, rounds=6)
     for a in range(3):
         table = bd.conditional(a)
-        g = lambda r: float(r[0] ** 2)
-        want = float(table.mass @ np.array([g(r) for r in table.schema.all_cells()]))
+        g = lambda rows: (rows[:, 0] ** 2).astype(float)
+        want = float(table.mass @ g(table.schema.all_cells()))
         assert bd.conditional_expectation(g, a).value == pytest.approx(want, abs=1e-10)
 
 
@@ -356,7 +393,7 @@ def test_sample_zero_rounds_draws_from_anchor(rng):
     n = 60_000
     ds = bd.sample(n, seed=9)
     freq = np.bincount(s.encode(ds.rows), minlength=6) / n
-    for p, f in zip(q0.joint_flat, freq):
+    for p, f in zip(q0.joint().mass, freq):
         assert abs(f - p) <= 4.0 * math.sqrt(p * (1 - p) / n) + 1e-12
 
 
@@ -368,18 +405,6 @@ def test_sample_deterministic(rng):
     assert np.array_equal(a.rows, b.rows)
     c = bd.sample(500, seed=22)
     assert not np.array_equal(a.rows, c.rows)
-
-
-def test_sample_sir_method(rng):
-    s = xa_schema()
-    bd = BoostedDensity(uniform_initial(s)).extended(plusminus_classifier(s), 1.0)
-    n = 20_000
-    ds = bd.sample(n, seed=13, method="sir")
-    freq = np.bincount(s.encode(ds.rows), minlength=4) / n
-    # resampling inflates variance, so the window is loose
-    assert np.abs(freq - bd.joint().mass).max() < 0.02
-    with pytest.raises(ValueError, match="unknown sampling method"):
-        bd.sample(10, seed=0, method="gibbs")
     with pytest.raises(ValueError, match="n must be >= 1"):
         bd.sample(0, seed=0)
 
@@ -392,6 +417,8 @@ def test_prefix_and_extended_consistency(rng):
     bd = random_stack(s, rng, rounds=6)
     assert bd.prefix(bd.n_rounds) is not bd
     assert np.allclose(bd.prefix(6).joint().mass, bd.joint().mass, atol=1e-15)
+    # the incremental tilt sums rounds in the same order as a rebuild
+    assert np.array_equal(BoostedDensity(bd.q0, bd.rounds).joint().mass, bd.joint().mass)
     assert bd.prefix(0).n_rounds == 0
     # re-appending round t to prefix(t) reproduces the stored normalizers
     for t in range(6):
@@ -407,9 +434,10 @@ def test_stack_against_brute_force_table(rng):
     s = xa_schema(nx=3, na=3)
     q0 = random_initial(s, rng)
     bd = random_stack(s, rng, rounds=4, q0=q0)
-    mass = q0.joint_flat.copy()
+    mass = q0.joint().mass.copy()
+    cells = s.all_cells()
     for rnd in bd.rounds:
-        w = np.exp(rnd.theta * rnd.scores[q0.cell_to_x])
+        w = np.exp(rnd.theta * rnd.classifier.scores(s.split_rows(cells)[0]))
         mass = mass * w
         mass /= mass.sum()
     assert np.allclose(bd.joint().mass, mass, atol=1e-12)

@@ -11,6 +11,7 @@ import pytest
 from fairboost import fit_empirical, kl_divergence, load_model, load_trace, statistical_rate
 from fairboost.cli import main
 from fairboost.pipeline import infer_csv_spec, load_csv, load_csv_with_schema
+from fairboost.serialize import dump_json
 
 LN2 = math.log(2.0)
 
@@ -166,6 +167,14 @@ def test_fit_unknown_scheme(tmp_path, synth_csv, capsys):
     assert "unknown scheme" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("folds", ["1", "-1"])
+def test_fit_rejects_invalid_folds(tmp_path, synth_csv, capsys, folds):
+    model = str(tmp_path / "m.json")
+    code = main(["fit", "--data", synth_csv, "--sensitive", "a", "--folds", folds, "--out", model])
+    assert code == 1
+    assert "error: folds must be 0 or >= 2" in capsys.readouterr().err
+
+
 # -- eval ---------------------------------------------------------------
 
 
@@ -234,6 +243,21 @@ def test_eval_statistical_rate_with_target(tmp_path, capsys):
     bd, _, _ = load_model(model)
     assert metrics["sr"] == statistical_rate(bd.joint(), 1)
     assert 0.0 <= metrics["sr"] <= 1.0
+
+
+def test_eval_self_check_fails_on_inconsistent_normalizers(fit_run, synth_csv, tmp_path, capsys):
+    model_path, _ = fit_run
+    doc = json.load(open(model_path))
+    doc["rounds"][0]["z_by_group"][0] *= 1.5
+    bad = str(tmp_path / "bad.json")
+    dump_json(doc, bad)
+    out = str(tmp_path / "metrics.json")
+    assert main(["eval", "--model", bad, "--data", synth_csv, "--out", out]) == 1
+    assert "error: self-check failed: rr_difference" in capsys.readouterr().err
+    # the metrics are still written, unchanged in form
+    metrics = json.load(open(out))
+    assert metrics["rr_difference"] > 1e-9
+    assert metrics["rr_difference"] == abs(metrics["rr_table"] - metrics["rr_normalizers"])
 
 
 # -- guarantees ---------------------------------------------------------

@@ -1,5 +1,6 @@
 """Certificate calculators: per-round drops, total progress, fairness transfer."""
 
+import dataclasses
 import json
 import math
 
@@ -9,7 +10,6 @@ import pytest
 from fairboost import (
     EXACT,
     HBS,
-    KL_NONE,
     LBS,
     BoostedDensity,
     Dataset,
@@ -18,6 +18,7 @@ from fairboost import (
     InitialDensity,
     LeveragingScheme,
     TabularDensity,
+    TraceRow,
     build_report,
     delta_bounds,
     dc_from_rr,
@@ -368,14 +369,14 @@ def test_exact_round_margins_schema_mismatch(rng):
 # -- full-report assembly ----------------------------------------------
 
 
-def fitted_trace(tau=0.8, rounds=5, kl_eval="train"):
+def fitted_trace(tau=0.8, rounds=5):
     s = xa_schema(nx=4, na=2)
     rows = []
     for x, a, n in ((0, 0, 50), (1, 0, 40), (2, 1, 20), (3, 1, 10)):
         rows.extend([[x, a]] * n)
     p = Dataset(s, np.asarray(rows, dtype=np.int64))
     scheme = exact_scheme(tau)
-    cfg = FitConfig(rounds=rounds, scheme=scheme, kl_eval=kl_eval)
+    cfg = FitConfig(rounds=rounds, scheme=scheme)
     stack, trace = fbde_fit(p, uniform_initial(s), cfg)
     return stack, trace, scheme
 
@@ -406,12 +407,40 @@ def test_build_report_structure():
 
 
 def test_build_report_without_kl():
-    stack, trace, scheme = fitted_trace(kl_eval=KL_NONE)
+    stack, trace, scheme = fitted_trace()
+    trace = [dataclasses.replace(r, kl_train=None, kl_test=None) for r in trace]
     report = build_report(trace, scheme)
     assert report.delta is None
     for entry in report.drop_rounds:
         assert entry["measured_drop"] is None
         assert entry["holds"] is None
+
+
+def test_build_report_certifies_drops_only_at_c_ln2():
+    # two high-regime rounds: at C = ln 2 both drop floors and the lower
+    # bound on Delta are certified; at any other C none of them is
+    trace = [
+        TraceRow(0, 0.0, None, None, None, 1.0, 1.0, 0.5, None, 1.0),
+        TraceRow(1, 0.1, 0.5, 0.5, HBS, 0.95, 0.8, 0.45, None, 1.01),
+        TraceRow(2, 0.05, 0.4, 0.4, HBS, 0.9, 0.8, 0.42, None, 1.005),
+    ]
+    certified = build_report(trace, LeveragingScheme(kind="exact", tau=0.8))
+    for entry in certified.drop_rounds:
+        assert entry["drop_floor"] is not None and entry["holds"] is not None
+        assert "floor_note" not in entry
+    assert certified.delta["lower"] is not None
+
+    other = build_report(trace, LeveragingScheme(kind="exact", tau=0.8, c_bound=1.5))
+    for entry in other.drop_rounds:
+        assert entry["drop_floor"] is None
+        assert entry["floor_positive"] is None
+        assert entry["holds"] is None
+        assert "C = ln 2" in entry["floor_note"]
+    assert other.delta["lower"] is None
+    assert "C = ln 2" in other.delta["lower_note"]
+    # the rate floors and the progress upper bound do not depend on C
+    assert other.fairness_rounds == certified.fairness_rounds
+    assert other.delta["upper_holds"] == certified.delta["upper_holds"]
 
 
 def test_build_report_empty_trace():

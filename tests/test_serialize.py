@@ -1,4 +1,4 @@
-"""Round-trips for density, model, trace, and manifest documents."""
+"""Round-trips for model, trace, and manifest documents."""
 
 import hashlib
 import json
@@ -17,18 +17,15 @@ from fairboost import (
     TraceRow,
     build_initial,
     fbde_fit,
-    fit_empirical,
-    load_density,
     load_model,
     load_trace,
     manifest_id,
-    save_density,
     save_model,
     save_trace,
 )
 from fairboost.serialize import dump_json, load_json, sha256_file, trace_to_csv
 
-from conftest import density, xa_schema
+from conftest import xa_schema
 
 LN2 = math.log(2.0)
 
@@ -44,22 +41,6 @@ def fitted():
     scheme = LeveragingScheme.parse("exact", 0.8, LN2)
     stack, trace = fbde_fit(ds, q0, FitConfig(rounds=4, scheme=scheme, seed=9))
     return stack, scheme, trace
-
-
-# -- densities ----------------------------------------------------------
-
-
-def test_density_roundtrip(tmp_path, rng):
-    s = xa_schema(nx=3, na=2)
-    rows = np.column_stack([rng.integers(0, 3, 80), rng.integers(0, 2, 80)])
-    d = fit_empirical(Dataset(s, rows), 0.5)
-    path = str(tmp_path / "d.json")
-    save_density(d, path)
-    back = load_density(path)
-    assert np.array_equal(back.mass, d.mass)
-    assert back.schema.names == d.schema.names
-    save_density(back, str(tmp_path / "d2.json"))
-    assert (tmp_path / "d.json").read_bytes() == (tmp_path / "d2.json").read_bytes()
 
 
 # -- models -------------------------------------------------------------
@@ -78,7 +59,8 @@ def test_model_roundtrip_exact(tmp_path, fitted):
         assert r_new.z == r_old.z
         assert np.array_equal(r_new.z_by_group, r_old.z_by_group)
         assert r_new.theta == r_old.theta
-        assert np.array_equal(r_new.scores, r_old.scores)
+        cells = stack.q0.x_cells
+        assert np.array_equal(r_new.classifier.scores(cells), r_old.classifier.scores(cells))
     for cell in stack.schema.all_cells():
         assert back.density_at(cell) == stack.density_at(cell)
     assert back.representation_rate() == stack.representation_rate()
@@ -130,6 +112,27 @@ def test_model_document_errors(tmp_path, fitted):
     dump_json(bad, p)
     with pytest.raises(ValueError, match="unknown classifier type 'stump'"):
         load_model(p)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("z_by_group", [float("nan"), 1.0], "theta and normalizers must be finite"),
+        ("theta", float("inf"), "theta and normalizers must be finite"),
+        ("z", float("inf"), "theta and normalizers must be finite"),
+        ("z_by_group", [1.0, 1.0, 1.0], "round 1: z_by_group needs 2 entries"),
+        ("z_by_group", [1.0], "round 1: z_by_group needs 2 entries"),
+    ],
+)
+def test_model_rejects_bad_round_values(tmp_path, fitted, field, value, message):
+    stack, scheme, _ = fitted
+    path = str(tmp_path / "m.json")
+    save_model(stack, path, scheme=scheme)
+    doc = load_json(path)
+    doc["rounds"][0][field] = value
+    dump_json(doc, path)
+    with pytest.raises(ValueError, match=message):
+        load_model(path)
 
 
 # -- traces -------------------------------------------------------------
