@@ -26,10 +26,12 @@ Normalizers are computed exactly (full log-space sums over the discrete
 domain), frozen when a round is appended, and serialized with the model;
 evaluation never recomputes them.
 
-A classifier here is any object with a ``c_bound`` attribute and a
-``scores(x_rows) -> array`` method taking coordinate rows over the
-non-sensitive subdomain.  Trained trees satisfy this; ``TableClassifier``
-below is the direct tabulated form used by the property suites.
+A classifier here is any object with a ``c_bound`` attribute and two
+methods over the non-sensitive subdomain: ``scores(x_rows) -> array`` for
+coordinate rows (samples), and ``domain_scores(x_schema) -> array`` for every
+feature cell in row-major order (normalizers and the tilt).  Trained trees
+satisfy this; ``TableClassifier`` below is the direct tabulated form used by
+the property suites.
 """
 
 from __future__ import annotations
@@ -67,6 +69,9 @@ class TableClassifier:
     def scores(self, x_rows: np.ndarray) -> np.ndarray:
         return self.values[self.x_schema.encode(x_rows)]
 
+    def domain_scores(self, x_schema: AttributeSchema) -> np.ndarray:
+        return self.values
+
     def to_dict(self) -> dict:
         return {
             "type": "table",
@@ -101,7 +106,6 @@ class InitialDensity:
         self.cond = _readonly(np.stack([c.mass for c in conditionals]))
         with np.errstate(divide="ignore"):
             self.log_cond = _readonly(np.log(self.cond))
-        self.x_cells = _readonly(self.x_schema.all_cells())
 
     @classmethod
     def from_matrix(cls, schema: AttributeSchema, cond: np.ndarray) -> "InitialDensity":
@@ -278,7 +282,7 @@ class BoostedDensity:
         if not (0 <= a < card):
             raise ValueError("sensitive value out of range")
         if sample_budget == "exact":
-            rows = self.q0.x_cells
+            rows = self.q0.x_schema.all_cells()
             raw = np.exp(self.q0.log_cond[a] + self._tilt - self._log_zg_total[a])
             return ExpectationEstimate(float(raw @ _values(g, rows)), 0.0, len(rows))
         n = int(sample_budget)
@@ -303,7 +307,7 @@ class BoostedDensity:
 
 
 def _checked_scores(q0: InitialDensity, classifier) -> np.ndarray:
-    scores = np.asarray(classifier.scores(q0.x_cells), dtype=np.float64)
+    scores = np.asarray(classifier.domain_scores(q0.x_schema), dtype=np.float64)
     if scores.shape != (q0.x_schema.n_cells,) or not np.isfinite(scores).all():
         raise ValueError("classifier unbounded")
     return scores

@@ -255,7 +255,7 @@ def exact_round_margins(p: TabularDensity, prev: BoostedDensity, classifier) -> 
     """
     if p.schema != prev.schema:
         raise ValueError("schema mismatch")
-    scores_x = np.asarray(classifier.scores(prev.q0.x_cells), dtype=np.float64)
+    scores_x = np.asarray(classifier.domain_scores(prev.q0.x_schema), dtype=np.float64)
     full = prev.schema.flatten_groups(np.tile(scores_x, (prev.q0.cond.shape[0], 1)))
     c = float(classifier.c_bound)
     gamma_p = float(p.mass @ full) / c

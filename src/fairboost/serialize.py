@@ -3,9 +3,13 @@
 All JSON documents carry a ``format`` tag and integer ``version``.  Floats
 round-trip exactly (shortest-repr encoding on write, exact parse on read),
 and writers emit keys in a fixed order, so rewriting the same state produces
-byte-identical files.  The model document stores the anchor conditionals and
-the per-round {theta, classifier, z, z_by_group} in boosting order; stored
-normalizers are authoritative and never recomputed on load.
+byte-identical files.  ``dump_json`` writes exactly what
+``json.dump(doc, indent=2)`` would, but also takes 1-D float64 arrays: the
+anchor conditionals go out as arrays, each distinct value formatted once.
+The model document stores the anchor conditionals and the per-round
+{theta, classifier, z, z_by_group} in boosting order; stored normalizers are
+authoritative and never recomputed on load.  Loading rejects non-finite
+round values and trace numbers, and trees no fit could have produced.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,10 +38,68 @@ REPORT_FORMAT = "fairboost.report"
 TRACE_HEADER = ["t", "theta", "gamma_p", "gamma_q", "regime", "rr", "rr_bound", "kl_train", "kl_test", "z"]
 
 
+#: values per write when streaming a float array
+_CHUNK = 1 << 16
+
+
 def dump_json(doc: dict, path: str) -> None:
+    """Write ``json.dump(doc, fh, indent=2)`` plus a newline, byte for byte.
+
+    ``doc`` may also hold 1-D float64 arrays (inside str-keyed containers),
+    written as JSON lists: each distinct bit pattern is formatted once and
+    the array is streamed in chunks, so a million-cell table of a few
+    distinct values costs a few formats and no list of Python floats.
+    """
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        _write_json(fh, doc, 0)
         fh.write("\n")
+
+
+def _write_json(fh, value, depth: int) -> None:
+    pad = "\n" + "  " * depth
+    inner = pad + "  "
+    if isinstance(value, np.ndarray):
+        _write_floats(fh, value, depth)
+    elif isinstance(value, dict) and _holds_array(value):
+        fh.write("{")
+        for i, (key, item) in enumerate(value.items()):
+            fh.write(("," if i else "") + inner + json.dumps(key) + ": ")
+            _write_json(fh, item, depth + 1)
+        fh.write(pad + "}")
+    elif isinstance(value, (list, tuple)) and _holds_array(value):
+        fh.write("[")
+        for i, item in enumerate(value):
+            fh.write(("," if i else "") + inner)
+            _write_json(fh, item, depth + 1)
+        fh.write(pad + "]")
+    else:
+        fh.write(json.dumps(value, indent=2).replace("\n", pad))
+
+
+def _holds_array(value) -> bool:
+    if isinstance(value, np.ndarray):
+        return True
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return False
+    return any(_holds_array(item) for item in value)
+
+
+def _write_floats(fh, arr: np.ndarray, depth: int) -> None:
+    if arr.dtype != np.float64 or arr.ndim != 1:
+        raise TypeError(f"only 1-D float64 arrays are written, not {arr.ndim}-D {arr.dtype}")
+    if len(arr) == 0:
+        fh.write("[]")
+        return
+    # bit patterns, not values: 0.0 and -0.0 format differently
+    bits, which = np.unique(arr.view(np.uint64), return_inverse=True)
+    texts = np.array([json.dumps(float(v)) for v in bits.view(np.float64)], dtype=object)
+    sep = ",\n" + "  " * (depth + 1)
+    fh.write("[" + sep[1:])
+    for start in range(0, len(arr), _CHUNK):
+        fh.write(("" if start == 0 else sep) + sep.join(texts[which[start : start + _CHUNK]]))
+    fh.write("\n" + "  " * depth + "]")
 
 
 def load_json(path: str) -> dict:
@@ -90,7 +153,7 @@ def save_model(
         doc["scheme"] = _scheme_to_dict(scheme)
     doc["q0"] = {
         "schema": bd.schema.to_dict(),
-        "conditionals": [[float(v) for v in row] for row in bd.q0.cond],
+        "conditionals": list(bd.q0.cond),
     }
     doc["rounds"] = [
         {
@@ -180,19 +243,28 @@ def load_trace(path: str) -> list[TraceRow]:
         out = []
         for row in reader:
             vals = dict(zip(TRACE_HEADER, row))
-            opt = lambda s: float(s) if s != "" else None
+            t = int(vals["t"])
+
+            def num(col, optional=False):
+                if optional and vals[col] == "":
+                    return None
+                v = float(vals[col])
+                if not math.isfinite(v):
+                    raise ValueError(f"trace row t={t}: {col} must be finite, got {vals[col]!r}")
+                return v
+
             out.append(
                 TraceRow(
-                    t=int(vals["t"]),
-                    theta=float(vals["theta"]),
-                    gamma_p=opt(vals["gamma_p"]),
-                    gamma_q=opt(vals["gamma_q"]),
+                    t=t,
+                    theta=num("theta"),
+                    gamma_p=num("gamma_p", optional=True),
+                    gamma_q=num("gamma_q", optional=True),
                     regime=vals["regime"] or None,
-                    rr=float(vals["rr"]),
-                    rr_bound=float(vals["rr_bound"]),
-                    kl_train=opt(vals["kl_train"]),
-                    kl_test=opt(vals["kl_test"]),
-                    z=float(vals["z"]),
+                    rr=num("rr"),
+                    rr_bound=num("rr_bound"),
+                    kl_train=num("kl_train", optional=True),
+                    kl_test=num("kl_test", optional=True),
+                    z=num("z"),
                 )
             )
     return out

@@ -104,6 +104,34 @@ class DecisionTreeClassifier:
             stack.append((node.right, idx[~left]))
         return out
 
+    def domain_scores(self, x_schema: AttributeSchema) -> np.ndarray:
+        """Scores of every cell of ``x_schema``, flat in row-major order.
+
+        Walks the tree once and paints each leaf value onto its box of the
+        feature cube through slice views; split values are absolute codes,
+        so each view carries its per-axis offset into the cube.
+        """
+        cube = np.empty(x_schema.shape, dtype=np.float64)
+        stack = [(self.root, cube, (0,) * cube.ndim)]
+        while stack:
+            node, view, offset = stack.pop()
+            if node.is_leaf:
+                view[...] = node.leaf
+                continue
+            f, base, n = node.attr, offset[node.attr], view.shape[node.attr]
+            lo = min(max(node.value - base, 0), n)
+            hi = min(max(node.value + 1 - base, 0), n)
+            if node.op == "le":
+                left, right = [(0, hi)], [(hi, n)]
+            else:
+                left, right = [(lo, hi)], [(0, lo), (hi, n)]
+            for child, boxes in ((node.left, left), (node.right, right)):
+                for start, stop in boxes:
+                    if start < stop:
+                        part = view[(slice(None),) * f + (slice(start, stop),)]
+                        stack.append((child, part, offset[:f] + (base + start,) + offset[f + 1 :]))
+        return cube.reshape(-1)
+
     def depth(self) -> int:
         def walk(node):
             if node.is_leaf:
@@ -138,21 +166,35 @@ class DecisionTreeClassifier:
 
     @staticmethod
     def from_dict(d: dict, x_schema: AttributeSchema) -> "DecisionTreeClassifier":
+        """Decode a stored tree, rejecting any node a fitted tree cannot have."""
+        c_bound = float(d["c_bound"])
+        if not (math.isfinite(c_bound) and c_bound > 0):
+            raise ValueError(f"tree c_bound must be finite and > 0, got {c_bound!r}")
+
         def decode(obj):
             if "leaf" in obj:
-                return Node(leaf=float(obj["leaf"]))
+                leaf = float(obj["leaf"])
+                if not (math.isfinite(leaf) and abs(leaf) <= c_bound + 1e-12):
+                    raise ValueError(f"tree leaf {leaf!r} is not a finite value in [-c_bound, c_bound]")
+                return Node(leaf=leaf)
             attr = x_schema.index_of(obj["attr"])
             split = obj["split"]
+            op, value = split["op"], int(split["value"])
+            if op not in ("le", "eq"):
+                raise ValueError(f"tree split op must be 'le' or 'eq', got {op!r}")
+            card = x_schema.attributes[attr].cardinality
+            if not (0 <= value < card):
+                raise ValueError(f"tree split value {value} on {obj['attr']!r} is outside [0, {card})")
             return Node(
                 attr=attr,
                 name=obj["attr"],
-                op=split["op"],
-                value=int(split["value"]),
+                op=op,
+                value=value,
                 left=decode(obj["left"]),
                 right=decode(obj["right"]),
             )
 
-        return DecisionTreeClassifier(root=decode(d["root"]), c_bound=float(d["c_bound"]))
+        return DecisionTreeClassifier(root=decode(d["root"]), c_bound=c_bound)
 
 
 def _gini_terms(wp, wq):

@@ -144,7 +144,7 @@ def test_unbounded_scores_rejected(rng):
     bd = BoostedDensity(uniform_initial(s))
 
     class Wild:
-        def scores(self, x_rows):
+        def domain_scores(self, x_schema):
             return np.array([np.inf, 0.0])
 
     with pytest.raises(ValueError, match="classifier unbounded"):

@@ -295,6 +295,20 @@ def test_guarantees_needs_scheme(tmp_path, fit_run, capsys):
     assert "leveraging-scheme metadata" in capsys.readouterr().err
 
 
+def test_guarantees_rejects_non_finite_trace(tmp_path, fit_run, capsys):
+    model_path, trace_path = fit_run
+    lines = open(trace_path).read().splitlines()
+    cells = lines[2].split(",")
+    cells[1] = "nan"  # theta of round t=1
+    lines[2] = ",".join(cells)
+    bad = tmp_path / "trace.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "report.json"
+    assert main(["guarantees", "--model", model_path, "--trace", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: trace row t=1: theta must be finite")
+    assert not out.exists()
+
+
 # -- entry points -------------------------------------------------------
 
 

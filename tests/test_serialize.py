@@ -23,7 +23,7 @@ from fairboost import (
     save_model,
     save_trace,
 )
-from fairboost.serialize import dump_json, load_json, sha256_file, trace_to_csv
+from fairboost.serialize import TRACE_HEADER, _CHUNK, dump_json, load_json, sha256_file, trace_to_csv
 
 from conftest import xa_schema
 
@@ -59,7 +59,7 @@ def test_model_roundtrip_exact(tmp_path, fitted):
         assert r_new.z == r_old.z
         assert np.array_equal(r_new.z_by_group, r_old.z_by_group)
         assert r_new.theta == r_old.theta
-        cells = stack.q0.x_cells
+        cells = stack.q0.x_schema.all_cells()
         assert np.array_equal(r_new.classifier.scores(cells), r_old.classifier.scores(cells))
     for cell in stack.schema.all_cells():
         assert back.density_at(cell) == stack.density_at(cell)
@@ -84,7 +84,7 @@ def test_model_table_classifier_rounds(tmp_path):
     save_model(stack, path)
     back, back_scheme, _ = load_model(path)
     assert back_scheme is None
-    assert back.rounds[0].classifier.scores(q0.x_cells).tolist() == [LN2, -LN2]
+    assert back.rounds[0].classifier.scores(q0.x_schema.all_cells()).tolist() == [LN2, -LN2]
     assert back.density_at(np.asarray([0, 0])) == stack.density_at(np.asarray([0, 0]))
 
 
@@ -181,6 +181,26 @@ def test_trace_floats_roundtrip_exactly(tmp_path, fitted):
         assert b.z == a.z
 
 
+@pytest.mark.parametrize(
+    "column, text",
+    [("theta", "nan"), ("gamma_p", "inf"), ("rr", "-inf"), ("rr_bound", "nan"), ("kl_test", "nan"), ("z", "inf")],
+)
+def test_trace_rejects_non_finite_numbers(tmp_path, column, text):
+    rows = [
+        TraceRow(0, 0.0, None, None, None, 1.0, 1.0, 0.5, 0.6, 1.0),
+        TraceRow(1, 0.25, 0.5, 0.4, "HBS", 0.91, 0.9, 0.37, 0.41, 1.002),
+    ]
+    path = tmp_path / "t.csv"
+    save_trace(rows, str(path))
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[TRACE_HEADER.index(column)] = text
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"trace row t=1: {column} must be finite, got '{text}'"):
+        load_trace(str(path))
+
+
 def test_trace_rejects_other_files(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("a,b,c\n1,2,3\n")
@@ -210,6 +230,57 @@ def test_dump_json_deterministic(tmp_path):
     dump_json(doc, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text().endswith("\n")
+
+
+def _as_lists(value):
+    if isinstance(value, np.ndarray):
+        return [float(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _as_lists(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_lists(v) for v in value]
+    return value
+
+
+def _json_dump_bytes(doc, path) -> bytes:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"v": np.array([])},
+        {"v": np.arange(_CHUNK + 1000) % 7 / 3.0, "w": [np.arange(2 * _CHUNK, dtype=np.float64)]},
+        {"v": np.array([0.0, -0.0, 0.0, -0.0, 1.0])},
+        {"v": np.array([np.nan, np.inf, -np.inf, np.nan, 2.0])},
+        {"v": np.array([5e-324, 2.2250738585072014e-308 / 3, -5e-324])},
+        {"v": np.array([1e16, 1e15, 1e-5, 1e-4, 123456789012345678.0, 0.1 + 0.2])},
+        {"a": {}, "b": [], "c": [None, {"d": None, "e": np.array([1.5])}, []], "f": None},
+        {"naïve": "größe ✓ \u2028", "v": (np.array([2.0]), "é", {"k": [1, 2, {"x": 3}]})},
+        [np.array([1.0]), {}, [], [np.array([-0.0])]],
+    ],
+    ids=["empty", "chunks", "signed-zero", "non-finite", "subnormal", "exponent", "empty-none", "non-ascii", "top-list"],
+)
+def test_dump_json_matches_json_dump(tmp_path, doc):
+    dump_json(doc, str(tmp_path / "fast.json"))
+    want = _json_dump_bytes(_as_lists(doc), tmp_path / "plain.json")
+    assert (tmp_path / "fast.json").read_bytes() == want
+
+
+def test_dump_json_rejects_other_arrays(tmp_path):
+    for arr in (np.arange(3), np.zeros((2, 2))):
+        with pytest.raises(TypeError, match="only 1-D float64 arrays"):
+            dump_json({"v": arr}, str(tmp_path / "x.json"))
+
+
+def test_save_model_matches_json_dump(tmp_path, fitted):
+    stack, scheme, _ = fitted
+    path = tmp_path / "model.json"
+    save_model(stack, str(path), scheme=scheme, meta={"manifest": "0123456789abcdef"})
+    assert path.read_bytes() == _json_dump_bytes(load_json(str(path)), tmp_path / "plain.json")
 
 
 def test_sha256_file(tmp_path):

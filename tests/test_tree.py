@@ -19,6 +19,7 @@ from fairboost import (
 )
 
 from conftest import LN2, table_classifier, xa_schema
+from fairboost.tree import Node
 
 CFG = TreeConfig()
 
@@ -229,6 +230,77 @@ def test_tree_serialization_roundtrip(rng):
     cells = s.x_subschema().all_cells()
     assert np.array_equal(back.scores(cells), tree.scores(cells))
     assert back.to_dict() == tree.to_dict()
+
+
+def test_tree_serialization_rejects_malformed_trees():
+    s = two_feature_schema()
+    good = {
+        "type": "tree",
+        "c_bound": LN2,
+        "root": {
+            "attr": "f1",
+            "split": {"op": "le", "value": 1},
+            "left": {"leaf": LN2},
+            "right": {"leaf": -LN2},
+        },
+    }
+    DecisionTreeClassifier.from_dict(good, s.x_subschema())
+
+    def bad(message, c_bound=LN2, op="le", value=1, leaf=LN2):
+        doc = dict(good, c_bound=c_bound)
+        doc["root"] = dict(good["root"], split={"op": op, "value": value}, left={"leaf": leaf})
+        with pytest.raises(ValueError, match=message):
+            DecisionTreeClassifier.from_dict(doc, s.x_subschema())
+
+    bad(r"split op must be 'le' or 'eq', got 'lt'", op="lt")
+    bad(r"split value -3 on 'f1' is outside \[0, 4\)", value=-3)
+    bad(r"split value 4 on 'f1' is outside \[0, 4\)", value=4)
+    for leaf in (float("nan"), float("inf"), 5.0, -0.7):
+        bad(r"leaf .* is not a finite value in \[-c_bound, c_bound\]", leaf=leaf)
+    for c_bound in (float("nan"), float("inf"), 0.0, -1.0):
+        bad("c_bound must be finite and > 0", c_bound=c_bound)
+
+
+def random_tree(x_schema, rng, depth):
+    """A tree of at most `depth` splits on random attributes, ops and values.
+
+    Split values are drawn from the whole attribute range, so boxes below a
+    split can be empty or left whole by a later split on the same axis.
+    """
+    leaves = np.array([LN2, -LN2, 0.0, -0.0])
+
+    def grow(d):
+        if d == 0 or (d < depth and rng.random() < 0.25):
+            leaf = leaves[rng.integers(len(leaves))] if rng.random() < 0.7 else rng.uniform(-LN2, LN2)
+            return Node(leaf=float(leaf))
+        f = int(rng.integers(len(x_schema.attributes)))
+        attr = x_schema.attributes[f]
+        op = "le" if rng.random() < 0.5 else "eq"
+        node = Node(attr=f, name=attr.name, op=op, value=int(rng.integers(attr.cardinality)))
+        node.left, node.right = grow(d - 1), grow(d - 1)
+        return node
+
+    return DecisionTreeClassifier(root=grow(depth), c_bound=LN2)
+
+
+@pytest.mark.parametrize("sensitive_index", [0, 2, 4])
+@pytest.mark.parametrize("depth", range(7))
+def test_domain_scores_paint_every_cell_like_scores(rng, sensitive_index, depth):
+    x_attrs = [
+        Attribute("o1", 5, bin_edges=tuple(float(i) for i in range(6))),
+        Attribute("c1", 3),
+        Attribute("o2", 4, bin_edges=tuple(float(i) for i in range(5))),
+        Attribute("c2", 2),
+    ]
+    attrs = x_attrs[:sensitive_index] + [Attribute("a", 2)] + x_attrs[sensitive_index:]
+    x_schema = AttributeSchema(tuple(attrs), sensitive_index=sensitive_index).x_subschema()
+    cells = x_schema.all_cells()
+    for _ in range(20):
+        tree = random_tree(x_schema, rng, depth)
+        painted = tree.domain_scores(x_schema)
+        assert painted.shape == (x_schema.n_cells,)
+        # bit patterns, so a -0.0 leaf must paint -0.0
+        assert np.array_equal(painted.view(np.uint64), tree.scores(cells).view(np.uint64))
 
 
 # -- margin estimation --------------------------------------------------
