@@ -45,7 +45,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .schema import AttributeSchema, Dataset, _readonly
-from .tabular import TabularDensity
+from .tabular import _SUM_TOL, TabularDensity
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,46 +72,32 @@ class TableClassifier:
     def domain_scores(self, x_schema: AttributeSchema) -> np.ndarray:
         return self.values
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "table",
-            "c_bound": float(self.c_bound),
-            "values": [float(v) for v in self.values],
-        }
-
-    @staticmethod
-    def from_dict(d: dict, x_schema: AttributeSchema) -> "TableClassifier":
-        return TableClassifier(x_schema, np.asarray(d["values"]), float(d["c_bound"]))
-
 
 class InitialDensity:
     """The fair anchor: per-group conditionals under an exactly uniform marginal.
 
     The sensitive marginal is the constant 1/|A| by construction, never
     estimated, so the anchor's representation rate is exactly 1.  The
-    conditionals are held once, as the (|A|, n_x) matrix ``cond``.
+    conditionals are the (|A|, n_x) matrix ``cond``: row a is q0(x | A=a)
+    over the feature cells in row-major order.
     """
 
-    def __init__(self, schema: AttributeSchema, conditionals: Sequence[TabularDensity]):
+    def __init__(self, schema: AttributeSchema, cond: np.ndarray):
         if schema.sensitive_index is None:
             raise ValueError("schema must designate a sensitive attribute")
         self.schema = schema
         self.x_schema = schema.x_subschema()
-        conditionals = tuple(conditionals)
-        if len(conditionals) != schema.sensitive.cardinality:
-            raise ValueError("need one conditional per sensitive value")
-        for cond in conditionals:
-            if cond.schema != self.x_schema:
-                raise ValueError("conditional schema mismatch")
-        self.cond = _readonly(np.stack([c.mass for c in conditionals]))
+        cond = np.asarray(cond, dtype=np.float64)
+        shape = (schema.sensitive.cardinality, self.x_schema.n_cells)
+        if cond.shape != shape:
+            raise ValueError(f"conditionals must be a {shape[0]} x {shape[1]} matrix, got shape {cond.shape}")
+        if not np.isfinite(cond).all() or (cond < 0).any():
+            raise ValueError("conditional entries must be finite and >= 0")
+        if (np.abs(cond.sum(axis=1) - 1.0) > _SUM_TOL).any():
+            raise ValueError(f"each conditional must sum to 1 within {_SUM_TOL}")
+        self.cond = _readonly(cond)
         with np.errstate(divide="ignore"):
             self.log_cond = _readonly(np.log(self.cond))
-
-    @classmethod
-    def from_matrix(cls, schema: AttributeSchema, cond: np.ndarray) -> "InitialDensity":
-        x_schema = schema.x_subschema()
-        conds = [TabularDensity(x_schema, row) for row in np.asarray(cond, dtype=np.float64)]
-        return cls(schema, conds)
 
     def joint(self) -> TabularDensity:
         return TabularDensity(self.schema, self.schema.flatten_groups(self.cond) / self.cond.shape[0])
@@ -263,8 +249,7 @@ class BoostedDensity:
         n = int(sample_budget)
         if n < 2:
             raise ValueError("sample_budget must be >= 2 in Monte Carlo mode")
-        rng = np.random.default_rng(seed)
-        rows = self.schema.decode(_draw_cells(self.q0.joint().mass, n, rng))
+        rows = self.q0.joint().sample(n, seed).rows
         x_idx, _ = self._split_cells(rows)
         log_w = self._tilt[x_idx] - self._log_z_total
         return _mc_estimate(np.exp(log_w) * _values(g, rows))
@@ -288,22 +273,16 @@ class BoostedDensity:
         n = int(sample_budget)
         if n < 2:
             raise ValueError("sample_budget must be >= 2 in Monte Carlo mode")
-        rng = np.random.default_rng(seed)
-        x_idx = _draw_cells(self.q0.cond[a], n, rng)
-        rows = self.q0.x_schema.decode(x_idx)
+        rows = TabularDensity(self.q0.x_schema, self.q0.cond[a]).sample(n, seed).rows
+        x_idx = self.q0.x_schema.encode(rows)
         log_w = self._tilt[x_idx] - self._log_zg_total[a]
         return _mc_estimate(np.exp(log_w) * _values(g, rows))
 
     # -- sampling -------------------------------------------------------
 
     def sample(self, n: int, seed: int) -> Dataset:
-        """Draw n rows from Q_T by inverting the CDF of its joint table,
-        deterministically for a given seed."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        rng = np.random.default_rng(seed)
-        cells = _draw_cells(self.joint().mass, n, rng)
-        return Dataset(self.schema, self.schema.decode(cells))
+        """Draw n rows from Q_T through its joint table (``TabularDensity.sample``)."""
+        return self.joint().sample(n, seed)
 
 
 def _checked_scores(q0: InitialDensity, classifier) -> np.ndarray:
@@ -318,12 +297,6 @@ def _values(g: GFun, rows: np.ndarray) -> np.ndarray:
     if vals.shape != (len(rows),):
         raise ValueError("g must return one value per row")
     return vals
-
-
-def _draw_cells(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    cdf = np.cumsum(probs)
-    idx = np.searchsorted(cdf, rng.random(n) * cdf[-1], side="right")
-    return np.minimum(idx, len(probs) - 1)
 
 
 def _mc_estimate(vals: np.ndarray) -> ExpectationEstimate:

@@ -172,24 +172,7 @@ def cmd_fit(args) -> int:
         )
 
     t0 = time.perf_counter()
-    resolved = {
-        "data": args.data,
-        "sensitive": args.sensitive,
-        "target": args.target,
-        "ignore": list(args.ignore),
-        "tau": args.tau,
-        "scheme": args.scheme,
-        "rounds": args.rounds,
-        "bins": args.bins,
-        "max_depth": args.max_depth,
-        "min_leaf": args.min_leaf,
-        "c_bound": args.c_bound,
-        "smoothing": args.smoothing,
-        "folds": args.folds,
-        "seed": args.seed,
-        "out": args.out,
-        "trace": args.trace,
-    }
+    resolved = {k: v for k, v in vars(args).items() if k != "command"}
     digests = {args.data: sha256_file(args.data)}
     mid = manifest_id("fit", resolved, digests, __version__)
     save_model(stack, args.out, scheme=scheme, meta={"manifest": mid})

@@ -25,7 +25,7 @@ from typing import Optional
 from . import seeds
 from .boosted import BoostedDensity, InitialDensity
 from .schema import Dataset
-from .tabular import fit_empirical, kl_divergence
+from .tabular import TabularDensity, fit_empirical, kl_divergence
 from .tree import TreeConfig, estimate_wla, train_tree
 
 EXACT = "exact"
@@ -157,22 +157,25 @@ def fbde_fit(
     p_hat = fit_empirical(p, 0.0)
     test_hat = fit_empirical(test, 0.0) if test is not None else None
 
-    def kl_pair(bd: BoostedDensity) -> tuple[float, Optional[float]]:
-        joint = bd.joint()
+    def kl_pair(joint: TabularDensity) -> tuple[float, Optional[float]]:
         kl_te = kl_divergence(test_hat, joint) if test_hat is not None else None
         return kl_divergence(p_hat, joint), kl_te
 
-    kl_tr, kl_te = kl_pair(stack)
+    # one joint table per stack: its KL pair, then the next round's negatives
+    joint = stack.joint()
+    kl_tr, kl_te = kl_pair(joint)
     trace.append(TraceRow(0, 0.0, None, None, None, 1.0, 1.0, kl_tr, kl_te, 1.0))
 
     n_neg = NEGATIVES_PER_ROW * len(p)
     for t in range(1, cfg.rounds + 1):
         theta = leverage(cfg.scheme, t)
-        negatives = stack.sample(n_neg, seeds.subseed(cfg.seed, seeds.NEGATIVES, t))
+        negatives = joint.sample(n_neg, seeds.subseed(cfg.seed, seeds.NEGATIVES, t))
+        joint = None  # released before extended allocates the next round's arrays
         classifier = train_tree(p, negatives, cfg.tree)
         wla = estimate_wla(classifier, p, negatives)
         stack = stack.extended(classifier, theta)
-        kl_tr, kl_te = kl_pair(stack)
+        joint = stack.joint()
+        kl_tr, kl_te = kl_pair(joint)
         rnd = stack.rounds[-1]
         trace.append(
             TraceRow(

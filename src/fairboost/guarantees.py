@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .boosted import BoostedDensity
-from .engine import CONSTANT, EXACT, RELATIVE, LeveragingScheme, TraceRow, mollifier_size
+from .engine import EXACT, RELATIVE, LeveragingScheme, TraceRow, mollifier_size
 from .tabular import TabularDensity
 from .tree import HBS, LBS
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ from scipy.special import ndtri
 
 from .boosted import InitialDensity
 from .schema import Attribute, AttributeSchema, Dataset
-from .tabular import TabularDensity, fit_empirical
+from .tabular import fit_empirical
 
 FEATURE = "feature"
 SENSITIVE = "sensitive"
@@ -282,11 +282,10 @@ def build_initial(train: Dataset, schema: AttributeSchema, smoothing: float) -> 
     x_schema = schema.x_subschema()
     x_rows = train.x_rows()
     sensitive = train.sensitive_codes()
-    conditionals = []
+    cond = []
     for a in range(schema.sensitive.cardinality):
         mask = sensitive == a
         if not mask.any():
             raise ValueError("unrepresented sensitive value")
-        group = Dataset(x_schema, x_rows[mask], weights=train.weights[mask])
-        conditionals.append(fit_empirical(group, smoothing))
-    return InitialDensity(schema, conditionals)
+        cond.append(fit_empirical(Dataset(x_schema, x_rows[mask]), smoothing).mass)
+    return InitialDensity(schema, np.stack(cond))

@@ -9,8 +9,8 @@ statistical-rate metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -216,11 +216,10 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Coded sample rows on a schema, with optional nonnegative weights."""
+    """Coded sample rows on a schema."""
 
     schema: AttributeSchema
     rows: np.ndarray
-    weights: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=np.int64)
@@ -233,15 +232,6 @@ class Dataset:
             if (rows < 0).any() or (rows >= upper[None, :]).any():
                 raise ValueError("row code out of range for schema")
         object.__setattr__(self, "rows", _readonly(rows))
-        if self.weights is None:
-            w = np.ones(len(rows), dtype=np.float64)
-        else:
-            w = np.asarray(self.weights, dtype=np.float64)
-            if w.shape != (len(rows),):
-                raise ValueError("weights must align with rows")
-            if not np.isfinite(w).all() or (w < 0).any():
-                raise ValueError("weights must be finite and >= 0")
-        object.__setattr__(self, "weights", _readonly(w))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -258,5 +248,4 @@ class Dataset:
         return self.rows[:, self.schema.sensitive_index]
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        idx = np.asarray(idx)
-        return Dataset(self.schema, self.rows[idx], self.weights[idx])
+        return Dataset(self.schema, self.rows[np.asarray(idx)])

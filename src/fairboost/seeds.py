@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 # phase numbers enter every derived seed, so a retired number is never reused
+# (retired: 2, 3, 5)
 NEGATIVES = 1
-SYNTH = 3
 FOLDS = 4
 
 

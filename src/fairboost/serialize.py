@@ -8,8 +8,9 @@ byte-identical files.  ``dump_json`` writes exactly what
 anchor conditionals go out as arrays, each distinct value formatted once.
 The model document stores the anchor conditionals and the per-round
 {theta, classifier, z, z_by_group} in boosting order; stored normalizers are
-authoritative and never recomputed on load.  Loading rejects non-finite
-round values and trace numbers, and trees no fit could have produced.
+authoritative and never recomputed on load.  Loading rejects missing keys,
+anchor rows that are not distributions, non-finite round values and trace
+numbers, trace rows of the wrong width, and trees no fit could have produced.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boosted import BoostedDensity, BoostRound, InitialDensity, TableClassifier
+from .boosted import BoostedDensity, BoostRound, InitialDensity
 from .engine import LeveragingScheme, TraceRow
 from .schema import AttributeSchema
 from .tree import DecisionTreeClassifier
@@ -117,17 +118,11 @@ def sha256_file(path: str) -> str:
 
 # -- models -------------------------------------------------------------
 
-_CLASSIFIER_DECODERS = {
-    "tree": DecisionTreeClassifier.from_dict,
-    "table": TableClassifier.from_dict,
-}
-
-
-def _decode_classifier(d: dict, x_schema: AttributeSchema):
+def _decode_classifier(d: dict, x_schema: AttributeSchema) -> DecisionTreeClassifier:
     kind = d.get("type")
-    if kind not in _CLASSIFIER_DECODERS:
+    if kind != "tree":
         raise ValueError(f"unknown classifier type {kind!r}")
-    return _CLASSIFIER_DECODERS[kind](d, x_schema)
+    return DecisionTreeClassifier.from_dict(d, x_schema)
 
 
 def _scheme_to_dict(scheme: LeveragingScheme) -> dict:
@@ -173,8 +168,18 @@ def load_model(path: str) -> tuple[BoostedDensity, Optional[LeveragingScheme], d
         raise ValueError("not a model document")
     if int(doc.get("version", -1)) != MODEL_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
+    try:
+        return _decode_model(doc)
+    except KeyError as exc:
+        raise ValueError(f"model document is missing key {exc.args[0]!r}") from None
+
+
+def _decode_model(doc: dict) -> tuple[BoostedDensity, Optional[LeveragingScheme], dict]:
     schema = AttributeSchema.from_dict(doc["q0"]["schema"])
-    q0 = InitialDensity.from_matrix(schema, np.asarray(doc["q0"]["conditionals"], dtype=np.float64))
+    cond = doc["q0"]["conditionals"]
+    if len({len(row) for row in cond}) > 1:
+        raise ValueError("q0 conditionals: rows differ in length")
+    q0 = InitialDensity(schema, np.asarray(cond, dtype=np.float64))
     x_schema = schema.x_subschema()
     card = schema.sensitive.cardinality
     rounds = []
@@ -241,7 +246,9 @@ def load_trace(path: str) -> list[TraceRow]:
         if header != TRACE_HEADER:
             raise ValueError("not a trace file")
         out = []
-        for row in reader:
+        for n, row in enumerate(reader):
+            if len(row) != len(TRACE_HEADER):
+                raise ValueError(f"trace row {n}: expected {len(TRACE_HEADER)} fields, got {len(row)}")
             vals = dict(zip(TRACE_HEADER, row))
             t = int(vals["t"])
 

@@ -14,7 +14,6 @@ an explicit absolute-continuity check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -71,23 +70,31 @@ class TabularDensity:
             joint = joint.T
         return joint
 
+    def sample(self, n: int, seed: int) -> Dataset:
+        """Draw n rows by inverting the CDF of the table, deterministically
+        for a given seed."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        cdf = np.cumsum(self.mass)
+        u = np.random.default_rng(seed).random(n)
+        cells = np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), len(cdf) - 1)
+        return Dataset(self.schema, self.schema.decode(cells))
+
 
 def fit_empirical(dataset: Dataset, smoothing: float = 0.0) -> TabularDensity:
     """Laplace-smoothed empirical table.
 
     mass[cell] = (count(cell) + smoothing) / (N + smoothing * n_cells),
-    where counts and N respect the per-row weights.
+    where count(cell) is the number of rows in the cell and N the number of
+    rows.
     """
     if smoothing < 0:
         raise ValueError("smoothing must be >= 0")
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    total = float(dataset.weights.sum())
-    if total <= 0:
-        raise ValueError("empty dataset")
     n_cells = dataset.schema.n_cells
-    counts = np.bincount(dataset.cells(), weights=dataset.weights, minlength=n_cells)
-    mass = (counts + smoothing) / (total + smoothing * n_cells)
+    counts = np.bincount(dataset.cells(), minlength=n_cells)
+    mass = (counts + smoothing) / (len(dataset) + smoothing * n_cells)
     return TabularDensity(dataset.schema, mass)
 
 

@@ -9,32 +9,33 @@ index; the rest get one-vs-rest category splits.  Leaves cast a full-strength
 vote at the score bound:
 
     v = +C where the P mass leads, -C where it trails,
-    v = 0 where |w_P - w_Q| <= leaf_smoothing (too close to call)
+    v = 0 where |w_P - w_Q| <= LEAF_SMOOTHING = 1 (too close to call)
 
 Saturated votes spend the whole budget the bound C allows per round, which
 matters because the leveraging coefficients multiplying the score are small;
 a proportional leaf value would shrink exactly when the boosting stack needs
-its last few rounds to keep moving.  The abstention margin keeps leaves
-quiet where the class masses differ by less than `leaf_smoothing` units of
-(balanced) sample mass, so indistinguishable sides yield a zero tree rather
-than sign noise.  Induction is
-deterministic: candidate splits are scanned in ascending attribute order and
-ascending split value, and only a strictly better Gini gain displaces the
-incumbent, so ties resolve to the lowest attribute index, then the lowest
-split value.  The sensitive attribute is never part of the feature set.
+its last few rounds to keep moving.  The abstention margin, a fixed one
+unit of (balanced) sample mass, keeps leaves quiet where the class masses
+differ by no more than that, so indistinguishable sides yield a zero tree
+rather than sign noise.  Induction is deterministic: candidate splits are
+scanned in ascending attribute order and ascending split value, and only a
+strictly better Gini gain displaces the incumbent, so ties resolve to the
+lowest attribute index, then the lowest split value.  The sensitive
+attribute is never part of the feature set.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .schema import AttributeSchema, Dataset
 
 _GAIN_TOL = 1e-12
+#: a leaf abstains (votes 0) when its balanced class masses differ by at most this
+LEAF_SMOOTHING = 1.0
 
 HBS = "HBS"
 LBS = "LBS"
@@ -46,7 +47,6 @@ class TreeConfig:
     max_depth: int = 8
     min_leaf_count: int = 5
     c_bound: float = math.log(2.0)
-    leaf_smoothing: float = 1.0
 
     def __post_init__(self) -> None:
         if self.max_depth < 1:
@@ -55,8 +55,6 @@ class TreeConfig:
             raise ValueError("min_leaf_count must be >= 1")
         if self.c_bound <= 0:
             raise ValueError("c_bound must be > 0")
-        if self.leaf_smoothing < 0:
-            raise ValueError("leaf_smoothing must be >= 0")
 
 
 class Node:
@@ -231,11 +229,9 @@ def _best_split_for_column(col, is_p, w, counts_card, ordinal, min_leaf):
     if not valid.any():
         return None
     gains = parent - (_gini_terms(lp, lq) + _gini_terms(rp, rq))
-    best = None
-    for v, g, ok in zip(values, gains, valid):
-        if ok and (best is None or g > best[0]):
-            best = (float(g), int(v))
-    return best
+    # first occurrence of the largest valid gain: the lowest split value wins ties
+    i = int(np.argmax(np.where(valid, gains, -np.inf)))
+    return float(gains[i]), int(values[i])
 
 
 def train_tree(p_samples: Dataset, q_samples: Dataset, cfg: TreeConfig) -> DecisionTreeClassifier:
@@ -249,23 +245,18 @@ def train_tree(p_samples: Dataset, q_samples: Dataset, cfg: TreeConfig) -> Decis
     X = np.vstack([p_samples.x_rows(), q_samples.x_rows()])
     is_p = np.zeros(len(X), dtype=bool)
     is_p[: len(p_samples)] = True
-    w = np.concatenate([p_samples.weights, q_samples.weights]).astype(np.float64)
-    total_p = float(w[is_p].sum())
-    total_q = float(w[~is_p].sum())
-    if total_p <= 0 or total_q <= 0:
-        raise ValueError("empty sample side")
+    n_p, n_q = len(p_samples), len(q_samples)
     # equalize class masses; keeps the count scale so min_leaf/smoothing stay meaningful
-    target = 0.5 * (total_p + total_q)
-    w[is_p] *= target / total_p
-    w[~is_p] *= target / total_q
+    target = 0.5 * (n_p + n_q)
+    w = np.where(is_p, target / n_p, target / n_q)
     cards = [a.cardinality for a in x_schema.attributes]
     ordinal = [a.is_ordinal for a in x_schema.attributes]
-    C, smooth = cfg.c_bound, cfg.leaf_smoothing
+    C = cfg.c_bound
 
     def leaf(idx):
         wp = float(w[idx][is_p[idx]].sum())
         wq = float(w[idx][~is_p[idx]].sum())
-        if abs(wp - wq) <= smooth:
+        if abs(wp - wq) <= LEAF_SMOOTHING:
             return Node(leaf=0.0)
         return Node(leaf=C if wp > wq else -C)
 
@@ -313,8 +304,8 @@ def estimate_wla(classifier, p_samples: Dataset, q_samples: Dataset) -> WlaEstim
     if len(p_samples) == 0 or len(q_samples) == 0:
         raise ValueError("empty sample side")
     C = classifier.c_bound
-    gamma_p = float(np.average(classifier.scores(p_samples.x_rows()), weights=p_samples.weights)) / C
-    gamma_q = -float(np.average(classifier.scores(q_samples.x_rows()), weights=q_samples.weights)) / C
+    gamma_p = float(classifier.scores(p_samples.x_rows()).mean()) / C
+    gamma_q = -float(classifier.scores(q_samples.x_rows()).mean()) / C
     if gamma_p <= 0 or gamma_q <= 0:
         regime = FAIL
     elif gamma_q >= 1.0 / 3.0:

@@ -51,14 +51,14 @@ def random_initial(schema, rng, floor=0.05):
     n_x = schema.x_subschema().n_cells
     cond = rng.random((card, n_x)) + floor
     cond /= cond.sum(axis=1, keepdims=True)
-    return InitialDensity.from_matrix(schema, cond)
+    return InitialDensity(schema, cond)
 
 
 def uniform_initial(schema):
     card = schema.sensitive.cardinality
     n_x = schema.x_subschema().n_cells
     cond = np.full((card, n_x), 1.0 / n_x)
-    return InitialDensity.from_matrix(schema, cond)
+    return InitialDensity(schema, cond)
 
 
 def table_classifier(schema, values, c_bound=LN2):
@@ -80,8 +80,8 @@ def random_stack(schema, rng, rounds, c_bound=LN2, theta_scale=0.3, q0=None):
     return bd
 
 
-def dataset_from_rows(schema, rows, weights=None):
-    return Dataset(schema, np.asarray(rows, dtype=np.int64), weights)
+def dataset_from_rows(schema, rows):
+    return Dataset(schema, np.asarray(rows, dtype=np.int64))
 
 
 @pytest.fixture

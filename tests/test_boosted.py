@@ -9,14 +9,12 @@ from fairboost import (
     BoostedDensity,
     BoostRound,
     InitialDensity,
-    TableClassifier,
     kl_divergence,
     representation_rate,
 )
 
 from conftest import (
     LN2,
-    density,
     random_initial,
     random_stack,
     table_classifier,
@@ -27,7 +25,7 @@ from conftest import (
 
 def degenerate_initial(schema):
     # q0(.|a0) all mass on x0, q0(.|a1) all mass on x1
-    return InitialDensity.from_matrix(schema, np.array([[1.0, 0.0], [0.0, 1.0]]))
+    return InitialDensity(schema, np.array([[1.0, 0.0], [0.0, 1.0]]))
 
 
 def plusminus_classifier(schema):
@@ -43,16 +41,13 @@ def normalizers(bd, classifier, theta):
 # -- TableClassifier ----------------------------------------------------
 
 
-def test_table_classifier_scores_and_roundtrip():
+def test_table_classifier_scores():
     s = xa_schema(nx=3)
     clf = table_classifier(s, [0.1, -0.2, 0.3], c_bound=0.5)
     x_rows = s.x_subschema().all_cells()
     assert np.allclose(clf.scores(x_rows), [0.1, -0.2, 0.3])
     # single-row lookup goes through the same table
     assert clf.scores(np.array([[2]]))[0] == pytest.approx(0.3)
-    back = TableClassifier.from_dict(clf.to_dict(), s.x_subschema())
-    assert np.array_equal(back.values, clf.values)
-    assert back.c_bound == clf.c_bound
 
 
 def test_table_classifier_validation():
@@ -90,15 +85,30 @@ def test_anchor_joint_matches_conditionals(rng):
 
 def test_initial_density_validation():
     s = xa_schema(nx=2, na=2)
-    x_s = s.x_subschema()
-    good = density(x_s, [0.5, 0.5])
-    with pytest.raises(ValueError, match="need one conditional per sensitive value"):
-        InitialDensity(s, [good])
-    with pytest.raises(ValueError, match="conditional schema mismatch"):
-        InitialDensity(s, [good, density(s, [0.25] * 4)])
-    plain = x_s  # no sensitive attribute at all
+    good = np.array([[0.5, 0.5], [0.25, 0.75]])
+    assert np.array_equal(InitialDensity(s, good).cond, good)
+    shape = r"conditionals must be a 2 x 2 matrix"
+    with pytest.raises(ValueError, match=shape + r", got shape \(1, 2\)"):
+        InitialDensity(s, good[:1])
+    with pytest.raises(ValueError, match=shape + r", got shape \(3, 2\)"):
+        InitialDensity(s, np.vstack([good, good[:1]]))
+    with pytest.raises(ValueError, match=shape + r", got shape \(2, 3\)"):
+        InitialDensity(s, np.full((2, 3), 1.0 / 3.0))
+    with pytest.raises(ValueError, match=shape + r", got shape \(4,\)"):
+        InitialDensity(s, good.reshape(-1))
+    for entry in (np.nan, np.inf, -0.25):
+        bad = good.copy()
+        bad[1, 0] = entry
+        with pytest.raises(ValueError, match="conditional entries must be finite and >= 0"):
+            InitialDensity(s, bad)
+    for drift in (1e-6, -1e-6, 1e-11):
+        bad = good.copy()
+        bad[0, 1] += drift
+        with pytest.raises(ValueError, match="each conditional must sum to 1 within 1e-12"):
+            InitialDensity(s, bad)
+    plain = s.x_subschema()  # no sensitive attribute at all
     with pytest.raises(ValueError, match="sensitive attribute"):
-        InitialDensity(plain, [good])
+        InitialDensity(plain, good)
 
 
 # -- normalizers --------------------------------------------------------
@@ -260,7 +270,7 @@ def test_shared_conditionals_keep_marginal_uniform(rng):
     s = xa_schema(nx=5, na=3)
     row = rng.random(5) + 0.1
     row /= row.sum()
-    q0 = InitialDensity.from_matrix(s, np.tile(row, (3, 1)))
+    q0 = InitialDensity(s, np.tile(row, (3, 1)))
     bd = random_stack(s, rng, rounds=7, q0=q0)
     assert np.allclose(bd.sensitive_marginal(), 1.0 / 3.0, atol=1e-12)
     assert bd.representation_rate() == pytest.approx(1.0, abs=1e-12)

@@ -12,7 +12,7 @@ import pytest
 from fairboost import fit_empirical, kl_divergence, load_model, load_trace, statistical_rate
 from fairboost.cli import main
 from fairboost.pipeline import infer_csv_spec, load_csv, load_csv_with_schema
-from fairboost.serialize import dump_json
+from fairboost.serialize import dump_json, load_json
 
 LN2 = math.log(2.0)
 
@@ -88,6 +88,10 @@ def test_fit_outputs(fit_run):
     assert manifest["format"] == "fairboost.manifest"
     assert manifest["id"] == doc["manifest"]
     assert manifest["resolved_config"]["tau"] == 0.8
+    assert list(manifest["resolved_config"]) == [
+        "data", "sensitive", "target", "ignore", "tau", "scheme", "rounds", "bins", "max_depth",
+        "min_leaf", "c_bound", "smoothing", "folds", "seed", "out", "trace",
+    ]
     assert set(manifest["timings_seconds"]) >= {"load", "fit", "write"}
 
 
@@ -307,6 +311,40 @@ def test_guarantees_rejects_non_finite_trace(tmp_path, fit_run, capsys):
     assert main(["guarantees", "--model", model_path, "--trace", str(bad), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: trace row t=1: theta must be finite")
     assert not out.exists()
+
+
+def test_guarantees_rejects_short_trace_row(tmp_path, fit_run, capsys):
+    model_path, _ = fit_run
+    bad = tmp_path / "trace.csv"
+    bad.write_text("t,theta,gamma_p,gamma_q,regime,rr,rr_bound,kl_train,kl_test,z\n0,0.0\n")
+    assert main(["guarantees", "--model", model_path, "--trace", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: trace row 0: expected 10 fields, got 2")
+
+
+def _broken_model(tmp_path, model_path, breaker):
+    doc = load_json(model_path)
+    breaker(doc)
+    path = str(tmp_path / "broken.json")
+    dump_json(doc, path)
+    return path
+
+
+def test_eval_rejects_model_without_schema(tmp_path, fit_run, synth_csv, capsys):
+    model_path, _ = fit_run
+    bad = _broken_model(tmp_path, model_path, lambda doc: doc["q0"].pop("schema"))
+    assert main(["eval", "--model", bad, "--data", synth_csv]) == 1
+    assert capsys.readouterr().err.startswith("error: model document is missing key 'schema'")
+
+
+def test_eval_rejects_tree_node_without_split(tmp_path, fit_run, synth_csv, capsys):
+    model_path, _ = fit_run
+
+    def breaker(doc):
+        doc["rounds"][0]["classifier"]["root"] = {"attr": "x"}
+
+    bad = _broken_model(tmp_path, model_path, breaker)
+    assert main(["eval", "--model", bad, "--data", synth_csv]) == 1
+    assert capsys.readouterr().err.startswith("error: model document is missing key 'split'")
 
 
 # -- entry points -------------------------------------------------------

@@ -10,9 +10,11 @@ from fairboost import (
     EXACT,
     FAIL,
     RELATIVE,
+    BoostedDensity,
     Dataset,
     FitConfig,
     LeveragingScheme,
+    TabularDensity,
     TreeConfig,
     fbde_fit,
     leverage,
@@ -267,6 +269,28 @@ def test_fit_kl_columns(fit_setup):
     test = skewed_dataset(s)
     stack, trace = fbde_fit(p, q0, FitConfig(rounds=3, scheme=exact_scheme()), test=test)
     assert all(r.kl_train is not None and r.kl_test is not None for r in trace)
+
+
+def test_fit_builds_one_joint_table_per_stack(fit_setup, monkeypatch):
+    # the anchor's table and each round's serve both that stack's KL pair
+    # and the next round's negatives
+    s, p, q0 = fit_setup
+    built, sampled = [], []
+    joint, sample = BoostedDensity.joint, TabularDensity.sample
+
+    def counting_joint(self):
+        built.append(joint(self))
+        return built[-1]
+
+    def recording_sample(self, n, seed):
+        sampled.append(self)
+        return sample(self, n, seed)
+
+    monkeypatch.setattr(BoostedDensity, "joint", counting_joint)
+    monkeypatch.setattr(TabularDensity, "sample", recording_sample)
+    fbde_fit(p, q0, FitConfig(rounds=4, scheme=exact_scheme()))
+    assert len(built) == 4 + 1
+    assert sampled == built[:4]  # the same objects: round t samples the table of stack t-1
 
 
 def test_fit_kl_shrinks_toward_data(fit_setup):

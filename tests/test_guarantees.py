@@ -25,6 +25,7 @@ from fairboost import (
     eo_fnr_bound,
     exact_round_margins,
     fbde_fit,
+    fit_empirical,
     gain_ratio,
     kl_divergence,
     kl_drop_bound,
@@ -127,7 +128,7 @@ def test_kl_drop_floor_against_measured_drops(rng):
             # so the model margin clears the high-regime threshold
             u = rng.uniform(0.02, 0.30, size=2)
             prev = BoostedDensity(
-                InitialDensity.from_matrix(s, np.column_stack([u, 1.0 - u]))
+                InitialDensity(s, np.column_stack([u, 1.0 - u]))
             )
             w = float(rng.uniform(0.7, 0.98))
             split = rng.dirichlet(np.ones(2) * 5, size=2)
@@ -155,7 +156,7 @@ def test_kl_drop_floor_constructed_high_regime():
     # both margins at exactly 2/3, well inside the high regime
     s = xa_schema(nx=2, na=2)
     prev = BoostedDensity(
-        InitialDensity.from_matrix(s, np.array([[1 / 6, 5 / 6], [1 / 6, 5 / 6]]))
+        InitialDensity(s, np.array([[1 / 6, 5 / 6], [1 / 6, 5 / 6]]))
     )
     p_hat = density(s, [5 / 12, 5 / 12, 1 / 12, 1 / 12])
     clf = table_classifier(s, [LN2, -LN2])
@@ -349,9 +350,11 @@ def test_exact_round_margins_match_weighted_sample(rng):
     s = xa_schema(nx=3, na=2)
     prev = BoostedDensity(random_initial(s, rng))
     clf = table_classifier(s, rng.uniform(-LN2, LN2, size=3))
-    p_hat = random_density(s, rng)
+    # every cell repeated a random number of times: the sample's mean is
+    # the expectation under its empirical table
+    ds = Dataset(s, np.repeat(s.all_cells(), rng.integers(1, 20, size=s.n_cells), axis=0))
+    p_hat = fit_empirical(ds, 0.0)
     gamma_p, _ = exact_round_margins(p_hat, prev, clf)
-    ds = Dataset(s, s.all_cells(), weights=p_hat.mass)
     from fairboost import estimate_wla
 
     est = estimate_wla(clf, ds, ds)

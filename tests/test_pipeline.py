@@ -272,15 +272,6 @@ def test_kfold_deterministic(rng):
     )
 
 
-def test_kfold_preserves_weights(rng):
-    s = xa_schema(nx=2, na=2)
-    w = rng.random(20)
-    ds = Dataset(s, np.zeros((20, 2), dtype=np.int64), weights=w)
-    splits = kfold(ds, 4, seed=1)
-    total = sum(float(test.weights.sum()) for _, test in splits)
-    assert total == pytest.approx(float(w.sum()), rel=1e-12)
-
-
 def test_kfold_validation(rng):
     s = xa_schema(nx=2, na=2)
     ds = Dataset(s, np.zeros((5, 2), dtype=np.int64))

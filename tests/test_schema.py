@@ -96,25 +96,23 @@ def test_dataset_basics():
     assert sorted(d.cells()) == sorted(s.encode(r) for r in [[0, 0], [1, 1], [1, 0]])
     assert list(d.sensitive_codes()) == [0, 1, 0]
     assert d.x_rows().shape == (3, 1)
-    assert np.allclose(d.weights, 1.0)
+    assert not d.rows.flags.writeable
 
 
 def test_dataset_subset():
     s = xa_schema()
-    d = dataset_from_rows(s, [[0, 0], [1, 1], [1, 0]], weights=[1.0, 2.0, 3.0])
-    sub = d.subset(np.array([2, 0]))
-    assert len(sub) == 2
-    assert list(sub.weights) == [3.0, 1.0]
-    assert list(sub.sensitive_codes()) == [0, 0]
+    d = dataset_from_rows(s, [[0, 0], [1, 1], [1, 0], [1, 0]])
+    sub = d.subset(np.array([2, 0, 3]))
+    assert len(sub) == 3
+    assert sub.rows.tolist() == [[1, 0], [0, 0], [1, 0]]
+    assert list(sub.sensitive_codes()) == [0, 0, 0]
 
 
 def test_dataset_validation():
     s = xa_schema()
     with pytest.raises(ValueError, match="out of range"):
         dataset_from_rows(s, [[0, 2]])
-    with pytest.raises(ValueError, match="align"):
-        dataset_from_rows(s, [[0, 0], [1, 1]], weights=[1.0])
-    with pytest.raises(ValueError, match="finite"):
-        dataset_from_rows(s, [[0, 0]], weights=[-1.0])
+    with pytest.raises(ValueError, match="out of range"):
+        dataset_from_rows(s, [[0, 0], [-1, 1]])
     with pytest.raises(ValueError, match="rows"):
         Dataset(s, np.zeros((2, 3), dtype=np.int64))

@@ -8,11 +8,8 @@ import numpy as np
 import pytest
 
 from fairboost import (
-    BoostedDensity,
     Dataset,
     FitConfig,
-    InitialDensity,
-    TableClassifier,
     LeveragingScheme,
     TraceRow,
     build_initial,
@@ -75,17 +72,16 @@ def test_model_resave_byte_identical(tmp_path, fitted):
     assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
 
 
-def test_model_table_classifier_rounds(tmp_path):
-    s = xa_schema(nx=2, na=2)
-    q0 = InitialDensity.from_matrix(s, np.asarray([[0.5, 0.5], [0.5, 0.5]]))
-    clf = TableClassifier(s.x_subschema(), np.asarray([LN2, -LN2]), LN2)
-    stack = BoostedDensity(q0).extended(clf, 0.25)
+def test_model_without_scheme_roundtrip(tmp_path, fitted):
+    stack, _, _ = fitted
     path = str(tmp_path / "m.json")
     save_model(stack, path)
-    back, back_scheme, _ = load_model(path)
+    back, back_scheme, doc = load_model(path)
     assert back_scheme is None
-    assert back.rounds[0].classifier.scores(q0.x_schema.all_cells()).tolist() == [LN2, -LN2]
-    assert back.density_at(np.asarray([0, 0])) == stack.density_at(np.asarray([0, 0]))
+    assert "scheme" not in doc
+    assert [r.classifier.to_dict() for r in back.rounds] == [r.classifier.to_dict() for r in stack.rounds]
+    assert np.array_equal(back.q0.cond, stack.q0.cond)
+    assert back.joint().mass.tobytes() == stack.joint().mass.tobytes()
 
 
 def test_model_document_errors(tmp_path, fitted):
@@ -106,12 +102,66 @@ def test_model_document_errors(tmp_path, fitted):
     with pytest.raises(ValueError, match="unsupported model version 99"):
         load_model(p)
 
-    bad = json.loads(json.dumps(doc))
-    bad["rounds"][0]["classifier"]["type"] = "stump"
-    p = str(tmp_path / "bad3.json")
-    dump_json(bad, p)
-    with pytest.raises(ValueError, match="unknown classifier type 'stump'"):
+    # "table" classifiers exist for the property suites but are no model format
+    for kind in ("stump", "table"):
+        bad = json.loads(json.dumps(doc))
+        bad["rounds"][0]["classifier"]["type"] = kind
+        p = str(tmp_path / "bad3.json")
+        dump_json(bad, p)
+        with pytest.raises(ValueError, match=f"unknown classifier type '{kind}'"):
+            load_model(p)
+
+
+@pytest.mark.parametrize("path", [("q0", "schema"), ("q0", "conditionals"), ("rounds",), ("rounds", 0, "z")])
+def test_model_rejects_missing_keys(tmp_path, fitted, path):
+    stack, scheme, _ = fitted
+    p = str(tmp_path / "m.json")
+    save_model(stack, p, scheme=scheme)
+    doc = load_json(p)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    dump_json(doc, p)
+    with pytest.raises(ValueError, match=f"model document is missing key '{path[-1]}'"):
         load_model(p)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("nan", "conditional entries must be finite and >= 0"),
+        ("inf", "conditional entries must be finite and >= 0"),
+        ("negative", "conditional entries must be finite and >= 0"),
+        ("row sum off by 1e-6", "each conditional must sum to 1 within 1e-12"),
+        ("missing row", r"conditionals must be a 2 x 4 matrix, got shape \(1, 4\)"),
+        ("extra row", r"conditionals must be a 2 x 4 matrix, got shape \(3, 4\)"),
+        ("short row", "q0 conditionals: rows differ in length"),
+    ],
+)
+def test_model_rejects_bad_anchor(tmp_path, fitted, case, message):
+    stack, scheme, _ = fitted
+    path = str(tmp_path / "m.json")
+    save_model(stack, path, scheme=scheme)
+    doc = load_json(path)
+    cond = doc["q0"]["conditionals"]
+    if case == "nan":
+        cond[0][1] = float("nan")
+    elif case == "inf":
+        cond[1][0] = float("inf")
+    elif case == "negative":
+        cond[1][2] = -cond[1][2]
+    elif case == "row sum off by 1e-6":
+        cond[0][0] += 1e-6
+    elif case == "missing row":
+        del cond[1]
+    elif case == "extra row":
+        cond.append(list(cond[0]))
+    else:
+        del cond[0][-1]
+    dump_json(doc, path)
+    with pytest.raises(ValueError, match=message):
+        load_model(path)
 
 
 @pytest.mark.parametrize(

@@ -74,8 +74,23 @@ def test_fit_empirical_split():
 
 def test_fit_empirical_weighted():
     s = a_only_schema()
-    d = dataset_from_rows(s, [[0], [1]], weights=[3.0, 1.0])
-    assert np.allclose(fit_empirical(d, 0.0).mass, [0.75, 0.25])
+    # a repeated row counts once per copy
+    d = dataset_from_rows(s, [[0], [1], [0], [0]])
+    assert np.array_equal(fit_empirical(d, 0.0).mass, [0.75, 0.25])
+
+
+def test_sample_draws_from_table():
+    s = xa_schema(nx=3, na=2)
+    d = density(s, [0.0, 1.0, 2.0, 3.0, 0.0, 4.0])
+    a = d.sample(20_000, seed=4)
+    assert a.schema == s
+    freq = np.bincount(s.encode(a.rows), minlength=6) / len(a)
+    assert freq[0] == 0.0 and freq[4] == 0.0  # empty cells are never drawn
+    assert np.allclose(freq, d.mass, atol=0.02)
+    assert np.array_equal(d.sample(20_000, seed=4).rows, a.rows)
+    assert not np.array_equal(d.sample(20_000, seed=5).rows, a.rows)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        d.sample(0, seed=0)
 
 
 def test_fit_empirical_errors():
