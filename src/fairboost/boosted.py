@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .schema import AttributeSchema, Dataset, _readonly
 from .tabular import _SUM_TOL, TabularDensity
@@ -173,9 +172,9 @@ class BoostedDensity:
 
     def _normalizers(self, scores: np.ndarray, theta: float) -> tuple[float, np.ndarray]:
         log_cond = self._log_cond()
-        log_zg = logsumexp(log_cond + theta * scores[None, :], axis=1)
+        log_zg = _logsumexp(log_cond + theta * scores[None, :], axis=1)
         log_marg = np.log(self.sensitive_marginal())
-        log_z = logsumexp(log_marg + log_zg)
+        log_z = _logsumexp(log_marg + log_zg)
         return float(np.exp(log_z)), np.exp(log_zg)
 
     # -- evaluation -----------------------------------------------------
@@ -283,6 +282,25 @@ class BoostedDensity:
     def sample(self, n: int, seed: int) -> Dataset:
         """Draw n rows from Q_T through its joint table (``TabularDensity.sample``)."""
         return self.joint().sample(n, seed)
+
+
+def _logsumexp(a: np.ndarray, axis=None):
+    """log(sum(exp(a))) over ``axis`` (all axes when None), as scipy 1.17 sums it.
+
+    Every maximal element is taken out of the sum and counted (m), so the
+    result is log1p(sum(exp(a - a_max)) / m) + log(m) + a_max.  scipy's extra
+    pass for infinite results is left out: each reduced slice must hold a
+    finite maximum, as every row of log conditionals does.
+    """
+    a_max = np.max(a, axis=axis, keepdims=True)
+    is_max = a == a_max
+    m = np.sum(is_max, axis=axis, keepdims=True, dtype=np.float64)
+    shifted = np.where(is_max, -np.inf, a)
+    shifted -= a_max
+    s = np.sum(np.exp(shifted, out=shifted), axis=axis, keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    out = np.log1p(s) + np.log(m) + a_max
+    return np.squeeze(out, axis=axis)[()]
 
 
 def _checked_scores(q0: InitialDensity, classifier) -> np.ndarray:

@@ -9,8 +9,9 @@ anchor conditionals go out as arrays, each distinct value formatted once.
 The model document stores the anchor conditionals and the per-round
 {theta, classifier, z, z_by_group} in boosting order; stored normalizers are
 authoritative and never recomputed on load.  Loading rejects missing keys,
-anchor rows that are not distributions, non-finite round values and trace
-numbers, trace rows of the wrong width, and trees no fit could have produced.
+values of the wrong JSON type (naming the field), anchor rows that are not
+distributions, non-finite round values and trace numbers, trace rows of the
+wrong width, and trees no fit could have produced.
 """
 
 from __future__ import annotations
@@ -164,38 +165,40 @@ def save_model(
 
 def load_model(path: str) -> tuple[BoostedDensity, Optional[LeveragingScheme], dict]:
     doc = load_json(path)
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValueError("not a model document")
-    if int(doc.get("version", -1)) != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {doc.get('version')!r}")
+    field = "document"  # the part being decoded, named when its JSON type is wrong
     try:
-        return _decode_model(doc)
+        if doc.get("format") != MODEL_FORMAT:
+            raise ValueError("not a model document")
+        if int(doc.get("version", -1)) != MODEL_VERSION:
+            raise ValueError(f"unsupported model version {doc.get('version')!r}")
+        field = "q0.schema"
+        schema = AttributeSchema.from_dict(doc["q0"]["schema"])
+        field = "q0.conditionals"
+        cond = doc["q0"]["conditionals"]
+        if len({len(row) for row in cond}) > 1:
+            raise ValueError("q0 conditionals: rows differ in length")
+        q0 = InitialDensity(schema, np.asarray(cond, dtype=np.float64))
+        x_schema = schema.x_subschema()
+        card = schema.sensitive.cardinality
+        rounds = []
+        field = "rounds"
+        for t, r in enumerate(doc["rounds"], start=1):
+            field = f"rounds[{t - 1}].z_by_group"
+            z_by_group = np.asarray(r["z_by_group"], dtype=np.float64)
+            if z_by_group.shape != (card,):
+                raise ValueError(f"round {t}: z_by_group needs {card} entries, one per sensitive value")
+            field = f"rounds[{t - 1}].theta"
+            theta = float(r["theta"])
+            field = f"rounds[{t - 1}].classifier"
+            classifier = _decode_classifier(r["classifier"], x_schema)
+            field = f"rounds[{t - 1}].z"
+            rounds.append(BoostRound(theta=theta, classifier=classifier, z=float(r["z"]), z_by_group=z_by_group))
+        field = "scheme"
+        scheme = _scheme_from_dict(doc["scheme"]) if doc.get("scheme") else None
     except KeyError as exc:
         raise ValueError(f"model document is missing key {exc.args[0]!r}") from None
-
-
-def _decode_model(doc: dict) -> tuple[BoostedDensity, Optional[LeveragingScheme], dict]:
-    schema = AttributeSchema.from_dict(doc["q0"]["schema"])
-    cond = doc["q0"]["conditionals"]
-    if len({len(row) for row in cond}) > 1:
-        raise ValueError("q0 conditionals: rows differ in length")
-    q0 = InitialDensity(schema, np.asarray(cond, dtype=np.float64))
-    x_schema = schema.x_subschema()
-    card = schema.sensitive.cardinality
-    rounds = []
-    for t, r in enumerate(doc["rounds"], start=1):
-        z_by_group = np.asarray(r["z_by_group"], dtype=np.float64)
-        if z_by_group.shape != (card,):
-            raise ValueError(f"round {t}: z_by_group needs {card} entries, one per sensitive value")
-        rounds.append(
-            BoostRound(
-                theta=float(r["theta"]),
-                classifier=_decode_classifier(r["classifier"], x_schema),
-                z=float(r["z"]),
-                z_by_group=z_by_group,
-            )
-        )
-    scheme = _scheme_from_dict(doc["scheme"]) if doc.get("scheme") else None
+    except (TypeError, AttributeError):
+        raise ValueError(f"model field {field!r} has the wrong JSON type") from None
     return BoostedDensity(q0, rounds), scheme, doc
 
 

@@ -17,11 +17,27 @@ a proportional leaf value would shrink exactly when the boosting stack needs
 its last few rounds to keep moving.  The abstention margin, a fixed one
 unit of (balanced) sample mass, keeps leaves quiet where the class masses
 differ by no more than that, so indistinguishable sides yield a zero tree
-rather than sign noise.  Induction is deterministic: candidate splits are
-scanned in ascending attribute order and ascending split value, and only a
-strictly better Gini gain displaces the incumbent, so ties resolve to the
-lowest attribute index, then the lowest split value.  The sensitive
-attribute is never part of the feature set.
+rather than sign noise.  The sensitive attribute is never part of the
+feature set.
+
+Induction runs on counts, not rows.  The rows are aggregated once per tree
+into their distinct feature cells, each holding an integer P count and Q
+count; a bin's class mass is then the class weight times its count.  Every
+node holds one histogram of those counts over all (attribute, value) bins,
+and searches it in one vectorized pass over a padded attribute-by-value
+grid: prefix sums along the value axis give the threshold candidates of
+ordinal attributes, the bins themselves the one-vs-rest candidates of the
+rest.  Only the child with fewer distinct cells is counted; its sibling's
+histogram is the parent's minus that one (histogram subtraction, as in
+LightGBM), exact because the counts are integers held in float64.  The
+min-leaf and stopping rules count rows, never cells.  With the fit's two
+negatives per data row the class weights are 3/2 and 3/4, so every sum is
+exact and the gains equal row-by-row sums bit for bit.
+
+Induction is deterministic: among the candidates with the largest Gini gain
+the first in row-major grid order wins, so ties resolve to the lowest
+attribute index, then the lowest split value, and a split is made only when
+its gain exceeds a small tolerance.
 """
 
 from __future__ import annotations
@@ -203,37 +219,6 @@ def _gini_terms(wp, wq):
     return out
 
 
-def _best_split_for_column(col, is_p, w, counts_card, ordinal, min_leaf):
-    """(gain, split_value) of the best valid split on one column, or None.
-
-    Works on per-value aggregates so a column costs O(n + cardinality):
-    threshold sweeps use prefix sums of the value-indexed class weights,
-    one-vs-rest uses them directly.
-    """
-    wp_by = np.bincount(col, weights=w * is_p, minlength=counts_card)
-    wq_by = np.bincount(col, weights=w * (~is_p), minlength=counts_card)
-    n_by = np.bincount(col, minlength=counts_card)
-    wp_tot, wq_tot, n_tot = wp_by.sum(), wq_by.sum(), n_by.sum()
-    parent = _gini_terms(np.array([wp_tot]), np.array([wq_tot]))[0]
-
-    if ordinal:
-        lp = np.cumsum(wp_by)[:-1]
-        lq = np.cumsum(wq_by)[:-1]
-        ln = np.cumsum(n_by)[:-1]
-        values = np.arange(counts_card - 1)
-    else:
-        lp, lq, ln = wp_by, wq_by, n_by
-        values = np.arange(counts_card)
-    rp, rq, rn = wp_tot - lp, wq_tot - lq, n_tot - ln
-    valid = (ln >= min_leaf) & (rn >= min_leaf)
-    if not valid.any():
-        return None
-    gains = parent - (_gini_terms(lp, lq) + _gini_terms(rp, rq))
-    # first occurrence of the largest valid gain: the lowest split value wins ties
-    i = int(np.argmax(np.where(valid, gains, -np.inf)))
-    return float(gains[i]), int(values[i])
-
-
 def train_tree(p_samples: Dataset, q_samples: Dataset, cfg: TreeConfig) -> DecisionTreeClassifier:
     """Fit the P-vs-Q tree; deterministic through its tie-breaking rules."""
     if len(p_samples) == 0 or len(q_samples) == 0:
@@ -242,47 +227,70 @@ def train_tree(p_samples: Dataset, q_samples: Dataset, cfg: TreeConfig) -> Decis
     if q_samples.schema.x_subschema() != x_schema:
         raise ValueError("schema mismatch")
 
-    X = np.vstack([p_samples.x_rows(), q_samples.x_rows()])
-    is_p = np.zeros(len(X), dtype=bool)
-    is_p[: len(p_samples)] = True
+    # aggregate once: the distinct feature cells, each with its P and Q row counts
     n_p, n_q = len(p_samples), len(q_samples)
+    rows = np.concatenate([x_schema.encode(p_samples.x_rows()), x_schema.encode(q_samples.x_rows())])
+    cells, inverse = np.unique(rows, return_inverse=True)
+    counts = np.stack([np.bincount(side, minlength=len(cells)) for side in (inverse[:n_p], inverse[n_p:])])
+    counts = counts.astype(np.float64)  # integers, so sums and differences stay exact
+    X = x_schema.decode(cells)
     # equalize class masses; keeps the count scale so min_leaf/smoothing stay meaningful
     target = 0.5 * (n_p + n_q)
-    w = np.where(is_p, target / n_p, target / n_q)
-    cards = [a.cardinality for a in x_schema.attributes]
-    ordinal = [a.is_ordinal for a in x_schema.attributes]
+    w = np.array([target / n_p, target / n_q])
+    # candidates on a padded (attribute, value) grid: thresholds v < card-1 on
+    # ordinal attributes, every category on the rest
+    cards = np.array(x_schema.shape, dtype=np.int64)[:, None]
+    n_attr, width = len(cards), int(cards.max(initial=1))
+    ordinal = np.array([a.is_ordinal for a in x_schema.attributes])[:, None]
+    exists = (cards >= 2) & (np.arange(width) < np.where(ordinal, cards - 1, cards))
+    bins = X + width * np.arange(n_attr)  # grid position of each cell's value, per attribute
     C = cfg.c_bound
 
-    def leaf(idx):
-        wp = float(w[idx][is_p[idx]].sum())
-        wq = float(w[idx][~is_p[idx]].sum())
+    def histogram(idx):
+        """(class, attribute, value) row counts over the cells idx."""
+        b = bins[idx].ravel()
+        hist = [np.bincount(b, weights=np.repeat(c[idx], n_attr), minlength=n_attr * width) for c in counts]
+        return np.stack(hist).reshape(2, n_attr, width)
+
+    def leaf(tot):
+        wp, wq = w * tot
         if abs(wp - wq) <= LEAF_SMOOTHING:
             return Node(leaf=0.0)
         return Node(leaf=C if wp > wq else -C)
 
-    def grow(idx, depth):
-        if depth >= cfg.max_depth or len(idx) < 2 * cfg.min_leaf_count:
-            return leaf(idx)
-        best = None  # (gain, attr, value, op)
-        for f in range(X.shape[1]):
-            if cards[f] < 2:
-                continue
-            found = _best_split_for_column(
-                X[idx, f], is_p[idx], w[idx], cards[f], ordinal[f], cfg.min_leaf_count
-            )
-            if found is not None and (best is None or found[0] > best[0]):
-                best = (found[0], f, found[1], "le" if ordinal[f] else "eq")
-        if best is None or best[0] <= _GAIN_TOL:
-            return leaf(idx)
-        _, f, value, op = best
+    def grow(idx, hist, tot, depth):
+        n_rows = tot.sum()
+        if depth >= cfg.max_depth or n_rows < 2 * cfg.min_leaf_count:
+            return leaf(tot)
+        # the left side of `le v` is a prefix of the value axis, of `eq v` one bin
+        left = np.where(ordinal, np.cumsum(hist, axis=2), hist)
+        right = tot[:, None, None] - left
+        n_left = left.sum(axis=0)
+        valid = exists & (n_left >= cfg.min_leaf_count) & (n_rows - n_left >= cfg.min_leaf_count)
+        wc = w[:, None, None]  # class weights, broadcast over the grid
+        gains = _gini_terms(*(w * tot)) - (_gini_terms(*(wc * left)) + _gini_terms(*(wc * right)))
+        gains = np.where(valid, gains, -np.inf)
+        # first occurrence in row-major order: lowest attribute, then lowest value
+        f, value = divmod(int(np.argmax(gains)), width)
+        if gains[f, value] <= _GAIN_TOL:
+            return leaf(tot)
+        op = "le" if ordinal[f, 0] else "eq"
         col = X[idx, f]
         mask = (col <= value) if op == "le" else (col == value)
         node = Node(attr=f, name=x_schema.attributes[f].name, op=op, value=value)
-        node.left = grow(idx[mask], depth + 1)
-        node.right = grow(idx[~mask], depth + 1)
+        kids = [idx[mask], idx[~mask]]
+        hists = [None, None]
+        if depth + 1 < cfg.max_depth:
+            # sibling subtraction: count the child with fewer cells, the other is the rest
+            s = int(len(kids[1]) < len(kids[0]))
+            hists[s] = histogram(kids[s])
+            hists[1 - s] = hist - hists[s]
+        node.left = grow(kids[0], hists[0], left[:, f, value], depth + 1)
+        node.right = grow(kids[1], hists[1], right[:, f, value], depth + 1)
         return node
 
-    root = grow(np.arange(len(X)), 0)
+    every = np.arange(len(cells))
+    root = grow(every, histogram(every), counts.sum(axis=1), 0)
     return DecisionTreeClassifier(root=root, c_bound=C)
 
 

@@ -13,6 +13,8 @@ from fairboost import (
     representation_rate,
 )
 
+from fairboost.boosted import _logsumexp
+
 from conftest import (
     LN2,
     random_initial,
@@ -121,6 +123,25 @@ def test_normalizers_identity_classifier(rng):
     assert z == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(zg, 1.0, atol=1e-12)
 
+
+def test_logsumexp_pinned_bits():
+    # bit patterns of scipy.special.logsumexp 1.17 on the same inputs: the
+    # normalizers stored in a model depend on its exact summation order
+    k = np.arange(1000)
+    ramp = (k * 7919 % 250) / 37.0 - 13.0  # the maximum is tied four times
+    rows = np.stack([ramp, ramp[::-1] * 0.5])
+    rows[:, ::7] = -np.inf
+    cases = [
+        (ramp, None, [0xBFF42BFC3A689584]),
+        (rows, 1, [0xBFF6A51F1A46DC64, 0x4003037074709A64]),
+        (rows, None, [0x4003311C2496E5C8]),
+        (np.full((2, 5), -1.25), 1, [0x3FD70107DFB634CC] * 2),  # every entry a maximum
+        (np.array([3.5]), None, [0x400C000000000000]),
+    ]
+    for a, axis, bits in cases:
+        out = _logsumexp(a, axis=axis)
+        assert np.shape(out) == (() if axis is None else (len(a),))
+        assert np.asarray(out, dtype=np.float64).reshape(-1).view(np.uint64).tolist() == bits
 
 def test_normalizers_four_cell_example():
     s = xa_schema()

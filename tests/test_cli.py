@@ -347,6 +347,23 @@ def test_eval_rejects_tree_node_without_split(tmp_path, fit_run, synth_csv, caps
     assert capsys.readouterr().err.startswith("error: model document is missing key 'split'")
 
 
+
+@pytest.mark.parametrize(
+    "field, breaker",
+    [
+        ("q0.conditionals", lambda doc: doc["q0"].update(conditionals=5)),
+        ("rounds", lambda doc: doc.update(rounds=5)),
+        ("q0.schema", lambda doc: doc["q0"].update(schema=5)),
+        ("rounds[0].theta", lambda doc: doc["rounds"][0].update(theta=[1])),
+    ],
+    ids=["conditionals", "rounds", "schema", "theta"],
+)
+def test_eval_rejects_model_value_of_wrong_type(tmp_path, fit_run, synth_csv, capsys, field, breaker):
+    model_path, _ = fit_run
+    bad = _broken_model(tmp_path, model_path, breaker)
+    assert main(["eval", "--model", bad, "--data", synth_csv]) == 1
+    assert capsys.readouterr().err.startswith(f"error: model field '{field}' has the wrong JSON type")
+
 # -- entry points -------------------------------------------------------
 
 

@@ -19,7 +19,7 @@ from fairboost import (
 )
 
 from conftest import LN2, table_classifier, xa_schema
-from fairboost.tree import Node
+from fairboost.tree import _GAIN_TOL, LEAF_SMOOTHING, Node, _gini_terms
 
 CFG = TreeConfig()
 
@@ -194,6 +194,105 @@ def test_sensitive_attribute_never_splits(rng):
     assert "a" not in tree.split_names()
     assert tree.split_names() <= {"f1", "f2"}
 
+
+def row_level_tree(p, q, cfg):
+    """Oracle: the trainer the histogram search replaced, one pass over the
+    node's rows per attribute, ties to the lowest attribute, then value."""
+    x_schema = p.schema.x_subschema()
+    X = np.vstack([p.x_rows(), q.x_rows()])
+    is_p = np.arange(len(X)) < len(p)
+    target = 0.5 * (len(p) + len(q))
+    w = np.where(is_p, target / len(p), target / len(q))
+    attrs = x_schema.attributes
+
+    def leaf(idx):
+        wp, wq = float(w[idx][is_p[idx]].sum()), float(w[idx][~is_p[idx]].sum())
+        return Node(leaf=0.0 if abs(wp - wq) <= LEAF_SMOOTHING else (cfg.c_bound if wp > wq else -cfg.c_bound))
+
+    def grow(idx, depth):
+        if depth >= cfg.max_depth or len(idx) < 2 * cfg.min_leaf_count:
+            return leaf(idx)
+        best = None
+        for f, a in enumerate(attrs):
+            col, k = X[idx, f], a.cardinality
+            wp = np.bincount(col, weights=w[idx] * is_p[idx], minlength=k)
+            wq = np.bincount(col, weights=w[idx] * ~is_p[idx], minlength=k)
+            n = np.bincount(col, minlength=k)
+            parent = _gini_terms(np.array([wp.sum()]), np.array([wq.sum()]))[0]
+            if a.is_ordinal:
+                lp, lq, ln = np.cumsum(wp)[:-1], np.cumsum(wq)[:-1], np.cumsum(n)[:-1]
+            else:
+                lp, lq, ln = wp, wq, n
+            gains = parent - (_gini_terms(lp, lq) + _gini_terms(wp.sum() - lp, wq.sum() - lq))
+            for v in np.flatnonzero((k >= 2) & (ln >= cfg.min_leaf_count) & (len(idx) - ln >= cfg.min_leaf_count)):
+                if best is None or gains[v] > best[0]:
+                    best = (gains[v], f, int(v))
+        if best is None or best[0] <= _GAIN_TOL:
+            return leaf(idx)
+        _, f, v = best
+        op = "le" if attrs[f].is_ordinal else "eq"
+        mask = X[idx, f] <= v if op == "le" else X[idx, f] == v
+        node = Node(attr=f, name=attrs[f].name, op=op, value=v)
+        node.left, node.right = grow(idx[mask], depth + 1), grow(idx[~mask], depth + 1)
+        return node
+
+    return DecisionTreeClassifier(root=grow(np.arange(len(X)), 0), c_bound=cfg.c_bound)
+
+
+def random_tree_problem(rng):
+    """P and Q rows on a random mixed schema, drawn from a few distinct cells.
+
+    Two P rows per Q row, as the fit draws them, makes every class mass a
+    multiple of 1/4, so the row-by-row sums of the oracle are exact.  Some
+    attributes copy another's codes and some codes skip values, so gains
+    tie across attributes and across split values.
+    """
+    n_x = int(rng.integers(1, 5))
+    cards = rng.integers(1, 13, size=n_x)
+    attrs = [
+        Attribute(f"f{i}", int(k), bin_edges=tuple(map(float, range(k + 1))) if rng.random() < 0.5 else None)
+        for i, k in enumerate(cards)
+    ]
+    sensitive = int(rng.integers(n_x + 1))
+    schema = AttributeSchema(tuple(attrs[:sensitive] + [Attribute("a", 2)] + attrs[sensitive:]), sensitive)
+    pool = rng.integers(0, cards, size=(int(rng.integers(1, 16)), n_x))
+    if rng.random() < 0.5:
+        pool = pool - pool % 2  # skipped codes: neighbouring thresholds tie
+    for i in range(1, n_x):
+        twins = np.flatnonzero(cards[:i] == cards[i])
+        if len(twins) and rng.random() < 0.5:
+            pool[:, i] = pool[:, twins[0]]  # a mirrored attribute ties with its twin
+
+    def draw(n):
+        x_rows = pool[rng.integers(len(pool), size=n)]
+        return Dataset(schema, np.insert(x_rows, sensitive, rng.integers(2, size=n), axis=1))
+
+    n_p = int(rng.integers(1, 60))
+    return draw(n_p), draw(2 * n_p)
+
+
+def test_histogram_tree_matches_row_level_oracle(rng):
+    for _ in range(400):
+        p, q = random_tree_problem(rng)
+        cfg = TreeConfig(max_depth=int(rng.integers(1, 9)), min_leaf_count=int(rng.integers(1, 9)))
+        assert train_tree(p, q, cfg).to_dict() == row_level_tree(p, q, cfg).to_dict()
+
+
+@pytest.mark.parametrize("p_rows, splits", [(4, False), (5, True), (6, True)])
+def test_min_leaf_counts_rows_not_cells(p_rows, splits):
+    # P is p_rows copies of one cell, Q twice as many copies of another: the
+    # only useful split leaves one distinct cell on each side, and it is
+    # valid exactly when that side holds min_leaf_count = 5 rows
+    s = two_feature_schema(n1=3, n2=1)
+    p = Dataset(s, with_a([[0, 0]] * p_rows))
+    q = Dataset(s, with_a([[2, 0]] * (2 * p_rows)))
+    tree = train_tree(p, q, TreeConfig(min_leaf_count=5))
+    assert tree.to_dict() == row_level_tree(p, q, TreeConfig(min_leaf_count=5)).to_dict()
+    if splits:
+        assert (tree.root.attr, tree.root.op, tree.root.value) == (0, "le", 0)
+        assert np.array_equal(cell_scores(tree, s), [LN2, -LN2, -LN2])
+    else:
+        assert tree.depth() == 0
 
 # -- config and input validation ---------------------------------------
 
