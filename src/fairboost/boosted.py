@@ -30,8 +30,7 @@ A classifier here is any object with a ``c_bound`` attribute and two
 methods over the non-sensitive subdomain: ``scores(x_rows) -> array`` for
 coordinate rows (samples), and ``domain_scores(x_schema) -> array`` for every
 feature cell in row-major order (normalizers and the tilt).  Trained trees
-satisfy this; ``TableClassifier`` below is the direct tabulated form used by
-the property suites.
+satisfy this.
 """
 
 from __future__ import annotations
@@ -47,31 +46,6 @@ from .schema import AttributeSchema, Dataset, _readonly
 from .tabular import _SUM_TOL, TabularDensity
 
 
-@dataclass(frozen=True, eq=False)
-class TableClassifier:
-    """A bounded score tabulated over the feature cells."""
-
-    x_schema: AttributeSchema
-    values: np.ndarray
-    c_bound: float
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        if vals.shape != (self.x_schema.n_cells,):
-            raise ValueError("values must cover every feature cell")
-        if not np.isfinite(vals).all():
-            raise ValueError("classifier unbounded")
-        if np.abs(vals).max(initial=0.0) > self.c_bound + 1e-12:
-            raise ValueError("values exceed c_bound")
-        object.__setattr__(self, "values", _readonly(vals))
-
-    def scores(self, x_rows: np.ndarray) -> np.ndarray:
-        return self.values[self.x_schema.encode(x_rows)]
-
-    def domain_scores(self, x_schema: AttributeSchema) -> np.ndarray:
-        return self.values
-
-
 class InitialDensity:
     """The fair anchor: per-group conditionals under an exactly uniform marginal.
 
@@ -82,8 +56,7 @@ class InitialDensity:
     """
 
     def __init__(self, schema: AttributeSchema, cond: np.ndarray):
-        if schema.sensitive_index is None:
-            raise ValueError("schema must designate a sensitive attribute")
+        self.check_schema(schema)
         self.schema = schema
         self.x_schema = schema.x_subschema()
         cond = np.asarray(cond, dtype=np.float64)
@@ -97,6 +70,15 @@ class InitialDensity:
         self.cond = _readonly(cond)
         with np.errstate(divide="ignore"):
             self.log_cond = _readonly(np.log(self.cond))
+
+    @staticmethod
+    def check_schema(schema: AttributeSchema) -> None:
+        """Reject a schema the anchor cannot be built on: one sensitive
+        attribute and at least one other attribute to model are required."""
+        if schema.sensitive_index is None:
+            raise ValueError("schema must designate a sensitive attribute")
+        if len(schema.attributes) < 2:
+            raise ValueError("schema must have at least one attribute besides the sensitive one")
 
     def joint(self) -> TabularDensity:
         return TabularDensity(self.schema, self.schema.flatten_groups(self.cond) / self.cond.shape[0])
@@ -154,14 +136,6 @@ class BoostedDensity:
 
     # -- structure ------------------------------------------------------
 
-    @property
-    def n_rounds(self) -> int:
-        return len(self.rounds)
-
-    def prefix(self, t: int) -> "BoostedDensity":
-        """The stack truncated to its first t rounds."""
-        return BoostedDensity(self.q0, self.rounds[:t])
-
     def extended(self, classifier, theta: float) -> "BoostedDensity":
         """Append one round, computing its exact normalizers."""
         scores = _checked_scores(self.q0, classifier)
@@ -183,39 +157,15 @@ class BoostedDensity:
         """log q_T(x|a): anchor conditionals tilted and renormalized per group."""
         return self.q0.log_cond + self._tilt[None, :] - self._log_zg_total[:, None]
 
-    def density_at(self, row) -> float:
-        """Unrolled product density Q0(x,a) * Prod_k exp(theta_k c_k(x)) / Z_k."""
-        rows = np.atleast_2d(row)
-        self.schema.encode(rows)  # rejects coordinates outside the domain
-        x_idx, a = self._split_cells(rows)
-        base = self.q0.cond[a[0], x_idx[0]] / self.q0.cond.shape[0]
-        if base == 0.0:
-            return 0.0
-        return float(math.exp(math.log(base) + self._tilt[x_idx[0]] - self._log_z_total))
-
-    def _split_cells(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(feature-cell index, sensitive value) of each full coordinate row."""
-        x_rows, a = self.schema.split_rows(rows)
-        return self.q0.x_schema.encode(x_rows), a
-
     def _raw_joint_vector(self) -> np.ndarray:
         card = self.q0.cond.shape[0]
         log_groups = self.q0.log_cond - math.log(card) + self._tilt[None, :] - self._log_z_total
         return self.schema.flatten_groups(np.exp(log_groups))
 
-    def total_mass(self) -> float:
-        """Sum of the unrolled product over the domain (1 up to stored-Z drift)."""
-        return float(self._raw_joint_vector().sum())
-
     def joint(self) -> TabularDensity:
         """Explicit table of the stack, renormalized by its raw total."""
         raw = self._raw_joint_vector()
         return TabularDensity(self.schema, raw / raw.sum())
-
-    def conditional(self, a: int) -> TabularDensity:
-        """q_T(x | A=a) as an explicit table over the feature cells."""
-        raw = np.exp(self.q0.log_cond[a] + self._tilt - self._log_zg_total[a])
-        return TabularDensity(self.q0.x_schema, raw / raw.sum())
 
     def sensitive_marginal(self) -> np.ndarray:
         """Marginal recursion q_T(a) = q_0(a) * Prod_k Z_k(a)/Z_k."""
@@ -249,33 +199,9 @@ class BoostedDensity:
         if n < 2:
             raise ValueError("sample_budget must be >= 2 in Monte Carlo mode")
         rows = self.q0.joint().sample(n, seed).rows
-        x_idx, _ = self._split_cells(rows)
-        log_w = self._tilt[x_idx] - self._log_z_total
-        return _mc_estimate(np.exp(log_w) * _values(g, rows))
-
-    def conditional_expectation(
-        self,
-        g: GFun,
-        a: int,
-        sample_budget: Union[int, str] = "exact",
-        seed: int = 0,
-    ) -> ExpectationEstimate:
-        """E_{q_T(.|a)}[g] over feature rows, via the per-group normalizers;
-        g maps a feature-coordinate matrix to one value per row."""
-        card = self.q0.cond.shape[0]
-        if not (0 <= a < card):
-            raise ValueError("sensitive value out of range")
-        if sample_budget == "exact":
-            rows = self.q0.x_schema.all_cells()
-            raw = np.exp(self.q0.log_cond[a] + self._tilt - self._log_zg_total[a])
-            return ExpectationEstimate(float(raw @ _values(g, rows)), 0.0, len(rows))
-        n = int(sample_budget)
-        if n < 2:
-            raise ValueError("sample_budget must be >= 2 in Monte Carlo mode")
-        rows = TabularDensity(self.q0.x_schema, self.q0.cond[a]).sample(n, seed).rows
-        x_idx = self.q0.x_schema.encode(rows)
-        log_w = self._tilt[x_idx] - self._log_zg_total[a]
-        return _mc_estimate(np.exp(log_w) * _values(g, rows))
+        x_idx = self.q0.x_schema.encode(self.schema.split_rows(rows)[0])
+        vals = np.exp(self._tilt[x_idx] - self._log_z_total) * _values(g, rows)
+        return ExpectationEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n)), n)
 
     # -- sampling -------------------------------------------------------
 
@@ -315,8 +241,3 @@ def _values(g: GFun, rows: np.ndarray) -> np.ndarray:
     if vals.shape != (len(rows),):
         raise ValueError("g must return one value per row")
     return vals
-
-
-def _mc_estimate(vals: np.ndarray) -> ExpectationEstimate:
-    n = len(vals)
-    return ExpectationEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n)), n)

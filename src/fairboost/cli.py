@@ -126,7 +126,7 @@ def cmd_fit(args) -> int:
     log.info("loaded %d rows over %d cells", len(dataset), schema.n_cells)
 
     scheme = LeveragingScheme.parse(args.scheme, args.tau, args.c_bound)
-    tree_cfg = TreeConfig(max_depth=args.max_depth, min_leaf_count=args.min_leaf, c_bound=args.c_bound)
+    tree_cfg = TreeConfig(max_depth=args.max_depth, min_leaf_count=args.min_leaf)
     base_cfg = dict(rounds=args.rounds, scheme=scheme, tree=tree_cfg)
 
     t0 = time.perf_counter()
@@ -175,7 +175,7 @@ def cmd_fit(args) -> int:
     resolved = {k: v for k, v in vars(args).items() if k != "command"}
     digests = {args.data: sha256_file(args.data)}
     mid = manifest_id("fit", resolved, digests, __version__)
-    save_model(stack, args.out, scheme=scheme, meta={"manifest": mid})
+    save_model(stack, args.out, scheme, meta={"manifest": mid})
     if args.trace:
         save_trace(trace, args.trace)
     timings["write"] = time.perf_counter() - t0
@@ -231,8 +231,6 @@ def cmd_synth(args) -> int:
 
 def cmd_guarantees(args) -> int:
     _, scheme, doc = load_model(args.model)
-    if scheme is None:
-        raise ValueError("model lacks leveraging-scheme metadata")
     trace = load_trace(args.trace)
     report = build_report(trace, scheme)
     out_doc = {"format": REPORT_FORMAT, "version": 1, "manifest": doc.get("manifest")}

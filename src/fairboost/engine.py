@@ -171,7 +171,7 @@ def fbde_fit(
         theta = leverage(cfg.scheme, t)
         negatives = joint.sample(n_neg, seeds.subseed(cfg.seed, seeds.NEGATIVES, t))
         joint = None  # released before extended allocates the next round's arrays
-        classifier = train_tree(p, negatives, cfg.tree)
+        classifier = train_tree(p, negatives, cfg.tree, cfg.scheme.c_bound)
         wla = estimate_wla(classifier, p, negatives)
         stack = stack.extended(classifier, theta)
         joint = stack.joint()

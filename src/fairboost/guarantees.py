@@ -96,20 +96,19 @@ class DeltaBounds:
             raise ValueError("lower bound exceeds upper bound")
 
 
-def delta_bounds(scheme, rounds: int, tau: float, gamma_p: float, gamma_q: float) -> DeltaBounds:
+def delta_bounds(scheme: LeveragingScheme, rounds: int, gamma_p: float, gamma_q: float) -> DeltaBounds:
     """Bracket the total progress Delta = KL(P,Q0) - KL(P,Q_T).
 
-    Valid in the high regime with margins held fixed across rounds, T > 1,
-    tau in (exp(-1), 1), and C = ln 2.  The upper bounds are the scheme's
-    mollifier sizes; the lower bounds scale -ln tau by the margin mix
-    (gamma_p + gamma_q * gain_ratio(gamma_q)) / 2.
+    Valid for the exact and relative schemes in the high regime with margins
+    held fixed across rounds, T > 1, the scheme's tau in (exp(-1), 1), and
+    C = ln 2.  The upper bounds are the scheme's mollifier sizes; the lower
+    bounds scale -ln tau by the margin mix (gamma_p + gamma_q * gain_ratio(gamma_q)) / 2.
     """
-    kind = scheme.kind if isinstance(scheme, LeveragingScheme) else str(scheme)
+    if scheme.kind not in (EXACT, RELATIVE):
+        raise ValueError("no closed-form progress bounds for constant leveraging")
     if rounds <= 1:
         raise ValueError("rounds must exceed 1")
-    if tau >= 1.0:
-        raise ValueError("tau must be < 1")
-    if tau <= _E_INV:
+    if scheme.tau <= _E_INV:
         raise ValueError("tau must exceed exp(-1)")
     if gamma_p <= 0.0 or gamma_q <= 0.0:
         raise ValueError("WLA violated")
@@ -117,13 +116,11 @@ def delta_bounds(scheme, rounds: int, tau: float, gamma_p: float, gamma_q: float
         raise ValueError("margins exceed 1")
     if gamma_q < 1.0 / 3.0:
         raise ValueError("high boosting regime required")
-    neg_log_tau = -math.log(tau)
+    neg_log_tau = -math.log(scheme.tau)
     mix = (gamma_p + gamma_q * gain_ratio(gamma_q)) / 2.0
-    if kind == EXACT:
+    if scheme.kind == EXACT:
         return DeltaBounds(lower=neg_log_tau * mix * (1.0 - 2.0 ** -(rounds - 1)), upper=neg_log_tau)
-    if kind == RELATIVE:
-        return DeltaBounds(lower=neg_log_tau * mix * math.log(rounds), upper=(1.0 + math.log(rounds)) * neg_log_tau)
-    raise ValueError("no closed-form progress bounds for constant leveraging")
+    return DeltaBounds(lower=neg_log_tau * mix * math.log(rounds), upper=(1.0 + math.log(rounds)) * neg_log_tau)
 
 
 def eo_fnr_bound(tau: float, rho: float) -> float:
@@ -151,19 +148,6 @@ class EoReport:
     premises_hold: bool
     eo_holds: bool
     implication_held: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "tau": self.tau,
-            "fnr": self.fnr,
-            "fnr_limit": self.fnr_limit,
-            "eo_ratio": self.eo_ratio,
-            "positive_rates": list(self.positive_rates),
-            "premises_hold": self.premises_hold,
-            "eo_holds": self.eo_holds,
-            "implication_held": self.implication_held,
-        }
 
 
 def verify_eo(density: TabularDensity, predictor, rho: float) -> EoReport:
@@ -357,16 +341,10 @@ def build_report(trace: Sequence[TraceRow], scheme: LeveragingScheme) -> Guarant
         )
         if c_note is not None:
             delta["lower_note"] = c_note
-        elif (
-            scheme.kind in (EXACT, RELATIVE)
-            and rounds > 1
-            and scheme.tau is not None
-            and scheme.tau > _E_INV
-            and margins_ok
-        ):
+        elif scheme.kind in (EXACT, RELATIVE) and rounds > 1 and scheme.tau > _E_INV and margins_ok:
             gp = min(r.gamma_p for r in rows)
             gq = min(r.gamma_q for r in rows)
-            bounds = delta_bounds(scheme, rounds, scheme.tau, gp, gq)
+            bounds = delta_bounds(scheme, rounds, gp, gq)
             delta["lower"] = bounds.lower
             delta["lower_note"] = "evaluated at the per-run minimum sample margins; informational"
 

@@ -277,8 +277,7 @@ def kfold(dataset: Dataset, k: int, seed: int) -> list:
 
 def build_initial(train: Dataset, schema: AttributeSchema, smoothing: float) -> InitialDensity:
     """Per-group empirical conditionals under the exactly uniform marginal."""
-    if schema.sensitive_index is None:
-        raise ValueError("schema must designate a sensitive attribute")
+    InitialDensity.check_schema(schema)
     x_schema = schema.x_subschema()
     x_rows = train.x_rows()
     sensitive = train.sensitive_codes()

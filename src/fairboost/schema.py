@@ -158,17 +158,6 @@ class AttributeSchema:
             raise ValueError("no sensitive attribute")
         return rows[:, list(self.x_indices)], rows[:, self.sensitive_index]
 
-    def join_rows(self, x_rows: np.ndarray, a_codes: np.ndarray) -> np.ndarray:
-        """Inverse of split_rows."""
-        if self.sensitive_index is None:
-            raise ValueError("no sensitive attribute")
-        x_rows = np.asarray(x_rows, dtype=np.int64)
-        a_codes = np.asarray(a_codes, dtype=np.int64)
-        out = np.empty((len(x_rows), len(self.attributes)), dtype=np.int64)
-        out[:, list(self.x_indices)] = x_rows
-        out[:, self.sensitive_index] = a_codes
-        return out
-
     # -- mass-vector reshaping -----------------------------------------
 
     def group_matrix(self, mass: np.ndarray) -> np.ndarray:

@@ -6,12 +6,13 @@ and writers emit keys in a fixed order, so rewriting the same state produces
 byte-identical files.  ``dump_json`` writes exactly what
 ``json.dump(doc, indent=2)`` would, but also takes 1-D float64 arrays: the
 anchor conditionals go out as arrays, each distinct value formatted once.
-The model document stores the anchor conditionals and the per-round
-{theta, classifier, z, z_by_group} in boosting order; stored normalizers are
-authoritative and never recomputed on load.  Loading rejects missing keys,
-values of the wrong JSON type (naming the field), anchor rows that are not
-distributions, non-finite round values and trace numbers, trace rows of the
-wrong width, and trees no fit could have produced.
+The model document stores the leveraging scheme, the anchor conditionals
+and the per-round {theta, classifier, z, z_by_group} in boosting order;
+stored normalizers are authoritative and never recomputed on load.  Loading
+rejects missing keys, values of the wrong JSON type (naming the field),
+anchor rows that are not distributions, non-finite round values and trace
+numbers, trace rows of the wrong width, trees no fit could have produced, and
+trees whose score bound is not the scheme's C.
 """
 
 from __future__ import annotations
@@ -131,22 +132,14 @@ def _scheme_to_dict(scheme: LeveragingScheme) -> dict:
 
 
 def _scheme_from_dict(d: dict) -> LeveragingScheme:
-    return LeveragingScheme(
-        kind=d["kind"], tau=d.get("tau"), c_bound=float(d.get("c_bound", np.log(2.0))), value=d.get("value")
-    )
+    return LeveragingScheme(kind=d["kind"], tau=d["tau"], c_bound=float(d["c_bound"]), value=d["value"])
 
 
-def save_model(
-    bd: BoostedDensity,
-    path: str,
-    scheme: Optional[LeveragingScheme] = None,
-    meta: Optional[dict] = None,
-) -> None:
+def save_model(bd: BoostedDensity, path: str, scheme: LeveragingScheme, meta: Optional[dict] = None) -> None:
     doc = {"format": MODEL_FORMAT, "version": MODEL_VERSION}
     if meta:
         doc.update(meta)
-    if scheme is not None:
-        doc["scheme"] = _scheme_to_dict(scheme)
+    doc["scheme"] = _scheme_to_dict(scheme)
     doc["q0"] = {
         "schema": bd.schema.to_dict(),
         "conditionals": list(bd.q0.cond),
@@ -163,7 +156,7 @@ def save_model(
     dump_json(doc, path)
 
 
-def load_model(path: str) -> tuple[BoostedDensity, Optional[LeveragingScheme], dict]:
+def load_model(path: str) -> tuple[BoostedDensity, LeveragingScheme, dict]:
     doc = load_json(path)
     field = "document"  # the part being decoded, named when its JSON type is wrong
     try:
@@ -171,6 +164,8 @@ def load_model(path: str) -> tuple[BoostedDensity, Optional[LeveragingScheme], d
             raise ValueError("not a model document")
         if int(doc.get("version", -1)) != MODEL_VERSION:
             raise ValueError(f"unsupported model version {doc.get('version')!r}")
+        field = "scheme"
+        scheme = _scheme_from_dict(doc["scheme"])
         field = "q0.schema"
         schema = AttributeSchema.from_dict(doc["q0"]["schema"])
         field = "q0.conditionals"
@@ -191,10 +186,13 @@ def load_model(path: str) -> tuple[BoostedDensity, Optional[LeveragingScheme], d
             theta = float(r["theta"])
             field = f"rounds[{t - 1}].classifier"
             classifier = _decode_classifier(r["classifier"], x_schema)
+            if classifier.c_bound != scheme.c_bound:
+                raise ValueError(
+                    f"round {t}: tree c_bound {classifier.c_bound!r} differs from the scheme's c_bound "
+                    f"{scheme.c_bound!r}"
+                )
             field = f"rounds[{t - 1}].z"
             rounds.append(BoostRound(theta=theta, classifier=classifier, z=float(r["z"]), z_by_group=z_by_group))
-        field = "scheme"
-        scheme = _scheme_from_dict(doc["scheme"]) if doc.get("scheme") else None
     except KeyError as exc:
         raise ValueError(f"model document is missing key {exc.args[0]!r}") from None
     except (TypeError, AttributeError):

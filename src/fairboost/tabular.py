@@ -41,10 +41,6 @@ class TabularDensity:
             raise ValueError(f"mass must sum to 1 within {_SUM_TOL}")
         object.__setattr__(self, "mass", _readonly(mass))
 
-    def prob(self, row) -> float:
-        """Probability of one coordinate row."""
-        return float(self.mass[self.schema.encode(np.asarray(row))[0]])
-
     def marginal(self, attr_index: int) -> np.ndarray:
         cube = self.mass.reshape(self.schema.shape)
         other = tuple(i for i in range(cube.ndim) if i != attr_index)

@@ -6,7 +6,8 @@ two sides are rescaled to equal total mass first, so an oversampled negative
 pool steers variance down without biasing every leaf toward the model class.
 Ordinal attributes (those carrying bin edges) get threshold splits on the bin
 index; the rest get one-vs-rest category splits.  Leaves cast a full-strength
-vote at the score bound:
+vote at the score bound C, which the fit passes in from its leveraging scheme
+so that the trees and the coefficients theta_t share one C:
 
     v = +C where the P mass leads, -C where it trails,
     v = 0 where |w_P - w_Q| <= LEAF_SMOOTHING = 1 (too close to call)
@@ -62,15 +63,12 @@ FAIL = "FAIL"
 class TreeConfig:
     max_depth: int = 8
     min_leaf_count: int = 5
-    c_bound: float = math.log(2.0)
 
     def __post_init__(self) -> None:
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         if self.min_leaf_count < 1:
             raise ValueError("min_leaf_count must be >= 1")
-        if self.c_bound <= 0:
-            raise ValueError("c_bound must be > 0")
 
 
 class Node:
@@ -146,25 +144,6 @@ class DecisionTreeClassifier:
                         stack.append((child, part, offset[:f] + (base + start,) + offset[f + 1 :]))
         return cube.reshape(-1)
 
-    def depth(self) -> int:
-        def walk(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
-
-    def split_names(self) -> set:
-        """Every attribute name used by some split (feature-hygiene checks)."""
-        names = set()
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                names.add(node.name)
-                stack.extend([node.left, node.right])
-        return names
-
     def to_dict(self) -> dict:
         def encode(node):
             if node.is_leaf:
@@ -219,8 +198,8 @@ def _gini_terms(wp, wq):
     return out
 
 
-def train_tree(p_samples: Dataset, q_samples: Dataset, cfg: TreeConfig) -> DecisionTreeClassifier:
-    """Fit the P-vs-Q tree; deterministic through its tie-breaking rules."""
+def train_tree(p_samples: Dataset, q_samples: Dataset, cfg: TreeConfig, c_bound: float) -> DecisionTreeClassifier:
+    """Fit the P-vs-Q tree voting +-c_bound; deterministic through its tie-breaking rules."""
     if len(p_samples) == 0 or len(q_samples) == 0:
         raise ValueError("empty sample side")
     x_schema = p_samples.schema.x_subschema()
@@ -244,7 +223,6 @@ def train_tree(p_samples: Dataset, q_samples: Dataset, cfg: TreeConfig) -> Decis
     ordinal = np.array([a.is_ordinal for a in x_schema.attributes])[:, None]
     exists = (cards >= 2) & (np.arange(width) < np.where(ordinal, cards - 1, cards))
     bins = X + width * np.arange(n_attr)  # grid position of each cell's value, per attribute
-    C = cfg.c_bound
 
     def histogram(idx):
         """(class, attribute, value) row counts over the cells idx."""
@@ -256,7 +234,7 @@ def train_tree(p_samples: Dataset, q_samples: Dataset, cfg: TreeConfig) -> Decis
         wp, wq = w * tot
         if abs(wp - wq) <= LEAF_SMOOTHING:
             return Node(leaf=0.0)
-        return Node(leaf=C if wp > wq else -C)
+        return Node(leaf=c_bound if wp > wq else -c_bound)
 
     def grow(idx, hist, tot, depth):
         n_rows = tot.sum()
@@ -291,7 +269,7 @@ def train_tree(p_samples: Dataset, q_samples: Dataset, cfg: TreeConfig) -> Decis
 
     every = np.arange(len(cells))
     root = grow(every, histogram(every), counts.sum(axis=1), 0)
-    return DecisionTreeClassifier(root=root, c_bound=C)
+    return DecisionTreeClassifier(root=root, c_bound=c_bound)
 
 
 @dataclass(frozen=True)

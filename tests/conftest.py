@@ -1,6 +1,7 @@
 """Shared builders for small discrete domains, random tables, and stacks."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,10 +13,37 @@ from fairboost import (
     Dataset,
     InitialDensity,
     TabularDensity,
-    TableClassifier,
 )
 
 LN2 = math.log(2.0)
+
+
+@dataclass(frozen=True, eq=False)
+class TableClassifier:
+    """A bounded score tabulated over the feature cells: the direct form of
+    the classifier protocol the boosted stack takes (``c_bound``, ``scores``
+    over feature rows, ``domain_scores`` over every feature cell)."""
+
+    x_schema: AttributeSchema
+    values: np.ndarray
+    c_bound: float
+
+    def __post_init__(self) -> None:
+        vals = np.array(self.values, dtype=np.float64).reshape(-1)
+        if vals.shape != (self.x_schema.n_cells,):
+            raise ValueError("values must cover every feature cell")
+        if not np.isfinite(vals).all():
+            raise ValueError("classifier unbounded")
+        if np.abs(vals).max(initial=0.0) > self.c_bound + 1e-12:
+            raise ValueError("values exceed c_bound")
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
+
+    def scores(self, x_rows: np.ndarray) -> np.ndarray:
+        return self.values[self.x_schema.encode(x_rows)]
+
+    def domain_scores(self, x_schema: AttributeSchema) -> np.ndarray:
+        return self.values
 
 
 def xa_schema(nx=2, na=2):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from fairboost import (
+    Attribute,
+    AttributeSchema,
     BoostedDensity,
     BoostRound,
     InitialDensity,
@@ -32,6 +34,11 @@ def degenerate_initial(schema):
 
 def plusminus_classifier(schema):
     return table_classifier(schema, [LN2, -LN2])
+
+
+def density_at(bd, row):
+    """Q_T at one coordinate row, read off the stack's joint table."""
+    return bd.joint().mass[bd.schema.encode(np.asarray(row))[0]]
 
 
 def normalizers(bd, classifier, theta):
@@ -111,6 +118,9 @@ def test_initial_density_validation():
     plain = s.x_subschema()  # no sensitive attribute at all
     with pytest.raises(ValueError, match="sensitive attribute"):
         InitialDensity(plain, good)
+    only_a = AttributeSchema((Attribute("a", 2),), sensitive_index=0)  # nothing to model
+    with pytest.raises(ValueError, match="at least one attribute besides the sensitive one"):
+        InitialDensity(only_a, np.ones((2, 1)))
 
 
 # -- normalizers --------------------------------------------------------
@@ -220,17 +230,17 @@ def test_density_at_zero_rounds_is_anchor(rng):
     bd = BoostedDensity(q0)
     joint = q0.joint()
     for i, row in enumerate(s.all_cells()):
-        assert bd.density_at(row) == pytest.approx(joint.mass[i], abs=1e-15)
+        assert density_at(bd, row) == pytest.approx(joint.mass[i], abs=1e-15)
 
 
 def test_density_at_four_cell_example():
     s = xa_schema()
     bd = BoostedDensity(uniform_initial(s)).extended(plusminus_classifier(s), 1.0)
     # 0.25 * 2 / 1.25 = 0.4 on x0 cells, 0.25 * 0.5 / 1.25 = 0.1 on x1 cells
-    assert bd.density_at([0, 0]) == pytest.approx(0.4, abs=1e-12)
-    assert bd.density_at([0, 1]) == pytest.approx(0.4, abs=1e-12)
-    assert bd.density_at([1, 0]) == pytest.approx(0.1, abs=1e-12)
-    assert bd.density_at([1, 1]) == pytest.approx(0.1, abs=1e-12)
+    assert density_at(bd, [0, 0]) == pytest.approx(0.4, abs=1e-12)
+    assert density_at(bd, [0, 1]) == pytest.approx(0.4, abs=1e-12)
+    assert density_at(bd, [1, 0]) == pytest.approx(0.1, abs=1e-12)
+    assert density_at(bd, [1, 1]) == pytest.approx(0.1, abs=1e-12)
 
 
 def test_zero_theta_rounds_change_nothing(rng):
@@ -246,15 +256,19 @@ def test_zero_theta_rounds_change_nothing(rng):
 def test_total_mass_stays_one_after_many_rounds(rng):
     s = xa_schema(nx=6, na=3)
     bd = random_stack(s, rng, rounds=50)
-    assert bd.total_mass() == pytest.approx(1.0, abs=1e-9)
+    # the unrolled product, summed over the domain with the stored normalizers
+    assert bd.expectation(lambda rows: np.ones(len(rows))).value == pytest.approx(1.0, abs=1e-9)
     assert bd.joint().mass.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_conditional_tables_sum_to_one(rng):
+    # each group's slice of the joint table over the normalizer-recursion
+    # marginal is a distribution q_T(x | A=a)
     s = xa_schema(nx=5, na=3)
     bd = random_stack(s, rng, rounds=8)
+    groups = s.group_matrix(bd.joint().mass)
     for a in range(3):
-        assert bd.conditional(a).mass.sum() == pytest.approx(1.0, abs=1e-12)
+        assert (groups[a] / bd.sensitive_marginal()[a]).sum() == pytest.approx(1.0, abs=1e-10)
 
 
 # -- marginal recursion and representation rate ------------------------
@@ -314,7 +328,7 @@ def test_expectation_indicator_matches_density(rng):
     for row in s.all_cells():
         target = row.copy()
         est = bd.expectation(lambda rows: (rows == target).all(axis=1).astype(float))
-        assert est.value == pytest.approx(bd.density_at(target), abs=1e-12)
+        assert est.value == pytest.approx(density_at(bd, target), abs=1e-12)
 
 
 def test_expectation_four_cell_example():
@@ -342,8 +356,6 @@ def test_expectation_budget_validation(rng):
     bd = BoostedDensity(uniform_initial(s))
     with pytest.raises(ValueError, match="sample_budget must be >= 2"):
         bd.expectation(lambda rows: np.ones(len(rows)), sample_budget=1)
-    with pytest.raises(ValueError, match="sample_budget must be >= 2"):
-        bd.conditional_expectation(lambda rows: np.ones(len(rows)), 0, sample_budget=0)
 
 
 def test_expectation_rejects_misshapen_g():
@@ -354,52 +366,19 @@ def test_expectation_rejects_misshapen_g():
             bd.expectation(g)
         with pytest.raises(ValueError, match="g must return one value per row"):
             bd.expectation(g, sample_budget=10)
-        with pytest.raises(ValueError, match="g must return one value per row"):
-            bd.conditional_expectation(g, 0)
-        with pytest.raises(ValueError, match="g must return one value per row"):
-            bd.conditional_expectation(g, 0, sample_budget=10)
-
-
-def test_conditional_expectation_exact(rng):
-    s = xa_schema()
-    bd = BoostedDensity(uniform_initial(s)).extended(plusminus_classifier(s), 1.0)
-    for a in range(2):
-        est = bd.conditional_expectation(lambda rows: np.ones(len(rows)), a)
-        assert est.value == pytest.approx(1.0, abs=1e-12)
-        est = bd.conditional_expectation(lambda rows: (rows[:, 0] == 0).astype(float), a)
-        assert est.value == pytest.approx(0.8, abs=1e-12)
-
-
-def test_conditional_expectation_degenerate_group():
-    s = xa_schema()
-    bd = BoostedDensity(degenerate_initial(s)).extended(plusminus_classifier(s), 1.0)
-    # group a0 sits entirely on x0 regardless of tilting
-    est = bd.conditional_expectation(lambda rows: (rows[:, 0] == 0).astype(float), 0)
-    assert est.value == pytest.approx(1.0, abs=1e-12)
-    est = bd.conditional_expectation(lambda rows: (rows[:, 0] == 0).astype(float), 1)
-    assert est.value == pytest.approx(0.0, abs=1e-12)
-
-
-def test_conditional_expectation_monte_carlo(rng):
-    s = xa_schema(nx=5, na=2)
-    bd = random_stack(s, rng, rounds=4)
-    g = lambda rows: rows[:, 0].astype(float)
-    for a in range(2):
-        exact = bd.conditional_expectation(g, a).value
-        mc = bd.conditional_expectation(g, a, sample_budget=20000, seed=3)
-        assert abs(mc.value - exact) <= 3.0 * mc.stderr + 1e-9
-    with pytest.raises(ValueError, match="sensitive value out of range"):
-        bd.conditional_expectation(g, 2)
 
 
 def test_conditional_expectation_agrees_with_table(rng):
+    # E[g | A=a] as E[g * 1{A=a}] over the normalizer-recursion marginal
+    # matches the conditional read off the joint table
     s = xa_schema(nx=4, na=3)
     bd = random_stack(s, rng, rounds=6)
+    groups = s.group_matrix(bd.joint().mass)
+    g_x = (s.x_subschema().all_cells()[:, 0] ** 2).astype(float)
     for a in range(3):
-        table = bd.conditional(a)
-        g = lambda rows: (rows[:, 0] ** 2).astype(float)
-        want = float(table.mass @ g(table.schema.all_cells()))
-        assert bd.conditional_expectation(g, a).value == pytest.approx(want, abs=1e-10)
+        want = float(groups[a] @ g_x) / groups[a].sum()
+        est = bd.expectation(lambda rows: (rows[:, 0] ** 2 * (rows[:, 1] == a)).astype(float))
+        assert est.value / bd.sensitive_marginal()[a] == pytest.approx(want, abs=1e-10)
 
 
 # -- sampling -----------------------------------------------------------
@@ -446,15 +425,19 @@ def test_sample_deterministic(rng):
 def test_prefix_and_extended_consistency(rng):
     s = xa_schema(nx=4, na=2)
     bd = random_stack(s, rng, rounds=6)
-    assert bd.prefix(bd.n_rounds) is not bd
-    assert np.allclose(bd.prefix(6).joint().mass, bd.joint().mass, atol=1e-15)
+
+    def prefix(t):
+        return BoostedDensity(bd.q0, bd.rounds[:t])
+
+    assert prefix(len(bd.rounds)) is not bd
+    assert np.allclose(prefix(6).joint().mass, bd.joint().mass, atol=1e-15)
     # the incremental tilt sums rounds in the same order as a rebuild
     assert np.array_equal(BoostedDensity(bd.q0, bd.rounds).joint().mass, bd.joint().mass)
-    assert bd.prefix(0).n_rounds == 0
+    assert len(prefix(0).rounds) == 0
     # re-appending round t to prefix(t) reproduces the stored normalizers
     for t in range(6):
         rnd = bd.rounds[t]
-        redo = bd.prefix(t).extended(rnd.classifier, rnd.theta)
+        redo = prefix(t).extended(rnd.classifier, rnd.theta)
         new = redo.rounds[-1]
         assert new.z == pytest.approx(rnd.z, rel=1e-12)
         assert np.allclose(new.z_by_group, rnd.z_by_group, rtol=1e-12)

@@ -290,13 +290,9 @@ def test_guarantees_out_file(fit_run, tmp_path):
 
 def test_guarantees_needs_scheme(tmp_path, fit_run, capsys):
     model_path, trace_path = fit_run
-    from fairboost import save_model
-
-    bd, _, _ = load_model(model_path)
-    bare = str(tmp_path / "bare.json")
-    save_model(bd, bare)
+    bare = _broken_model(tmp_path, model_path, lambda doc: doc.pop("scheme"))
     assert main(["guarantees", "--model", bare, "--trace", trace_path]) == 1
-    assert "leveraging-scheme metadata" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: model document is missing key 'scheme'")
 
 
 def test_guarantees_rejects_non_finite_trace(tmp_path, fit_run, capsys):
@@ -334,6 +330,28 @@ def test_eval_rejects_model_without_schema(tmp_path, fit_run, synth_csv, capsys)
     bad = _broken_model(tmp_path, model_path, lambda doc: doc["q0"].pop("schema"))
     assert main(["eval", "--model", bad, "--data", synth_csv]) == 1
     assert capsys.readouterr().err.startswith("error: model document is missing key 'schema'")
+
+
+def test_feature_free_data_rejected(tmp_path, fit_run, synth_csv, capsys):
+    # a CSV holding only the sensitive column leaves nothing to model
+    only_a = tmp_path / "only_a.csv"
+    only_a.write_text("a\n0\n1\n0\n1\n1\n0\n")
+    message = "error: schema must have at least one attribute besides the sensitive one"
+    assert main(["fit", "--data", str(only_a), "--sensitive", "a", "--out", str(tmp_path / "m.json")]) == 1
+    assert capsys.readouterr().err.startswith(message)
+
+    model_path, _ = fit_run
+
+    def breaker(doc):
+        schema = doc["q0"]["schema"]
+        schema["attributes"] = [a for a in schema["attributes"] if a["name"] == "a"]
+        schema["sensitive_index"] = 0
+        doc["q0"]["conditionals"] = [[1.0], [1.0]]
+        doc["rounds"] = []
+
+    bad = _broken_model(tmp_path, model_path, breaker)
+    assert main(["eval", "--model", bad, "--data", str(only_a)]) == 1
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_eval_rejects_tree_node_without_split(tmp_path, fit_run, synth_csv, capsys):

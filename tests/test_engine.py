@@ -195,7 +195,7 @@ def fit_setup():
 def test_fit_zero_rounds_returns_anchor(fit_setup):
     s, p, q0 = fit_setup
     stack, trace = fbde_fit(p, q0, FitConfig(rounds=0, scheme=exact_scheme()))
-    assert stack.n_rounds == 0
+    assert len(stack.rounds) == 0
     assert trace == []
     assert np.allclose(stack.joint().mass, q0.joint().mass)
 
@@ -203,7 +203,7 @@ def test_fit_zero_rounds_returns_anchor(fit_setup):
 def test_fit_trace_shape_and_baseline(fit_setup):
     s, p, q0 = fit_setup
     stack, trace = fbde_fit(p, q0, FitConfig(rounds=5, scheme=exact_scheme(0.7)))
-    assert stack.n_rounds == 5
+    assert len(stack.rounds) == 5
     assert len(trace) == 6
     base = trace[0]
     assert (base.t, base.theta, base.rr, base.rr_bound, base.z) == (0, 0.0, 1.0, 1.0, 1.0)
@@ -233,6 +233,21 @@ def test_fit_respects_rr_floor(fit_setup):
         assert stack.representation_rate() >= rr_lower_bound(scheme, 8) - 1e-9
 
 
+def test_fit_trees_share_the_scheme_c_bound(fit_setup):
+    # theta_t = -ln(tau) / (C 2^(t+1)) holds the rate floor only for trees
+    # scoring inside the same C, so the trees take C from the scheme
+    s, p, q0 = fit_setup
+    stack, trace = fbde_fit(p, q0, FitConfig(rounds=10, scheme=LeveragingScheme(EXACT, tau=0.9, c_bound=1.0)))
+    leaves = set()
+    for rnd in stack.rounds:
+        assert rnd.classifier.c_bound == 1.0
+        leaves.update(rnd.classifier.domain_scores(q0.x_schema).tolist())
+    assert leaves <= {-1.0, 0.0, 1.0}
+    assert leaves != {0.0}  # some tree votes, so the floor below is tested
+    for row in trace:
+        assert row.rr >= row.rr_bound
+
+
 def test_fit_stays_in_certified_mollifier(fit_setup):
     s, p, q0 = fit_setup
     scheme = exact_scheme(0.7)
@@ -240,7 +255,7 @@ def test_fit_stays_in_certified_mollifier(fit_setup):
     anchor = q0.joint()
     for t in (2, 5, 8):
         eps = 2.0 * mollifier_size(scheme, t)
-        assert mollifier_membership(stack.prefix(t).joint(), anchor, eps)
+        assert mollifier_membership(BoostedDensity(q0, stack.rounds[:t]).joint(), anchor, eps)
 
 
 def test_fit_near_one_tau_freezes_anchor(fit_setup):
@@ -314,6 +329,6 @@ def test_fit_continues_through_wla_failure(fit_setup):
     # and the loop keeps going with zero trees
     cfg = FitConfig(rounds=5, scheme=exact_scheme(), tree=TreeConfig(min_leaf_count=10_000))
     stack, trace = fbde_fit(p, q0, cfg)
-    assert stack.n_rounds == 5
+    assert len(stack.rounds) == 5
     assert all(r.regime == FAIL for r in trace[1:])
     assert stack.representation_rate() == pytest.approx(1.0, abs=1e-12)

@@ -176,45 +176,41 @@ def test_kl_drop_floor_constructed_high_regime():
 
 def test_delta_bounds_exact_two_rounds():
     tau = 0.8
-    b = delta_bounds(exact_scheme(tau), 2, tau, 1.0, 1.0)
+    b = delta_bounds(exact_scheme(tau), 2, 1.0, 1.0)
     assert b.upper == pytest.approx(-math.log(tau), abs=1e-15)
     assert b.lower == pytest.approx(-math.log(tau) / 2.0, abs=1e-15)
 
 
 def test_delta_bounds_exact_saturates():
     tau = 0.8
-    b = delta_bounds(exact_scheme(tau), 200, tau, 1.0, 1.0)
+    b = delta_bounds(exact_scheme(tau), 200, 1.0, 1.0)
     assert b.lower <= b.upper
     assert b.upper - b.lower < 1e-15
 
 
 def test_delta_bounds_relative_log_growth():
     tau = 0.9
-    b = delta_bounds(LeveragingScheme(kind="relative", tau=tau), math.e, tau, 1.0, 1.0)
+    b = delta_bounds(LeveragingScheme(kind="relative", tau=tau), math.e, 1.0, 1.0)
     assert b.lower == pytest.approx(-math.log(tau), rel=1e-12)
     assert b.upper == pytest.approx(-2.0 * math.log(tau), rel=1e-12)
 
 
-def test_delta_bounds_accepts_kind_string():
-    b = delta_bounds("exact", 3, 0.8, 0.9, 0.8)
-    assert 0.0 < b.lower < b.upper
-
-
 def test_delta_bounds_validation():
     with pytest.raises(ValueError, match="rounds must exceed 1"):
-        delta_bounds("exact", 1, 0.8, 1.0, 1.0)
-    with pytest.raises(ValueError, match="tau must be < 1"):
-        delta_bounds("exact", 3, 1.0, 1.0, 1.0)
+        delta_bounds(exact_scheme(0.8), 1, 1.0, 1.0)
+    # tau = 1 cannot reach delta_bounds: the scheme rejects it
+    with pytest.raises(ValueError, match="tau must be in \\(0, 1\\)"):
+        exact_scheme(1.0)
     with pytest.raises(ValueError, match="tau must exceed exp\\(-1\\)"):
-        delta_bounds("exact", 3, 0.3, 1.0, 1.0)
+        delta_bounds(exact_scheme(0.3), 3, 1.0, 1.0)
     with pytest.raises(ValueError, match="WLA violated"):
-        delta_bounds("exact", 3, 0.8, 0.0, 1.0)
+        delta_bounds(exact_scheme(0.8), 3, 0.0, 1.0)
     with pytest.raises(ValueError, match="margins exceed 1"):
-        delta_bounds("exact", 3, 0.8, 1.0, 1.5)
+        delta_bounds(exact_scheme(0.8), 3, 1.0, 1.5)
     with pytest.raises(ValueError, match="high boosting regime required"):
-        delta_bounds("exact", 3, 0.8, 1.0, 0.2)
+        delta_bounds(exact_scheme(0.8), 3, 1.0, 0.2)
     with pytest.raises(ValueError, match="no closed-form progress bounds"):
-        delta_bounds("const:0.1", 3, 0.8, 1.0, 1.0)
+        delta_bounds(LeveragingScheme.parse("const:0.1", None, LN2), 3, 1.0, 1.0)
     with pytest.raises(ValueError, match="lower bound exceeds upper bound"):
         DeltaBounds(lower=2.0, upper=1.0)
 

@@ -72,7 +72,7 @@ def test_split_and_join_rows():
     x_rows, a_codes = s.split_rows(rows)
     assert x_rows.shape == (3, 2)
     assert list(a_codes) == [0, 1, 1]
-    assert np.array_equal(s.join_rows(x_rows, a_codes), rows)
+    assert np.array_equal(np.insert(x_rows, s.sensitive_index, a_codes, axis=1), rows)
 
 
 def test_group_matrix_round_trip(rng):

@@ -58,8 +58,7 @@ def test_model_roundtrip_exact(tmp_path, fitted):
         assert r_new.theta == r_old.theta
         cells = stack.q0.x_schema.all_cells()
         assert np.array_equal(r_new.classifier.scores(cells), r_old.classifier.scores(cells))
-    for cell in stack.schema.all_cells():
-        assert back.density_at(cell) == stack.density_at(cell)
+    assert back.joint().mass.tobytes() == stack.joint().mass.tobytes()
     assert back.representation_rate() == stack.representation_rate()
 
 
@@ -70,18 +69,6 @@ def test_model_resave_byte_identical(tmp_path, fitted):
     back, back_scheme, _ = load_model(p1)
     save_model(back, p2, scheme=back_scheme)
     assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
-
-
-def test_model_without_scheme_roundtrip(tmp_path, fitted):
-    stack, _, _ = fitted
-    path = str(tmp_path / "m.json")
-    save_model(stack, path)
-    back, back_scheme, doc = load_model(path)
-    assert back_scheme is None
-    assert "scheme" not in doc
-    assert [r.classifier.to_dict() for r in back.rounds] == [r.classifier.to_dict() for r in stack.rounds]
-    assert np.array_equal(back.q0.cond, stack.q0.cond)
-    assert back.joint().mass.tobytes() == stack.joint().mass.tobytes()
 
 
 def test_model_document_errors(tmp_path, fitted):
@@ -112,7 +99,9 @@ def test_model_document_errors(tmp_path, fitted):
             load_model(p)
 
 
-@pytest.mark.parametrize("path", [("q0", "schema"), ("q0", "conditionals"), ("rounds",), ("rounds", 0, "z")])
+@pytest.mark.parametrize(
+    "path", [("q0", "schema"), ("q0", "conditionals"), ("rounds",), ("rounds", 0, "z"), ("scheme", "c_bound")]
+)
 def test_model_rejects_missing_keys(tmp_path, fitted, path):
     stack, scheme, _ = fitted
     p = str(tmp_path / "m.json")
@@ -125,6 +114,18 @@ def test_model_rejects_missing_keys(tmp_path, fitted, path):
     dump_json(doc, p)
     with pytest.raises(ValueError, match=f"model document is missing key '{path[-1]}'"):
         load_model(p)
+
+
+def test_model_rejects_tree_c_bound_other_than_scheme(tmp_path, fitted):
+    # leaves of +-ln 2 fit inside 1.0, but the coefficients were set for C = ln 2
+    stack, scheme, _ = fitted
+    path = str(tmp_path / "m.json")
+    save_model(stack, path, scheme)
+    doc = load_json(path)
+    doc["rounds"][1]["classifier"]["c_bound"] = 1.0
+    dump_json(doc, path)
+    with pytest.raises(ValueError, match=f"round 2: tree c_bound 1.0 differs from the scheme's c_bound {LN2!r}"):
+        load_model(path)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Weak learner: greedy tree induction, hard-vote leaves, margin estimation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -45,6 +46,26 @@ def cell_scores(tree, schema):
     return tree.scores(schema.x_subschema().all_cells())
 
 
+def tree_depth(tree):
+    """Number of splits on the longest root-to-leaf path."""
+
+    def below(node):
+        return 0 if node.is_leaf else 1 + max(below(node.left), below(node.right))
+
+    return below(tree.root)
+
+
+def split_names(tree):
+    """Every attribute name some split of the tree uses."""
+    names, stack = set(), [tree.root]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            names.add(node.name)
+            stack.extend([node.left, node.right])
+    return names
+
+
 def walk(node, x_row):
     while not node.is_leaf:
         col = np.array([x_row[node.attr]])
@@ -59,8 +80,8 @@ def test_separable_one_feature():
     s = two_feature_schema(n1=4, n2=1)
     p = Dataset(s, with_a([[c, 0] for c in (0, 1) for _ in range(10)]))
     q = Dataset(s, with_a([[c, 0] for c in (2, 3) for _ in range(10)]))
-    tree = train_tree(p, q, CFG)
-    assert tree.depth() == 1
+    tree = train_tree(p, q, CFG, LN2)
+    assert tree_depth(tree) == 1
     scores = cell_scores(tree, s)
     assert np.allclose(scores, [LN2, LN2, -LN2, -LN2])
 
@@ -68,8 +89,8 @@ def test_separable_one_feature():
 def test_identical_sides_yield_abstaining_tree():
     s = two_feature_schema()
     rows = with_a([[i % 4, (i // 4) % 4] for i in range(32)])
-    tree = train_tree(Dataset(s, rows), Dataset(s, rows), CFG)
-    assert tree.depth() == 0
+    tree = train_tree(Dataset(s, rows), Dataset(s, rows), CFG, LN2)
+    assert tree_depth(tree) == 0
     assert np.all(cell_scores(tree, s) == 0.0)
     est = estimate_wla(tree, Dataset(s, rows), Dataset(s, rows))
     assert est.gamma_p == 0.0
@@ -84,8 +105,8 @@ def test_oversampled_negatives_do_not_bias_leaves():
     base = [[i % 4, (i * 7 + 1) % 4] for i in range(24)]
     p = Dataset(s, with_a(base))
     q = Dataset(s, with_a(base + base))
-    tree = train_tree(p, q, CFG)
-    assert tree.depth() == 0
+    tree = train_tree(p, q, CFG, LN2)
+    assert tree_depth(tree) == 0
     assert np.all(cell_scores(tree, s) == 0.0)
 
 
@@ -95,8 +116,8 @@ def test_rectangle_recovered_at_depth_two():
     q_cells = [(i, j) for i in range(4) for j in range(4) if (i, j) not in p_cells]
     p = Dataset(s, with_a([c for c in p_cells for _ in range(8)]))
     q = Dataset(s, with_a([c for c in q_cells for _ in range(8)]))
-    tree = train_tree(p, q, CFG)
-    assert tree.depth() == 2
+    tree = train_tree(p, q, CFG, LN2)
+    assert tree_depth(tree) == 2
     scores = tree.scores(s.x_subschema().all_cells())
     want = np.array([LN2 if (i, j) in p_cells else -LN2 for i in range(4) for j in range(4)])
     assert np.allclose(scores, want)
@@ -106,8 +127,8 @@ def test_min_leaf_blocks_tiny_splits():
     s = two_feature_schema(n1=2, n2=1)
     p = Dataset(s, with_a([[0, 0]] * 3))
     q = Dataset(s, with_a([[1, 0]] * 3))
-    tree = train_tree(p, q, TreeConfig(min_leaf_count=5))
-    assert tree.depth() == 0
+    tree = train_tree(p, q, TreeConfig(min_leaf_count=5), LN2)
+    assert tree_depth(tree) == 0
     assert np.all(cell_scores(tree, s) == 0.0)  # tie at the root abstains
 
 
@@ -117,8 +138,8 @@ def test_max_depth_one_caps_growth():
     q_cells = [(i, j) for i in range(4) for j in range(4) if (i, j) not in p_cells]
     p = Dataset(s, with_a([c for c in p_cells for _ in range(8)]))
     q = Dataset(s, with_a([c for c in q_cells for _ in range(8)]))
-    tree = train_tree(p, q, TreeConfig(max_depth=1))
-    assert tree.depth() == 1
+    tree = train_tree(p, q, TreeConfig(max_depth=1), LN2)
+    assert tree_depth(tree) == 1
     scores = cell_scores(tree, s).reshape(4, 4)
     assert np.all(scores[2:, :] == -LN2)  # pure Q half
     assert np.all(scores[:2, :] == LN2)  # majority-P half votes P everywhere
@@ -129,8 +150,8 @@ def test_training_is_deterministic(rng):
     rows_p = with_a(rng.integers(0, 4, size=(60, 2)))
     rows_q = with_a(rng.integers(0, 4, size=(90, 2)))
     p, q = Dataset(s, rows_p), Dataset(s, rows_q)
-    t1 = train_tree(p, q, CFG)
-    t2 = train_tree(p, q, CFG)
+    t1 = train_tree(p, q, CFG, LN2)
+    t2 = train_tree(p, q, CFG, LN2)
     assert t1.to_dict() == t2.to_dict()
 
 
@@ -140,7 +161,7 @@ def test_ties_resolve_to_lowest_attribute_and_value():
     # tie on both features; the winner must be attr 0 at value 0
     p = Dataset(s, with_a([[0, 0]] * 10))
     q = Dataset(s, with_a([[2, 2]] * 10))
-    tree = train_tree(p, q, CFG)
+    tree = train_tree(p, q, CFG, LN2)
     assert tree.root.attr == 0
     assert tree.root.value == 0
 
@@ -149,7 +170,7 @@ def test_scores_are_saturated_votes(rng):
     s = two_feature_schema()
     p = Dataset(s, with_a(rng.integers(0, 4, size=(120, 2))))
     q = Dataset(s, with_a(rng.integers(0, 4, size=(180, 2))))
-    tree = train_tree(p, q, CFG)
+    tree = train_tree(p, q, CFG, LN2)
     scores = cell_scores(tree, s)
     for v in scores:
         assert min(abs(v - LN2), abs(v + LN2), abs(v)) < 1e-15
@@ -179,7 +200,7 @@ def test_deeper_partitions_never_raise_impurity(rng):
 
     prev = None
     for depth in (1, 2, 3, 4):
-        cur = partition_impurity(train_tree(p, q, TreeConfig(max_depth=depth)))
+        cur = partition_impurity(train_tree(p, q, TreeConfig(max_depth=depth), LN2))
         if prev is not None:
             assert cur <= prev + 1e-9
         prev = cur
@@ -190,12 +211,12 @@ def test_sensitive_attribute_never_splits(rng):
     # group membership perfectly separates the sides, features are noise
     rows_p = np.column_stack([rng.integers(0, 4, size=(60, 2)), np.zeros(60, dtype=np.int64)])
     rows_q = np.column_stack([rng.integers(0, 4, size=(60, 2)), np.ones(60, dtype=np.int64)])
-    tree = train_tree(Dataset(s, rows_p), Dataset(s, rows_q), CFG)
-    assert "a" not in tree.split_names()
-    assert tree.split_names() <= {"f1", "f2"}
+    tree = train_tree(Dataset(s, rows_p), Dataset(s, rows_q), CFG, LN2)
+    assert "a" not in split_names(tree)
+    assert split_names(tree) <= {"f1", "f2"}
 
 
-def row_level_tree(p, q, cfg):
+def row_level_tree(p, q, cfg, c_bound):
     """Oracle: the trainer the histogram search replaced, one pass over the
     node's rows per attribute, ties to the lowest attribute, then value."""
     x_schema = p.schema.x_subschema()
@@ -207,7 +228,7 @@ def row_level_tree(p, q, cfg):
 
     def leaf(idx):
         wp, wq = float(w[idx][is_p[idx]].sum()), float(w[idx][~is_p[idx]].sum())
-        return Node(leaf=0.0 if abs(wp - wq) <= LEAF_SMOOTHING else (cfg.c_bound if wp > wq else -cfg.c_bound))
+        return Node(leaf=0.0 if abs(wp - wq) <= LEAF_SMOOTHING else (c_bound if wp > wq else -c_bound))
 
     def grow(idx, depth):
         if depth >= cfg.max_depth or len(idx) < 2 * cfg.min_leaf_count:
@@ -236,7 +257,7 @@ def row_level_tree(p, q, cfg):
         node.left, node.right = grow(idx[mask], depth + 1), grow(idx[~mask], depth + 1)
         return node
 
-    return DecisionTreeClassifier(root=grow(np.arange(len(X)), 0), c_bound=cfg.c_bound)
+    return DecisionTreeClassifier(root=grow(np.arange(len(X)), 0), c_bound=c_bound)
 
 
 def random_tree_problem(rng):
@@ -275,7 +296,7 @@ def test_histogram_tree_matches_row_level_oracle(rng):
     for _ in range(400):
         p, q = random_tree_problem(rng)
         cfg = TreeConfig(max_depth=int(rng.integers(1, 9)), min_leaf_count=int(rng.integers(1, 9)))
-        assert train_tree(p, q, cfg).to_dict() == row_level_tree(p, q, cfg).to_dict()
+        assert train_tree(p, q, cfg, LN2).to_dict() == row_level_tree(p, q, cfg, LN2).to_dict()
 
 
 @pytest.mark.parametrize("p_rows, splits", [(4, False), (5, True), (6, True)])
@@ -286,13 +307,13 @@ def test_min_leaf_counts_rows_not_cells(p_rows, splits):
     s = two_feature_schema(n1=3, n2=1)
     p = Dataset(s, with_a([[0, 0]] * p_rows))
     q = Dataset(s, with_a([[2, 0]] * (2 * p_rows)))
-    tree = train_tree(p, q, TreeConfig(min_leaf_count=5))
-    assert tree.to_dict() == row_level_tree(p, q, TreeConfig(min_leaf_count=5)).to_dict()
+    tree = train_tree(p, q, TreeConfig(min_leaf_count=5), LN2)
+    assert tree.to_dict() == row_level_tree(p, q, TreeConfig(min_leaf_count=5), LN2).to_dict()
     if splits:
         assert (tree.root.attr, tree.root.op, tree.root.value) == (0, "le", 0)
         assert np.array_equal(cell_scores(tree, s), [LN2, -LN2, -LN2])
     else:
-        assert tree.depth() == 0
+        assert tree_depth(tree) == 0
 
 # -- config and input validation ---------------------------------------
 
@@ -302,25 +323,25 @@ def test_tree_config_validation():
         TreeConfig(max_depth=0)
     with pytest.raises(ValueError, match="min_leaf_count must be >= 1"):
         TreeConfig(min_leaf_count=0)
-    with pytest.raises(ValueError, match="c_bound must be > 0"):
-        TreeConfig(c_bound=0.0)
+    # the score bound C is the leveraging scheme's, passed to train_tree
+    assert [f.name for f in dataclasses.fields(TreeConfig)] == ["max_depth", "min_leaf_count"]
 
 
 def test_train_tree_input_validation():
     s = two_feature_schema()
     rows = with_a([[0, 0]] * 10)
     with pytest.raises(ValueError, match="empty sample side"):
-        train_tree(Dataset(s, np.empty((0, 3))), Dataset(s, rows), CFG)
+        train_tree(Dataset(s, np.empty((0, 3))), Dataset(s, rows), CFG, LN2)
     other = two_feature_schema(n1=3)
     with pytest.raises(ValueError, match="schema mismatch"):
-        train_tree(Dataset(s, rows), Dataset(other, with_a([[0, 0]] * 10)), CFG)
+        train_tree(Dataset(s, rows), Dataset(other, with_a([[0, 0]] * 10)), CFG, LN2)
 
 
 def test_tree_serialization_roundtrip(rng):
     s = two_feature_schema()
     p = Dataset(s, with_a(rng.integers(0, 4, size=(80, 2))))
     q = Dataset(s, with_a(np.minimum(rng.integers(0, 4, size=(80, 2)) + 1, 3)))
-    tree = train_tree(p, q, CFG)
+    tree = train_tree(p, q, CFG, LN2)
     back = DecisionTreeClassifier.from_dict(tree.to_dict(), s.x_subschema())
     cells = s.x_subschema().all_cells()
     assert np.array_equal(back.scores(cells), tree.scores(cells))
