@@ -62,7 +62,6 @@ from .guarantees import (
     verify_eo,
 )
 from .pipeline import (
-    ColumnSpec,
     CsvSpec,
     MixtureParams,
     build_initial,
@@ -131,7 +130,6 @@ __all__ = [
     "margin_gain",
     "sr_from_rr",
     "verify_eo",
-    "ColumnSpec",
     "CsvSpec",
     "MixtureParams",
     "build_initial",

@@ -49,9 +49,13 @@ class LeveragingScheme:
     def __post_init__(self) -> None:
         if self.kind not in (EXACT, RELATIVE, CONSTANT):
             raise ValueError(f"unknown scheme {self.kind!r}")
+        if not math.isfinite(self.c_bound):
+            raise ValueError(f"c_bound must be finite, got {self.c_bound!r}")
         if self.c_bound <= 0:
             raise ValueError("c_bound must be > 0")
         if self.kind == CONSTANT:
+            if self.value is not None and not math.isfinite(self.value):
+                raise ValueError(f"constant scheme coefficient must be finite, got {self.value!r}")
             if self.value is None or self.value <= 0:
                 raise ValueError("constant scheme needs a positive coefficient")
         else:

@@ -1,10 +1,12 @@
 """Data ingestion and experiment plumbing.
 
-CSV files come in with a header row; declared columns are coded into finite
-cells: categorical columns by first-appearance order, continuous columns by
-equal-width binning over the observed range, with the edges recorded in the
-schema so later files can be coded identically (out-of-range values clamp to
-the edge bins, unknown categories are errors).
+CSV files come in with a header row.  ``infer_csv_spec`` reads a training
+file once and derives its schema: categorical columns keep their labels in
+first-appearance order, continuous columns get equal-width bin edges over the
+observed range.  ``load_csv_with_schema`` is the one coder: it codes the
+training file and every later file against a schema, so eval rows land in
+the cells fit used (out-of-range values clamp to the edge bins, unknown
+categories are errors).
 
 The synthetic generator draws the two-group Gaussian mixture through the
 inverse normal CDF applied to uniforms from a seeded PCG64 generator; the
@@ -26,49 +28,16 @@ from .boosted import InitialDensity
 from .schema import Attribute, AttributeSchema, Dataset
 from .tabular import fit_empirical
 
-FEATURE = "feature"
-SENSITIVE = "sensitive"
-TARGET = "target"
-IGNORE = "ignore"
-
-CATEGORICAL = "categorical"
-CONTINUOUS = "continuous"
-
-# numeric columns with few distinct integer levels read as categorical codes
+#: numeric columns with at most this many distinct integer levels are categorical
 _AUTO_CATEGORICAL_MAX_LEVELS = 12
 
 
 @dataclass(frozen=True)
-class ColumnSpec:
-    name: str
-    role: str = FEATURE
-    kind: str = CATEGORICAL
-    bins: int = 50
-
-    def __post_init__(self) -> None:
-        if self.role not in (FEATURE, SENSITIVE, TARGET, IGNORE):
-            raise ValueError(f"unknown column role {self.role!r}")
-        if self.kind not in (CATEGORICAL, CONTINUOUS):
-            raise ValueError(f"unknown column kind {self.kind!r}")
-        if self.kind == CONTINUOUS and self.bins < 1:
-            raise ValueError("bins must be >= 1")
-
-
-@dataclass(frozen=True)
 class CsvSpec:
-    path: str
-    columns: tuple
+    """A CSV file and the schema that codes it."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "columns", tuple(self.columns))
-        roles = [c.role for c in self.columns]
-        if roles.count(SENSITIVE) != 1:
-            raise ValueError("exactly one sensitive column required")
-        if roles.count(TARGET) > 1:
-            raise ValueError("at most one target column allowed")
-        for col in self.columns:
-            if col.role in (SENSITIVE, TARGET) and col.kind != CATEGORICAL:
-                raise ValueError(f"{col.role} column must be categorical")
+    path: str
+    schema: AttributeSchema
 
 
 def _read_rows(path: str) -> tuple[list, list]:
@@ -114,51 +83,74 @@ def _bin_codes(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.clip(np.searchsorted(edges, values, side="right") - 1, 0, len(edges) - 2)
 
 
-def load_csv(spec: CsvSpec) -> tuple[Dataset, AttributeSchema]:
-    """Read and code a training file, deriving the schema from its contents."""
-    header, raw_rows = _read_rows(spec.path)
-    positions = {}
-    for col in spec.columns:
-        if col.role == IGNORE:
-            continue
-        if col.name not in header:
-            raise ValueError(f"column {col.name!r} not found")
-        positions[col.name] = header.index(col.name)
+def _continuous_values(values: Sequence[str], name: str) -> Optional[np.ndarray]:
+    """The column's values when it reads as continuous: all finite numbers,
+    and not a handful of integer levels (those read as categorical codes)."""
+    try:
+        floats = _parse_floats(values, name)
+    except ValueError:
+        return None
+    levels = np.unique(floats)
+    if np.all(levels == np.round(levels)) and len(levels) <= _AUTO_CATEGORICAL_MAX_LEVELS:
+        return None
+    return floats
 
+
+def infer_csv_spec(
+    path: str,
+    sensitive: str,
+    target: Optional[str] = None,
+    bins: int = 50,
+    ignore: Sequence[str] = (),
+) -> CsvSpec:
+    """Derive a training file's schema from its contents.
+
+    Every column not ignored becomes an attribute, in header order.  A
+    feature column whose values all parse as finite floats is cut into
+    ``bins`` equal-width bins over its observed range, unless it holds a
+    handful of integer levels.  Every other column, the sensitive and target
+    ones included, is categorical, with categories in first-appearance order.
+    """
+    if target == sensitive:
+        raise ValueError(f"column {sensitive!r} cannot be both sensitive and target")
+    for name, role in ((sensitive, "sensitive"), (target, "target")):
+        if name in ignore:
+            raise ValueError(f"column {name!r} cannot be both {role} and ignored")
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+    header, raw_rows = _read_rows(path)
+    for name in (sensitive, *((target,) if target else ()), *ignore):
+        if name not in header:
+            raise ValueError(f"column {name!r} not found")
     attributes = []
-    codes = []
-    sensitive_index = target_index = None
-    for col in spec.columns:
-        if col.role == IGNORE:
+    for pos, name in enumerate(header):
+        if name in ignore:
             continue
-        values = _cell(raw_rows, positions[col.name], col.name)
-        if col.kind == CATEGORICAL:
-            categories = []
-            seen = {}
-            for v in values:
-                if v not in seen:
-                    seen[v] = len(categories)
-                    categories.append(v)
-            codes.append(np.array([seen[v] for v in values], dtype=np.int64))
-            attributes.append(Attribute(col.name, len(categories), categories=tuple(categories)))
+        values = _cell(raw_rows, pos, name)
+        floats = None if name in (sensitive, target) else _continuous_values(values, name)
+        if floats is None:
+            categories = tuple(dict.fromkeys(values))
+            attributes.append(Attribute(name, len(categories), categories=categories))
         else:
-            floats = _parse_floats(values, col.name)
-            edges = _equal_width_edges(float(floats.min()), float(floats.max()), col.bins)
-            codes.append(_bin_codes(floats, edges))
-            attributes.append(Attribute(col.name, col.bins, bin_edges=tuple(float(e) for e in edges)))
-        if col.role == SENSITIVE:
-            sensitive_index = len(attributes) - 1
-        elif col.role == TARGET:
-            target_index = len(attributes) - 1
+            edges = _equal_width_edges(float(floats.min()), float(floats.max()), bins)
+            attributes.append(Attribute(name, bins, bin_edges=tuple(float(e) for e in edges)))
+    names = [a.name for a in attributes]
+    schema = AttributeSchema(
+        tuple(attributes),
+        sensitive_index=names.index(sensitive),
+        target_index=names.index(target) if target else None,
+    )
+    return CsvSpec(path, schema)
 
-    schema = AttributeSchema(tuple(attributes), sensitive_index=sensitive_index, target_index=target_index)
-    rows = np.stack(codes, axis=1) if raw_rows else np.empty((0, len(attributes)), dtype=np.int64)
-    return Dataset(schema, rows), schema
+
+def load_csv(spec: CsvSpec) -> tuple[Dataset, AttributeSchema]:
+    """Code a training file with the schema derived from it."""
+    return load_csv_with_schema(spec.path, spec.schema), spec.schema
 
 
 def load_csv_with_schema(path: str, schema: AttributeSchema) -> Dataset:
-    """Code a new file against an existing schema (the model's view of the
-    world): stored categories must cover every label, stored bin edges clamp."""
+    """Code a file against a schema (the model's view of the world): stored
+    categories must cover every label, stored bin edges clamp."""
     header, raw_rows = _read_rows(path)
     codes = []
     for attr in schema.attributes:
@@ -170,53 +162,13 @@ def load_csv_with_schema(path: str, schema: AttributeSchema) -> Dataset:
             codes.append(_bin_codes(floats, np.asarray(attr.bin_edges)))
         else:
             lookup = {c: i for i, c in enumerate(attr.categories or ())}
-            col = np.empty(len(values), dtype=np.int64)
-            for i, v in enumerate(values):
-                if v not in lookup:
-                    raise ValueError(f"unseen category {v!r} in column {attr.name!r} at row {i}")
-                col[i] = lookup[v]
+            col = np.array([lookup.get(v, -1) for v in values], dtype=np.int64)
+            if (col < 0).any():
+                i = int(np.argmax(col < 0))
+                raise ValueError(f"unseen category {values[i]!r} in column {attr.name!r} at row {i}")
             codes.append(col)
     rows = np.stack(codes, axis=1) if raw_rows else np.empty((0, len(schema.attributes)), dtype=np.int64)
     return Dataset(schema, rows)
-
-
-def infer_csv_spec(
-    path: str,
-    sensitive: str,
-    target: Optional[str] = None,
-    bins: int = 50,
-    ignore: Sequence[str] = (),
-) -> CsvSpec:
-    """Build a CsvSpec by sniffing the file.
-
-    Columns whose values all parse as floats become continuous, except when
-    they hold a handful of integer levels, which read as categorical codes.
-    The sensitive and target columns are always categorical.
-    """
-    header, raw_rows = _read_rows(path)
-    for name in (sensitive, *((target,) if target else ()), *ignore):
-        if name not in header:
-            raise ValueError(f"column {name!r} not found")
-    columns = []
-    for pos, name in enumerate(header):
-        if name in ignore:
-            columns.append(ColumnSpec(name, role=IGNORE))
-            continue
-        role = SENSITIVE if name == sensitive else TARGET if name == target else FEATURE
-        kind = CATEGORICAL
-        if role == FEATURE:
-            values = _cell(raw_rows, pos, name)
-            try:
-                floats = _parse_floats(values, name)
-            except ValueError:
-                floats = None
-            if floats is not None:
-                levels = np.unique(floats)
-                integral = np.all(levels == np.round(levels))
-                if not (integral and len(levels) <= _AUTO_CATEGORICAL_MAX_LEVELS):
-                    kind = CONTINUOUS
-        columns.append(ColumnSpec(name, role=role, kind=kind, bins=bins))
-    return CsvSpec(path, tuple(columns))
 
 
 @dataclass(frozen=True)

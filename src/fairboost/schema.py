@@ -160,19 +160,10 @@ class AttributeSchema:
 
     # -- mass-vector reshaping -----------------------------------------
 
-    def group_matrix(self, mass: np.ndarray) -> np.ndarray:
-        """Reshape a flat cell vector into (|A|, n_x_cells).
-
-        Column j is the row-major x-cell index of the sensitive-free
-        subdomain, so this is the layout shared with InitialDensity
-        conditionals.
-        """
-        cube = np.asarray(mass).reshape(self.shape)
-        cube = np.moveaxis(cube, self.sensitive_index, 0)
-        return cube.reshape(self.sensitive.cardinality, -1)
-
     def flatten_groups(self, groups: np.ndarray) -> np.ndarray:
-        """Inverse of group_matrix: back to the flat row-major cell vector."""
+        """An (|A|, n_x_cells) matrix, row a in the row-major order of the
+        sensitive-free subdomain (the InitialDensity conditionals' layout),
+        back to the flat row-major cell vector."""
         card = self.sensitive.cardinality
         x_shape = self.x_subschema().shape
         cube = np.asarray(groups).reshape((card,) + x_shape)

@@ -218,26 +218,30 @@ def trace_to_csv(rows: Sequence[TraceRow]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(TRACE_HEADER)
     for r in rows:
-        writer.writerow(
-            [
-                _cell_str(r.t),
-                _cell_str(r.theta),
-                _cell_str(r.gamma_p),
-                _cell_str(r.gamma_q),
-                _cell_str(r.regime),
-                _cell_str(r.rr),
-                _cell_str(r.rr_bound),
-                _cell_str(r.kl_train),
-                _cell_str(r.kl_test),
-                _cell_str(r.z),
-            ]
-        )
+        writer.writerow([_cell_str(getattr(r, col)) for col in TRACE_HEADER])
     return buf.getvalue()
 
 
 def save_trace(rows: Sequence[TraceRow], path: str) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(trace_to_csv(rows))
+
+
+#: trace columns that are empty when they do not apply (the t=0 row, no test set)
+_TRACE_OPTIONAL = frozenset({"gamma_p", "gamma_q", "kl_train", "kl_test"})
+
+
+def _trace_field(col: str, text: str, t: Optional[int]):
+    if col == "t":
+        return int(text)
+    if col == "regime":
+        return text or None
+    if col in _TRACE_OPTIONAL and text == "":
+        return None
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"trace row t={t}: {col} must be finite, got {text!r}")
+    return v
 
 
 def load_trace(path: str) -> list[TraceRow]:
@@ -250,31 +254,10 @@ def load_trace(path: str) -> list[TraceRow]:
         for n, row in enumerate(reader):
             if len(row) != len(TRACE_HEADER):
                 raise ValueError(f"trace row {n}: expected {len(TRACE_HEADER)} fields, got {len(row)}")
-            vals = dict(zip(TRACE_HEADER, row))
-            t = int(vals["t"])
-
-            def num(col, optional=False):
-                if optional and vals[col] == "":
-                    return None
-                v = float(vals[col])
-                if not math.isfinite(v):
-                    raise ValueError(f"trace row t={t}: {col} must be finite, got {vals[col]!r}")
-                return v
-
-            out.append(
-                TraceRow(
-                    t=t,
-                    theta=num("theta"),
-                    gamma_p=num("gamma_p", optional=True),
-                    gamma_q=num("gamma_q", optional=True),
-                    regime=vals["regime"] or None,
-                    rr=num("rr"),
-                    rr_bound=num("rr_bound"),
-                    kl_train=num("kl_train", optional=True),
-                    kl_test=num("kl_test", optional=True),
-                    z=num("z"),
-                )
-            )
+            vals = {}
+            for col, text in zip(TRACE_HEADER, row):
+                vals[col] = _trace_field(col, text, vals.get("t"))
+            out.append(TraceRow(**vals))
     return out
 
 

@@ -13,6 +13,7 @@ an explicit absolute-continuity check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,8 @@ def fit_empirical(dataset: Dataset, smoothing: float = 0.0) -> TabularDensity:
     where count(cell) is the number of rows in the cell and N the number of
     rows.
     """
+    if not math.isfinite(smoothing):
+        raise ValueError(f"smoothing must be finite, got {smoothing!r}")
     if smoothing < 0:
         raise ValueError("smoothing must be >= 0")
     if len(dataset) == 0:

@@ -108,6 +108,13 @@ def random_stack(schema, rng, rounds, c_bound=LN2, theta_scale=0.3, q0=None):
     return bd
 
 
+def group_matrix(schema, mass):
+    """A flat cell vector as an (|A|, n_x_cells) matrix: row a is group a's
+    slice in row-major feature-cell order (the inverse of flatten_groups)."""
+    cube = np.moveaxis(np.asarray(mass).reshape(schema.shape), schema.sensitive_index, 0)
+    return cube.reshape(schema.sensitive.cardinality, -1)
+
+
 def dataset_from_rows(schema, rows):
     return Dataset(schema, np.asarray(rows, dtype=np.int64))
 

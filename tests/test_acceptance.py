@@ -1,14 +1,18 @@
 """Acceptance suite: one test per release criterion, one PASS line each.
 
 Criteria 1-2 drive the command-line interface end to end on the synthetic
-two-group mixture; 3-9 are randomized property suites over explicit tables;
-10 checks byte-level determinism of the command surface.  Run with -s (or
-read test_output.txt) for the per-criterion lines.
+two-group mixture; 3-6 and 9 are randomized property suites over explicit
+tables; 7-8 check the per-round and total KL bounds on the mixture fits and
+on a 4-feature fit from the benchmark's generator, where every round lands in
+the high regime; 10 checks byte-level determinism of the command surface.
+Run with -s (or read test_output.txt) for the per-criterion lines.
 """
 
+import importlib.util
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,12 +35,13 @@ from fairboost import (
 )
 from fairboost.cli import main
 from fairboost.guarantees import delta_bounds, exact_round_margins
-from fairboost.pipeline import infer_csv_spec, load_csv, load_csv_with_schema
+from fairboost.pipeline import load_csv_with_schema
 
 from conftest import random_initial, table_classifier, xya_schema
 
 LN2 = math.log(2.0)
 SEED = 0
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args):
@@ -84,6 +89,25 @@ def runs(workdir, synth_csv):
         manifest = json.load(open(model + ".manifest.json"))
         out[name] = {"model": model, "trace": trace, "manifest": manifest}
     return out
+
+
+@pytest.fixture(scope="session")
+def features_run(workdir):
+    """Exact tau = 0.7, 10 rounds on the benchmark's 4-feature generator at
+    20 bins (320k cells): every round lands in the high regime, so the drop
+    floors of criterion 7 and the Delta lower bound of criterion 8 apply."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    data = str(workdir / "features4.csv")
+    gen.write_csv(*gen.generate(20000, 4, SEED), data)
+    model = str(workdir / "features4.model.json")
+    run_cli(
+        "fit", "--data", data, "--sensitive", "a",
+        "--tau", 0.7, "--scheme", "exact", "--rounds", 10, "--bins", 20,
+        "--seed", SEED, "--out", model,
+    )
+    return {"model": model, "data": data}
 
 
 @pytest.fixture(scope="session")
@@ -254,10 +278,10 @@ def test_criterion_06_expectation_trick():
     )
 
 
-def _round_drops(run, synth_csv):
+def _round_drops(run, data_csv):
     """(theta, exact margins, measured KL drop) per fitted round."""
     bd, _, _ = load_model(run["model"])
-    data = load_csv_with_schema(synth_csv, bd.schema)
+    data = load_csv_with_schema(data_csv, bd.schema)
     p_hat = fit_empirical(data, 0.0)
     out = []
     kl_prev = kl_divergence(p_hat, BoostedDensity(bd.q0).joint())
@@ -270,43 +294,76 @@ def _round_drops(run, synth_csv):
     return out, p_hat
 
 
-def test_criterion_07_kl_drop_bound(runs, synth_csv):
+def _in_high_regime(gamma_p, gamma_q):
+    return 0.0 < gamma_p <= 1.0 and 1.0 / 3.0 <= gamma_q <= 1.0
+
+
+def _check_drop_floors(drops):
+    """Assert every high-regime round with a positive floor meets it; return
+    (rounds checked, smallest slack over them)."""
+    checked, slack = 0, math.inf
+    for theta, gamma_p, gamma_q, measured in drops:
+        if not _in_high_regime(gamma_p, gamma_q):
+            continue
+        db = kl_drop_bound(theta, gamma_p, gamma_q)
+        if db.bound <= 0.0:
+            continue
+        checked += 1
+        slack = min(slack, measured - db.bound)
+        assert measured >= db.bound - 1e-9
+    return checked, slack
+
+
+def test_criterion_07_kl_drop_bound(runs, synth_csv, features_run):
     checked = total = 0
     for name in ("exact07", "exact09", "rel07"):
         drops, _ = _round_drops(runs[name], synth_csv)
-        for theta, gamma_p, gamma_q, measured in drops:
-            total += 1
-            hbs = 0.0 < gamma_p <= 1.0 and 1.0 / 3.0 <= gamma_q <= 1.0
-            if not hbs:
-                continue
-            db = kl_drop_bound(theta, gamma_p, gamma_q)
-            if db.bound <= 0.0:
-                continue
-            checked += 1
-            assert measured >= db.bound - 1e-9
+        total += len(drops)
+        checked += _check_drop_floors(drops)[0]
     note = "" if checked else " (no round landed in the high regime: vacuously true, as expected on this mixture)"
-    report(7, f"{checked}/{total} rounds in high regime all met the certified drop floor - 1e-9{note}")
+
+    # the 4-feature workload puts every round in the high regime, so the
+    # floor is really asserted there
+    drops, _ = _round_drops(features_run, features_run["data"])
+    f_checked, f_slack = _check_drop_floors(drops)
+    assert f_checked == len(drops) == 10
+    report(
+        7,
+        f"mixture: {checked}/{total} rounds in high regime all met the certified drop floor - 1e-9{note}; "
+        f"4 features: {f_checked}/{len(drops)} rounds met it, min slack {f_slack:.2e} nats",
+    )
 
 
-def test_criterion_08_delta_containment(runs, synth_csv):
+def _delta_containment(run, data_csv):
+    """(Delta, upper bound, lower bound at the run's minimum margins or None
+    when some round left the high regime), asserting Delta <= upper."""
+    drops, p_hat = _round_drops(run, data_csv)
+    bd, scheme, _ = load_model(run["model"])
+    rounds = len(bd.rounds)
+    delta = kl_divergence(p_hat, BoostedDensity(bd.q0).joint()) - kl_divergence(p_hat, bd.joint())
+    upper = mollifier_size(scheme, rounds)
+    assert delta <= upper + 1e-9
+    hbs = [(gp, gq) for _, gp, gq, _ in drops if _in_high_regime(gp, gq)]
+    if not hbs or len(hbs) < len(drops):
+        return delta, upper, None
+    lower = delta_bounds(scheme, rounds, min(g for g, _ in hbs), min(g for _, g in hbs)).lower
+    return delta, upper, lower
+
+
+def test_criterion_08_delta_containment(runs, synth_csv, features_run):
     lines = []
     for name in ("exact07", "exact09", "rel07"):
-        run = runs[name]
-        drops, p_hat = _round_drops(run, synth_csv)
-        bd, scheme, _ = load_model(run["model"])
-        rounds = len(bd.rounds)
-        delta = kl_divergence(p_hat, BoostedDensity(bd.q0).joint()) - kl_divergence(p_hat, bd.joint())
-        upper = mollifier_size(scheme, rounds)
-        assert delta <= upper + 1e-9
-
-        hbs = [(gp, gq) for _, gp, gq, _ in drops if 0.0 < gp <= 1.0 and 1.0 / 3.0 <= gq <= 1.0]
-        if len(hbs) == len(drops) and hbs:
-            gp = min(g for g, _ in hbs)
-            gq = min(g for _, g in hbs)
-            lower = f"{delta_bounds(scheme, rounds, gp, gq).lower:.4f} (at per-run minimum margins)"
+        delta, upper, lower = _delta_containment(runs[name], synth_csv)
+        if lower is None:
+            lower_text = "n/a (not every round landed in the high regime)"
         else:
-            lower = "n/a (not every round landed in the high regime)"
-        lines.append(f"{name}: Delta {delta:.4f} <= {upper:.4f}, lower {lower}")
+            lower_text = f"{lower:.4f} (at per-run minimum margins)"
+        lines.append(f"{name}: Delta {delta:.4f} <= {upper:.4f}, lower {lower_text}")
+
+    delta, upper, lower = _delta_containment(features_run, features_run["data"])
+    assert lower is not None
+    assert delta >= lower - 1e-9
+    lines.append(f"4 features exact07: {lower:.4f} <= Delta {delta:.4f} <= {upper:.4f}")
     report(8, "; ".join(lines))
 
 

@@ -19,6 +19,7 @@ from fairboost.boosted import _logsumexp
 
 from conftest import (
     LN2,
+    group_matrix,
     random_initial,
     random_stack,
     table_classifier,
@@ -266,7 +267,7 @@ def test_conditional_tables_sum_to_one(rng):
     # marginal is a distribution q_T(x | A=a)
     s = xa_schema(nx=5, na=3)
     bd = random_stack(s, rng, rounds=8)
-    groups = s.group_matrix(bd.joint().mass)
+    groups = group_matrix(s, bd.joint().mass)
     for a in range(3):
         assert (groups[a] / bd.sensitive_marginal()[a]).sum() == pytest.approx(1.0, abs=1e-10)
 
@@ -373,7 +374,7 @@ def test_conditional_expectation_agrees_with_table(rng):
     # matches the conditional read off the joint table
     s = xa_schema(nx=4, na=3)
     bd = random_stack(s, rng, rounds=6)
-    groups = s.group_matrix(bd.joint().mass)
+    groups = group_matrix(s, bd.joint().mass)
     g_x = (s.x_subschema().all_cells()[:, 0] ** 2).astype(float)
     for a in range(3):
         want = float(groups[a] @ g_x) / groups[a].sum()

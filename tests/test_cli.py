@@ -11,7 +11,7 @@ import pytest
 
 from fairboost import fit_empirical, kl_divergence, load_model, load_trace, statistical_rate
 from fairboost.cli import main
-from fairboost.pipeline import infer_csv_spec, load_csv, load_csv_with_schema
+from fairboost.pipeline import load_csv_with_schema
 from fairboost.serialize import dump_json, load_json
 
 LN2 = math.log(2.0)
@@ -180,6 +180,42 @@ def test_fit_rejects_invalid_folds(tmp_path, synth_csv, capsys, folds):
     assert "error: folds must be 0 or >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--sensitive", "a", "--target", "a"], "column 'a' cannot be both sensitive and target"),
+        (["--sensitive", "a", "--target", "x", "--ignore", "x"], "column 'x' cannot be both target and ignored"),
+        (["--sensitive", "a", "--ignore", "a"], "column 'a' cannot be both sensitive and ignored"),
+    ],
+    ids=["sensitive-target", "target-ignored", "sensitive-ignored"],
+)
+def test_fit_rejects_conflicting_column_flags(tmp_path, synth_csv, capsys, flags, message):
+    model = tmp_path / "m.json"
+    code = main(["fit", "--data", synth_csv, *flags, "--rounds", "1", "--out", str(model)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not model.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--c-bound", "nan"], "c_bound must be finite, got nan"),
+        (["--c-bound", "inf"], "c_bound must be finite, got inf"),
+        (["--scheme", "const:nan"], "constant scheme coefficient must be finite, got nan"),
+        (["--scheme", "const:inf"], "constant scheme coefficient must be finite, got inf"),
+        (["--smoothing", "nan"], "smoothing must be finite, got nan"),
+    ],
+    ids=["c-bound-nan", "c-bound-inf", "const-nan", "const-inf", "smoothing-nan"],
+)
+def test_fit_rejects_non_finite_numbers(tmp_path, synth_csv, capsys, flags, message):
+    model = tmp_path / "m.json"
+    code = main(["fit", "--data", synth_csv, "--sensitive", "a", "--rounds", "2", *flags, "--out", str(model)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not model.exists()
+
+
 # -- eval ---------------------------------------------------------------
 
 
@@ -218,6 +254,15 @@ def test_eval_writes_file(fit_run, synth_csv, tmp_path, capsys):
     assert capsys.readouterr().out == ""
     doc = json.load(open(out))
     assert doc["rr_table"] == pytest.approx(doc["rr_normalizers"], abs=1e-10)
+
+
+def test_eval_rejects_non_finite_smoothing(fit_run, synth_csv, tmp_path, capsys):
+    model_path, _ = fit_run
+    out = tmp_path / "metrics.json"
+    code = main(["eval", "--model", model_path, "--data", synth_csv, "--smoothing", "nan", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: smoothing must be finite, got nan\n"
+    assert not out.exists()
 
 
 def test_eval_statistical_rate_with_target(tmp_path, capsys):

@@ -56,6 +56,11 @@ def test_scheme_validation():
         LeveragingScheme(kind=CONSTANT, value=-0.2)
     with pytest.raises(ValueError, match="c_bound must be > 0"):
         LeveragingScheme(kind=EXACT, tau=0.9, c_bound=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"c_bound must be finite, got {bad!r}"):
+            LeveragingScheme(kind=EXACT, tau=0.9, c_bound=bad)
+        with pytest.raises(ValueError, match=f"constant scheme coefficient must be finite, got {bad!r}"):
+            LeveragingScheme(kind=CONSTANT, value=bad)
 
 
 def test_scheme_parse():

@@ -1,5 +1,6 @@
 """CSV ingestion, the synthetic mixture, fold splitting, anchor construction."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 from fairboost import (
     BoostedDensity,
-    ColumnSpec,
     CsvSpec,
     Dataset,
     MixtureParams,
@@ -29,34 +29,27 @@ def write(path, text):
     return str(path)
 
 
-# -- column and file specs ---------------------------------------------
+# -- deriving the schema -----------------------------------------------
 
 
-def test_column_spec_validation():
-    with pytest.raises(ValueError, match="unknown column role"):
-        ColumnSpec("x", role="label")
-    with pytest.raises(ValueError, match="unknown column kind"):
-        ColumnSpec("x", kind="ordinal")
-    with pytest.raises(ValueError, match="bins must be >= 1"):
-        ColumnSpec("x", kind="continuous", bins=0)
+def test_csv_spec_is_path_and_schema(tmp_path):
+    path = write(tmp_path / "t.csv", "x,a\nred,0\nblue,1\n")
+    spec = infer_csv_spec(path, sensitive="a")
+    assert [f.name for f in dataclasses.fields(CsvSpec)] == ["path", "schema"]
+    assert spec == CsvSpec(path, spec.schema)
 
 
-def test_csv_spec_validation():
-    with pytest.raises(ValueError, match="exactly one sensitive column required"):
-        CsvSpec("f.csv", (ColumnSpec("x"),))
-    with pytest.raises(ValueError, match="exactly one sensitive column required"):
-        CsvSpec("f.csv", (ColumnSpec("a", role="sensitive"), ColumnSpec("b", role="sensitive")))
-    with pytest.raises(ValueError, match="at most one target column allowed"):
-        CsvSpec(
-            "f.csv",
-            (
-                ColumnSpec("a", role="sensitive"),
-                ColumnSpec("y", role="target"),
-                ColumnSpec("z", role="target"),
-            ),
-        )
-    with pytest.raises(ValueError, match="sensitive column must be categorical"):
-        CsvSpec("f.csv", (ColumnSpec("a", role="sensitive", kind="continuous"),))
+def test_infer_csv_spec_rejects_conflicting_roles(tmp_path):
+    path = write(tmp_path / "t.csv", "x,a,y\n0.5,0,1\n1.5,1,0\n")
+    with pytest.raises(ValueError, match="column 'a' cannot be both sensitive and target"):
+        infer_csv_spec(path, sensitive="a", target="a")
+    with pytest.raises(ValueError, match="column 'y' cannot be both target and ignored"):
+        infer_csv_spec(path, sensitive="a", target="y", ignore=("y",))
+    with pytest.raises(ValueError, match="column 'a' cannot be both sensitive and ignored"):
+        infer_csv_spec(path, sensitive="a", ignore=("a",))
+    for bins in (0, -1):
+        with pytest.raises(ValueError, match="bins must be >= 1"):
+            infer_csv_spec(path, sensitive="a", bins=bins)
 
 
 # -- loading ------------------------------------------------------------
@@ -64,8 +57,7 @@ def test_csv_spec_validation():
 
 def test_load_csv_categorical_first_appearance(tmp_path):
     path = write(tmp_path / "t.csv", "color,a\nred,0\nblue,1\nred,0\ngreen,1\n")
-    spec = CsvSpec(path, (ColumnSpec("color"), ColumnSpec("a", role="sensitive")))
-    ds, schema = load_csv(spec)
+    ds, schema = load_csv(infer_csv_spec(path, sensitive="a"))
     assert schema.attributes[0].categories == ("red", "blue", "green")
     assert schema.attributes[1].cardinality == 2
     assert np.array_equal(ds.rows[:, 0], [0, 1, 0, 2])
@@ -74,11 +66,7 @@ def test_load_csv_categorical_first_appearance(tmp_path):
 
 def test_load_csv_continuous_binning(tmp_path):
     path = write(tmp_path / "t.csv", "x,a\n0,0\n1,0\n2.5,1\n10,1\n")
-    spec = CsvSpec(
-        path,
-        (ColumnSpec("x", kind="continuous", bins=4), ColumnSpec("a", role="sensitive")),
-    )
-    ds, schema = load_csv(spec)
+    ds, schema = load_csv(infer_csv_spec(path, sensitive="a", bins=4))
     attr = schema.attributes[0]
     assert attr.is_ordinal
     assert attr.bin_edges == (0.0, 2.5, 5.0, 7.5, 10.0)
@@ -86,37 +74,32 @@ def test_load_csv_continuous_binning(tmp_path):
     assert np.array_equal(ds.rows[:, 0], [0, 0, 1, 3])
 
 
-def test_load_csv_schema_order_follows_spec(tmp_path):
+def test_load_csv_schema_order_follows_header(tmp_path):
     path = write(tmp_path / "t.csv", "a,x\n0,red\n1,blue\n")
-    spec = CsvSpec(path, (ColumnSpec("x"), ColumnSpec("a", role="sensitive")))
-    ds, schema = load_csv(spec)
-    assert schema.names == ("x", "a")
+    ds, schema = load_csv(infer_csv_spec(path, sensitive="a"))
+    assert schema.names == ("a", "x")
+    assert schema.sensitive_index == 0
     assert np.array_equal(ds.rows, [[0, 0], [1, 1]])
 
 
 def test_load_csv_errors(tmp_path):
-    spec = lambda p: CsvSpec(p, (ColumnSpec("x"), ColumnSpec("a", role="sensitive")))
     with pytest.raises(ValueError, match="empty file"):
-        load_csv(spec(write(tmp_path / "e.csv", "")))
+        infer_csv_spec(write(tmp_path / "e.csv", ""), sensitive="a")
     with pytest.raises(ValueError, match="column 'a' not found"):
-        load_csv(spec(write(tmp_path / "h.csv", "x,b\n1,2\n")))
+        infer_csv_spec(write(tmp_path / "h.csv", "x,b\n1,2\n"), sensitive="a")
     with pytest.raises(ValueError, match="missing value in column 'x' at row 1"):
-        load_csv(spec(write(tmp_path / "m.csv", "x,a\n1,0\n,0\n")))
-    cont = CsvSpec(
-        write(tmp_path / "n.csv", "x,a\n1,0\nfoo,0\n"),
-        (ColumnSpec("x", kind="continuous", bins=3), ColumnSpec("a", role="sensitive")),
-    )
+        infer_csv_spec(write(tmp_path / "m.csv", "x,a\n1,0\n,0\n"), sensitive="a")
+    # a column binned from one file must parse as numbers in every later one
+    spec = infer_csv_spec(write(tmp_path / "ok.csv", "x,a\n1.5,0\n2.5,0\n"), sensitive="a", bins=3)
+    bad = CsvSpec(write(tmp_path / "n.csv", "x,a\n1,0\nfoo,0\n"), spec.schema)
     with pytest.raises(ValueError, match="non-numeric value in column 'x' at row 1"):
-        load_csv(cont)
+        load_csv(bad)
 
 
 def test_load_with_schema_roundtrip_and_clamp(tmp_path):
-    train = write(tmp_path / "train.csv", "x,a\n0,0\n5,0\n10,1\n")
-    spec = CsvSpec(
-        train,
-        (ColumnSpec("x", kind="continuous", bins=5), ColumnSpec("a", role="sensitive")),
-    )
-    ds, schema = load_csv(spec)
+    train = write(tmp_path / "train.csv", "x,a\n0,0\n5.5,0\n10,1\n")
+    ds, schema = load_csv(infer_csv_spec(train, sensitive="a", bins=5))
+    assert np.array_equal(ds.rows[:, 0], [0, 2, 4])
     again = load_csv_with_schema(train, schema)
     assert np.array_equal(again.rows, ds.rows)
     # out-of-range values clamp to the edge bins instead of erroring
@@ -127,7 +110,7 @@ def test_load_with_schema_roundtrip_and_clamp(tmp_path):
 
 def test_load_with_schema_unseen_category(tmp_path):
     train = write(tmp_path / "train.csv", "x,a\nred,0\nblue,1\n")
-    _, schema = load_csv(train and CsvSpec(train, (ColumnSpec("x"), ColumnSpec("a", role="sensitive"))))
+    _, schema = load_csv(infer_csv_spec(train, sensitive="a"))
     bad = write(tmp_path / "eval.csv", "x,a\ngreen,0\n")
     with pytest.raises(ValueError, match="unseen category 'green' in column 'x' at row 0"):
         load_csv_with_schema(bad, schema)
@@ -138,14 +121,14 @@ def test_infer_csv_spec_roles_and_kinds(tmp_path):
         tmp_path / "t.csv",
         "age,grade,name,a,y\n23.5,1,alice,0,1\n31.0,2,bob,1,0\n28.25,3,carol,0,1\n",
     )
-    spec = infer_csv_spec(path, sensitive="a", target="y", bins=10, ignore=("name",))
-    by_name = {c.name: c for c in spec.columns}
-    assert by_name["age"].kind == "continuous"
-    assert by_name["age"].bins == 10
-    assert by_name["grade"].kind == "categorical"  # few integral levels
-    assert by_name["name"].role == "ignore"
-    assert by_name["a"].role == "sensitive"
-    assert by_name["y"].role == "target"
+    schema = infer_csv_spec(path, sensitive="a", target="y", bins=10, ignore=("name",)).schema
+    assert schema.names == ("age", "grade", "a", "y")
+    by_name = dict(zip(schema.names, schema.attributes))
+    assert by_name["age"].is_ordinal
+    assert by_name["age"].cardinality == 10
+    assert by_name["grade"].categories == ("1", "2", "3")  # few integral levels
+    assert schema.sensitive_index == 2
+    assert schema.target_index == 3
     with pytest.raises(ValueError, match="column 'z' not found"):
         infer_csv_spec(path, sensitive="z")
 
@@ -153,18 +136,17 @@ def test_infer_csv_spec_roles_and_kinds(tmp_path):
 def test_infer_csv_spec_many_integer_levels_stay_continuous(tmp_path):
     rows = "\n".join(f"{i},0" for i in range(30))
     path = write(tmp_path / "t.csv", "x,a\n" + rows + "\n")
-    spec = infer_csv_spec(path, sensitive="a", bins=8)
-    assert {c.name: c.kind for c in spec.columns}["x"] == "continuous"
+    x = infer_csv_spec(path, sensitive="a", bins=8).schema.attributes[0]
+    assert x.is_ordinal
+    assert x.cardinality == 8
 
 
 def test_binned_codes_monotone_in_value(tmp_path):
     vals = sorted([0.3, 7.1, 2.2, 9.9, 5.5, 1.1, 8.8, 4.4])
     body = "\n".join(f"{v},0" for v in vals)
     path = write(tmp_path / "t.csv", "x,a\n" + body + "\n")
-    spec = CsvSpec(
-        path, (ColumnSpec("x", kind="continuous", bins=4), ColumnSpec("a", role="sensitive"))
-    )
-    ds, _ = load_csv(spec)
+    ds, schema = load_csv(infer_csv_spec(path, sensitive="a", bins=4))
+    assert schema.attributes[0].is_ordinal
     codes = ds.rows[:, 0]
     assert np.all(np.diff(codes) >= 0)
 
@@ -219,10 +201,9 @@ def test_mixture_csv_roundtrip(tmp_path):
     path = str(tmp_path / "synth.csv")
     write_mixture_csv(x, a, path)
     spec = infer_csv_spec(path, sensitive="a", bins=20)
-    by_name = {c.name: c for c in spec.columns}
-    assert by_name["x"].kind == "continuous"
-    assert by_name["a"].role == "sensitive"
-    ds, schema = load_csv(CsvSpec(path, spec.columns))
+    assert spec.schema.attributes[0].is_ordinal
+    assert spec.schema.sensitive_index == 1
+    ds, schema = load_csv(CsvSpec(path, spec.schema))
     assert len(ds) == 300
     # categorical codes follow first appearance, so map through the stored labels
     labels = schema.attributes[1].categories

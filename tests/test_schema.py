@@ -5,7 +5,7 @@ import pytest
 
 from fairboost import Attribute, AttributeSchema, Dataset
 
-from conftest import dataset_from_rows, xa_schema, xya_schema
+from conftest import dataset_from_rows, group_matrix, xa_schema, xya_schema
 
 
 def test_attribute_kinds():
@@ -78,7 +78,7 @@ def test_split_and_join_rows():
 def test_group_matrix_round_trip(rng):
     s = xya_schema(nx=3)
     mass = rng.random(s.n_cells)
-    mat = s.group_matrix(mass)
+    mat = group_matrix(s, mass)
     assert mat.shape == (2, 6)
     assert np.allclose(s.flatten_groups(mat), mass)
     assert np.isclose(mat.sum(), mass.sum())

@@ -16,7 +16,7 @@ from fairboost import (
 )
 from fairboost.schema import Attribute, AttributeSchema
 
-from conftest import dataset_from_rows, density, random_density, xa_schema, xya_schema
+from conftest import dataset_from_rows, density, group_matrix, random_density, xa_schema, xya_schema
 
 
 def a_only_schema(card=2):
@@ -99,6 +99,9 @@ def test_fit_empirical_errors():
         fit_empirical(dataset_from_rows(s, np.zeros((0, 1), dtype=np.int64)), 0.0)
     with pytest.raises(ValueError, match="smoothing"):
         fit_empirical(dataset_from_rows(s, [[0]]), -0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"smoothing must be finite, got {bad!r}"):
+            fit_empirical(dataset_from_rows(s, [[0]]), bad)
 
 
 # -- representation rate --
@@ -162,7 +165,7 @@ def test_sr_matches_enumeration(rng):
     s = ya_schema(ny=2, na=2)
     for _ in range(50):
         d = random_density(s, rng)
-        groups = d.schema.group_matrix(d.mass)  # (|A|, |Y|)
+        groups = group_matrix(d.schema, d.mass)  # (|A|, |Y|)
         cond = groups[:, 1] / groups.sum(axis=1)
         expect = min(
             cond[i] / cond[j] for i in range(2) for j in range(2) if i != j
