@@ -4,8 +4,12 @@ One --seed flag drives every random phase through named sub-seeds, so any
 command rerun with identical flags writes byte-identical model, trace, and
 metrics files.  The manifest written next to a model records the resolved
 configuration, input digests, and per-phase wall-clock timings; its stable
-id is embedded in the model and metrics documents (timings vary run to run,
-the id does not).  Set FBDE_LOG=INFO or DEBUG for progress on stderr.
+id is embedded in the model, metrics and report documents (timings vary run
+to run, the id does not).  ``guarantees`` reads from the model only its
+scheme, run id and per-round (theta, z), and rejects a trace whose rounds
+differ from them.  Errors, an allocation the domain size makes impossible
+included, end in one ``error:`` line and exit code 1.  Set FBDE_LOG=INFO or
+DEBUG for progress on stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import __version__, seeds
 from .engine import FitConfig, LeveragingScheme, fbde_fit
-from .guarantees import build_report
+from .guarantees import build_report, check_trace_matches_model
 from .pipeline import (
     MixtureParams,
     build_initial,
@@ -39,6 +43,7 @@ from .serialize import (
     build_manifest,
     dump_json,
     load_model,
+    load_model_rounds,
     load_trace,
     manifest_id,
     save_model,
@@ -174,8 +179,8 @@ def cmd_fit(args) -> int:
     t0 = time.perf_counter()
     resolved = {k: v for k, v in vars(args).items() if k != "command"}
     digests = {args.data: sha256_file(args.data)}
-    mid = manifest_id("fit", resolved, digests, __version__)
-    save_model(stack, args.out, scheme, meta={"manifest": mid})
+    run_id = manifest_id("fit", resolved, digests, __version__)
+    save_model(stack, args.out, scheme, run_id)
     if args.trace:
         save_trace(trace, args.trace)
     timings["write"] = time.perf_counter() - t0
@@ -183,14 +188,14 @@ def cmd_fit(args) -> int:
     if fold_summaries is not None:
         extra = {"fold_summaries": fold_summaries, "fold_aggregate": fold_aggregate}
     dump_json(
-        build_manifest("fit", resolved, digests, __version__, timings, extra),
+        build_manifest(run_id, "fit", resolved, digests, __version__, timings, extra),
         args.out + ".manifest.json",
     )
     return 0
 
 
 def cmd_eval(args) -> int:
-    bd, _, doc = load_model(args.model)
+    bd, _, run_id = load_model(args.model)
     data = load_csv_with_schema(args.data, bd.schema)
     p_hat = fit_empirical(data, args.smoothing)
     joint = bd.joint()
@@ -203,7 +208,7 @@ def cmd_eval(args) -> int:
     metrics = {
         "format": METRICS_FORMAT,
         "version": 1,
-        "manifest": doc.get("manifest"),
+        "manifest": run_id,
         "n_rows": len(data),
         "units": "bits" if args.bits else "nats",
         "rr_table": rr_table,
@@ -230,10 +235,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_guarantees(args) -> int:
-    _, scheme, doc = load_model(args.model)
+    scheme, run_id, stored = load_model_rounds(args.model)
     trace = load_trace(args.trace)
+    check_trace_matches_model(trace, stored)
     report = build_report(trace, scheme)
-    out_doc = {"format": REPORT_FORMAT, "version": 1, "manifest": doc.get("manifest")}
+    out_doc = {"format": REPORT_FORMAT, "version": 1, "manifest": run_id}
     out_doc.update(report.to_dict())
     _emit(out_doc, args.out)
     return 0
@@ -247,7 +253,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

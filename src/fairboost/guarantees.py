@@ -283,6 +283,26 @@ class GuaranteeReport:
         }
 
 
+def check_trace_matches_model(trace: Sequence[TraceRow], stored: Sequence[tuple[float, float]]) -> None:
+    """Reject a trace that is not the model's run.
+
+    ``stored`` is the model's (theta_t, Z_t) per round.  The trace must have
+    exactly those rounds, with the same theta_t and Z_t: both files write
+    them shortest-repr, so a trace of the same run matches bit for bit.
+    """
+    rows = [r for r in trace if r.t >= 1]
+    if len(rows) != len(stored):
+        raise ValueError(
+            f"trace ends at round {len(rows)}, the model at round {len(stored)}; the trace is not this model's"
+        )
+    for r, (theta, z) in zip(rows, stored):
+        if (r.theta, r.z) != (theta, z):
+            raise ValueError(
+                f"trace round {r.t}: theta {r.theta!r} and z {r.z!r} differ from the model's {theta!r} and "
+                f"{z!r}; the trace is not this model's"
+            )
+
+
 def build_report(trace: Sequence[TraceRow], scheme: LeveragingScheme) -> GuaranteeReport:
     """Evaluate every bound a finished trace carries evidence for.
 

@@ -60,15 +60,24 @@ def _cell(raw_rows: list, col_pos: int, name: str) -> list:
     return out
 
 
+class _NonNumeric(ValueError):
+    """A value that does not parse as a number: the column is not numeric."""
+
+
 def _parse_floats(values: Sequence[str], name: str) -> np.ndarray:
+    """The column as finite floats.  A value that is not a number is
+    reported first (as ``_NonNumeric``, so inference reads the column as
+    labels), then a NaN or infinity; each error names the column and row."""
     out = np.empty(len(values))
     for i, v in enumerate(values):
         try:
             out[i] = float(v)
         except ValueError:
-            raise ValueError(f"non-numeric value in column {name!r} at row {i}") from None
-        if not math.isfinite(out[i]):
-            raise ValueError(f"missing value in column {name!r} at row {i}")
+            raise _NonNumeric(f"non-numeric value in column {name!r} at row {i}") from None
+    bad = ~np.isfinite(out)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"non-finite value {values[i]!r} in column {name!r} at row {i}")
     return out
 
 
@@ -84,11 +93,12 @@ def _bin_codes(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def _continuous_values(values: Sequence[str], name: str) -> Optional[np.ndarray]:
-    """The column's values when it reads as continuous: all finite numbers,
-    and not a handful of integer levels (those read as categorical codes)."""
+    """The column's values when it reads as continuous: all numbers, and not
+    a handful of integer levels (those read as categorical codes).  A
+    numeric column holding a NaN or infinity is an error."""
     try:
         floats = _parse_floats(values, name)
-    except ValueError:
+    except _NonNumeric:
         return None
     levels = np.unique(floats)
     if np.all(levels == np.round(levels)) and len(levels) <= _AUTO_CATEGORICAL_MAX_LEVELS:
@@ -106,10 +116,11 @@ def infer_csv_spec(
     """Derive a training file's schema from its contents.
 
     Every column not ignored becomes an attribute, in header order.  A
-    feature column whose values all parse as finite floats is cut into
+    feature column whose values all parse as floats is cut into
     ``bins`` equal-width bins over its observed range, unless it holds a
-    handful of integer levels.  Every other column, the sensitive and target
-    ones included, is categorical, with categories in first-appearance order.
+    handful of integer levels; a NaN or infinity in it is an error.  Every
+    other column, the sensitive and target ones included, is categorical,
+    with categories in first-appearance order.
     """
     if target == sensitive:
         raise ValueError(f"column {sensitive!r} cannot be both sensitive and target")
@@ -184,6 +195,10 @@ class MixtureParams:
     def __post_init__(self) -> None:
         if len(self.mu) != 2 or len(self.sigma) != 2:
             raise ValueError("mu and sigma need one value per group")
+        for name, values in (("mu", self.mu), ("sigma", self.sigma)):
+            for v in values:
+                if not math.isfinite(v):
+                    raise ValueError(f"{name} must be finite, got {v!r}")
         if min(self.sigma) <= 0:
             raise ValueError("sigma must be > 0")
         if not (0.0 <= self.s <= 1.0):

@@ -6,13 +6,17 @@ and writers emit keys in a fixed order, so rewriting the same state produces
 byte-identical files.  ``dump_json`` writes exactly what
 ``json.dump(doc, indent=2)`` would, but also takes 1-D float64 arrays: the
 anchor conditionals go out as arrays, each distinct value formatted once.
-The model document stores the leveraging scheme, the anchor conditionals
-and the per-round {theta, classifier, z, z_by_group} in boosting order;
-stored normalizers are authoritative and never recomputed on load.  Loading
-rejects missing keys, values of the wrong JSON type (naming the field),
-anchor rows that are not distributions, non-finite round values and trace
-numbers, trace rows of the wrong width, trees no fit could have produced, and
-trees whose score bound is not the scheme's C.
+The model document stores the run id, the leveraging scheme, the anchor
+conditionals and the per-round {theta, classifier, z, z_by_group} in
+boosting order; stored normalizers are authoritative and never recomputed on
+load.  Its layout is known here only: ``load_model`` returns the stack, the
+scheme and the run id, and ``load_model_rounds`` reads the scheme, the run
+id and each round's (theta, z) through the same header check, without
+building the stack.  Loading rejects missing keys, values of the wrong JSON
+type (naming the field), anchor rows that are not distributions, non-finite
+round values and trace numbers, trace rows of the wrong width or out of
+round order, trees no fit could have produced, and trees whose score bound
+is not the scheme's C.
 """
 
 from __future__ import annotations
@@ -135,10 +139,10 @@ def _scheme_from_dict(d: dict) -> LeveragingScheme:
     return LeveragingScheme(kind=d["kind"], tau=d["tau"], c_bound=float(d["c_bound"]), value=d["value"])
 
 
-def save_model(bd: BoostedDensity, path: str, scheme: LeveragingScheme, meta: Optional[dict] = None) -> None:
+def save_model(bd: BoostedDensity, path: str, scheme: LeveragingScheme, run_id: Optional[str] = None) -> None:
     doc = {"format": MODEL_FORMAT, "version": MODEL_VERSION}
-    if meta:
-        doc.update(meta)
+    if run_id is not None:
+        doc["manifest"] = run_id
     doc["scheme"] = _scheme_to_dict(scheme)
     doc["q0"] = {
         "schema": bd.schema.to_dict(),
@@ -156,48 +160,89 @@ def save_model(bd: BoostedDensity, path: str, scheme: LeveragingScheme, meta: Op
     dump_json(doc, path)
 
 
-def load_model(path: str) -> tuple[BoostedDensity, LeveragingScheme, dict]:
-    doc = load_json(path)
-    field = "document"  # the part being decoded, named when its JSON type is wrong
-    try:
+class _ModelReader:
+    """One parsed model document, decoded field by field.
+
+    Inside ``with reader:`` a missing key ends in ``model document is missing
+    key '<key>'`` and a value of the wrong JSON type in ``model field
+    '<field>' has the wrong JSON type``, where ``field`` names the part being
+    decoded.  Every reader starts with ``header()``.
+    """
+
+    def __init__(self, path: str):
+        self.doc = load_json(path)
+        self.field = "document"
+
+    def __enter__(self) -> "_ModelReader":
+        return self
+
+    def __exit__(self, kind, exc, tb) -> bool:
+        if kind is not None and issubclass(kind, KeyError):
+            raise ValueError(f"model document is missing key {exc.args[0]!r}") from None
+        if kind is not None and issubclass(kind, (TypeError, AttributeError)):
+            raise ValueError(f"model field {self.field!r} has the wrong JSON type") from None
+        return False
+
+    def header(self) -> tuple[LeveragingScheme, Optional[str]]:
+        """The scheme and the run id, once the format and version check out."""
+        doc = self.doc
         if doc.get("format") != MODEL_FORMAT:
             raise ValueError("not a model document")
         if int(doc.get("version", -1)) != MODEL_VERSION:
             raise ValueError(f"unsupported model version {doc.get('version')!r}")
-        field = "scheme"
-        scheme = _scheme_from_dict(doc["scheme"])
-        field = "q0.schema"
-        schema = AttributeSchema.from_dict(doc["q0"]["schema"])
-        field = "q0.conditionals"
-        cond = doc["q0"]["conditionals"]
+        self.field = "manifest"
+        run_id = doc.get("manifest")
+        if not isinstance(run_id, (str, type(None))):
+            raise TypeError
+        self.field = "scheme"
+        return _scheme_from_dict(doc["scheme"]), run_id
+
+    def rounds(self):
+        """Yield (t, round document, theta, z) for t = 1, 2, ..."""
+        self.field = "rounds"
+        for t, r in enumerate(self.doc["rounds"], start=1):
+            self.field = f"rounds[{t - 1}].theta"
+            theta = float(r["theta"])
+            self.field = f"rounds[{t - 1}].z"
+            yield t, r, theta, float(r["z"])
+
+
+def load_model(path: str) -> tuple[BoostedDensity, LeveragingScheme, Optional[str]]:
+    """The fitted stack, its scheme and its run id (None when the model has none)."""
+    with _ModelReader(path) as reader:
+        scheme, run_id = reader.header()
+        reader.field = "q0.schema"
+        schema = AttributeSchema.from_dict(reader.doc["q0"]["schema"])
+        reader.field = "q0.conditionals"
+        cond = reader.doc["q0"]["conditionals"]
         if len({len(row) for row in cond}) > 1:
             raise ValueError("q0 conditionals: rows differ in length")
         q0 = InitialDensity(schema, np.asarray(cond, dtype=np.float64))
         x_schema = schema.x_subschema()
         card = schema.sensitive.cardinality
         rounds = []
-        field = "rounds"
-        for t, r in enumerate(doc["rounds"], start=1):
-            field = f"rounds[{t - 1}].z_by_group"
+        for t, r, theta, z in reader.rounds():
+            reader.field = f"rounds[{t - 1}].z_by_group"
             z_by_group = np.asarray(r["z_by_group"], dtype=np.float64)
             if z_by_group.shape != (card,):
                 raise ValueError(f"round {t}: z_by_group needs {card} entries, one per sensitive value")
-            field = f"rounds[{t - 1}].theta"
-            theta = float(r["theta"])
-            field = f"rounds[{t - 1}].classifier"
+            reader.field = f"rounds[{t - 1}].classifier"
             classifier = _decode_classifier(r["classifier"], x_schema)
             if classifier.c_bound != scheme.c_bound:
                 raise ValueError(
                     f"round {t}: tree c_bound {classifier.c_bound!r} differs from the scheme's c_bound "
                     f"{scheme.c_bound!r}"
                 )
-            field = f"rounds[{t - 1}].z"
-            rounds.append(BoostRound(theta=theta, classifier=classifier, z=float(r["z"]), z_by_group=z_by_group))
-    except KeyError as exc:
-        raise ValueError(f"model document is missing key {exc.args[0]!r}") from None
-    except (TypeError, AttributeError):
-        raise ValueError(f"model field {field!r} has the wrong JSON type") from None
-    return BoostedDensity(q0, rounds), scheme, doc
+            rounds.append(BoostRound(theta=theta, classifier=classifier, z=z, z_by_group=z_by_group))
+    return BoostedDensity(q0, rounds), scheme, run_id
+
+
+def load_model_rounds(path: str) -> tuple[LeveragingScheme, Optional[str], list[tuple[float, float]]]:
+    """The scheme, the run id and each round's stored (theta, z), read
+    without building the anchor or decoding a tree."""
+    with _ModelReader(path) as reader:
+        scheme, run_id = reader.header()
+        return scheme, run_id, [(theta, z) for _, _, theta, z in reader.rounds()]
 
 
 # -- traces -------------------------------------------------------------
@@ -257,6 +302,8 @@ def load_trace(path: str) -> list[TraceRow]:
             vals = {}
             for col, text in zip(TRACE_HEADER, row):
                 vals[col] = _trace_field(col, text, vals.get("t"))
+            if vals["t"] != n:
+                raise ValueError(f"trace row {n}: expected round t={n}, got t={vals['t']}")
             out.append(TraceRow(**vals))
     return out
 
@@ -273,6 +320,7 @@ def manifest_id(command: str, resolved_config: dict, input_digests: dict, versio
 
 
 def build_manifest(
+    run_id: str,
     command: str,
     resolved_config: dict,
     input_digests: dict,
@@ -280,10 +328,13 @@ def build_manifest(
     timings: dict,
     extra: Optional[dict] = None,
 ) -> dict:
+    """The manifest of a run whose id, ``manifest_id`` of the same command,
+    config, inputs and version, the caller computed once and also stamped
+    into the model."""
     doc = {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
-        "id": manifest_id(command, resolved_config, input_digests, version),
+        "id": run_id,
         "command": command,
         "resolved_config": resolved_config,
         "inputs": input_digests,

@@ -9,10 +9,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairboost import fit_empirical, kl_divergence, load_model, load_trace, statistical_rate
+import fairboost.cli as cli
+from fairboost import (
+    BoostedDensity,
+    DecisionTreeClassifier,
+    InitialDensity,
+    fit_empirical,
+    kl_divergence,
+    load_model,
+    load_trace,
+    statistical_rate,
+)
 from fairboost.cli import main
 from fairboost.pipeline import load_csv_with_schema
-from fairboost.serialize import dump_json, load_json
+from fairboost.serialize import dump_json, load_json, load_model_rounds
 
 LN2 = math.log(2.0)
 
@@ -73,12 +83,24 @@ def test_synth_degenerate_share(tmp_path):
     assert set(a) == {"1"}
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--mu", "nan", "0.7"], "mu must be finite, got nan"), (["--sigma", "inf", "0.2"], "sigma must be finite, got inf")],
+    ids=["mu-nan", "sigma-inf"],
+)
+def test_synth_rejects_non_finite_parameters(tmp_path, capsys, flags, message):
+    out = tmp_path / "s.csv"
+    assert main(["synth", "--n", "50", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # -- fit ----------------------------------------------------------------
 
 
-def test_fit_outputs(fit_run):
+def test_fit_outputs(fit_run, synth_csv, tmp_path):
     model_path, trace_path = fit_run
-    bd, scheme, doc = load_model(model_path)
+    bd, scheme, run_id = load_model(model_path)
     assert scheme.kind == "exact" and scheme.tau == 0.8
     assert len(bd.rounds) <= 5
     assert bd.representation_rate() >= 0.8 - 1e-9
@@ -86,7 +108,14 @@ def test_fit_outputs(fit_run):
     assert trace[0].t == 0 and trace[-1].t == len(bd.rounds)
     manifest = json.load(open(model_path + ".manifest.json"))
     assert manifest["format"] == "fairboost.manifest"
-    assert manifest["id"] == doc["manifest"]
+    assert manifest["id"] == run_id
+    # one run id across the model, the manifest, the metrics and the report
+    metrics, report = str(tmp_path / "metrics.json"), str(tmp_path / "report.json")
+    assert main(["eval", "--model", model_path, "--data", synth_csv, "--out", metrics]) == 0
+    assert main(["guarantees", "--model", model_path, "--trace", trace_path, "--out", report]) == 0
+    assert load_json(metrics)["manifest"] == run_id
+    assert load_json(report)["manifest"] == run_id
+    assert isinstance(run_id, str) and len(run_id) == 16
     assert manifest["resolved_config"]["tau"] == 0.8
     assert list(manifest["resolved_config"]) == [
         "data", "sensitive", "target", "ignore", "tau", "scheme", "rounds", "bins", "max_depth",
@@ -213,6 +242,39 @@ def test_fit_rejects_non_finite_numbers(tmp_path, synth_csv, capsys, flags, mess
     code = main(["fit", "--data", synth_csv, "--sensitive", "a", "--rounds", "2", *flags, "--out", str(model)])
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_fit_and_eval_reject_non_finite_csv_values(tmp_path, synth_csv, fit_run, capsys, text):
+    # a numeric column with a NaN or infinity is neither binned nor read as labels
+    lines = open(synth_csv).read().splitlines()
+    lines[4] = text + "," + lines[4].split(",")[1]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    message = f"error: non-finite value '{text}' in column 'x' at row 3\n"
+    model = tmp_path / "m.json"
+    assert main(["fit", "--data", str(bad), "--sensitive", "a", "--rounds", "1", "--out", str(model)]) == 1
+    assert capsys.readouterr().err == message
+    assert not model.exists()
+    model_path, _ = fit_run
+    assert main(["eval", "--model", model_path, "--data", str(bad)]) == 1
+    assert capsys.readouterr().err == message
+
+
+def test_fit_domain_beyond_memory_is_an_error(tmp_path, capsys):
+    # 8 numeric features at 150 bins make 150**8 cells: the anchor's tables need
+    # 1.78 EiB, more than a 64-bit address space, so the allocation fails at once
+    rng = np.random.default_rng(0)
+    rows = ["f0,f1,f2,f3,f4,f5,f6,f7,a"]
+    rows += [",".join(repr(float(v)) for v in rng.random(8)) + f",{i % 2}" for i in range(60)]
+    data = tmp_path / "wide.csv"
+    data.write_text("\n".join(rows) + "\n")
+    model = tmp_path / "m.json"
+    code = main(["fit", "--data", str(data), "--sensitive", "a", "--bins", "150", "--rounds", "1", "--out", str(model)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 1.78 EiB") and err.count("\n") == 1
     assert not model.exists()
 
 
@@ -362,6 +424,83 @@ def test_guarantees_rejects_short_trace_row(tmp_path, fit_run, capsys):
     assert capsys.readouterr().err.startswith("error: trace row 0: expected 10 fields, got 2")
 
 
+def test_guarantees_builds_no_stack(fit_run, tmp_path, monkeypatch):
+    model_path, trace_path = fit_run
+    want, got = tmp_path / "want.json", tmp_path / "got.json"
+    assert main(["guarantees", "--model", model_path, "--trace", trace_path, "--out", str(want)]) == 0
+
+    def boom(*args, **kwargs):
+        raise AssertionError("guarantees reads the scheme, the run id and each round's (theta, z) only")
+
+    monkeypatch.setattr(cli, "load_model", boom)
+    monkeypatch.setattr(InitialDensity, "__init__", boom)
+    monkeypatch.setattr(BoostedDensity, "__init__", boom)
+    monkeypatch.setattr(DecisionTreeClassifier, "from_dict", boom)
+    assert main(["guarantees", "--model", model_path, "--trace", trace_path, "--out", str(got)]) == 0
+    assert got.read_bytes() == want.read_bytes()
+
+
+def _fit_trace(d, data, *flags):
+    trace = str(d / "trace.csv")
+    code = main(["fit", "--data", data, "--sensitive", "a", "--rounds", "5", *flags, "--out", str(d / "m.json"),
+                 "--trace", trace])
+    assert code == 0
+    return trace
+
+
+def _guarantees_error(model_path, trace_path, tmp_path, capsys) -> str:
+    out = tmp_path / "report.json"
+    assert main(["guarantees", "--model", model_path, "--trace", trace_path, "--out", str(out)]) == 1
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+def _mismatch(t, row, theta, z):
+    return (
+        f"error: trace round {t}: theta {row.theta!r} and z {row.z!r} differ from the model's {theta!r} and "
+        f"{z!r}; the trace is not this model's\n"
+    )
+
+
+def test_guarantees_rejects_trace_of_another_model(fit_run, tmp_path, capsys):
+    # a relative run at C = 1.5 on 4 features, also 5 rounds: theta differs from round 1
+    rng = np.random.default_rng(4)
+    rows = ["f0,f1,f2,f3,a"] + [",".join(repr(float(v)) for v in rng.random(4)) + f",{i % 3 % 2}" for i in range(300)]
+    data = tmp_path / "features.csv"
+    data.write_text("\n".join(rows) + "\n")
+    trace = _fit_trace(tmp_path, str(data), "--scheme", "relative", "--c-bound", "1.5", "--bins", "6")
+    model_path, _ = fit_run
+    _, _, stored = load_model_rounds(model_path)
+    row = load_trace(trace)[1]
+    assert row.theta != stored[0][0]
+    assert _guarantees_error(model_path, trace, tmp_path, capsys) == _mismatch(1, row, *stored[0])
+
+
+def test_guarantees_rejects_trace_of_another_seed(fit_run, synth_csv, tmp_path, capsys):
+    # the same data and flags at another seed: the same theta_t, other trees, other Z_t
+    trace = _fit_trace(tmp_path, synth_csv, "--tau", "0.8", "--bins", "16", "--seed", "2")
+    model_path, _ = fit_run
+    _, _, stored = load_model_rounds(model_path)
+    row = load_trace(trace)[1]
+    assert row.theta == stored[0][0] and row.z != stored[0][1]
+    assert _guarantees_error(model_path, trace, tmp_path, capsys) == _mismatch(1, row, *stored[0])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:], "error: trace row 1: expected round t=1, got t=2\n"),
+        (lambda lines: lines[:-1], "error: trace ends at round 4, the model at round 5; the trace is not this model's\n"),
+    ],
+    ids=["swapped", "truncated"],
+)
+def test_guarantees_rejects_edited_trace(fit_run, tmp_path, capsys, edit, message):
+    model_path, trace_path = fit_run
+    bad = tmp_path / "trace.csv"
+    bad.write_text("\n".join(edit(open(trace_path).read().splitlines())) + "\n")
+    assert _guarantees_error(model_path, str(bad), tmp_path, capsys) == message
+
+
 def _broken_model(tmp_path, model_path, breaker):
     doc = load_json(model_path)
     breaker(doc)
@@ -418,8 +557,9 @@ def test_eval_rejects_tree_node_without_split(tmp_path, fit_run, synth_csv, caps
         ("rounds", lambda doc: doc.update(rounds=5)),
         ("q0.schema", lambda doc: doc["q0"].update(schema=5)),
         ("rounds[0].theta", lambda doc: doc["rounds"][0].update(theta=[1])),
+        ("manifest", lambda doc: doc.update(manifest=5)),
     ],
-    ids=["conditionals", "rounds", "schema", "theta"],
+    ids=["conditionals", "rounds", "schema", "theta", "manifest"],
 )
 def test_eval_rejects_model_value_of_wrong_type(tmp_path, fit_run, synth_csv, capsys, field, breaker):
     model_path, _ = fit_run

@@ -94,6 +94,15 @@ def test_load_csv_errors(tmp_path):
     bad = CsvSpec(write(tmp_path / "n.csv", "x,a\n1,0\nfoo,0\n"), spec.schema)
     with pytest.raises(ValueError, match="non-numeric value in column 'x' at row 1"):
         load_csv(bad)
+    # a NaN or infinity in a numeric column is an error, not a category
+    with pytest.raises(ValueError, match="non-finite value 'nan' in column 'x' at row 2"):
+        infer_csv_spec(write(tmp_path / "f.csv", "x,a\n1.5,0\n2.5,0\nnan,1\n"), sensitive="a")
+    bad = CsvSpec(write(tmp_path / "i.csv", "x,a\n1,0\n-inf,0\n"), spec.schema)
+    with pytest.raises(ValueError, match="non-finite value '-inf' in column 'x' at row 1"):
+        load_csv(bad)
+    # a text column may hold the label "nan"
+    _, schema = load_csv(infer_csv_spec(write(tmp_path / "t.csv", "x,a\nnan,0\nred,1\n"), sensitive="a"))
+    assert schema.attributes[0].categories == ("nan", "red")
 
 
 def test_load_with_schema_roundtrip_and_clamp(tmp_path):
@@ -159,6 +168,10 @@ def test_mixture_params_validation():
         MixtureParams(mu=(0.0,))
     with pytest.raises(ValueError, match="sigma must be > 0"):
         MixtureParams(sigma=(0.4, 0.0))
+    with pytest.raises(ValueError, match="mu must be finite, got nan"):
+        MixtureParams(mu=(float("nan"), 0.7))
+    with pytest.raises(ValueError, match="sigma must be finite, got inf"):
+        MixtureParams(sigma=(0.4, float("inf")))
     with pytest.raises(ValueError, match="s must be in \\[0, 1\\]"):
         MixtureParams(s=1.5)
     with pytest.raises(ValueError, match="n must be >= 1"):

@@ -20,7 +20,15 @@ from fairboost import (
     save_model,
     save_trace,
 )
-from fairboost.serialize import TRACE_HEADER, _CHUNK, dump_json, load_json, sha256_file, trace_to_csv
+from fairboost.serialize import (
+    TRACE_HEADER,
+    _CHUNK,
+    dump_json,
+    load_json,
+    load_model_rounds,
+    sha256_file,
+    trace_to_csv,
+)
 
 from conftest import xa_schema
 
@@ -46,9 +54,9 @@ def fitted():
 def test_model_roundtrip_exact(tmp_path, fitted):
     stack, scheme, _ = fitted
     path = str(tmp_path / "model.json")
-    save_model(stack, path, scheme=scheme, meta={"note": "run-1"})
-    back, back_scheme, doc = load_model(path)
-    assert doc["note"] == "run-1"
+    save_model(stack, path, scheme=scheme, run_id="run-1")
+    back, back_scheme, run_id = load_model(path)
+    assert run_id == "run-1"
     assert back_scheme.kind == "exact" and back_scheme.tau == 0.8
     assert len(back.rounds) == len(stack.rounds)
     for r_old, r_new in zip(stack.rounds, back.rounds):
@@ -114,6 +122,38 @@ def test_model_rejects_missing_keys(tmp_path, fitted, path):
     dump_json(doc, p)
     with pytest.raises(ValueError, match=f"model document is missing key '{path[-1]}'"):
         load_model(p)
+
+
+def test_model_rounds_read_without_the_stack(tmp_path, fitted):
+    stack, scheme, trace = fitted
+    path = str(tmp_path / "m.json")
+    save_model(stack, path, scheme, run_id="run-2")
+    got_scheme, run_id, stored = load_model_rounds(path)
+    assert got_scheme == scheme and run_id == "run-2"
+    assert stored == [(r.theta, r.z) for r in stack.rounds]
+    assert stored == [(r.theta, r.z) for r in trace if r.t >= 1]
+    # the anchor and the trees are eval's to check, not this reader's
+    doc = load_json(path)
+    doc["q0"]["conditionals"] = 5
+    doc["rounds"][0]["classifier"] = {"type": "stump"}
+    dump_json(doc, path)
+    assert load_model_rounds(path) == (scheme, "run-2", stored)
+    # the header check and the key and type errors are load_model's
+    for breaker, message in [
+        (lambda d: d.update(format="fairboost.density"), "not a model document"),
+        (lambda d: d.update(version=99), "unsupported model version 99"),
+        (lambda d: d.pop("scheme"), "model document is missing key 'scheme'"),
+        (lambda d: d["rounds"][1].pop("z"), "model document is missing key 'z'"),
+        (lambda d: d.update(manifest=5), "model field 'manifest' has the wrong JSON type"),
+        (lambda d: d["rounds"][1].update(theta=[1]), r"model field 'rounds\[1\].theta' has the wrong JSON type"),
+    ]:
+        save_model(stack, path, scheme, run_id="run-2")
+        doc = load_json(path)
+        breaker(doc)
+        dump_json(doc, path)
+        for load in (load_model, load_model_rounds):
+            with pytest.raises(ValueError, match=message):
+                load(path)
 
 
 def test_model_rejects_tree_c_bound_other_than_scheme(tmp_path, fitted):
@@ -252,6 +292,19 @@ def test_trace_rejects_non_finite_numbers(tmp_path, column, text):
         load_trace(str(path))
 
 
+@pytest.mark.parametrize(
+    "ts, message",
+    [((1, 2), "trace row 0: expected round t=0, got t=1"), ((0, 2, 1), "trace row 1: expected round t=1, got t=2")],
+    ids=["no-baseline", "swapped"],
+)
+def test_trace_rejects_rows_out_of_order(tmp_path, ts, message):
+    rows = [TraceRow(t, 0.25 * t, None, None, None, 1.0, 1.0, None, None, 1.0) for t in ts]
+    path = str(tmp_path / "t.csv")
+    save_trace(rows, path)
+    with pytest.raises(ValueError, match=message):
+        load_trace(path)
+
+
 def test_trace_rejects_other_files(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("a,b,c\n1,2,3\n")
@@ -330,8 +383,11 @@ def test_dump_json_rejects_other_arrays(tmp_path):
 def test_save_model_matches_json_dump(tmp_path, fitted):
     stack, scheme, _ = fitted
     path = tmp_path / "model.json"
-    save_model(stack, str(path), scheme=scheme, meta={"manifest": "0123456789abcdef"})
-    assert path.read_bytes() == _json_dump_bytes(load_json(str(path)), tmp_path / "plain.json")
+    save_model(stack, str(path), scheme=scheme, run_id="0123456789abcdef")
+    doc = load_json(str(path))
+    assert path.read_bytes() == _json_dump_bytes(doc, tmp_path / "plain.json")
+    assert list(doc) == ["format", "version", "manifest", "scheme", "q0", "rounds"]
+    assert doc["manifest"] == "0123456789abcdef"
 
 
 def test_sha256_file(tmp_path):
