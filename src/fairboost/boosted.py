@@ -38,7 +38,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -174,8 +174,7 @@ class BoostedDensity:
 
     def representation_rate(self) -> float:
         """RR through the normalizer products, min over ordered group pairs."""
-        s = self._log_zg_total
-        return float(np.exp(s.min() - s.max()))
+        return representation_rates(r.z_by_group for r in self.rounds)[-1]
 
     # -- expectations ---------------------------------------------------
 
@@ -208,6 +207,18 @@ class BoostedDensity:
     def sample(self, n: int, seed: int) -> Dataset:
         """Draw n rows from Q_T through its joint table (``TabularDensity.sample``)."""
         return self.joint().sample(n, seed)
+
+
+def representation_rates(z_by_group: Iterable[np.ndarray]) -> list[float]:
+    """RR(Q_t) for t = 0, 1, ... from the rounds' Z_t(a) alone: q_t(a) is
+    proportional to Prod_k Z_k(a), so with s the running sum of log Z_k(a)
+    from zero, RR(Q_t) = exp(min s - max s)."""
+    s = 0.0
+    rates = [1.0]
+    for zg in z_by_group:
+        s = s + np.log(zg)
+        rates.append(float(np.exp(s.min() - s.max())))
+    return rates
 
 
 def _logsumexp(a: np.ndarray, axis=None):

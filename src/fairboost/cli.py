@@ -6,19 +6,17 @@ metrics files.  The manifest written next to a model records the resolved
 configuration, input digests, and per-phase wall-clock timings; its stable
 id is embedded in the model, metrics and report documents (timings vary run
 to run, the id does not).  ``guarantees`` reads from the model only its
-scheme, run id and per-round (theta, z), and rejects a trace whose rounds
-differ from them.  Errors, an allocation the domain size makes impossible
-included, end in one ``error:`` line and exit code 1.  Set FBDE_LOG=INFO or
-DEBUG for progress on stderr.
+scheme, run id, schema and per-round (theta, z, z_by_group), and rejects a
+trace whose rounds, rates or rate floors differ from them.  Errors, an
+allocation the domain size makes impossible included, end in one ``error:``
+line and exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
-import os
 import sys
 import time
 
@@ -53,19 +51,9 @@ from .serialize import (
 from .tabular import fit_empirical, kl_divergence, representation_rate, statistical_rate
 from .tree import TreeConfig
 
-log = logging.getLogger("fairboost")
-
 _LN2 = math.log(2.0)
 #: largest |RR_table - RR_normalizers| eval accepts from a consistent model
 _RR_SELF_CHECK_TOL = 1e-9
-
-
-def _setup_logging() -> None:
-    name = os.environ.get("FBDE_LOG", "WARNING").upper()
-    level = getattr(logging, name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,7 +116,6 @@ def cmd_fit(args) -> int:
     spec = infer_csv_spec(args.data, args.sensitive, args.target, args.bins, args.ignore)
     dataset, schema = load_csv(spec)
     timings["load"] = time.perf_counter() - t0
-    log.info("loaded %d rows over %d cells", len(dataset), schema.n_cells)
 
     scheme = LeveragingScheme.parse(args.scheme, args.tau, args.c_bound)
     tree_cfg = TreeConfig(max_depth=args.max_depth, min_leaf_count=args.min_leaf)
@@ -138,8 +125,6 @@ def cmd_fit(args) -> int:
     q0 = build_initial(dataset, schema, args.smoothing)
     stack, trace = fbde_fit(dataset, q0, FitConfig(seed=args.seed, **base_cfg))
     timings["fit"] = time.perf_counter() - t0
-    if trace:
-        log.info("final rr=%.6f kl_train=%s", trace[-1].rr, trace[-1].kl_train)
 
     fold_summaries = fold_aggregate = None
     if args.folds >= 2:
@@ -167,14 +152,6 @@ def cmd_fit(args) -> int:
             return {"mean": float(vals.mean()), "std": float(vals.std(ddof=1))}
 
         fold_aggregate = {k: agg(k) for k in ("final_rr", "final_kl_train", "final_kl_test", "anchor_kl_test")}
-        log.info(
-            "%d-fold: rr %.4f (%.4f), kl_test %.4f (%.4f)",
-            args.folds,
-            fold_aggregate["final_rr"]["mean"],
-            fold_aggregate["final_rr"]["std"],
-            fold_aggregate["final_kl_test"]["mean"],
-            fold_aggregate["final_kl_test"]["std"],
-        )
 
     t0 = time.perf_counter()
     resolved = {k: v for k, v in vars(args).items() if k != "command"}
@@ -230,14 +207,13 @@ def cmd_synth(args) -> int:
     params = MixtureParams(mu=tuple(args.mu), sigma=tuple(args.sigma), s=args.s, n=args.n, seed=args.seed)
     x, a = generate_mixture(params)
     write_mixture_csv(x, a, args.out)
-    log.info("wrote %d rows to %s", params.n, args.out)
     return 0
 
 
 def cmd_guarantees(args) -> int:
     scheme, run_id, stored = load_model_rounds(args.model)
     trace = load_trace(args.trace)
-    check_trace_matches_model(trace, stored)
+    check_trace_matches_model(trace, scheme, stored)
     report = build_report(trace, scheme)
     out_doc = {"format": REPORT_FORMAT, "version": 1, "manifest": run_id}
     out_doc.update(report.to_dict())
@@ -249,7 +225,6 @@ _DISPATCH = {"fit": cmd_fit, "eval": cmd_eval, "synth": cmd_synth, "guarantees":
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)

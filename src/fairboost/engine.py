@@ -119,7 +119,8 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class TraceRow:
-    """One line of the boosting trace; t=0 is the anchor baseline."""
+    """One line of the boosting trace, its fields the file's columns in order;
+    t=0 is the anchor baseline, without margins or regime."""
 
     t: int
     theta: float
@@ -131,7 +132,6 @@ class TraceRow:
     kl_train: Optional[float]
     kl_test: Optional[float]
     z: float
-    z_by_group: Optional[tuple] = None
 
 
 def fbde_fit(
@@ -180,7 +180,6 @@ def fbde_fit(
         stack = stack.extended(classifier, theta)
         joint = stack.joint()
         kl_tr, kl_te = kl_pair(joint)
-        rnd = stack.rounds[-1]
         trace.append(
             TraceRow(
                 t=t,
@@ -192,8 +191,7 @@ def fbde_fit(
                 rr_bound=rr_lower_bound(cfg.scheme, t),
                 kl_train=kl_tr,
                 kl_test=kl_te,
-                z=rnd.z,
-                z_by_group=tuple(float(z) for z in rnd.z_by_group),
+                z=stack.rounds[-1].z,
             )
         )
     return stack, trace

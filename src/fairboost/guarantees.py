@@ -29,10 +29,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boosted import BoostedDensity
-from .engine import EXACT, RELATIVE, LeveragingScheme, TraceRow, mollifier_size
+from .boosted import BoostedDensity, representation_rates
+from .engine import EXACT, RELATIVE, LeveragingScheme, TraceRow, mollifier_size, rr_lower_bound
 from .tabular import TabularDensity
-from .tree import HBS, LBS
+from .tree import FAIL, HBS, boosting_regime
 
 _LN2 = math.log(2.0)
 _E_INV = math.exp(-1.0)
@@ -72,15 +72,14 @@ def kl_drop_bound(theta: float, gamma_p: float, gamma_q: float) -> KlDropBound:
     """
     if theta <= 0.0:
         raise ValueError("theta must be > 0")
-    if gamma_p <= 0.0 or gamma_q <= 0.0:
+    regime = boosting_regime(gamma_p, gamma_q)
+    if regime == FAIL:
         raise ValueError("WLA violated")
     if gamma_p > 1.0 or gamma_q > 1.0:
         raise ValueError("margins exceed 1")
-    if gamma_q >= 1.0 / 3.0:
-        regime = HBS
+    if regime == HBS:
         slope = gamma_p * _LN2 + margin_gain(gamma_q)
     else:
-        regime = LBS
         slope = gamma_p + gamma_q - _LN2 * theta / 2.0
     bound = theta * slope
     return KlDropBound(slope=slope, bound=bound, regime=regime, positive=bound > 0.0)
@@ -110,11 +109,12 @@ def delta_bounds(scheme: LeveragingScheme, rounds: int, gamma_p: float, gamma_q:
         raise ValueError("rounds must exceed 1")
     if scheme.tau <= _E_INV:
         raise ValueError("tau must exceed exp(-1)")
-    if gamma_p <= 0.0 or gamma_q <= 0.0:
+    regime = boosting_regime(gamma_p, gamma_q)
+    if regime == FAIL:
         raise ValueError("WLA violated")
     if gamma_p > 1.0 or gamma_q > 1.0:
         raise ValueError("margins exceed 1")
-    if gamma_q < 1.0 / 3.0:
+    if regime != HBS:
         raise ValueError("high boosting regime required")
     neg_log_tau = -math.log(scheme.tau)
     mix = (gamma_p + gamma_q * gain_ratio(gamma_q)) / 2.0
@@ -283,70 +283,69 @@ class GuaranteeReport:
         }
 
 
-def check_trace_matches_model(trace: Sequence[TraceRow], stored: Sequence[tuple[float, float]]) -> None:
-    """Reject a trace that is not the model's run.
+def check_trace_matches_model(
+    trace: Sequence[TraceRow], scheme: LeveragingScheme, stored: Sequence[tuple[float, float, np.ndarray]]
+) -> None:
+    """Reject a trace that is not the model's run, or whose rates are not its own.
 
-    ``stored`` is the model's (theta_t, Z_t) per round.  The trace must have
-    exactly those rounds, with the same theta_t and Z_t: both files write
-    them shortest-repr, so a trace of the same run matches bit for bit.
+    ``stored`` is the model's (theta_t, Z_t, Z_t(a)) per round.  The trace
+    must have exactly those rounds, with the same theta_t and Z_t, the rr that
+    the Z_t(a) give and the scheme's rr_bound.  Both files write numbers
+    shortest-repr and the rates come from the same arithmetic, so a trace of
+    the same run matches bit for bit.
     """
-    rows = [r for r in trace if r.t >= 1]
+    rows = trace[1:]
     if len(rows) != len(stored):
         raise ValueError(
             f"trace ends at round {len(rows)}, the model at round {len(stored)}; the trace is not this model's"
         )
-    for r, (theta, z) in zip(rows, stored):
+    rates = representation_rates(zg for _, _, zg in stored)
+    for r, (theta, z, _), rr in zip(rows, stored, rates[1:]):
         if (r.theta, r.z) != (theta, z):
             raise ValueError(
                 f"trace round {r.t}: theta {r.theta!r} and z {r.z!r} differ from the model's {theta!r} and "
                 f"{z!r}; the trace is not this model's"
             )
+        if r.rr != rr:
+            raise ValueError(f"trace round {r.t}: rr {r.rr!r} differs from the model's {rr!r}")
+        floor = rr_lower_bound(scheme, r.t)
+        if r.rr_bound != floor:
+            raise ValueError(f"trace round {r.t}: rr_bound {r.rr_bound!r} differs from the scheme's {floor!r}")
 
 
 def build_report(trace: Sequence[TraceRow], scheme: LeveragingScheme) -> GuaranteeReport:
     """Evaluate every bound a finished trace carries evidence for.
 
+    ``trace`` is shaped as ``fbde_fit`` writes it (empty for zero rounds).
     The drop floors and the lower bound on Delta are derived for C = ln 2
     only; for any other C they are None, with a note saying why.
     """
     c_note = None
     if abs(scheme.c_bound - _LN2) > _C_LN2_TOL:
         c_note = f"not applicable: certified only for C = ln 2, this run used C = {scheme.c_bound!r}"
-    rows = [r for r in trace if r.t >= 1]
-    baseline = next((r for r in trace if r.t == 0), None)
-    rounds = rows[-1].t if rows else 0
+    rows = trace[1:]
+    rounds = len(rows)
 
-    fairness = []
-    for r in rows:
-        fairness.append({"t": r.t, "rr": r.rr, "rr_floor": r.rr_bound, "holds": r.rr >= r.rr_bound - _TOL})
+    fairness = [{"t": r.t, "rr": r.rr, "rr_floor": r.rr_bound, "holds": r.rr >= r.rr_bound - _TOL} for r in rows]
     all_fair = all(f["holds"] for f in fairness)
 
     drops = []
-    prev_kl = baseline.kl_train if baseline is not None else None
-    for r in rows:
-        entry = {"t": r.t, "theta": r.theta, "regime": r.regime, "gamma_p": r.gamma_p, "gamma_q": r.gamma_q}
-        measured = None
-        if r.kl_train is not None and prev_kl is not None:
-            measured = prev_kl - r.kl_train
-        entry["measured_drop"] = measured
-        if c_note is None and r.gamma_p is not None and r.gamma_q is not None and r.gamma_p > 0 and r.gamma_q > 0:
+    for prev, r in zip(trace, rows):
+        measured = prev.kl_train - r.kl_train
+        entry = {"t": r.t, "theta": r.theta, "regime": r.regime, "gamma_p": r.gamma_p, "gamma_q": r.gamma_q,
+                 "measured_drop": measured}
+        if c_note is None and boosting_regime(r.gamma_p, r.gamma_q) != FAIL:
             db = kl_drop_bound(r.theta, min(r.gamma_p, 1.0), min(r.gamma_q, 1.0))
-            entry["drop_floor"] = db.bound
-            entry["floor_positive"] = db.positive
-            entry["holds"] = None if measured is None else measured >= db.bound - _TOL
+            entry.update(drop_floor=db.bound, floor_positive=db.positive, holds=measured >= db.bound - _TOL)
         else:
-            entry["drop_floor"] = None
-            entry["floor_positive"] = None
-            entry["holds"] = None
+            entry.update(drop_floor=None, floor_positive=None, holds=None)
             if c_note is not None:
                 entry["floor_note"] = c_note
         drops.append(entry)
-        if r.kl_train is not None:
-            prev_kl = r.kl_train
 
     delta = None
-    if baseline is not None and rows and baseline.kl_train is not None and rows[-1].kl_train is not None:
-        measured = baseline.kl_train - rows[-1].kl_train
+    if rows:
+        measured = trace[0].kl_train - trace[-1].kl_train
         upper = mollifier_size(scheme, rounds)
         delta = {
             "measured": measured,
@@ -356,8 +355,7 @@ def build_report(trace: Sequence[TraceRow], scheme: LeveragingScheme) -> Guarant
             "lower_note": "needs > 1 rounds, tau > exp(-1), and all rounds in the high regime",
         }
         margins_ok = all(
-            r.gamma_p is not None and r.gamma_q is not None and 0 < r.gamma_p <= 1 and 1 / 3 <= r.gamma_q <= 1
-            for r in rows
+            boosting_regime(r.gamma_p, r.gamma_q) == HBS and r.gamma_p <= 1 and r.gamma_q <= 1 for r in rows
         )
         if c_note is not None:
             delta["lower_note"] = c_note

@@ -11,17 +11,18 @@ conditionals and the per-round {theta, classifier, z, z_by_group} in
 boosting order; stored normalizers are authoritative and never recomputed on
 load.  Its layout is known here only: ``load_model`` returns the stack, the
 scheme and the run id, and ``load_model_rounds`` reads the scheme, the run
-id and each round's (theta, z) through the same header check, without
-building the stack.  Loading rejects missing keys, values of the wrong JSON
-type (naming the field), anchor rows that are not distributions, non-finite
-round values and trace numbers, trace rows of the wrong width or out of
-round order, trees no fit could have produced, and trees whose score bound
-is not the scheme's C.
+id and each round's (theta, z, z_by_group) through the same header check,
+without building the stack.  Loading rejects missing keys (the run id
+included), values of the wrong JSON type (naming the field), anchor rows
+that are not distributions, non-finite round values, trees no fit could have
+produced, and trees whose score bound is not the scheme's C.  A trace is
+read in the one shape ``fbde_fit`` writes (see ``_trace_row``).
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -33,7 +34,7 @@ import numpy as np
 from .boosted import BoostedDensity, BoostRound, InitialDensity
 from .engine import LeveragingScheme, TraceRow
 from .schema import AttributeSchema
-from .tree import DecisionTreeClassifier
+from .tree import DecisionTreeClassifier, boosting_regime
 
 MODEL_FORMAT = "fairboost.model"
 MODEL_VERSION = 1
@@ -42,7 +43,7 @@ MANIFEST_VERSION = 1
 METRICS_FORMAT = "fairboost.metrics"
 REPORT_FORMAT = "fairboost.report"
 
-TRACE_HEADER = ["t", "theta", "gamma_p", "gamma_q", "regime", "rr", "rr_bound", "kl_train", "kl_test", "z"]
+TRACE_HEADER = [f.name for f in dataclasses.fields(TraceRow)]
 
 
 #: values per write when streaming a float array
@@ -139,10 +140,8 @@ def _scheme_from_dict(d: dict) -> LeveragingScheme:
     return LeveragingScheme(kind=d["kind"], tau=d["tau"], c_bound=float(d["c_bound"]), value=d["value"])
 
 
-def save_model(bd: BoostedDensity, path: str, scheme: LeveragingScheme, run_id: Optional[str] = None) -> None:
-    doc = {"format": MODEL_FORMAT, "version": MODEL_VERSION}
-    if run_id is not None:
-        doc["manifest"] = run_id
+def save_model(bd: BoostedDensity, path: str, scheme: LeveragingScheme, run_id: str) -> None:
+    doc = {"format": MODEL_FORMAT, "version": MODEL_VERSION, "manifest": run_id}
     doc["scheme"] = _scheme_to_dict(scheme)
     doc["q0"] = {
         "schema": bd.schema.to_dict(),
@@ -183,7 +182,7 @@ class _ModelReader:
             raise ValueError(f"model field {self.field!r} has the wrong JSON type") from None
         return False
 
-    def header(self) -> tuple[LeveragingScheme, Optional[str]]:
+    def header(self) -> tuple[LeveragingScheme, str]:
         """The scheme and the run id, once the format and version check out."""
         doc = self.doc
         if doc.get("format") != MODEL_FORMAT:
@@ -191,41 +190,45 @@ class _ModelReader:
         if int(doc.get("version", -1)) != MODEL_VERSION:
             raise ValueError(f"unsupported model version {doc.get('version')!r}")
         self.field = "manifest"
-        run_id = doc.get("manifest")
-        if not isinstance(run_id, (str, type(None))):
+        run_id = doc["manifest"]
+        if not isinstance(run_id, str):
             raise TypeError
         self.field = "scheme"
         return _scheme_from_dict(doc["scheme"]), run_id
 
-    def rounds(self):
-        """Yield (t, round document, theta, z) for t = 1, 2, ..."""
+    def schema(self) -> AttributeSchema:
+        self.field = "q0.schema"
+        return AttributeSchema.from_dict(self.doc["q0"]["schema"])
+
+    def rounds(self, card: int):
+        """Yield (t, round document, theta, z, z_by_group) for t = 1, 2, ...,
+        z_by_group holding one entry per sensitive value (card of them)."""
         self.field = "rounds"
         for t, r in enumerate(self.doc["rounds"], start=1):
             self.field = f"rounds[{t - 1}].theta"
             theta = float(r["theta"])
             self.field = f"rounds[{t - 1}].z"
-            yield t, r, theta, float(r["z"])
+            z = float(r["z"])
+            self.field = f"rounds[{t - 1}].z_by_group"
+            z_by_group = np.asarray(r["z_by_group"], dtype=np.float64)
+            if z_by_group.shape != (card,):
+                raise ValueError(f"round {t}: z_by_group needs {card} entries, one per sensitive value")
+            yield t, r, theta, z, z_by_group
 
 
-def load_model(path: str) -> tuple[BoostedDensity, LeveragingScheme, Optional[str]]:
-    """The fitted stack, its scheme and its run id (None when the model has none)."""
+def load_model(path: str) -> tuple[BoostedDensity, LeveragingScheme, str]:
+    """The fitted stack, its scheme and its run id."""
     with _ModelReader(path) as reader:
         scheme, run_id = reader.header()
-        reader.field = "q0.schema"
-        schema = AttributeSchema.from_dict(reader.doc["q0"]["schema"])
+        schema = reader.schema()
         reader.field = "q0.conditionals"
         cond = reader.doc["q0"]["conditionals"]
         if len({len(row) for row in cond}) > 1:
             raise ValueError("q0 conditionals: rows differ in length")
         q0 = InitialDensity(schema, np.asarray(cond, dtype=np.float64))
         x_schema = schema.x_subschema()
-        card = schema.sensitive.cardinality
         rounds = []
-        for t, r, theta, z in reader.rounds():
-            reader.field = f"rounds[{t - 1}].z_by_group"
-            z_by_group = np.asarray(r["z_by_group"], dtype=np.float64)
-            if z_by_group.shape != (card,):
-                raise ValueError(f"round {t}: z_by_group needs {card} entries, one per sensitive value")
+        for t, r, theta, z, z_by_group in reader.rounds(schema.sensitive.cardinality):
             reader.field = f"rounds[{t - 1}].classifier"
             classifier = _decode_classifier(r["classifier"], x_schema)
             if classifier.c_bound != scheme.c_bound:
@@ -237,12 +240,13 @@ def load_model(path: str) -> tuple[BoostedDensity, LeveragingScheme, Optional[st
     return BoostedDensity(q0, rounds), scheme, run_id
 
 
-def load_model_rounds(path: str) -> tuple[LeveragingScheme, Optional[str], list[tuple[float, float]]]:
-    """The scheme, the run id and each round's stored (theta, z), read
-    without building the anchor or decoding a tree."""
+def load_model_rounds(path: str) -> tuple[LeveragingScheme, str, list[tuple[float, float, np.ndarray]]]:
+    """The scheme, the run id and each round's stored (theta, z, z_by_group),
+    read without building the anchor or decoding a tree."""
     with _ModelReader(path) as reader:
         scheme, run_id = reader.header()
-        return scheme, run_id, [(theta, z) for _, _, theta, z in reader.rounds()]
+        card = reader.schema().sensitive.cardinality
+        return scheme, run_id, [(theta, z, zg) for _, _, theta, z, zg in reader.rounds(card)]
 
 
 # -- traces -------------------------------------------------------------
@@ -272,40 +276,48 @@ def save_trace(rows: Sequence[TraceRow], path: str) -> None:
         fh.write(trace_to_csv(rows))
 
 
-#: trace columns that are empty when they do not apply (the t=0 row, no test set)
-_TRACE_OPTIONAL = frozenset({"gamma_p", "gamma_q", "kl_train", "kl_test"})
+#: trace columns that are empty on the t=0 baseline row and filled on every round
+_ROUND_ONLY = frozenset({"gamma_p", "gamma_q", "regime"})
 
 
-def _trace_field(col: str, text: str, t: Optional[int]):
-    if col == "t":
-        return int(text)
-    if col == "regime":
-        return text or None
-    if col in _TRACE_OPTIONAL and text == "":
-        return None
-    v = float(text)
-    if not math.isfinite(v):
-        raise ValueError(f"trace row t={t}: {col} must be finite, got {text!r}")
-    return v
+def _trace_row(n: int, row: list[str]) -> TraceRow:
+    """Row n as ``fbde_fit`` writes it: t = n, kl_train always, kl_test
+    optional, no margins or regime at t = 0 and at every later t both margins
+    and their ``boosting_regime``.  Anything else is an error naming t and
+    the column."""
+    if len(row) != len(TRACE_HEADER):
+        raise ValueError(f"trace row {n}: expected {len(TRACE_HEADER)} fields, got {len(row)}")
+    t = int(row[0])
+    if t != n:
+        raise ValueError(f"trace row {n}: expected round t={n}, got t={t}")
+    vals = {"t": t}
+    for col, text in zip(TRACE_HEADER[1:], row[1:]):
+        baseline_only = t == 0 and col in _ROUND_ONLY
+        if text == "" and (baseline_only or col == "kl_test"):
+            vals[col] = None
+        elif baseline_only:
+            raise ValueError(f"trace row t=0: {col} must be empty on the baseline row, got {text!r}")
+        elif text == "":
+            raise ValueError(f"trace row t={t}: {col} is empty")
+        elif col == "regime":
+            vals[col] = text
+        else:
+            vals[col] = float(text)
+            if not math.isfinite(vals[col]):
+                raise ValueError(f"trace row t={t}: {col} must be finite, got {text!r}")
+    if t >= 1:
+        regime = boosting_regime(vals["gamma_p"], vals["gamma_q"])
+        if vals["regime"] != regime:
+            raise ValueError(f"trace row t={t}: regime {vals['regime']!r} is not {regime!r}, its margins' regime")
+    return TraceRow(**vals)
 
 
 def load_trace(path: str) -> list[TraceRow]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRACE_HEADER:
+        if next(reader, None) != TRACE_HEADER:
             raise ValueError("not a trace file")
-        out = []
-        for n, row in enumerate(reader):
-            if len(row) != len(TRACE_HEADER):
-                raise ValueError(f"trace row {n}: expected {len(TRACE_HEADER)} fields, got {len(row)}")
-            vals = {}
-            for col, text in zip(TRACE_HEADER, row):
-                vals[col] = _trace_field(col, text, vals.get("t"))
-            if vals["t"] != n:
-                raise ValueError(f"trace row {n}: expected round t={n}, got t={vals['t']}")
-            out.append(TraceRow(**vals))
-    return out
+        return [_trace_row(n, row) for n, row in enumerate(reader)]
 
 
 # -- manifests ----------------------------------------------------------

@@ -272,14 +272,22 @@ def train_tree(p_samples: Dataset, q_samples: Dataset, cfg: TreeConfig, c_bound:
     return DecisionTreeClassifier(root=root, c_bound=c_bound)
 
 
+def boosting_regime(gamma_p: float, gamma_q: float) -> str:
+    """The regime label of normalized margins, from the KL-drop analysis.
+
+    Any nonpositive margin is a weak-learning failure; otherwise the
+    model-side margin decides between the high (gamma_q >= 1/3) and low
+    (0 < gamma_q < 1/3) boosting regimes.
+    """
+    if gamma_p <= 0 or gamma_q <= 0:
+        return FAIL
+    return HBS if gamma_q >= 1.0 / 3.0 else LBS
+
+
 @dataclass(frozen=True)
 class WlaEstimate:
-    """Normalized margins gamma_p = E_P[c]/C and gamma_q = E_Q[-c]/C.
-
-    The regime labels come from the KL-drop analysis: the model-side margin
-    decides between the high (gamma_q >= 1/3) and low (0 < gamma_q < 1/3)
-    boosting regimes, and any nonpositive margin is a weak-learning failure.
-    """
+    """Normalized margins gamma_p = E_P[c]/C and gamma_q = E_Q[-c]/C, and
+    their ``boosting_regime``."""
 
     gamma_p: float
     gamma_q: float
@@ -292,10 +300,4 @@ def estimate_wla(classifier, p_samples: Dataset, q_samples: Dataset) -> WlaEstim
     C = classifier.c_bound
     gamma_p = float(classifier.scores(p_samples.x_rows()).mean()) / C
     gamma_q = -float(classifier.scores(q_samples.x_rows()).mean()) / C
-    if gamma_p <= 0 or gamma_q <= 0:
-        regime = FAIL
-    elif gamma_q >= 1.0 / 3.0:
-        regime = HBS
-    else:
-        regime = LBS
-    return WlaEstimate(gamma_p, gamma_q, regime)
+    return WlaEstimate(gamma_p, gamma_q, boosting_regime(gamma_p, gamma_q))

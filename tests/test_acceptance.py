@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from fairboost import (
+    HBS,
     BoostedDensity,
     LeveragingScheme,
     discrimination_control,
@@ -36,6 +37,7 @@ from fairboost import (
 from fairboost.cli import main
 from fairboost.guarantees import delta_bounds, exact_round_margins
 from fairboost.pipeline import load_csv_with_schema
+from fairboost.tree import boosting_regime
 
 from conftest import random_initial, table_classifier, xya_schema
 
@@ -295,7 +297,7 @@ def _round_drops(run, data_csv):
 
 
 def _in_high_regime(gamma_p, gamma_q):
-    return 0.0 < gamma_p <= 1.0 and 1.0 / 3.0 <= gamma_q <= 1.0
+    return boosting_regime(gamma_p, gamma_q) == HBS and gamma_p <= 1.0 and gamma_q <= 1.0
 
 
 def _check_drop_floors(drops):

@@ -471,9 +471,10 @@ def test_guarantees_rejects_trace_of_another_model(fit_run, tmp_path, capsys):
     trace = _fit_trace(tmp_path, str(data), "--scheme", "relative", "--c-bound", "1.5", "--bins", "6")
     model_path, _ = fit_run
     _, _, stored = load_model_rounds(model_path)
+    theta, z, _ = stored[0]
     row = load_trace(trace)[1]
-    assert row.theta != stored[0][0]
-    assert _guarantees_error(model_path, trace, tmp_path, capsys) == _mismatch(1, row, *stored[0])
+    assert row.theta != theta
+    assert _guarantees_error(model_path, trace, tmp_path, capsys) == _mismatch(1, row, theta, z)
 
 
 def test_guarantees_rejects_trace_of_another_seed(fit_run, synth_csv, tmp_path, capsys):
@@ -481,9 +482,10 @@ def test_guarantees_rejects_trace_of_another_seed(fit_run, synth_csv, tmp_path, 
     trace = _fit_trace(tmp_path, synth_csv, "--tau", "0.8", "--bins", "16", "--seed", "2")
     model_path, _ = fit_run
     _, _, stored = load_model_rounds(model_path)
+    theta, z, _ = stored[0]
     row = load_trace(trace)[1]
-    assert row.theta == stored[0][0] and row.z != stored[0][1]
-    assert _guarantees_error(model_path, trace, tmp_path, capsys) == _mismatch(1, row, *stored[0])
+    assert row.theta == theta and row.z != z
+    assert _guarantees_error(model_path, trace, tmp_path, capsys) == _mismatch(1, row, theta, z)
 
 
 @pytest.mark.parametrize(
@@ -499,6 +501,43 @@ def test_guarantees_rejects_edited_trace(fit_run, tmp_path, capsys, edit, messag
     bad = tmp_path / "trace.csv"
     bad.write_text("\n".join(edit(open(trace_path).read().splitlines())) + "\n")
     assert _guarantees_error(model_path, str(bad), tmp_path, capsys) == message
+
+
+def _edit_round(trace_path, t, **cells) -> list:
+    """The trace's lines with the named cells of round t replaced."""
+    lines = open(trace_path).read().splitlines()
+    header = lines[0].split(",")
+    row = lines[t + 1].split(",")
+    for column, text in cells.items():
+        row[header.index(column)] = text
+    return lines[: t + 1] + [",".join(row)] + lines[t + 2 :]
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ({"rr": "0.99", "rr_bound": "0.95"}, "error: trace round 1: rr 0.99 differs from the model's "),
+        ({"rr_bound": "0.7"}, "error: trace round 1: rr_bound 0.7 differs from the scheme's 0.8\n"),
+    ],
+    ids=["rr", "rr_bound"],
+)
+def test_guarantees_certifies_the_models_rates(fit_run, tmp_path, capsys, cells, message):
+    # the rr and floor a report certifies are the model's, not the trace's copies
+    model_path, trace_path = fit_run
+    bad = tmp_path / "trace.csv"
+    bad.write_text("\n".join(_edit_round(trace_path, 1, **cells)) + "\n")
+    assert _guarantees_error(model_path, str(bad), tmp_path, capsys).startswith(message)
+
+
+def test_guarantees_rejects_mislabelled_regime(fit_run, tmp_path, capsys):
+    model_path, trace_path = fit_run
+    row = load_trace(trace_path)[1]
+    label = "LBS" if row.regime == "HBS" else "HBS"
+    bad = tmp_path / "trace.csv"
+    bad.write_text("\n".join(_edit_round(trace_path, 1, regime=label)) + "\n")
+    assert _guarantees_error(model_path, str(bad), tmp_path, capsys) == (
+        f"error: trace row t=1: regime {label!r} is not {row.regime!r}, its margins' regime\n"
+    )
 
 
 def _broken_model(tmp_path, model_path, breaker):

@@ -226,7 +226,9 @@ def test_fit_rows_match_scheme_wiring(fit_setup):
         assert row.theta == leverage(scheme, row.t)
         assert row.rr_bound == rr_lower_bound(scheme, row.t)
         assert row.z > 0
-        assert row.z_by_group is not None and all(z > 0 for z in row.z_by_group)
+    # the per-group normalizers live in the stack (and the model), not the trace
+    assert [row.z for row in trace[1:]] == [rnd.z for rnd in stack.rounds]
+    assert all((rnd.z_by_group > 0).all() for rnd in stack.rounds)
 
 
 def test_fit_respects_rr_floor(fit_setup):

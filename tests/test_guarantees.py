@@ -1,6 +1,5 @@
 """Certificate calculators: per-round drops, total progress, fairness transfer."""
 
-import dataclasses
 import json
 import math
 
@@ -403,16 +402,6 @@ def test_build_report_structure():
     budgets = report.implied["eo_budgets"]
     assert all(b["rho"] <= report.implied["final_rr"] for b in budgets)
     json.dumps(report.to_dict())  # must serialize cleanly
-
-
-def test_build_report_without_kl():
-    stack, trace, scheme = fitted_trace()
-    trace = [dataclasses.replace(r, kl_train=None, kl_test=None) for r in trace]
-    report = build_report(trace, scheme)
-    assert report.delta is None
-    for entry in report.drop_rounds:
-        assert entry["measured_drop"] is None
-        assert entry["holds"] is None
 
 
 def test_build_report_certifies_drops_only_at_c_ln2():

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from fairboost import (
+    FAIL,
+    HBS,
+    LBS,
     Dataset,
     FitConfig,
     LeveragingScheme,
@@ -73,16 +76,16 @@ def test_model_roundtrip_exact(tmp_path, fitted):
 def test_model_resave_byte_identical(tmp_path, fitted):
     stack, scheme, _ = fitted
     p1, p2 = str(tmp_path / "m1.json"), str(tmp_path / "m2.json")
-    save_model(stack, p1, scheme=scheme)
+    save_model(stack, p1, scheme=scheme, run_id="run-1")
     back, back_scheme, _ = load_model(p1)
-    save_model(back, p2, scheme=back_scheme)
+    save_model(back, p2, scheme=back_scheme, run_id="run-1")
     assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
 
 
 def test_model_document_errors(tmp_path, fitted):
     stack, scheme, _ = fitted
     path = str(tmp_path / "m.json")
-    save_model(stack, path, scheme=scheme)
+    save_model(stack, path, scheme=scheme, run_id="run-1")
     doc = load_json(path)
 
     bad = dict(doc, format="fairboost.density")
@@ -108,12 +111,13 @@ def test_model_document_errors(tmp_path, fitted):
 
 
 @pytest.mark.parametrize(
-    "path", [("q0", "schema"), ("q0", "conditionals"), ("rounds",), ("rounds", 0, "z"), ("scheme", "c_bound")]
+    "path",
+    [("q0", "schema"), ("q0", "conditionals"), ("rounds",), ("rounds", 0, "z"), ("scheme", "c_bound"), ("manifest",)],
 )
 def test_model_rejects_missing_keys(tmp_path, fitted, path):
     stack, scheme, _ = fitted
     p = str(tmp_path / "m.json")
-    save_model(stack, p, scheme=scheme)
+    save_model(stack, p, scheme=scheme, run_id="run-1")
     doc = load_json(p)
     parent = doc
     for key in path[:-1]:
@@ -128,16 +132,16 @@ def test_model_rounds_read_without_the_stack(tmp_path, fitted):
     stack, scheme, trace = fitted
     path = str(tmp_path / "m.json")
     save_model(stack, path, scheme, run_id="run-2")
-    got_scheme, run_id, stored = load_model_rounds(path)
+    got_scheme, run_id, stored = _model_rounds(path)
     assert got_scheme == scheme and run_id == "run-2"
-    assert stored == [(r.theta, r.z) for r in stack.rounds]
-    assert stored == [(r.theta, r.z) for r in trace if r.t >= 1]
+    assert stored == [(r.theta, r.z, r.z_by_group.tolist()) for r in stack.rounds]
+    assert [(theta, z) for theta, z, _ in stored] == [(r.theta, r.z) for r in trace[1:]]
     # the anchor and the trees are eval's to check, not this reader's
     doc = load_json(path)
     doc["q0"]["conditionals"] = 5
     doc["rounds"][0]["classifier"] = {"type": "stump"}
     dump_json(doc, path)
-    assert load_model_rounds(path) == (scheme, "run-2", stored)
+    assert _model_rounds(path) == (scheme, "run-2", stored)
     # the header check and the key and type errors are load_model's
     for breaker, message in [
         (lambda d: d.update(format="fairboost.density"), "not a model document"),
@@ -145,6 +149,9 @@ def test_model_rounds_read_without_the_stack(tmp_path, fitted):
         (lambda d: d.pop("scheme"), "model document is missing key 'scheme'"),
         (lambda d: d["rounds"][1].pop("z"), "model document is missing key 'z'"),
         (lambda d: d.update(manifest=5), "model field 'manifest' has the wrong JSON type"),
+        (lambda d: d.pop("manifest"), "model document is missing key 'manifest'"),
+        (lambda d: d["rounds"][0].update(z_by_group={}), r"model field 'rounds\[0\].z_by_group' has the wrong JSON type"),
+        (lambda d: d["rounds"][1].update(z_by_group=[1.0]), "round 2: z_by_group needs 2 entries"),
         (lambda d: d["rounds"][1].update(theta=[1]), r"model field 'rounds\[1\].theta' has the wrong JSON type"),
     ]:
         save_model(stack, path, scheme, run_id="run-2")
@@ -156,11 +163,16 @@ def test_model_rounds_read_without_the_stack(tmp_path, fitted):
                 load(path)
 
 
+def _model_rounds(path):
+    scheme, run_id, stored = load_model_rounds(path)
+    return scheme, run_id, [(theta, z, zg.tolist()) for theta, z, zg in stored]
+
+
 def test_model_rejects_tree_c_bound_other_than_scheme(tmp_path, fitted):
     # leaves of +-ln 2 fit inside 1.0, but the coefficients were set for C = ln 2
     stack, scheme, _ = fitted
     path = str(tmp_path / "m.json")
-    save_model(stack, path, scheme)
+    save_model(stack, path, scheme, run_id="run-1")
     doc = load_json(path)
     doc["rounds"][1]["classifier"]["c_bound"] = 1.0
     dump_json(doc, path)
@@ -183,7 +195,7 @@ def test_model_rejects_tree_c_bound_other_than_scheme(tmp_path, fitted):
 def test_model_rejects_bad_anchor(tmp_path, fitted, case, message):
     stack, scheme, _ = fitted
     path = str(tmp_path / "m.json")
-    save_model(stack, path, scheme=scheme)
+    save_model(stack, path, scheme=scheme, run_id="run-1")
     doc = load_json(path)
     cond = doc["q0"]["conditionals"]
     if case == "nan":
@@ -218,7 +230,7 @@ def test_model_rejects_bad_anchor(tmp_path, fitted, case, message):
 def test_model_rejects_bad_round_values(tmp_path, fitted, field, value, message):
     stack, scheme, _ = fitted
     path = str(tmp_path / "m.json")
-    save_model(stack, path, scheme=scheme)
+    save_model(stack, path, scheme=scheme, run_id="run-1")
     doc = load_json(path)
     doc["rounds"][0][field] = value
     dump_json(doc, path)
@@ -234,22 +246,31 @@ def test_trace_roundtrip(tmp_path, fitted):
     path = str(tmp_path / "trace.csv")
     save_trace(trace, path)
     back = load_trace(path)
-    assert len(back) == len(trace)
-    # the csv keeps every logged column; per-group normalizers live in the
-    # model document only, so they come back as None
-    for a, b in zip(trace, back):
-        assert b == TraceRow(*[getattr(a, f) for f in TraceRow.__dataclass_fields__ if f != "z_by_group"])
-        assert b.z_by_group is None
+    assert back == trace
     assert back[0].t == 0 and back[0].gamma_p is None and back[0].regime is None
 
 
+def _fit_row(t, kl_test=None):
+    """A trace row shaped as fbde_fit writes it: the t=0 baseline has no
+    margins or regime, every later row has both margins and their regime."""
+    if t == 0:
+        return TraceRow(0, 0.0, None, None, None, 1.0, 1.0, 0.5, kl_test, 1.0)
+    return TraceRow(t, 0.25 / t, 0.5, 0.4, HBS, 0.91, 0.9, 0.5 - 0.01 * t, kl_test, 1.002)
+
+
 def test_trace_optional_fields(tmp_path):
+    # kl_test is empty without a test set; the margins of a low-regime or
+    # failed round are stored as they are
     rows = [
-        TraceRow(0, 0.0, None, None, None, 1.0, 1.0, None, None, 1.0),
-        TraceRow(1, 0.25, 0.5, 0.4, "high", 0.91, 0.9, 0.37, 0.41, 1.002),
-        TraceRow(2, 0.125, -0.1, None, "fail", 0.91, 0.9, None, None, 1.0),
+        _fit_row(0),
+        _fit_row(1),
+        TraceRow(2, 0.125, 0.2, 0.1, LBS, 0.91, 0.9, 0.36, None, 1.0),
+        TraceRow(3, 0.0625, 0.1, -0.05, FAIL, 0.91, 0.9, 0.37, None, 0.999),
     ]
     path = str(tmp_path / "t.csv")
+    save_trace(rows, path)
+    assert load_trace(path) == rows
+    rows = [_fit_row(0, kl_test=0.6), _fit_row(1, kl_test=0.55)]
     save_trace(rows, path)
     assert load_trace(path) == rows
 
@@ -258,6 +279,7 @@ def test_trace_header_fixed(fitted):
     _, _, trace = fitted
     text = trace_to_csv(trace)
     assert text.splitlines()[0] == "t,theta,gamma_p,gamma_q,regime,rr,rr_bound,kl_train,kl_test,z"
+    assert TRACE_HEADER == list(TraceRow.__dataclass_fields__)
     assert len(text.splitlines()) == len(trace) + 1
 
 
@@ -272,24 +294,58 @@ def test_trace_floats_roundtrip_exactly(tmp_path, fitted):
         assert b.z == a.z
 
 
+def _edited_trace(tmp_path, t, column, text) -> str:
+    """A two-row fit-shaped trace with one cell of row t replaced by text."""
+    path = tmp_path / "t.csv"
+    save_trace([_fit_row(0, kl_test=0.6), _fit_row(1, kl_test=0.41)], str(path))
+    lines = path.read_text().splitlines()
+    cells = lines[t + 1].split(",")
+    cells[TRACE_HEADER.index(column)] = text
+    lines[t + 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "column, text",
     [("theta", "nan"), ("gamma_p", "inf"), ("rr", "-inf"), ("rr_bound", "nan"), ("kl_test", "nan"), ("z", "inf")],
 )
 def test_trace_rejects_non_finite_numbers(tmp_path, column, text):
-    rows = [
-        TraceRow(0, 0.0, None, None, None, 1.0, 1.0, 0.5, 0.6, 1.0),
-        TraceRow(1, 0.25, 0.5, 0.4, "HBS", 0.91, 0.9, 0.37, 0.41, 1.002),
-    ]
-    path = tmp_path / "t.csv"
-    save_trace(rows, str(path))
-    lines = path.read_text().splitlines()
-    cells = lines[2].split(",")
-    cells[TRACE_HEADER.index(column)] = text
-    lines[2] = ",".join(cells)
-    path.write_text("\n".join(lines) + "\n")
+    path = _edited_trace(tmp_path, 1, column, text)
     with pytest.raises(ValueError, match=f"trace row t=1: {column} must be finite, got '{text}'"):
-        load_trace(str(path))
+        load_trace(path)
+
+
+@pytest.mark.parametrize(
+    "t, column, text, message",
+    [
+        (0, "kl_train", "", "trace row t=0: kl_train is empty"),
+        (1, "kl_train", "", "trace row t=1: kl_train is empty"),
+        (1, "gamma_p", "", "trace row t=1: gamma_p is empty"),
+        (1, "gamma_q", "", "trace row t=1: gamma_q is empty"),
+        (1, "regime", "", "trace row t=1: regime is empty"),
+        (0, "gamma_q", "0.4", "trace row t=0: gamma_q must be empty on the baseline row, got '0.4'"),
+        (0, "regime", "HBS", "trace row t=0: regime must be empty on the baseline row, got 'HBS'"),
+        (1, "regime", "high", "trace row t=1: regime 'high' is not 'HBS', its margins' regime"),
+        (1, "regime", "LBS", "trace row t=1: regime 'LBS' is not 'HBS', its margins' regime"),
+        (1, "gamma_q", "-0.0266", "trace row t=1: regime 'HBS' is not 'FAIL', its margins' regime"),
+    ],
+    ids=[
+        "kl_train-baseline",
+        "kl_train",
+        "gamma_p",
+        "gamma_q",
+        "regime",
+        "baseline-gamma_q",
+        "baseline-regime",
+        "unknown-regime",
+        "regime-not-margins",
+        "margins-not-regime",
+    ],
+)
+def test_trace_rejects_rows_fit_never_writes(tmp_path, t, column, text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_trace(_edited_trace(tmp_path, t, column, text))
 
 
 @pytest.mark.parametrize(
@@ -298,9 +354,8 @@ def test_trace_rejects_non_finite_numbers(tmp_path, column, text):
     ids=["no-baseline", "swapped"],
 )
 def test_trace_rejects_rows_out_of_order(tmp_path, ts, message):
-    rows = [TraceRow(t, 0.25 * t, None, None, None, 1.0, 1.0, None, None, 1.0) for t in ts]
     path = str(tmp_path / "t.csv")
-    save_trace(rows, path)
+    save_trace([_fit_row(t) for t in ts], path)
     with pytest.raises(ValueError, match=message):
         load_trace(path)
 
