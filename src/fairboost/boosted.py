@@ -95,11 +95,17 @@ class BoostRound:
 
     def __post_init__(self) -> None:
         zg = np.asarray(self.z_by_group, dtype=np.float64)
-        if not (math.isfinite(self.theta) and math.isfinite(self.z) and np.isfinite(zg).all()):
-            raise ValueError("theta and normalizers must be finite")
-        if self.z <= 0 or (zg <= 0).any():
-            raise ValueError("normalizers must be > 0")
+        check_round_values(self.theta, self.z, zg)
         object.__setattr__(self, "z_by_group", _readonly(zg))
+
+
+def check_round_values(theta: float, z: float, z_by_group: np.ndarray, where: str = "") -> None:
+    """The rule every stored round obeys: theta, Z_t and each Z_t(a) finite,
+    the normalizers > 0.  ``where`` prefixes the error message."""
+    if not (math.isfinite(theta) and math.isfinite(z) and np.isfinite(z_by_group).all()):
+        raise ValueError(f"{where}theta and normalizers must be finite")
+    if z <= 0 or (z_by_group <= 0).any():
+        raise ValueError(f"{where}normalizers must be > 0")
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
 import numpy as np
 
 from . import __version__, seeds
+from .boosted import BoostedDensity
 from .engine import FitConfig, LeveragingScheme, fbde_fit
 from .guarantees import build_report, check_trace_matches_model
 from .pipeline import (
@@ -51,7 +51,8 @@ from .serialize import (
 from .tabular import fit_empirical, kl_divergence, representation_rate, statistical_rate
 from .tree import TreeConfig
 
-_LN2 = math.log(2.0)
+#: class code whose statistical rate eval reports
+_SR_CLASS = 1
 #: largest |RR_table - RR_normalizers| eval accepts from a consistent model
 _RR_SELF_CHECK_TOL = 1e-9
 
@@ -69,9 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--scheme", default="exact", help="exact | relative | const:<v>")
     fit.add_argument("--rounds", type=int, default=10)
     fit.add_argument("--bins", type=int, default=50, help="bins for continuous columns")
-    fit.add_argument("--max-depth", type=int, default=8)
-    fit.add_argument("--min-leaf", type=int, default=5)
-    fit.add_argument("--c-bound", type=float, default=_LN2, help="classifier output bound C")
+    fit.add_argument("--max-depth", type=int, default=TreeConfig.max_depth)
+    fit.add_argument("--min-leaf", type=int, default=TreeConfig.min_leaf_count)
+    fit.add_argument("--c-bound", type=float, default=LeveragingScheme.c_bound, help="classifier output bound C")
     fit.add_argument("--smoothing", type=float, default=1.0, help="anchor conditional smoothing")
     fit.add_argument("--folds", type=int, default=0, help="0, or k >= 2 for k-fold held-out evaluation")
     fit.add_argument("--seed", type=int, default=0)
@@ -82,15 +83,13 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--model", required=True)
     ev.add_argument("--data", required=True)
     ev.add_argument("--smoothing", type=float, default=0.0, help="empirical-table smoothing")
-    ev.add_argument("--y-value", type=int, default=1, help="class code for the statistical rate")
-    ev.add_argument("--bits", action="store_true", help="report KL in bits instead of nats")
     ev.add_argument("--out", help="metrics JSON path (stdout when omitted)")
 
     sy = sub.add_parser("synth", help="generate the two-group Gaussian mixture")
-    sy.add_argument("--n", type=int, default=5000)
-    sy.add_argument("--s", type=float, default=0.9, help="probability of group a=1")
-    sy.add_argument("--mu", type=float, nargs=2, default=(-0.5, 0.7), metavar=("MU0", "MU1"))
-    sy.add_argument("--sigma", type=float, nargs=2, default=(0.4, 0.2), metavar=("S0", "S1"))
+    sy.add_argument("--n", type=int, default=MixtureParams.n)
+    sy.add_argument("--s", type=float, default=MixtureParams.s, help="probability of group a=1")
+    sy.add_argument("--mu", type=float, nargs=2, default=MixtureParams.mu, metavar=("MU0", "MU1"))
+    sy.add_argument("--sigma", type=float, nargs=2, default=MixtureParams.sigma, metavar=("S0", "S1"))
     sy.add_argument("--seed", type=int, default=0)
     sy.add_argument("--out", required=True)
 
@@ -133,16 +132,17 @@ def cmd_fit(args) -> int:
         for i, (train, test) in enumerate(kfold(dataset, args.folds, seeds.subseed(args.seed, seeds.FOLDS))):
             q0_i = build_initial(train, schema, args.smoothing)
             cfg_i = FitConfig(seed=seeds.subseed(args.seed, seeds.FOLDS, i), **base_cfg)
-            _, trace_i = fbde_fit(train, q0_i, cfg_i, test=test)
+            stack_i, trace_i = fbde_fit(train, q0_i, cfg_i)
+            test_hat = fit_empirical(test, 0.0)
             first, last = trace_i[0], trace_i[-1]
             fold_summaries.append(
                 {
                     "fold": i,
                     "final_rr": last.rr,
                     "final_kl_train": last.kl_train,
-                    "final_kl_test": last.kl_test,
+                    "final_kl_test": kl_divergence(test_hat, stack_i.joint()),
                     "anchor_kl_train": first.kl_train,
-                    "anchor_kl_test": first.kl_test,
+                    "anchor_kl_test": kl_divergence(test_hat, BoostedDensity(q0_i).joint()),
                 }
             )
         timings["folds"] = time.perf_counter() - t0
@@ -178,20 +178,19 @@ def cmd_eval(args) -> int:
     joint = bd.joint()
     rr_table = representation_rate(joint)
     rr_norm = bd.representation_rate()
-    kl = kl_divergence(p_hat, joint)
     sr = None
     if bd.schema.target_index is not None:
-        sr = statistical_rate(joint, args.y_value)
+        sr = statistical_rate(joint, _SR_CLASS)
     metrics = {
         "format": METRICS_FORMAT,
         "version": 1,
         "manifest": run_id,
         "n_rows": len(data),
-        "units": "bits" if args.bits else "nats",
+        "units": "nats",
         "rr_table": rr_table,
         "rr_normalizers": rr_norm,
         "rr_difference": abs(rr_table - rr_norm),
-        "kl": kl / _LN2 if args.bits else kl,
+        "kl": kl_divergence(p_hat, joint),
         "sr": sr,
     }
     _emit(metrics, args.out)

@@ -3,8 +3,8 @@
 Each round draws negatives from the current model, trains a bounded tree to
 separate them from the data sample, and multiplies the density stack by
 exp(theta_t * c_t).  Every round records the KL divergence from the training
-data, and from held-out data when a test set is passed.  The leveraging
-coefficient theta_t controls the fairness budget spent per round:
+data.  The leveraging coefficient theta_t controls the fairness budget spent
+per round:
 
     exact      theta_t = -ln(tau) / (C * 2^(t+1))   keeps RR(Q_t) > tau forever
     relative   theta_t = -ln(tau) / (2 C t)         RR(Q_T) > tau^(1 + ln T)
@@ -25,7 +25,7 @@ from typing import Optional
 from . import seeds
 from .boosted import BoostedDensity, InitialDensity
 from .schema import Dataset
-from .tabular import TabularDensity, fit_empirical, kl_divergence
+from .tabular import fit_empirical, kl_divergence
 from .tree import TreeConfig, estimate_wla, train_tree
 
 EXACT = "exact"
@@ -130,24 +130,19 @@ class TraceRow:
     rr: float
     rr_bound: float
     kl_train: Optional[float]
-    kl_test: Optional[float]
+    kl_test: Optional[float]  # always None: the column stays so trace files keep their 10 fields
     z: float
 
 
-def fbde_fit(
-    p: Dataset,
-    q0: InitialDensity,
-    cfg: FitConfig,
-    test: Optional[Dataset] = None,
-) -> tuple[BoostedDensity, list[TraceRow]]:
+def fbde_fit(p: Dataset, q0: InitialDensity, cfg: FitConfig) -> tuple[BoostedDensity, list[TraceRow]]:
     """Run the boosting loop for cfg.rounds rounds.
 
     Returns the fitted stack and its trace.  The trace opens with a t=0 row
     for the anchor (rr and z exactly 1) so downstream consumers can read off
     per-round drops and total progress without refitting; rounds == 0 returns
     the bare anchor with an empty trace.  Every row records kl_train, the KL
-    divergence from the training data; kl_test is recorded exactly when a
-    `test` dataset is passed.  Deterministic given cfg.seed.
+    divergence from the training data; kl_test is always None.
+    Deterministic given cfg.seed.
     """
     if p.schema != q0.schema:
         raise ValueError("schema mismatch")
@@ -159,16 +154,9 @@ def fbde_fit(
         return stack, trace
 
     p_hat = fit_empirical(p, 0.0)
-    test_hat = fit_empirical(test, 0.0) if test is not None else None
-
-    def kl_pair(joint: TabularDensity) -> tuple[float, Optional[float]]:
-        kl_te = kl_divergence(test_hat, joint) if test_hat is not None else None
-        return kl_divergence(p_hat, joint), kl_te
-
-    # one joint table per stack: its KL pair, then the next round's negatives
+    # one joint table per stack: its KL, then the next round's negatives
     joint = stack.joint()
-    kl_tr, kl_te = kl_pair(joint)
-    trace.append(TraceRow(0, 0.0, None, None, None, 1.0, 1.0, kl_tr, kl_te, 1.0))
+    trace.append(TraceRow(0, 0.0, None, None, None, 1.0, 1.0, kl_divergence(p_hat, joint), None, 1.0))
 
     n_neg = NEGATIVES_PER_ROW * len(p)
     for t in range(1, cfg.rounds + 1):
@@ -179,7 +167,6 @@ def fbde_fit(
         wla = estimate_wla(classifier, p, negatives)
         stack = stack.extended(classifier, theta)
         joint = stack.joint()
-        kl_tr, kl_te = kl_pair(joint)
         trace.append(
             TraceRow(
                 t=t,
@@ -189,8 +176,8 @@ def fbde_fit(
                 regime=wla.regime,
                 rr=stack.representation_rate(),
                 rr_bound=rr_lower_bound(cfg.scheme, t),
-                kl_train=kl_tr,
-                kl_test=kl_te,
+                kl_train=kl_divergence(p_hat, joint),
+                kl_test=None,
                 z=stack.rounds[-1].z,
             )
         )

@@ -14,9 +14,10 @@ scheme and the run id, and ``load_model_rounds`` reads the scheme, the run
 id and each round's (theta, z, z_by_group) through the same header check,
 without building the stack.  Loading rejects missing keys (the run id
 included), values of the wrong JSON type (naming the field), anchor rows
-that are not distributions, non-finite round values, trees no fit could have
-produced, and trees whose score bound is not the scheme's C.  A trace is
-read in the one shape ``fbde_fit`` writes (see ``_trace_row``).
+that are not distributions, round values that break ``check_round_values``
+(both loaders, naming the round), trees no fit could have produced, and
+trees whose score bound is not the scheme's C.  A trace is read in the one
+shape ``fbde_fit`` writes (see ``_trace_row``).
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ import hashlib
 import io
 import json
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .boosted import BoostedDensity, BoostRound, InitialDensity
+from .boosted import BoostedDensity, BoostRound, InitialDensity, check_round_values
 from .engine import LeveragingScheme, TraceRow
 from .schema import AttributeSchema
 from .tree import DecisionTreeClassifier, boosting_regime
@@ -213,6 +214,7 @@ class _ModelReader:
             z_by_group = np.asarray(r["z_by_group"], dtype=np.float64)
             if z_by_group.shape != (card,):
                 raise ValueError(f"round {t}: z_by_group needs {card} entries, one per sensitive value")
+            check_round_values(theta, z, z_by_group, where=f"round {t}: ")
             yield t, r, theta, z, z_by_group
 
 
@@ -282,7 +284,7 @@ _ROUND_ONLY = frozenset({"gamma_p", "gamma_q", "regime"})
 
 def _trace_row(n: int, row: list[str]) -> TraceRow:
     """Row n as ``fbde_fit`` writes it: t = n, kl_train always, kl_test
-    optional, no margins or regime at t = 0 and at every later t both margins
+    never, no margins or regime at t = 0 and at every later t both margins
     and their ``boosting_regime``.  Anything else is an error naming t and
     the column."""
     if len(row) != len(TRACE_HEADER):
@@ -293,6 +295,8 @@ def _trace_row(n: int, row: list[str]) -> TraceRow:
     vals = {"t": t}
     for col, text in zip(TRACE_HEADER[1:], row[1:]):
         baseline_only = t == 0 and col in _ROUND_ONLY
+        if col == "kl_test" and text != "":
+            raise ValueError(f"trace row t={t}: kl_test must be empty, got {text!r}")
         if text == "" and (baseline_only or col == "kl_test"):
             vals[col] = None
         elif baseline_only:
@@ -338,7 +342,7 @@ def build_manifest(
     input_digests: dict,
     version: str,
     timings: dict,
-    extra: Optional[dict] = None,
+    extra: dict,
 ) -> dict:
     """The manifest of a run whose id, ``manifest_id`` of the same command,
     config, inputs and version, the caller computed once and also stamped
@@ -353,6 +357,5 @@ def build_manifest(
         "library_version": version,
         "timings_seconds": timings,
     }
-    if extra:
-        doc.update(extra)
+    doc.update(extra)
     return doc

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,15 +14,23 @@ import fairboost.cli as cli
 from fairboost import (
     BoostedDensity,
     DecisionTreeClassifier,
+    FitConfig,
     InitialDensity,
+    LeveragingScheme,
+    build_initial,
+    fbde_fit,
     fit_empirical,
+    infer_csv_spec,
+    kfold,
     kl_divergence,
+    load_csv,
     load_model,
     load_trace,
     statistical_rate,
 )
 from fairboost.cli import main
 from fairboost.pipeline import load_csv_with_schema
+from fairboost.seeds import FOLDS, subseed
 from fairboost.serialize import dump_json, load_json, load_model_rounds
 
 LN2 = math.log(2.0)
@@ -171,8 +180,17 @@ def test_fit_folds_manifest(tmp_path, synth_csv):
     ) == 0
     manifest = json.load(open(model + ".manifest.json"))
     assert [f["fold"] for f in manifest["fold_summaries"]] == [0, 1]
-    for f in manifest["fold_summaries"]:
-        assert f["final_kl_test"] is not None
+    # each fold's held-out KLs are those of its anchor and its final stack, bit for bit
+    dataset, schema = load_csv(infer_csv_spec(synth_csv, "a", None, 12, []))
+    scheme = LeveragingScheme.parse("exact", 0.9, LN2)
+    folds = kfold(dataset, 2, subseed(0, FOLDS))
+    for i, (f, (train, test)) in enumerate(zip(manifest["fold_summaries"], folds)):
+        q0 = build_initial(train, schema, 1.0)
+        stack, _ = fbde_fit(train, q0, FitConfig(rounds=3, scheme=scheme, seed=subseed(0, FOLDS, i)))
+        test_hat = fit_empirical(test, 0.0)
+        assert f["anchor_kl_test"] == kl_divergence(test_hat, BoostedDensity(q0).joint())
+        assert f["final_kl_test"] == kl_divergence(test_hat, stack.joint())
+        assert f["final_kl_test"] < f["anchor_kl_test"]
     agg = manifest["fold_aggregate"]
     assert set(agg) == {"final_rr", "final_kl_train", "final_kl_test", "anchor_kl_test"}
     got = [f["final_rr"] for f in manifest["fold_summaries"]]
@@ -297,16 +315,14 @@ def test_eval_stdout_metrics(fit_run, synth_csv, capsys):
     assert metrics["kl"] == want
 
 
-def test_eval_bits(fit_run, synth_csv, capsys):
+@pytest.mark.parametrize("flags", [["--bits"], ["--y-value", "1"]], ids=["bits", "y-value"])
+def test_eval_has_no_unit_or_class_option(fit_run, synth_csv, flags, capsys):
+    # KL is always in nats and the statistical rate is always class code 1
     model_path, _ = fit_run
-    assert main(["eval", "--model", model_path, "--data", synth_csv, "--smoothing", "1"]) == 0
-    nats = json.loads(capsys.readouterr().out)["kl"]
-    assert main(
-        ["eval", "--model", model_path, "--data", synth_csv, "--smoothing", "1", "--bits"]
-    ) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["units"] == "bits"
-    assert doc["kl"] == nats / LN2
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--model", model_path, "--data", synth_csv, *flags])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
 
 
 def test_eval_writes_file(fit_run, synth_csv, tmp_path, capsys):
@@ -546,6 +562,17 @@ def _broken_model(tmp_path, model_path, breaker):
     path = str(tmp_path / "broken.json")
     dump_json(doc, path)
     return path
+
+
+def test_stored_normalizer_below_zero_rejected_by_both_readers(tmp_path, fit_run, synth_csv, capsys):
+    # one rule for stored round values, the round named, and no numpy warning on the way
+    model_path, trace_path = fit_run
+    bad = _broken_model(tmp_path, model_path, lambda doc: doc["rounds"][0]["z_by_group"].__setitem__(0, -1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["guarantees", "--trace", trace_path], ["eval", "--data", synth_csv]):
+            assert main([*argv, "--model", bad]) == 1
+            assert capsys.readouterr().err == "error: round 1: normalizers must be > 0\n"
 
 
 def test_eval_rejects_model_without_schema(tmp_path, fit_run, synth_csv, capsys):

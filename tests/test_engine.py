@@ -17,6 +17,8 @@ from fairboost import (
     TabularDensity,
     TreeConfig,
     fbde_fit,
+    fit_empirical,
+    kl_divergence,
     leverage,
     mollifier_membership,
     mollifier_size,
@@ -284,18 +286,17 @@ def test_fit_deterministic(fit_setup):
 
 
 def test_fit_kl_columns(fit_setup):
-    # kl_train is always recorded; kl_test exactly when a test set is passed
+    # every row records kl_train, the KL from the training data; kl_test never
     s, p, q0 = fit_setup
     stack, trace = fbde_fit(p, q0, FitConfig(rounds=3, scheme=exact_scheme()))
+    assert len(trace) == 4
     assert all(r.kl_train is not None and r.kl_test is None for r in trace)
-    test = skewed_dataset(s)
-    stack, trace = fbde_fit(p, q0, FitConfig(rounds=3, scheme=exact_scheme()), test=test)
-    assert all(r.kl_train is not None and r.kl_test is not None for r in trace)
+    assert trace[-1].kl_train == kl_divergence(fit_empirical(p, 0.0), stack.joint())
 
 
 def test_fit_builds_one_joint_table_per_stack(fit_setup, monkeypatch):
-    # the anchor's table and each round's serve both that stack's KL pair
-    # and the next round's negatives
+    # the anchor's table and each round's serve both that stack's KL and
+    # the next round's negatives
     s, p, q0 = fit_setup
     built, sampled = [], []
     joint, sample = BoostedDensity.joint, TabularDensity.sample

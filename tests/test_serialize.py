@@ -225,17 +225,23 @@ def test_model_rejects_bad_anchor(tmp_path, fitted, case, message):
         ("z", float("inf"), "theta and normalizers must be finite"),
         ("z_by_group", [1.0, 1.0, 1.0], "round 1: z_by_group needs 2 entries"),
         ("z_by_group", [1.0], "round 1: z_by_group needs 2 entries"),
+        ("z_by_group", [1.0, float("inf")], "^round 1: theta and normalizers must be finite$"),
+        ("z_by_group", [-1.0, 1.0], "^round 1: normalizers must be > 0$"),
+        ("z_by_group", [1.0, 0.0], "^round 1: normalizers must be > 0$"),
+        ("z", 0.0, "^round 1: normalizers must be > 0$"),
     ],
 )
 def test_model_rejects_bad_round_values(tmp_path, fitted, field, value, message):
+    # both readers apply the one rule for stored round values
     stack, scheme, _ = fitted
     path = str(tmp_path / "m.json")
     save_model(stack, path, scheme=scheme, run_id="run-1")
     doc = load_json(path)
     doc["rounds"][0][field] = value
     dump_json(doc, path)
-    with pytest.raises(ValueError, match=message):
-        load_model(path)
+    for load in (load_model, load_model_rounds):
+        with pytest.raises(ValueError, match=message):
+            load(path)
 
 
 # -- traces -------------------------------------------------------------
@@ -250,17 +256,17 @@ def test_trace_roundtrip(tmp_path, fitted):
     assert back[0].t == 0 and back[0].gamma_p is None and back[0].regime is None
 
 
-def _fit_row(t, kl_test=None):
+def _fit_row(t):
     """A trace row shaped as fbde_fit writes it: the t=0 baseline has no
-    margins or regime, every later row has both margins and their regime."""
+    margins or regime, every later row has both margins and their regime,
+    and no row has a kl_test."""
     if t == 0:
-        return TraceRow(0, 0.0, None, None, None, 1.0, 1.0, 0.5, kl_test, 1.0)
-    return TraceRow(t, 0.25 / t, 0.5, 0.4, HBS, 0.91, 0.9, 0.5 - 0.01 * t, kl_test, 1.002)
+        return TraceRow(0, 0.0, None, None, None, 1.0, 1.0, 0.5, None, 1.0)
+    return TraceRow(t, 0.25 / t, 0.5, 0.4, HBS, 0.91, 0.9, 0.5 - 0.01 * t, None, 1.002)
 
 
 def test_trace_optional_fields(tmp_path):
-    # kl_test is empty without a test set; the margins of a low-regime or
-    # failed round are stored as they are
+    # the margins of a low-regime or failed round are stored as they are
     rows = [
         _fit_row(0),
         _fit_row(1),
@@ -268,9 +274,6 @@ def test_trace_optional_fields(tmp_path):
         TraceRow(3, 0.0625, 0.1, -0.05, FAIL, 0.91, 0.9, 0.37, None, 0.999),
     ]
     path = str(tmp_path / "t.csv")
-    save_trace(rows, path)
-    assert load_trace(path) == rows
-    rows = [_fit_row(0, kl_test=0.6), _fit_row(1, kl_test=0.55)]
     save_trace(rows, path)
     assert load_trace(path) == rows
 
@@ -297,7 +300,7 @@ def test_trace_floats_roundtrip_exactly(tmp_path, fitted):
 def _edited_trace(tmp_path, t, column, text) -> str:
     """A two-row fit-shaped trace with one cell of row t replaced by text."""
     path = tmp_path / "t.csv"
-    save_trace([_fit_row(0, kl_test=0.6), _fit_row(1, kl_test=0.41)], str(path))
+    save_trace([_fit_row(0), _fit_row(1)], str(path))
     lines = path.read_text().splitlines()
     cells = lines[t + 1].split(",")
     cells[TRACE_HEADER.index(column)] = text
@@ -308,7 +311,7 @@ def _edited_trace(tmp_path, t, column, text) -> str:
 
 @pytest.mark.parametrize(
     "column, text",
-    [("theta", "nan"), ("gamma_p", "inf"), ("rr", "-inf"), ("rr_bound", "nan"), ("kl_test", "nan"), ("z", "inf")],
+    [("theta", "nan"), ("gamma_p", "inf"), ("rr", "-inf"), ("rr_bound", "nan"), ("kl_train", "inf"), ("z", "inf")],
 )
 def test_trace_rejects_non_finite_numbers(tmp_path, column, text):
     path = _edited_trace(tmp_path, 1, column, text)
@@ -329,6 +332,9 @@ def test_trace_rejects_non_finite_numbers(tmp_path, column, text):
         (1, "regime", "high", "trace row t=1: regime 'high' is not 'HBS', its margins' regime"),
         (1, "regime", "LBS", "trace row t=1: regime 'LBS' is not 'HBS', its margins' regime"),
         (1, "gamma_q", "-0.0266", "trace row t=1: regime 'HBS' is not 'FAIL', its margins' regime"),
+        (0, "kl_test", "0.6", "trace row t=0: kl_test must be empty, got '0.6'"),
+        (1, "kl_test", "0.41", "trace row t=1: kl_test must be empty, got '0.41'"),
+        (1, "kl_test", "nan", "trace row t=1: kl_test must be empty, got 'nan'"),
     ],
     ids=[
         "kl_train-baseline",
@@ -341,6 +347,9 @@ def test_trace_rejects_non_finite_numbers(tmp_path, column, text):
         "unknown-regime",
         "regime-not-margins",
         "margins-not-regime",
+        "baseline-kl_test",
+        "kl_test",
+        "kl_test-nan",
     ],
 )
 def test_trace_rejects_rows_fit_never_writes(tmp_path, t, column, text, message):
