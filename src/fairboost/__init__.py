@@ -34,7 +34,6 @@ from .tree import (
     train_tree,
 )
 from .engine import (
-    CONSTANT,
     EXACT,
     RELATIVE,
     FitConfig,
@@ -110,7 +109,6 @@ __all__ = [
     "LeveragingScheme",
     "TraceRow",
     "fbde_fit",
-    "CONSTANT",
     "EXACT",
     "RELATIVE",
     "leverage",

@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--target", help="class column name (enables statistical-rate metrics)")
     fit.add_argument("--ignore", action="append", default=[], help="column to drop (repeatable)")
     fit.add_argument("--tau", type=float, default=0.9, help="representation-rate target")
-    fit.add_argument("--scheme", default="exact", help="exact | relative | const:<v>")
+    fit.add_argument("--scheme", default="exact", help="exact | relative")
     fit.add_argument("--rounds", type=int, default=10)
     fit.add_argument("--bins", type=int, default=50, help="bins for continuous columns")
     fit.add_argument("--max-depth", type=int, default=TreeConfig.max_depth)
@@ -116,7 +116,7 @@ def cmd_fit(args) -> int:
     dataset, schema = load_csv(spec)
     timings["load"] = time.perf_counter() - t0
 
-    scheme = LeveragingScheme.parse(args.scheme, args.tau, args.c_bound)
+    scheme = LeveragingScheme(args.scheme, args.tau, args.c_bound)
     tree_cfg = TreeConfig(max_depth=args.max_depth, min_leaf_count=args.min_leaf)
     base_cfg = dict(rounds=args.rounds, scheme=scheme, tree=tree_cfg)
 
@@ -132,17 +132,17 @@ def cmd_fit(args) -> int:
         for i, (train, test) in enumerate(kfold(dataset, args.folds, seeds.subseed(args.seed, seeds.FOLDS))):
             q0_i = build_initial(train, schema, args.smoothing)
             cfg_i = FitConfig(seed=seeds.subseed(args.seed, seeds.FOLDS, i), **base_cfg)
-            stack_i, trace_i = fbde_fit(train, q0_i, cfg_i)
-            test_hat = fit_empirical(test, 0.0)
-            first, last = trace_i[0], trace_i[-1]
+            stack_i, _ = fbde_fit(train, q0_i, cfg_i)
+            train_hat, test_hat = fit_empirical(train, 0.0), fit_empirical(test, 0.0)
+            anchor, final = BoostedDensity(q0_i).joint(), stack_i.joint()
             fold_summaries.append(
                 {
                     "fold": i,
-                    "final_rr": last.rr,
-                    "final_kl_train": last.kl_train,
-                    "final_kl_test": kl_divergence(test_hat, stack_i.joint()),
-                    "anchor_kl_train": first.kl_train,
-                    "anchor_kl_test": kl_divergence(test_hat, BoostedDensity(q0_i).joint()),
+                    "final_rr": stack_i.representation_rate(),
+                    "final_kl_train": kl_divergence(train_hat, final),
+                    "final_kl_test": kl_divergence(test_hat, final),
+                    "anchor_kl_train": kl_divergence(train_hat, anchor),
+                    "anchor_kl_test": kl_divergence(test_hat, anchor),
                 }
             )
         timings["folds"] = time.perf_counter() - t0

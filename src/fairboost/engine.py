@@ -8,12 +8,10 @@ per round:
 
     exact      theta_t = -ln(tau) / (C * 2^(t+1))   keeps RR(Q_t) > tau forever
     relative   theta_t = -ln(tau) / (2 C t)         RR(Q_T) > tau^(1 + ln T)
-    constant   theta_t = v                          RR(Q_t) >= exp(-2 C t v)
 
-The constant-scheme floor comes from the same normalizer bounds the other two
-rest on: each round can shift any pairwise group log-ratio by at most
-2*C*theta_t.  All logarithms are natural; tau close to 1 forces theta toward 0
-and the fit sticks to the anchor.
+Both floors rest on the normalizer bounds: each round can shift any pairwise
+group log-ratio by at most 2*C*theta_t.  All logarithms are natural; tau
+close to 1 forces theta toward 0 and the fit sticks to the anchor.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from .tree import TreeConfig, estimate_wla, train_tree
 
 EXACT = "exact"
 RELATIVE = "relative"
-CONSTANT = "constant"
 
 #: negatives drawn from the current model per data row, each round
 NEGATIVES_PER_ROW = 2
@@ -39,36 +36,21 @@ NEGATIVES_PER_ROW = 2
 @dataclass(frozen=True)
 class LeveragingScheme:
     """How much the stack may move per round, parameterized by the target
-    representation rate tau (exact/relative) or a fixed coefficient."""
+    representation rate tau."""
 
     kind: str
-    tau: Optional[float] = None
+    tau: float
     c_bound: float = math.log(2.0)
-    value: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (EXACT, RELATIVE, CONSTANT):
+        if self.kind not in (EXACT, RELATIVE):
             raise ValueError(f"unknown scheme {self.kind!r}")
         if not math.isfinite(self.c_bound):
             raise ValueError(f"c_bound must be finite, got {self.c_bound!r}")
         if self.c_bound <= 0:
             raise ValueError("c_bound must be > 0")
-        if self.kind == CONSTANT:
-            if self.value is not None and not math.isfinite(self.value):
-                raise ValueError(f"constant scheme coefficient must be finite, got {self.value!r}")
-            if self.value is None or self.value <= 0:
-                raise ValueError("constant scheme needs a positive coefficient")
-        else:
-            if self.tau is None or not (0.0 < self.tau < 1.0):
-                raise ValueError("tau must be in (0, 1)")
-
-    @classmethod
-    def parse(cls, text: str, tau: Optional[float], c_bound: float) -> "LeveragingScheme":
-        if text == EXACT or text == RELATIVE:
-            return cls(kind=text, tau=tau, c_bound=c_bound)
-        if text.startswith("const:"):
-            return cls(kind=CONSTANT, c_bound=c_bound, value=float(text.split(":", 1)[1]))
-        raise ValueError(f"unknown scheme {text!r}")
+        if self.tau is None or not (0.0 < self.tau < 1.0):
+            raise ValueError("tau must be in (0, 1)")
 
 
 def leverage(scheme: LeveragingScheme, t: int) -> float:
@@ -77,9 +59,7 @@ def leverage(scheme: LeveragingScheme, t: int) -> float:
         raise ValueError("t must be >= 1")
     if scheme.kind == EXACT:
         return -math.log(scheme.tau) / (scheme.c_bound * 2.0 ** (t + 1))
-    if scheme.kind == RELATIVE:
-        return -math.log(scheme.tau) / (2.0 * scheme.c_bound * t)
-    return scheme.value
+    return -math.log(scheme.tau) / (2.0 * scheme.c_bound * t)
 
 
 def rr_lower_bound(scheme: LeveragingScheme, t: int) -> float:
@@ -88,9 +68,7 @@ def rr_lower_bound(scheme: LeveragingScheme, t: int) -> float:
         raise ValueError("t must be >= 1")
     if scheme.kind == EXACT:
         return scheme.tau
-    if scheme.kind == RELATIVE:
-        return scheme.tau ** (1.0 + math.log(t))
-    return math.exp(-2.0 * scheme.c_bound * t * scheme.value)
+    return scheme.tau ** (1.0 + math.log(t))
 
 
 def mollifier_size(scheme: LeveragingScheme, t: int) -> float:
@@ -100,9 +78,7 @@ def mollifier_size(scheme: LeveragingScheme, t: int) -> float:
         raise ValueError("t must be >= 1")
     if scheme.kind == EXACT:
         return -math.log(scheme.tau)
-    if scheme.kind == RELATIVE:
-        return -(1.0 + math.log(t)) * math.log(scheme.tau)
-    return 2.0 * scheme.c_bound * t * scheme.value
+    return -(1.0 + math.log(t)) * math.log(scheme.tau)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .boosted import BoostedDensity, representation_rates
-from .engine import EXACT, RELATIVE, LeveragingScheme, TraceRow, mollifier_size, rr_lower_bound
+from .engine import EXACT, LeveragingScheme, TraceRow, mollifier_size, rr_lower_bound
 from .tabular import TabularDensity
 from .tree import FAIL, HBS, boosting_regime
 
@@ -98,13 +98,11 @@ class DeltaBounds:
 def delta_bounds(scheme: LeveragingScheme, rounds: int, gamma_p: float, gamma_q: float) -> DeltaBounds:
     """Bracket the total progress Delta = KL(P,Q0) - KL(P,Q_T).
 
-    Valid for the exact and relative schemes in the high regime with margins
-    held fixed across rounds, T > 1, the scheme's tau in (exp(-1), 1), and
-    C = ln 2.  The upper bounds are the scheme's mollifier sizes; the lower
-    bounds scale -ln tau by the margin mix (gamma_p + gamma_q * gain_ratio(gamma_q)) / 2.
+    Valid in the high regime with margins held fixed across rounds, T > 1,
+    the scheme's tau in (exp(-1), 1), and C = ln 2.  The upper bounds are
+    the scheme's mollifier sizes; the lower bounds scale -ln tau by the
+    margin mix (gamma_p + gamma_q * gain_ratio(gamma_q)) / 2.
     """
-    if scheme.kind not in (EXACT, RELATIVE):
-        raise ValueError("no closed-form progress bounds for constant leveraging")
     if rounds <= 1:
         raise ValueError("rounds must exceed 1")
     if scheme.tau <= _E_INV:
@@ -262,7 +260,7 @@ class GuaranteeReport:
     """
 
     scheme_kind: str
-    tau: Optional[float]
+    tau: float
     rounds: int
     fairness_rounds: tuple
     drop_rounds: tuple
@@ -359,7 +357,7 @@ def build_report(trace: Sequence[TraceRow], scheme: LeveragingScheme) -> Guarant
         )
         if c_note is not None:
             delta["lower_note"] = c_note
-        elif scheme.kind in (EXACT, RELATIVE) and rounds > 1 and scheme.tau > _E_INV and margins_ok:
+        elif rounds > 1 and scheme.tau > _E_INV and margins_ok:
             gp = min(r.gamma_p for r in rows)
             gq = min(r.gamma_q for r in rows)
             bounds = delta_bounds(scheme, rounds, gp, gq)

@@ -134,11 +134,15 @@ def _decode_classifier(d: dict, x_schema: AttributeSchema) -> DecisionTreeClassi
 
 
 def _scheme_to_dict(scheme: LeveragingScheme) -> dict:
-    return {"kind": scheme.kind, "tau": scheme.tau, "c_bound": scheme.c_bound, "value": scheme.value}
+    # model version 1 has four scheme keys; "value" belonged to no supported scheme and is always null
+    return {"kind": scheme.kind, "tau": scheme.tau, "c_bound": scheme.c_bound, "value": None}
 
 
 def _scheme_from_dict(d: dict) -> LeveragingScheme:
-    return LeveragingScheme(kind=d["kind"], tau=d["tau"], c_bound=float(d["c_bound"]), value=d["value"])
+    scheme = LeveragingScheme(kind=d["kind"], tau=d["tau"], c_bound=float(d["c_bound"]))
+    if d["value"] is not None:
+        raise ValueError(f"scheme value must be null, got {d['value']!r}")
+    return scheme
 
 
 def save_model(bd: BoostedDensity, path: str, scheme: LeveragingScheme, run_id: str) -> None:

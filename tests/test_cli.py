@@ -180,21 +180,44 @@ def test_fit_folds_manifest(tmp_path, synth_csv):
     ) == 0
     manifest = json.load(open(model + ".manifest.json"))
     assert [f["fold"] for f in manifest["fold_summaries"]] == [0, 1]
-    # each fold's held-out KLs are those of its anchor and its final stack, bit for bit
+    # each fold's numbers are those of its anchor and its final stack, bit for bit
     dataset, schema = load_csv(infer_csv_spec(synth_csv, "a", None, 12, []))
-    scheme = LeveragingScheme.parse("exact", 0.9, LN2)
+    scheme = LeveragingScheme("exact", 0.9, LN2)
     folds = kfold(dataset, 2, subseed(0, FOLDS))
     for i, (f, (train, test)) in enumerate(zip(manifest["fold_summaries"], folds)):
         q0 = build_initial(train, schema, 1.0)
-        stack, _ = fbde_fit(train, q0, FitConfig(rounds=3, scheme=scheme, seed=subseed(0, FOLDS, i)))
-        test_hat = fit_empirical(test, 0.0)
-        assert f["anchor_kl_test"] == kl_divergence(test_hat, BoostedDensity(q0).joint())
-        assert f["final_kl_test"] == kl_divergence(test_hat, stack.joint())
+        stack, trace = fbde_fit(train, q0, FitConfig(rounds=3, scheme=scheme, seed=subseed(0, FOLDS, i)))
+        train_hat, test_hat = fit_empirical(train, 0.0), fit_empirical(test, 0.0)
+        anchor, final = BoostedDensity(q0).joint(), stack.joint()
+        assert f == {
+            "fold": i,
+            "final_rr": stack.representation_rate(),
+            "final_kl_train": kl_divergence(train_hat, final),
+            "final_kl_test": kl_divergence(test_hat, final),
+            "anchor_kl_train": kl_divergence(train_hat, anchor),
+            "anchor_kl_test": kl_divergence(test_hat, anchor),
+        }
+        # the training numbers are the ones the fold's trace records
+        assert (f["anchor_kl_train"], f["final_kl_train"]) == (trace[0].kl_train, trace[-1].kl_train)
+        assert f["final_rr"] == trace[-1].rr
         assert f["final_kl_test"] < f["anchor_kl_test"]
     agg = manifest["fold_aggregate"]
     assert set(agg) == {"final_rr", "final_kl_train", "final_kl_test", "anchor_kl_test"}
     got = [f["final_rr"] for f in manifest["fold_summaries"]]
     assert agg["final_rr"]["mean"] == pytest.approx(float(np.mean(got)), rel=1e-12)
+
+
+def test_fit_zero_rounds_with_folds(tmp_path, synth_csv):
+    # a zero-round fold is its anchor: no trace rows, and every number is the anchor's
+    model = str(tmp_path / "m.json")
+    argv = ["fit", "--data", synth_csv, "--sensitive", "a", "--rounds", "0", "--folds", "2", "--out", model]
+    assert main(argv) == 0
+    folds = json.load(open(model + ".manifest.json"))["fold_summaries"]
+    assert len(folds) == 2
+    for f in folds:
+        assert f["final_rr"] == 1.0
+        assert f["final_kl_train"] == f["anchor_kl_train"]
+        assert f["final_kl_test"] == f["anchor_kl_test"]
 
 
 def test_fit_missing_file(tmp_path, capsys):
@@ -206,17 +229,20 @@ def test_fit_missing_file(tmp_path, capsys):
 
 
 def test_fit_unknown_scheme(tmp_path, synth_csv, capsys):
-    code = main(
-        [
-            "fit",
-            "--data", synth_csv,
-            "--sensitive", "a",
-            "--scheme", "boosted",
-            "--out", str(tmp_path / "m.json"),
-        ]
-    )
-    assert code == 1
-    assert "unknown scheme" in capsys.readouterr().err
+    # exact and relative are the only schemes; const:<v> is unknown text too
+    for text in ("boosted", "const:0.3"):
+        code = main(
+            [
+                "fit",
+                "--data", synth_csv,
+                "--sensitive", "a",
+                "--scheme", text,
+                "--out", str(tmp_path / "m.json"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: unknown scheme {text!r}\n"
+        assert not (tmp_path / "m.json").exists()
 
 
 @pytest.mark.parametrize("folds", ["1", "-1"])
@@ -249,11 +275,9 @@ def test_fit_rejects_conflicting_column_flags(tmp_path, synth_csv, capsys, flags
     [
         (["--c-bound", "nan"], "c_bound must be finite, got nan"),
         (["--c-bound", "inf"], "c_bound must be finite, got inf"),
-        (["--scheme", "const:nan"], "constant scheme coefficient must be finite, got nan"),
-        (["--scheme", "const:inf"], "constant scheme coefficient must be finite, got inf"),
         (["--smoothing", "nan"], "smoothing must be finite, got nan"),
     ],
-    ids=["c-bound-nan", "c-bound-inf", "const-nan", "const-inf", "smoothing-nan"],
+    ids=["c-bound-nan", "c-bound-inf", "smoothing-nan"],
 )
 def test_fit_rejects_non_finite_numbers(tmp_path, synth_csv, capsys, flags, message):
     model = tmp_path / "m.json"
@@ -573,6 +597,23 @@ def test_stored_normalizer_below_zero_rejected_by_both_readers(tmp_path, fit_run
         for argv in (["guarantees", "--trace", trace_path], ["eval", "--data", synth_csv]):
             assert main([*argv, "--model", bad]) == 1
             assert capsys.readouterr().err == "error: round 1: normalizers must be > 0\n"
+
+
+@pytest.mark.parametrize(
+    "scheme, message",
+    [
+        # a version-1 model with the constant scheme, which no fit writes any more
+        ({"kind": "constant", "tau": None, "c_bound": LN2, "value": 0.05}, "unknown scheme 'constant'"),
+        ({"kind": "exact", "tau": 0.8, "c_bound": LN2, "value": 0.3}, "scheme value must be null, got 0.3"),
+    ],
+    ids=["constant", "value"],
+)
+def test_scheme_no_fit_writes_rejected_by_both_readers(tmp_path, fit_run, synth_csv, capsys, scheme, message):
+    model_path, trace_path = fit_run
+    bad = _broken_model(tmp_path, model_path, lambda doc: doc.update(scheme=scheme))
+    for argv in (["guarantees", "--trace", trace_path], ["eval", "--data", synth_csv]):
+        assert main([*argv, "--model", bad]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_eval_rejects_model_without_schema(tmp_path, fit_run, synth_csv, capsys):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fairboost import (
-    CONSTANT,
     EXACT,
     FAIL,
     RELATIVE,
@@ -36,10 +35,6 @@ def relative_scheme(tau=0.9):
     return LeveragingScheme(kind=RELATIVE, tau=tau)
 
 
-def constant_scheme(v=0.1):
-    return LeveragingScheme(kind=CONSTANT, value=v)
-
-
 # -- scheme construction ------------------------------------------------
 
 
@@ -52,28 +47,11 @@ def test_scheme_validation():
         LeveragingScheme(kind=RELATIVE, tau=0.0)
     with pytest.raises(ValueError, match="tau must be in \\(0, 1\\)"):
         LeveragingScheme(kind=EXACT, tau=None)
-    with pytest.raises(ValueError, match="constant scheme needs a positive coefficient"):
-        LeveragingScheme(kind=CONSTANT)
-    with pytest.raises(ValueError, match="constant scheme needs a positive coefficient"):
-        LeveragingScheme(kind=CONSTANT, value=-0.2)
     with pytest.raises(ValueError, match="c_bound must be > 0"):
         LeveragingScheme(kind=EXACT, tau=0.9, c_bound=0.0)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=f"c_bound must be finite, got {bad!r}"):
             LeveragingScheme(kind=EXACT, tau=0.9, c_bound=bad)
-        with pytest.raises(ValueError, match=f"constant scheme coefficient must be finite, got {bad!r}"):
-            LeveragingScheme(kind=CONSTANT, value=bad)
-
-
-def test_scheme_parse():
-    s = LeveragingScheme.parse("exact", 0.8, LN2)
-    assert (s.kind, s.tau, s.c_bound) == (EXACT, 0.8, LN2)
-    s = LeveragingScheme.parse("relative", 0.7, 1.0)
-    assert (s.kind, s.tau) == (RELATIVE, 0.7)
-    s = LeveragingScheme.parse("const:0.05", None, LN2)
-    assert (s.kind, s.value) == (CONSTANT, 0.05)
-    with pytest.raises(ValueError, match="unknown scheme"):
-        LeveragingScheme.parse("boosted", 0.9, LN2)
 
 
 # -- coefficients -------------------------------------------------------
@@ -106,12 +84,6 @@ def test_leverage_vanishes_as_tau_approaches_one():
     assert leverage(relative_scheme(1.0 - 1e-12), 1) < 1e-12
 
 
-def test_leverage_constant_ignores_round():
-    s = constant_scheme(0.25)
-    assert leverage(s, 1) == 0.25
-    assert leverage(s, 50) == 0.25
-
-
 def test_leverage_round_validation():
     with pytest.raises(ValueError, match="t must be >= 1"):
         leverage(exact_scheme(), 0)
@@ -140,12 +112,6 @@ def test_rr_floor_relative_decreasing():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def test_rr_floor_constant_frozen_value():
-    assert rr_lower_bound(constant_scheme(0.1), 3) == pytest.approx(
-        0.6597539553864471, rel=1e-12
-    )
-
-
 def test_mollifier_size_values():
     assert mollifier_size(exact_scheme(0.7), 9) == pytest.approx(
         0.35667494393873245, rel=1e-12
@@ -156,9 +122,6 @@ def test_mollifier_size_values():
     assert mollifier_size(relative_scheme(0.9), 10) == pytest.approx(
         0.34796206840170285, rel=1e-12
     )
-    assert mollifier_size(constant_scheme(0.1), 3) == pytest.approx(
-        2 * LN2 * 3 * 0.1, rel=1e-14
-    )
     with pytest.raises(ValueError, match="t must be >= 1"):
         mollifier_size(exact_scheme(), 0)
     with pytest.raises(ValueError, match="t must be >= 1"):
@@ -166,7 +129,7 @@ def test_mollifier_size_values():
 
 
 def test_floor_is_exp_of_negative_mollifier_size():
-    for s in (exact_scheme(0.8), relative_scheme(0.8), constant_scheme(0.07)):
+    for s in (exact_scheme(0.8), relative_scheme(0.8)):
         for t in (1, 2, 6):
             assert rr_lower_bound(s, t) == pytest.approx(
                 math.exp(-mollifier_size(s, t)), rel=1e-12
@@ -235,7 +198,7 @@ def test_fit_rows_match_scheme_wiring(fit_setup):
 
 def test_fit_respects_rr_floor(fit_setup):
     s, p, q0 = fit_setup
-    for scheme in (exact_scheme(0.7), relative_scheme(0.7), constant_scheme(0.05)):
+    for scheme in (exact_scheme(0.7), relative_scheme(0.7)):
         stack, trace = fbde_fit(p, q0, FitConfig(rounds=8, scheme=scheme))
         for row in trace:
             assert row.rr >= row.rr_bound - 1e-9

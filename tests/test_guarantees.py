@@ -208,8 +208,6 @@ def test_delta_bounds_validation():
         delta_bounds(exact_scheme(0.8), 3, 1.0, 1.5)
     with pytest.raises(ValueError, match="high boosting regime required"):
         delta_bounds(exact_scheme(0.8), 3, 1.0, 0.2)
-    with pytest.raises(ValueError, match="no closed-form progress bounds"):
-        delta_bounds(LeveragingScheme.parse("const:0.1", None, LN2), 3, 1.0, 1.0)
     with pytest.raises(ValueError, match="lower bound exceeds upper bound"):
         DeltaBounds(lower=2.0, upper=1.0)
 

@@ -46,7 +46,7 @@ def fitted():
     )
     ds = Dataset(s, rows)
     q0 = build_initial(ds, s, smoothing=1.0)
-    scheme = LeveragingScheme.parse("exact", 0.8, LN2)
+    scheme = LeveragingScheme("exact", 0.8, LN2)
     stack, trace = fbde_fit(ds, q0, FitConfig(rounds=4, scheme=scheme, seed=9))
     return stack, scheme, trace
 
@@ -112,7 +112,15 @@ def test_model_document_errors(tmp_path, fitted):
 
 @pytest.mark.parametrize(
     "path",
-    [("q0", "schema"), ("q0", "conditionals"), ("rounds",), ("rounds", 0, "z"), ("scheme", "c_bound"), ("manifest",)],
+    [
+        ("q0", "schema"),
+        ("q0", "conditionals"),
+        ("rounds",),
+        ("rounds", 0, "z"),
+        ("scheme", "c_bound"),
+        ("manifest",),
+        ("scheme", "value"),
+    ],
 )
 def test_model_rejects_missing_keys(tmp_path, fitted, path):
     stack, scheme, _ = fitted
