@@ -7,9 +7,11 @@ configuration, input digests, and per-phase wall-clock timings; its stable
 id is embedded in the model, metrics and report documents (timings vary run
 to run, the id does not).  ``guarantees`` reads from the model only its
 scheme, run id, schema and per-round (theta, z, z_by_group), and rejects a
-trace whose rounds, rates or rate floors differ from them.  Errors, an
-allocation the domain size makes impossible included, end in one ``error:``
-line and exit code 1.
+trace whose rounds, rates or rate floors differ from them; it writes its
+report, then fails if a rate floor or the KL progress upper bound it asserts
+is false (the drop floors rest on sample margins and are only reported).
+Errors, an allocation the domain size makes impossible included, end in one
+``error:`` line and exit code 1.
 """
 
 from __future__ import annotations
@@ -114,6 +116,8 @@ def cmd_fit(args) -> int:
     t0 = time.perf_counter()
     spec = infer_csv_spec(args.data, args.sensitive, args.target, args.bins, args.ignore)
     dataset, schema = load_csv(spec)
+    # split before the full-data fit, so that a --folds that kfold refuses fails first
+    splits = kfold(dataset, args.folds, seeds.subseed(args.seed, seeds.FOLDS)) if args.folds >= 2 else None
     timings["load"] = time.perf_counter() - t0
 
     scheme = LeveragingScheme(args.scheme, args.tau, args.c_bound)
@@ -126,10 +130,10 @@ def cmd_fit(args) -> int:
     timings["fit"] = time.perf_counter() - t0
 
     fold_summaries = fold_aggregate = None
-    if args.folds >= 2:
+    if splits is not None:
         t0 = time.perf_counter()
         fold_summaries = []
-        for i, (train, test) in enumerate(kfold(dataset, args.folds, seeds.subseed(args.seed, seeds.FOLDS))):
+        for i, (train, test) in enumerate(splits):
             q0_i = build_initial(train, schema, args.smoothing)
             cfg_i = FitConfig(seed=seeds.subseed(args.seed, seeds.FOLDS, i), **base_cfg)
             stack_i, _ = fbde_fit(train, q0_i, cfg_i)
@@ -217,6 +221,14 @@ def cmd_guarantees(args) -> int:
     out_doc = {"format": REPORT_FORMAT, "version": 1, "manifest": run_id}
     out_doc.update(report.to_dict())
     _emit(out_doc, args.out)
+    for f in report.fairness_rounds:
+        if not f["holds"]:
+            raise ValueError(f"round {f['t']}: rr {f['rr']!r} is below its floor {f['rr_floor']!r}")
+    delta = report.delta
+    if delta is not None and not delta["upper_holds"]:
+        raise ValueError(
+            f"round {report.rounds}: KL progress {delta['measured']!r} exceeds its upper bound {delta['upper']!r}"
+        )
     return 0
 
 

@@ -57,8 +57,8 @@ class Attribute:
         return Attribute(
             name=d["name"],
             cardinality=int(d["cardinality"]),
-            categories=tuple(d["categories"]) if d.get("categories") is not None else None,
-            bin_edges=tuple(float(e) for e in d["bin_edges"]) if d.get("bin_edges") is not None else None,
+            categories=tuple(d["categories"]) if d["categories"] is not None else None,
+            bin_edges=tuple(float(e) for e in d["bin_edges"]) if d["bin_edges"] is not None else None,
         )
 
 
@@ -183,8 +183,8 @@ class AttributeSchema:
     def from_dict(d: dict) -> "AttributeSchema":
         return AttributeSchema(
             attributes=tuple(Attribute.from_dict(a) for a in d["attributes"]),
-            sensitive_index=d.get("sensitive_index"),
-            target_index=d.get("target_index"),
+            sensitive_index=d["sensitive_index"],
+            target_index=d["target_index"],
         )
 
 

@@ -1,23 +1,27 @@
 """File formats: model, trace, metrics, report, manifest.
 
-All JSON documents carry a ``format`` tag and integer ``version``.  Floats
-round-trip exactly (shortest-repr encoding on write, exact parse on read),
-and writers emit keys in a fixed order, so rewriting the same state produces
-byte-identical files.  ``dump_json`` writes exactly what
-``json.dump(doc, indent=2)`` would, but also takes 1-D float64 arrays: the
-anchor conditionals go out as arrays, each distinct value formatted once.
+``json`` and ``csv`` do all the formatting; this module adds only what they
+cannot do.  All JSON documents carry a ``format`` tag and integer
+``version``.  Floats round-trip exactly (shortest-repr encoding on write,
+exact parse on read), and writers emit keys in a fixed order, so rewriting
+the same state produces byte-identical files.  ``dump_json`` writes exactly
+what ``json.dump(doc, indent=2)`` would, but also takes 1-D float64 arrays:
+``json.dumps`` lays the document out with a placeholder string for each
+array, and each array is streamed in its place, each distinct value
+formatted once.  The trace is one ``csv`` row per ``TraceRow``, ``str`` of
+each value and an empty cell for None.
 The model document stores the run id, the leveraging scheme, the anchor
 conditionals and the per-round {theta, classifier, z, z_by_group} in
 boosting order; stored normalizers are authoritative and never recomputed on
 load.  Its layout is known here only: ``load_model`` returns the stack, the
 scheme and the run id, and ``load_model_rounds`` reads the scheme, the run
 id and each round's (theta, z, z_by_group) through the same header check,
-without building the stack.  Loading rejects missing keys (the run id
-included), values of the wrong JSON type (naming the field), anchor rows
-that are not distributions, round values that break ``check_round_values``
-(both loaders, naming the round), trees no fit could have produced, and
-trees whose score bound is not the scheme's C.  A trace is read in the one
-shape ``fbde_fit`` writes (see ``_trace_row``).
+without building the stack.  Loading rejects missing keys (the run id and
+every schema key included), values of the wrong JSON type (naming the
+field), anchor rows that are not distributions, round values that break
+``check_round_values`` (both loaders, naming the round), trees no fit could
+have produced, and trees whose score bound is not the scheme's C.  A trace
+is read in the one shape ``fbde_fit`` writes (see ``_trace_row``).
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
-import io
 import json
 import math
 from typing import Sequence
@@ -51,53 +54,42 @@ TRACE_HEADER = [f.name for f in dataclasses.fields(TraceRow)]
 _CHUNK = 1 << 16
 
 
+#: what ``json.dumps`` writes in each array's place before the array is streamed
+_ARRAY = "\0ndarray\0"
+_ARRAY_TEXT = json.dumps(_ARRAY)
+
+
 def dump_json(doc: dict, path: str) -> None:
     """Write ``json.dump(doc, fh, indent=2)`` plus a newline, byte for byte.
 
-    ``doc`` may also hold 1-D float64 arrays (inside str-keyed containers),
-    written as JSON lists: each distinct bit pattern is formatted once and
-    the array is streamed in chunks, so a million-cell table of a few
-    distinct values costs a few formats and no list of Python floats.
+    ``doc`` may also hold 1-D float64 arrays, written as JSON lists: each
+    distinct bit pattern is formatted once and the array is streamed in
+    chunks, so a million-cell table of a few distinct values costs a few
+    formats and no list of Python floats.
     """
+    arrays = []
+
+    def stash(value):
+        if not isinstance(value, np.ndarray):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if value.dtype != np.float64 or value.ndim != 1:
+            raise TypeError(f"only 1-D float64 arrays are written, not {value.ndim}-D {value.dtype}")
+        arrays.append(value)
+        return _ARRAY
+
+    pieces = json.dumps(doc, indent=2, default=stash).split(_ARRAY_TEXT)
+    if len(pieces) != len(arrays) + 1:
+        raise ValueError(f"the document holds the string {_ARRAY!r}, which stands for an array")
     with open(path, "w") as fh:
-        _write_json(fh, doc, 0)
+        fh.write(pieces[0])
+        for before, arr, after in zip(pieces, arrays, pieces[1:]):
+            line = before[before.rfind("\n") + 1 :]
+            _write_floats(fh, arr, (len(line) - len(line.lstrip(" "))) // 2)
+            fh.write(after)
         fh.write("\n")
 
 
-def _write_json(fh, value, depth: int) -> None:
-    pad = "\n" + "  " * depth
-    inner = pad + "  "
-    if isinstance(value, np.ndarray):
-        _write_floats(fh, value, depth)
-    elif isinstance(value, dict) and _holds_array(value):
-        fh.write("{")
-        for i, (key, item) in enumerate(value.items()):
-            fh.write(("," if i else "") + inner + json.dumps(key) + ": ")
-            _write_json(fh, item, depth + 1)
-        fh.write(pad + "}")
-    elif isinstance(value, (list, tuple)) and _holds_array(value):
-        fh.write("[")
-        for i, item in enumerate(value):
-            fh.write(("," if i else "") + inner)
-            _write_json(fh, item, depth + 1)
-        fh.write(pad + "]")
-    else:
-        fh.write(json.dumps(value, indent=2).replace("\n", pad))
-
-
-def _holds_array(value) -> bool:
-    if isinstance(value, np.ndarray):
-        return True
-    if isinstance(value, dict):
-        value = value.values()
-    elif not isinstance(value, (list, tuple)):
-        return False
-    return any(_holds_array(item) for item in value)
-
-
 def _write_floats(fh, arr: np.ndarray, depth: int) -> None:
-    if arr.dtype != np.float64 or arr.ndim != 1:
-        raise TypeError(f"only 1-D float64 arrays are written, not {arr.ndim}-D {arr.dtype}")
     if len(arr) == 0:
         fh.write("[]")
         return
@@ -125,13 +117,6 @@ def sha256_file(path: str) -> str:
 
 
 # -- models -------------------------------------------------------------
-
-def _decode_classifier(d: dict, x_schema: AttributeSchema) -> DecisionTreeClassifier:
-    kind = d.get("type")
-    if kind != "tree":
-        raise ValueError(f"unknown classifier type {kind!r}")
-    return DecisionTreeClassifier.from_dict(d, x_schema)
-
 
 def _scheme_to_dict(scheme: LeveragingScheme) -> dict:
     # model version 1 has four scheme keys; "value" belonged to no supported scheme and is always null
@@ -236,7 +221,7 @@ def load_model(path: str) -> tuple[BoostedDensity, LeveragingScheme, str]:
         rounds = []
         for t, r, theta, z, z_by_group in reader.rounds(schema.sensitive.cardinality):
             reader.field = f"rounds[{t - 1}].classifier"
-            classifier = _decode_classifier(r["classifier"], x_schema)
+            classifier = DecisionTreeClassifier.from_dict(r["classifier"], x_schema)
             if classifier.c_bound != scheme.c_bound:
                 raise ValueError(
                     f"round {t}: tree c_bound {classifier.c_bound!r} differs from the scheme's c_bound "
@@ -258,28 +243,12 @@ def load_model_rounds(path: str) -> tuple[LeveragingScheme, str, list[tuple[floa
 # -- traces -------------------------------------------------------------
 
 
-def _cell_str(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
-def trace_to_csv(rows: Sequence[TraceRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRACE_HEADER)
-    for r in rows:
-        writer.writerow([_cell_str(getattr(r, col)) for col in TRACE_HEADER])
-    return buf.getvalue()
-
-
 def save_trace(rows: Sequence[TraceRow], path: str) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(trace_to_csv(rows))
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(TRACE_HEADER)
+        for r in rows:
+            writer.writerow(["" if v is None else str(v) for v in dataclasses.astuple(r)])
 
 
 #: trace columns that are empty on the t=0 baseline row and filled on every round

@@ -160,6 +160,9 @@ class DecisionTreeClassifier:
     @staticmethod
     def from_dict(d: dict, x_schema: AttributeSchema) -> "DecisionTreeClassifier":
         """Decode a stored tree, rejecting any node a fitted tree cannot have."""
+        kind = d.get("type")
+        if kind != "tree":
+            raise ValueError(f"unknown classifier type {kind!r}")
         c_bound = float(d["c_bound"])
         if not (math.isfinite(c_bound) and c_bound > 0):
             raise ValueError(f"tree c_bound must be finite and > 0, got {c_bound!r}")

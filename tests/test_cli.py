@@ -253,6 +253,30 @@ def test_fit_rejects_invalid_folds(tmp_path, synth_csv, capsys, folds):
     assert "error: folds must be 0 or >= 2" in capsys.readouterr().err
 
 
+def test_fit_checks_folds_before_fitting(tmp_path, synth_csv, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("a --folds kfold refuses fails before any fit")
+
+    monkeypatch.setattr(cli, "fbde_fit", boom)
+    model = tmp_path / "m.json"
+    code = main(["fit", "--data", synth_csv, "--sensitive", "a", "--folds", "801", "--out", str(model)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: k exceeds dataset size\n"
+    assert not model.exists()
+
+
+def test_fit_rejects_single_class_target(tmp_path, synth_csv, capsys):
+    # a model of one class would fail every eval; fit refuses it instead
+    lines = open(synth_csv).read().splitlines()
+    data = tmp_path / "one-class.csv"
+    data.write_text("\n".join([lines[0] + ",y"] + [line + ",1" for line in lines[1:]]) + "\n")
+    model = tmp_path / "m.json"
+    code = main(["fit", "--data", str(data), "--sensitive", "a", "--target", "y", "--rounds", "1", "--out", str(model)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: target column 'y' needs at least 2 classes, got 1\n"
+    assert not model.exists()
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -545,7 +569,10 @@ def test_guarantees_rejects_edited_trace(fit_run, tmp_path, capsys, edit, messag
 
 def _edit_round(trace_path, t, **cells) -> list:
     """The trace's lines with the named cells of round t replaced."""
-    lines = open(trace_path).read().splitlines()
+    return _edit_lines(open(trace_path).read().splitlines(), t, **cells)
+
+
+def _edit_lines(lines, t, **cells) -> list:
     header = lines[0].split(",")
     row = lines[t + 1].split(",")
     for column, text in cells.items():
@@ -567,6 +594,36 @@ def test_guarantees_certifies_the_models_rates(fit_run, tmp_path, capsys, cells,
     bad = tmp_path / "trace.csv"
     bad.write_text("\n".join(_edit_round(trace_path, 1, **cells)) + "\n")
     assert _guarantees_error(model_path, str(bad), tmp_path, capsys).startswith(message)
+
+
+def test_guarantees_fails_on_a_false_bound(fit_run, tmp_path, capsys):
+    # the report is written first; then the false progress upper bound fails the command
+    model_path, trace_path = fit_run
+    last = len(load_trace(trace_path)) - 1
+    bad = tmp_path / "trace.csv"
+    bad.write_text("\n".join(_edit_round(trace_path, last, kl_train="0.0")) + "\n")
+    out = tmp_path / "report.json"
+    assert main(["guarantees", "--model", model_path, "--trace", str(bad), "--out", str(out)]) == 1
+    delta = json.load(open(out))["delta"]
+    assert delta["upper_holds"] is False
+    assert capsys.readouterr().err == (
+        f"error: round {last}: KL progress {delta['measured']!r} exceeds its upper bound {delta['upper']!r}\n"
+    )
+
+
+def test_guarantees_fails_on_a_false_rate_floor(fit_run, tmp_path, capsys):
+    # a model whose scheme asks a floor its rounds missed, and a trace that agrees with it
+    model_path, trace_path = fit_run
+    model = _broken_model(tmp_path, model_path, lambda doc: doc["scheme"].update(tau=0.9999))
+    lines = open(trace_path).read().splitlines()
+    for t in range(1, len(lines) - 1):
+        lines = _edit_lines(lines, t, rr_bound="0.9999")
+    bad = tmp_path / "trace.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "report.json"
+    assert main(["guarantees", "--model", model, "--trace", str(bad), "--out", str(out)]) == 1
+    first = next(f for f in json.load(open(out))["fairness_rounds"] if not f["holds"])
+    assert capsys.readouterr().err == f"error: round {first['t']}: rr {first['rr']!r} is below its floor 0.9999\n"
 
 
 def test_guarantees_rejects_mislabelled_regime(fit_run, tmp_path, capsys):

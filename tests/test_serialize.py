@@ -30,7 +30,6 @@ from fairboost.serialize import (
     load_json,
     load_model_rounds,
     sha256_file,
-    trace_to_csv,
 )
 
 from conftest import xa_schema
@@ -120,6 +119,10 @@ def test_model_document_errors(tmp_path, fitted):
         ("scheme", "c_bound"),
         ("manifest",),
         ("scheme", "value"),
+        ("q0", "schema", "attributes", 0, "bin_edges"),
+        ("q0", "schema", "attributes", 1, "categories"),
+        ("q0", "schema", "sensitive_index"),
+        ("q0", "schema", "target_index"),
     ],
 )
 def test_model_rejects_missing_keys(tmp_path, fitted, path):
@@ -286,9 +289,11 @@ def test_trace_optional_fields(tmp_path):
     assert load_trace(path) == rows
 
 
-def test_trace_header_fixed(fitted):
+def test_trace_header_fixed(tmp_path, fitted):
     _, _, trace = fitted
-    text = trace_to_csv(trace)
+    path = tmp_path / "t.csv"
+    save_trace(trace, str(path))
+    text = path.read_text()
     assert text.splitlines()[0] == "t,theta,gamma_p,gamma_q,regime,rr,rr_bound,kl_train,kl_test,z"
     assert TRACE_HEADER == list(TraceRow.__dataclass_fields__)
     assert len(text.splitlines()) == len(trace) + 1
@@ -450,6 +455,15 @@ def test_dump_json_rejects_other_arrays(tmp_path):
     for arr in (np.arange(3), np.zeros((2, 2))):
         with pytest.raises(TypeError, match="only 1-D float64 arrays"):
             dump_json({"v": arr}, str(tmp_path / "x.json"))
+
+
+@pytest.mark.parametrize("doc", [{"s": "\0ndarray\0"}, {"\0ndarray\0": np.array([1.0])}], ids=["value", "key"])
+def test_dump_json_rejects_the_array_placeholder(tmp_path, doc):
+    # the one string that stands for an array cannot also be the document's own
+    path = tmp_path / "x.json"
+    with pytest.raises(ValueError, match="stands for an array"):
+        dump_json(doc, str(path))
+    assert not path.exists()
 
 
 def test_save_model_matches_json_dump(tmp_path, fitted):
