@@ -139,6 +139,11 @@ def cmd_fit(args) -> int:
             stack_i, _ = fbde_fit(train, q0_i, cfg_i)
             train_hat, test_hat = fit_empirical(train, 0.0), fit_empirical(test, 0.0)
             anchor, final = BoostedDensity(q0_i).joint(), stack_i.joint()
+            if (anchor.mass[test_hat.mass > 0] == 0).any():
+                raise ValueError(
+                    f"fold {i}: a held-out row falls in a cell where the fold's unsmoothed anchor puts no mass; "
+                    "held-out KL needs --smoothing > 0"
+                )
             fold_summaries.append(
                 {
                     "fold": i,

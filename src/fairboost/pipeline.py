@@ -120,7 +120,8 @@ def infer_csv_spec(
     ``bins`` equal-width bins over its observed range, unless it holds a
     handful of integer levels; a NaN or infinity in it is an error.  Every
     other column, the sensitive and target ones included, is categorical,
-    with categories in first-appearance order; the target needs at least two.
+    with categories in first-appearance order; the sensitive and target
+    columns need at least two.
     """
     if target == sensitive:
         raise ValueError(f"column {sensitive!r} cannot be both sensitive and target")
@@ -141,6 +142,8 @@ def infer_csv_spec(
         floats = None if name in (sensitive, target) else _continuous_values(values, name)
         if floats is None:
             categories = tuple(dict.fromkeys(values))
+            if name == sensitive and len(categories) < 2:
+                raise ValueError(f"sensitive column {sensitive!r} needs at least 2 values, got {len(categories)}")
             if name == target and len(categories) < 2:
                 raise ValueError(f"target column {target!r} needs at least 2 classes, got {len(categories)}")
             attributes.append(Attribute(name, len(categories), categories=categories))

@@ -2,9 +2,10 @@
 
 ``json`` and ``csv`` do all the formatting; this module adds only what they
 cannot do.  All JSON documents carry a ``format`` tag and integer
-``version``.  Floats round-trip exactly (shortest-repr encoding on write,
-exact parse on read), and writers emit keys in a fixed order, so rewriting
-the same state produces byte-identical files.  ``dump_json`` writes exactly
+``version``.  Floats round-trip exactly (shortest-repr encoding on write;
+on read, each distinct number text is parsed once, exactly), and writers
+emit keys in a fixed order, so rewriting the same state produces
+byte-identical files.  ``dump_json`` writes exactly
 what ``json.dump(doc, indent=2)`` would, but also takes 1-D float64 arrays:
 ``json.dumps`` lays the document out with a placeholder string for each
 array, and each array is streamed in its place, each distinct value
@@ -103,9 +104,22 @@ def _write_floats(fh, arr: np.ndarray, depth: int) -> None:
     fh.write("\n" + "  " * depth + "]")
 
 
+class _FloatMemo(dict):
+    """``float(text)`` for each number text, decoded the first time it is seen."""
+
+    def __missing__(self, text: str) -> float:
+        value = self[text] = float(text)
+        return value
+
+
 def load_json(path: str) -> dict:
+    """``json.load`` of ``path``, each distinct float text decoded once.
+
+    A model's anchor rows repeat a handful of values across millions of
+    cells; every repeat shares one float object.
+    """
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_float=_FloatMemo().__getitem__)
 
 
 def sha256_file(path: str) -> str:

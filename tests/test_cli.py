@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -275,6 +276,35 @@ def test_fit_rejects_single_class_target(tmp_path, synth_csv, capsys):
     assert code == 1
     assert capsys.readouterr().err == "error: target column 'y' needs at least 2 classes, got 1\n"
     assert not model.exists()
+
+
+def test_fit_rejects_single_valued_sensitive(tmp_path, capsys, monkeypatch):
+    # one group makes every fairness certificate vacuous; fit refuses it before any fit
+    def boom(*args, **kwargs):
+        raise AssertionError("a one-valued sensitive column fails before any fit")
+
+    monkeypatch.setattr(cli, "fbde_fit", boom)
+    data = tmp_path / "one-group.csv"
+    data.write_text("x,a\n0.1,1\n0.5,1\n0.9,1\n")
+    model = tmp_path / "m.json"
+    code = main(["fit", "--data", str(data), "--sensitive", "a", "--rounds", "2", "--out", str(model)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: sensitive column 'a' needs at least 2 values, got 1\n"
+    assert not model.exists()
+
+
+def test_fit_folds_without_smoothing_names_the_fold(tmp_path, synth_csv, capsys):
+    # at 50 bins a held-out row of fold 0 lands in a cell no training row of the fold reaches
+    model = tmp_path / "m.json"
+    argv = ["fit", "--data", synth_csv, "--sensitive", "a", "--rounds", "1", "--bins", "50", "--folds", "5"]
+    code = main(argv + ["--smoothing", "0", "--out", str(model)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: fold 0: a held-out row falls in a cell where the fold's unsmoothed anchor puts no mass; "
+        "held-out KL needs --smoothing > 0\n"
+    )
+    assert not model.exists()
+    assert main(argv + ["--smoothing", "1", "--out", str(model)]) == 0
 
 
 @pytest.mark.parametrize(
@@ -734,6 +764,12 @@ def test_eval_rejects_model_value_of_wrong_type(tmp_path, fit_run, synth_csv, ca
 # -- entry points -------------------------------------------------------
 
 
+def _child_env() -> dict:
+    """The environment for a child interpreter, with the package's source on its path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -758,6 +794,7 @@ def test_console_script(tmp_path):
             [sys.executable, "-c", wrapper, "synth", "--n", "40", "--out", out],
             capture_output=True,
             text=True,
+            env=_child_env(),
         )
 
     out = str(tmp_path / "s.csv")
@@ -776,5 +813,6 @@ def test_module_entry(tmp_path):
         [sys.executable, "-m", "fairboost.cli", "synth", "--n", "40", "--out", out],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr

@@ -90,7 +90,7 @@ def test_load_csv_errors(tmp_path):
     with pytest.raises(ValueError, match="missing value in column 'x' at row 1"):
         infer_csv_spec(write(tmp_path / "m.csv", "x,a\n1,0\n,0\n"), sensitive="a")
     # a column binned from one file must parse as numbers in every later one
-    spec = infer_csv_spec(write(tmp_path / "ok.csv", "x,a\n1.5,0\n2.5,0\n"), sensitive="a", bins=3)
+    spec = infer_csv_spec(write(tmp_path / "ok.csv", "x,a\n1.5,0\n2.5,1\n"), sensitive="a", bins=3)
     bad = CsvSpec(write(tmp_path / "n.csv", "x,a\n1,0\nfoo,0\n"), spec.schema)
     with pytest.raises(ValueError, match="non-numeric value in column 'x' at row 1"):
         load_csv(bad)
@@ -143,7 +143,7 @@ def test_infer_csv_spec_roles_and_kinds(tmp_path):
 
 
 def test_infer_csv_spec_many_integer_levels_stay_continuous(tmp_path):
-    rows = "\n".join(f"{i},0" for i in range(30))
+    rows = "\n".join(f"{i},{i % 2}" for i in range(30))
     path = write(tmp_path / "t.csv", "x,a\n" + rows + "\n")
     x = infer_csv_spec(path, sensitive="a", bins=8).schema.attributes[0]
     assert x.is_ordinal
@@ -152,7 +152,7 @@ def test_infer_csv_spec_many_integer_levels_stay_continuous(tmp_path):
 
 def test_binned_codes_monotone_in_value(tmp_path):
     vals = sorted([0.3, 7.1, 2.2, 9.9, 5.5, 1.1, 8.8, 4.4])
-    body = "\n".join(f"{v},0" for v in vals)
+    body = "\n".join(f"{v},{i % 2}" for i, v in enumerate(vals))
     path = write(tmp_path / "t.csv", "x,a\n" + body + "\n")
     ds, schema = load_csv(infer_csv_spec(path, sensitive="a", bins=4))
     assert schema.attributes[0].is_ordinal

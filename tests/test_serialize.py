@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -474,6 +475,69 @@ def test_save_model_matches_json_dump(tmp_path, fitted):
     assert path.read_bytes() == _json_dump_bytes(doc, tmp_path / "plain.json")
     assert list(doc) == ["format", "version", "manifest", "scheme", "q0", "rounds"]
     assert doc["manifest"] == "0123456789abcdef"
+
+
+def _same(a, b) -> bool:
+    """Equal documents: the same key order, the same types, bit-equal floats."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    return a == b
+
+
+_HAND_WRITTEN = (
+    '{"z": -0.0, "a": [0.0, 1, 1.0, NaN, Infinity, -Infinity], "m": [[1.5e-300, [-0.0, 0.0]], []], '
+    '"s": "1.0", "n": null, "t": true, "big": 12345678901234567890, "e": 2.5E+3}'
+)
+
+
+def test_load_json_matches_json_load(tmp_path, fitted):
+    stack, scheme, _ = fitted
+    model = tmp_path / "model.json"
+    save_model(stack, str(model), scheme=scheme, run_id="run-1")
+    hand = tmp_path / "hand.json"
+    hand.write_text(_HAND_WRITTEN)
+    for path in (model, hand):
+        with open(path) as fh:
+            want = json.load(fh)
+        assert _same(load_json(str(path)), want)
+
+
+def test_load_json_decodes_each_float_text_once(tmp_path, fitted):
+    path = tmp_path / "repeats.json"
+    path.write_text('{"a": [0.25, 0.25, 1.0], "b": {"c": 0.25, "d": [1.0]}, "e": 0.250}')
+    doc = load_json(str(path))
+    assert doc["a"][0] is doc["a"][1] is doc["b"]["c"]
+    assert doc["a"][2] is doc["b"]["d"][0]
+    # "0.250" is another text for the same value: decoded on its own
+    assert doc["e"] == 0.25 and doc["e"] is not doc["a"][0]
+    stack, scheme, _ = fitted
+    model = tmp_path / "model.json"
+    save_model(stack, str(model), scheme=scheme, run_id="run-1")
+    cond = load_json(str(model))["q0"]["conditionals"]
+    # smoothed counts repeat across cells: one object per distinct anchor value
+    assert len({id(v) for row in cond for v in row}) == len({v for row in cond for v in row})
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"a": [1.0, 2.0,]}', '{"a": 1.5e}', "[0.5, 0.5", '{"a": 0.5} 0.5', "", '{"a": -}', "[1.0 2.0]"],
+    ids=["trailing-comma", "bad-exponent", "unclosed", "extra-data", "empty", "bare-minus", "missing-comma"],
+)
+def test_load_json_errors_match_json_load(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    with pytest.raises(json.JSONDecodeError) as got:
+        load_json(str(path))
+    assert str(got.value) == str(want.value)
+    assert (got.value.pos, got.value.lineno, got.value.colno) == (want.value.pos, want.value.lineno, want.value.colno)
 
 
 def test_sha256_file(tmp_path):
