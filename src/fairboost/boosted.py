@@ -86,7 +86,8 @@ class InitialDensity:
 
 @dataclass(frozen=True, eq=False)
 class BoostRound:
-    """One frozen boosting round: coefficient, classifier, and normalizers."""
+    """One frozen boosting round: coefficient, classifier, and normalizers;
+    theta, Z_t and each Z_t(a) are finite and the normalizers > 0."""
 
     theta: float
     classifier: object
@@ -95,17 +96,11 @@ class BoostRound:
 
     def __post_init__(self) -> None:
         zg = np.asarray(self.z_by_group, dtype=np.float64)
-        check_round_values(self.theta, self.z, zg)
+        if not (math.isfinite(self.theta) and math.isfinite(self.z) and np.isfinite(zg).all()):
+            raise ValueError("theta and normalizers must be finite")
+        if self.z <= 0 or (zg <= 0).any():
+            raise ValueError("normalizers must be > 0")
         object.__setattr__(self, "z_by_group", _readonly(zg))
-
-
-def check_round_values(theta: float, z: float, z_by_group: np.ndarray, where: str = "") -> None:
-    """The rule every stored round obeys: theta, Z_t and each Z_t(a) finite,
-    the normalizers > 0.  ``where`` prefixes the error message."""
-    if not (math.isfinite(theta) and math.isfinite(z) and np.isfinite(z_by_group).all()):
-        raise ValueError(f"{where}theta and normalizers must be finite")
-    if z <= 0 or (z_by_group <= 0).any():
-        raise ValueError(f"{where}normalizers must be > 0")
 
 
 @dataclass(frozen=True)

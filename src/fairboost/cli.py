@@ -5,11 +5,12 @@ command rerun with identical flags writes byte-identical model, trace, and
 metrics files.  The manifest written next to a model records the resolved
 configuration, input digests, and per-phase wall-clock timings; its stable
 id is embedded in the model, metrics and report documents (timings vary run
-to run, the id does not).  ``guarantees`` reads from the model only its
-scheme, run id, schema and per-round (theta, z, z_by_group), and rejects a
-trace whose rounds, rates or rate floors differ from them; it writes its
-report, then fails if a rate floor or the KL progress upper bound it asserts
-is false (the drop floors rest on sample margins and are only reported).
+to run, the id does not).  ``guarantees`` reads from the model its scheme,
+run id, schema and rounds, each decoded and checked as ``eval`` decodes it,
+but builds no anchor or stack.  It rejects a trace whose rounds, rates or
+rate floors differ from the model's, writes its report, then fails if a rate
+floor or the KL progress upper bound it asserts is false (the drop floors
+rest on sample margins and are only reported).
 Errors, an allocation the domain size makes impossible included, end in one
 ``error:`` line and exit code 1.
 """
@@ -219,9 +220,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_guarantees(args) -> int:
-    scheme, run_id, stored = load_model_rounds(args.model)
+    scheme, run_id, rounds = load_model_rounds(args.model)
     trace = load_trace(args.trace)
-    check_trace_matches_model(trace, scheme, stored)
+    check_trace_matches_model(trace, scheme, rounds)
     report = build_report(trace, scheme)
     out_doc = {"format": REPORT_FORMAT, "version": 1, "manifest": run_id}
     out_doc.update(report.to_dict())

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boosted import BoostedDensity, representation_rates
+from .boosted import BoostedDensity, BoostRound, representation_rates
 from .engine import EXACT, LeveragingScheme, TraceRow, mollifier_size, rr_lower_bound
 from .tabular import TabularDensity
 from .tree import FAIL, HBS, boosting_regime
@@ -99,8 +99,8 @@ def delta_bounds(scheme: LeveragingScheme, rounds: int, gamma_p: float, gamma_q:
     """Bracket the total progress Delta = KL(P,Q0) - KL(P,Q_T).
 
     Valid in the high regime with margins held fixed across rounds, T > 1,
-    the scheme's tau in (exp(-1), 1), and C = ln 2.  The upper bounds are
-    the scheme's mollifier sizes; the lower bounds scale -ln tau by the
+    the scheme's tau in (exp(-1), 1), and C = ln 2.  The upper bound is
+    the scheme's mollifier size at T; the lower bounds scale -ln tau by the
     margin mix (gamma_p + gamma_q * gain_ratio(gamma_q)) / 2.
     """
     if rounds <= 1:
@@ -116,9 +116,8 @@ def delta_bounds(scheme: LeveragingScheme, rounds: int, gamma_p: float, gamma_q:
         raise ValueError("high boosting regime required")
     neg_log_tau = -math.log(scheme.tau)
     mix = (gamma_p + gamma_q * gain_ratio(gamma_q)) / 2.0
-    if scheme.kind == EXACT:
-        return DeltaBounds(lower=neg_log_tau * mix * (1.0 - 2.0 ** -(rounds - 1)), upper=neg_log_tau)
-    return DeltaBounds(lower=neg_log_tau * mix * math.log(rounds), upper=(1.0 + math.log(rounds)) * neg_log_tau)
+    scale = 1.0 - 2.0 ** -(rounds - 1) if scheme.kind == EXACT else math.log(rounds)
+    return DeltaBounds(lower=neg_log_tau * mix * scale, upper=mollifier_size(scheme, rounds))
 
 
 def eo_fnr_bound(tau: float, rho: float) -> float:
@@ -282,27 +281,27 @@ class GuaranteeReport:
 
 
 def check_trace_matches_model(
-    trace: Sequence[TraceRow], scheme: LeveragingScheme, stored: Sequence[tuple[float, float, np.ndarray]]
+    trace: Sequence[TraceRow], scheme: LeveragingScheme, rounds: Sequence[BoostRound]
 ) -> None:
     """Reject a trace that is not the model's run, or whose rates are not its own.
 
-    ``stored`` is the model's (theta_t, Z_t, Z_t(a)) per round.  The trace
-    must have exactly those rounds, with the same theta_t and Z_t, the rr that
-    the Z_t(a) give and the scheme's rr_bound.  Both files write numbers
-    shortest-repr and the rates come from the same arithmetic, so a trace of
-    the same run matches bit for bit.
+    ``rounds`` are the model's stored rounds.  The trace must have exactly
+    those rounds, with the same theta_t and Z_t, the rr that the Z_t(a) give
+    and the scheme's rr_bound.  Both files write numbers shortest-repr and
+    the rates come from the same arithmetic, so a trace of the same run
+    matches bit for bit.
     """
     rows = trace[1:]
-    if len(rows) != len(stored):
+    if len(rows) != len(rounds):
         raise ValueError(
-            f"trace ends at round {len(rows)}, the model at round {len(stored)}; the trace is not this model's"
+            f"trace ends at round {len(rows)}, the model at round {len(rounds)}; the trace is not this model's"
         )
-    rates = representation_rates(zg for _, _, zg in stored)
-    for r, (theta, z, _), rr in zip(rows, stored, rates[1:]):
-        if (r.theta, r.z) != (theta, z):
+    rates = representation_rates(rnd.z_by_group for rnd in rounds)
+    for r, rnd, rr in zip(rows, rounds, rates[1:]):
+        if (r.theta, r.z) != (rnd.theta, rnd.z):
             raise ValueError(
-                f"trace round {r.t}: theta {r.theta!r} and z {r.z!r} differ from the model's {theta!r} and "
-                f"{z!r}; the trace is not this model's"
+                f"trace round {r.t}: theta {r.theta!r} and z {r.z!r} differ from the model's {rnd.theta!r} and "
+                f"{rnd.z!r}; the trace is not this model's"
             )
         if r.rr != rr:
             raise ValueError(f"trace round {r.t}: rr {r.rr!r} differs from the model's {rr!r}")

@@ -48,6 +48,8 @@ def _read_rows(path: str) -> tuple[list, list]:
         except StopIteration:
             raise ValueError("empty file") from None
         rows = list(reader)
+    if not rows:
+        raise ValueError(f"{path!r} has a header and no data rows")
     return header, rows
 
 
@@ -183,8 +185,7 @@ def load_csv_with_schema(path: str, schema: AttributeSchema) -> Dataset:
                 i = int(np.argmax(col < 0))
                 raise ValueError(f"unseen category {values[i]!r} in column {attr.name!r} at row {i}")
             codes.append(col)
-    rows = np.stack(codes, axis=1) if raw_rows else np.empty((0, len(schema.attributes)), dtype=np.int64)
-    return Dataset(schema, rows)
+    return Dataset(schema, np.stack(codes, axis=1))
 
 
 @dataclass(frozen=True)

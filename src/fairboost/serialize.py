@@ -15,14 +15,15 @@ The model document stores the run id, the leveraging scheme, the anchor
 conditionals and the per-round {theta, classifier, z, z_by_group} in
 boosting order; stored normalizers are authoritative and never recomputed on
 load.  Its layout is known here only: ``load_model`` returns the stack, the
-scheme and the run id, and ``load_model_rounds`` reads the scheme, the run
-id and each round's (theta, z, z_by_group) through the same header check,
-without building the stack.  Loading rejects missing keys (the run id and
-every schema key included), values of the wrong JSON type (naming the
-field), anchor rows that are not distributions, round values that break
-``check_round_values`` (both loaders, naming the round), trees no fit could
-have produced, and trees whose score bound is not the scheme's C.  A trace
-is read in the one shape ``fbde_fit`` writes (see ``_trace_row``).
+scheme and the run id, and ``load_model_rounds`` returns the scheme, the run
+id and the same decoded rounds without building the anchor or the stack.
+Both read every round through one decoder, so they reject the same rounds.
+Loading rejects missing keys (the run id and every schema key included),
+values of the wrong JSON type (naming the field), anchor rows that are not
+distributions (``load_model`` only), round values ``BoostRound`` refuses
+(naming the round), trees no fit could have produced, and trees whose score
+bound is not the scheme's C.  A trace is read in the one shape ``fbde_fit``
+writes (see ``_trace_row``).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boosted import BoostedDensity, BoostRound, InitialDensity, check_round_values
+from .boosted import BoostedDensity, BoostRound, InitialDensity
 from .engine import LeveragingScheme, TraceRow
 from .schema import AttributeSchema
 from .tree import DecisionTreeClassifier, boosting_regime
@@ -204,10 +205,13 @@ class _ModelReader:
         self.field = "q0.schema"
         return AttributeSchema.from_dict(self.doc["q0"]["schema"])
 
-    def rounds(self, card: int):
-        """Yield (t, round document, theta, z, z_by_group) for t = 1, 2, ...,
-        z_by_group holding one entry per sensitive value (card of them)."""
+    def rounds(self, schema: AttributeSchema, c_bound: float) -> list[BoostRound]:
+        """Every stored round in boosting order: z_by_group holds one entry
+        per sensitive value, the tree decodes over the schema's features and
+        its score bound is the scheme's ``c_bound``."""
+        x_schema, card = schema.x_subschema(), schema.sensitive.cardinality
         self.field = "rounds"
+        rounds = []
         for t, r in enumerate(self.doc["rounds"], start=1):
             self.field = f"rounds[{t - 1}].theta"
             theta = float(r["theta"])
@@ -217,8 +221,17 @@ class _ModelReader:
             z_by_group = np.asarray(r["z_by_group"], dtype=np.float64)
             if z_by_group.shape != (card,):
                 raise ValueError(f"round {t}: z_by_group needs {card} entries, one per sensitive value")
-            check_round_values(theta, z, z_by_group, where=f"round {t}: ")
-            yield t, r, theta, z, z_by_group
+            self.field = f"rounds[{t - 1}].classifier"
+            classifier = DecisionTreeClassifier.from_dict(r["classifier"], x_schema)
+            if classifier.c_bound != c_bound:
+                raise ValueError(
+                    f"round {t}: tree c_bound {classifier.c_bound!r} differs from the scheme's c_bound {c_bound!r}"
+                )
+            try:
+                rounds.append(BoostRound(theta=theta, classifier=classifier, z=z, z_by_group=z_by_group))
+            except ValueError as exc:
+                raise ValueError(f"round {t}: {exc}") from None
+        return rounds
 
 
 def load_model(path: str) -> tuple[BoostedDensity, LeveragingScheme, str]:
@@ -231,27 +244,16 @@ def load_model(path: str) -> tuple[BoostedDensity, LeveragingScheme, str]:
         if len({len(row) for row in cond}) > 1:
             raise ValueError("q0 conditionals: rows differ in length")
         q0 = InitialDensity(schema, np.asarray(cond, dtype=np.float64))
-        x_schema = schema.x_subschema()
-        rounds = []
-        for t, r, theta, z, z_by_group in reader.rounds(schema.sensitive.cardinality):
-            reader.field = f"rounds[{t - 1}].classifier"
-            classifier = DecisionTreeClassifier.from_dict(r["classifier"], x_schema)
-            if classifier.c_bound != scheme.c_bound:
-                raise ValueError(
-                    f"round {t}: tree c_bound {classifier.c_bound!r} differs from the scheme's c_bound "
-                    f"{scheme.c_bound!r}"
-                )
-            rounds.append(BoostRound(theta=theta, classifier=classifier, z=z, z_by_group=z_by_group))
+        rounds = reader.rounds(schema, scheme.c_bound)
     return BoostedDensity(q0, rounds), scheme, run_id
 
 
-def load_model_rounds(path: str) -> tuple[LeveragingScheme, str, list[tuple[float, float, np.ndarray]]]:
-    """The scheme, the run id and each round's stored (theta, z, z_by_group),
-    read without building the anchor or decoding a tree."""
+def load_model_rounds(path: str) -> tuple[LeveragingScheme, str, list[BoostRound]]:
+    """The scheme, the run id and every round, decoded and checked as
+    ``load_model`` decodes them, without building the anchor or the stack."""
     with _ModelReader(path) as reader:
         scheme, run_id = reader.header()
-        card = reader.schema().sensitive.cardinality
-        return scheme, run_id, [(theta, z, zg) for _, _, theta, z, zg in reader.rounds(card)]
+        return scheme, run_id, reader.rounds(reader.schema(), scheme.c_bound)
 
 
 # -- traces -------------------------------------------------------------

@@ -14,7 +14,6 @@ import pytest
 import fairboost.cli as cli
 from fairboost import (
     BoostedDensity,
-    DecisionTreeClassifier,
     FitConfig,
     InitialDensity,
     LeveragingScheme,
@@ -227,6 +226,28 @@ def test_fit_missing_file(tmp_path, capsys):
     )
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _header_only_csv(tmp_path) -> tuple[str, str]:
+    data = tmp_path / "empty.csv"
+    data.write_text("x,a\n")
+    return str(data), f"error: {str(data)!r} has a header and no data rows\n"
+
+
+def test_fit_rejects_header_only_csv(tmp_path, capsys):
+    data, message = _header_only_csv(tmp_path)
+    model = tmp_path / "m.json"
+    assert main(["fit", "--data", data, "--sensitive", "a", "--out", str(model)]) == 1
+    assert capsys.readouterr().err == message
+    assert not model.exists()
+
+
+def test_eval_rejects_header_only_csv(tmp_path, fit_run, capsys):
+    data, message = _header_only_csv(tmp_path)
+    out = tmp_path / "metrics.json"
+    assert main(["eval", "--model", fit_run[0], "--data", data, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
 
 
 def test_fit_unknown_scheme(tmp_path, synth_csv, capsys):
@@ -524,12 +545,11 @@ def test_guarantees_builds_no_stack(fit_run, tmp_path, monkeypatch):
     assert main(["guarantees", "--model", model_path, "--trace", trace_path, "--out", str(want)]) == 0
 
     def boom(*args, **kwargs):
-        raise AssertionError("guarantees reads the scheme, the run id and each round's (theta, z) only")
+        raise AssertionError("guarantees decodes the model's rounds but builds no anchor or stack")
 
     monkeypatch.setattr(cli, "load_model", boom)
     monkeypatch.setattr(InitialDensity, "__init__", boom)
     monkeypatch.setattr(BoostedDensity, "__init__", boom)
-    monkeypatch.setattr(DecisionTreeClassifier, "from_dict", boom)
     assert main(["guarantees", "--model", model_path, "--trace", trace_path, "--out", str(got)]) == 0
     assert got.read_bytes() == want.read_bytes()
 
@@ -564,22 +584,23 @@ def test_guarantees_rejects_trace_of_another_model(fit_run, tmp_path, capsys):
     data.write_text("\n".join(rows) + "\n")
     trace = _fit_trace(tmp_path, str(data), "--scheme", "relative", "--c-bound", "1.5", "--bins", "6")
     model_path, _ = fit_run
-    _, _, stored = load_model_rounds(model_path)
-    theta, z, _ = stored[0]
+    first = load_model_rounds(model_path)[2][0]
     row = load_trace(trace)[1]
-    assert row.theta != theta
-    assert _guarantees_error(model_path, trace, tmp_path, capsys) == _mismatch(1, row, theta, z)
+    assert row.theta != first.theta
+    assert _guarantees_error(model_path, trace, tmp_path, capsys) == _mismatch(1, row, first.theta, first.z)
 
 
 def test_guarantees_rejects_trace_of_another_seed(fit_run, synth_csv, tmp_path, capsys):
-    # the same data and flags at another seed: the same theta_t, other trees, other Z_t
+    # the same data and flags at another seed: other trees, so at some round another theta_t or Z_t
     trace = _fit_trace(tmp_path, synth_csv, "--tau", "0.8", "--bins", "16", "--seed", "2")
     model_path, _ = fit_run
-    _, _, stored = load_model_rounds(model_path)
-    theta, z, _ = stored[0]
-    row = load_trace(trace)[1]
-    assert row.theta == theta and row.z != z
-    assert _guarantees_error(model_path, trace, tmp_path, capsys) == _mismatch(1, row, theta, z)
+    rounds = load_model_rounds(model_path)[2]
+    rows = load_trace(trace)[1:]
+    assert len(rows) == len(rounds)
+    differ = [(row, rnd) for row, rnd in zip(rows, rounds) if (row.theta, row.z) != (rnd.theta, rnd.z)]
+    assert differ, "the two seeds fit the same rounds"
+    row, rnd = differ[0]
+    assert _guarantees_error(model_path, trace, tmp_path, capsys) == _mismatch(row.t, row, rnd.theta, rnd.z)
 
 
 @pytest.mark.parametrize(
@@ -686,6 +707,32 @@ def test_stored_normalizer_below_zero_rejected_by_both_readers(tmp_path, fit_run
             assert capsys.readouterr().err == "error: round 1: normalizers must be > 0\n"
 
 
+def _first_leaf(node) -> dict:
+    while "leaf" not in node:
+        node = node["left"]
+    return node
+
+
+@pytest.mark.parametrize(
+    "breaker, message",
+    [
+        (lambda tree: _first_leaf(tree["root"]).update(leaf=5.0),
+         "tree leaf 5.0 is not a finite value in [-c_bound, c_bound]"),
+        (lambda tree: tree.update(c_bound=2.0), f"round 1: tree c_bound 2.0 differs from the scheme's c_bound {LN2!r}"),
+        (lambda tree: tree["root"].pop("split"), "model document is missing key 'split'"),
+    ],
+    ids=["leaf", "c_bound", "split"],
+)
+def test_tree_no_fit_writes_rejected_by_both_readers(tmp_path, fit_run, synth_csv, capsys, breaker, message):
+    # every certificate assumes |c_t| <= C, so guarantees checks the trees as eval does
+    model_path, trace_path = fit_run
+    assert "split" in load_json(model_path)["rounds"][0]["classifier"]["root"]
+    bad = _broken_model(tmp_path, model_path, lambda doc: breaker(doc["rounds"][0]["classifier"]))
+    assert main(["eval", "--model", bad, "--data", synth_csv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert _guarantees_error(bad, trace_path, tmp_path, capsys) == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "scheme, message",
     [
@@ -730,18 +777,6 @@ def test_feature_free_data_rejected(tmp_path, fit_run, synth_csv, capsys):
     bad = _broken_model(tmp_path, model_path, breaker)
     assert main(["eval", "--model", bad, "--data", str(only_a)]) == 1
     assert capsys.readouterr().err.startswith(message)
-
-
-def test_eval_rejects_tree_node_without_split(tmp_path, fit_run, synth_csv, capsys):
-    model_path, _ = fit_run
-
-    def breaker(doc):
-        doc["rounds"][0]["classifier"]["root"] = {"attr": "x"}
-
-    bad = _broken_model(tmp_path, model_path, breaker)
-    assert main(["eval", "--model", bad, "--data", synth_csv]) == 1
-    assert capsys.readouterr().err.startswith("error: model document is missing key 'split'")
-
 
 
 @pytest.mark.parametrize(

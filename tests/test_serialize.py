@@ -146,16 +146,17 @@ def test_model_rounds_read_without_the_stack(tmp_path, fitted):
     save_model(stack, path, scheme, run_id="run-2")
     got_scheme, run_id, stored = _model_rounds(path)
     assert got_scheme == scheme and run_id == "run-2"
-    assert stored == [(r.theta, r.z, r.z_by_group.tolist()) for r in stack.rounds]
-    assert [(theta, z) for theta, z, _ in stored] == [(r.theta, r.z) for r in trace[1:]]
-    # the anchor and the trees are eval's to check, not this reader's
+    assert stored == [(r.theta, r.z, r.z_by_group.tolist(), r.classifier.to_dict()) for r in stack.rounds]
+    assert [(theta, z) for theta, z, _, _ in stored] == [(r.theta, r.z) for r in trace[1:]]
+    # the anchor is eval's to check, not this reader's
     doc = load_json(path)
     doc["q0"]["conditionals"] = 5
-    doc["rounds"][0]["classifier"] = {"type": "stump"}
     dump_json(doc, path)
     assert _model_rounds(path) == (scheme, "run-2", stored)
-    # the header check and the key and type errors are load_model's
+    # the header check, the key and type errors and the tree checks are load_model's
     for breaker, message in [
+        (lambda d: d["rounds"][0].update(classifier={"type": "stump"}), "unknown classifier type 'stump'"),
+        (lambda d: d["rounds"][1]["classifier"]["root"].pop("split"), "model document is missing key 'split'"),
         (lambda d: d.update(format="fairboost.density"), "not a model document"),
         (lambda d: d.update(version=99), "unsupported model version 99"),
         (lambda d: d.pop("scheme"), "model document is missing key 'scheme'"),
@@ -176,8 +177,8 @@ def test_model_rounds_read_without_the_stack(tmp_path, fitted):
 
 
 def _model_rounds(path):
-    scheme, run_id, stored = load_model_rounds(path)
-    return scheme, run_id, [(theta, z, zg.tolist()) for theta, z, zg in stored]
+    scheme, run_id, rounds = load_model_rounds(path)
+    return scheme, run_id, [(r.theta, r.z, r.z_by_group.tolist(), r.classifier.to_dict()) for r in rounds]
 
 
 def test_model_rejects_tree_c_bound_other_than_scheme(tmp_path, fitted):
@@ -188,8 +189,9 @@ def test_model_rejects_tree_c_bound_other_than_scheme(tmp_path, fitted):
     doc = load_json(path)
     doc["rounds"][1]["classifier"]["c_bound"] = 1.0
     dump_json(doc, path)
-    with pytest.raises(ValueError, match=f"round 2: tree c_bound 1.0 differs from the scheme's c_bound {LN2!r}"):
-        load_model(path)
+    for load in (load_model, load_model_rounds):
+        with pytest.raises(ValueError, match=f"round 2: tree c_bound 1.0 differs from the scheme's c_bound {LN2!r}"):
+            load(path)
 
 
 @pytest.mark.parametrize(
