@@ -4,7 +4,8 @@ A domain is an ordered list of attributes, each with a finite cardinality.
 Cells are addressed by a row-major index over the attribute cardinalities,
 so ``cell = sum_i code_i * prod_{j>i} card_j``.  One attribute is designated
 sensitive; an optional second one is the class attribute used by the
-statistical-rate metrics.
+statistical-rate metrics.  A schema's stored form in a model is
+``serialize``'s alone.
 """
 
 from __future__ import annotations
@@ -43,23 +44,6 @@ class Attribute:
     @property
     def is_ordinal(self) -> bool:
         return self.bin_edges is not None
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "cardinality": self.cardinality,
-            "categories": list(self.categories) if self.categories is not None else None,
-            "bin_edges": list(self.bin_edges) if self.bin_edges is not None else None,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "Attribute":
-        return Attribute(
-            name=d["name"],
-            cardinality=int(d["cardinality"]),
-            categories=tuple(d["categories"]) if d["categories"] is not None else None,
-            bin_edges=tuple(float(e) for e in d["bin_edges"]) if d["bin_edges"] is not None else None,
-        )
 
 
 @dataclass(frozen=True)
@@ -169,23 +153,6 @@ class AttributeSchema:
         cube = np.asarray(groups).reshape((card,) + x_shape)
         cube = np.moveaxis(cube, 0, self.sensitive_index)
         return cube.reshape(-1)
-
-    # -- serialization --------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "attributes": [a.to_dict() for a in self.attributes],
-            "sensitive_index": self.sensitive_index,
-            "target_index": self.target_index,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "AttributeSchema":
-        return AttributeSchema(
-            attributes=tuple(Attribute.from_dict(a) for a in d["attributes"]),
-            sensitive_index=d["sensitive_index"],
-            target_index=d["target_index"],
-        )
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

@@ -12,17 +12,18 @@ array, and each array is streamed in its place, each distinct value
 formatted once.  The trace is one ``csv`` row per ``TraceRow``, ``str`` of
 each value and an empty cell for None.
 The model document stores the run id, the leveraging scheme, the anchor
-conditionals and the per-round {theta, classifier, z, z_by_group} in
-boosting order; stored normalizers are authoritative and never recomputed on
-load.  Its layout is known here only: ``load_model`` returns the stack, the
-scheme and the run id, and ``load_model_rounds`` returns the scheme, the run
-id and the same decoded rounds without building the anchor or the stack.
-Both read every round through one decoder, so they reject the same rounds.
-Loading rejects missing keys (the run id and every schema key included),
-values of the wrong JSON type (naming the field), anchor rows that are not
-distributions (``load_model`` only), round values ``BoostRound`` refuses
-(naming the round), trees no fit could have produced, and trees whose score
-bound is not the scheme's C.  A trace is read in the one shape ``fbde_fit``
+schema and conditionals and the per-round {theta, classifier, z, z_by_group}
+in boosting order; stored normalizers are authoritative and never recomputed
+on load.  Its layout, the schema's and every tree's included, is known here
+only.  ``load_model`` returns the stack, the scheme and the run id;
+``load_model_rounds`` returns the scheme, the run id and the same decoded
+rounds, without building the anchor or the stack.  Loading rejects missing
+keys, values of the wrong JSON type (naming the field), anchor rows that are
+not distributions (``load_model`` only), round values ``BoostRound``
+refuses, trees no fit could have produced and trees whose score bound is not
+the scheme's C, prefixing every error of round t with ``round t: ``.  An
+integer field takes only a JSON integer, and a number field any JSON number
+but no string or boolean.  A trace is read in the one shape ``fbde_fit``
 writes (see ``_trace_row``).
 """
 
@@ -39,8 +40,8 @@ import numpy as np
 
 from .boosted import BoostedDensity, BoostRound, InitialDensity
 from .engine import LeveragingScheme, TraceRow
-from .schema import AttributeSchema
-from .tree import DecisionTreeClassifier, boosting_regime
+from .schema import Attribute, AttributeSchema
+from .tree import DecisionTreeClassifier, Node, boosting_regime
 
 MODEL_FORMAT = "fairboost.model"
 MODEL_VERSION = 1
@@ -133,29 +134,94 @@ def sha256_file(path: str) -> str:
 
 # -- models -------------------------------------------------------------
 
+def _int(value) -> int:
+    """A JSON integer field: a float or a boolean is the wrong JSON type."""
+    if type(value) is not int:
+        raise TypeError
+    return value
+
+
+def _number(value) -> float:
+    """A JSON number field: a string or a boolean is the wrong JSON type."""
+    if type(value) not in (int, float):
+        raise TypeError
+    return float(value)
+
+
 def _scheme_to_dict(scheme: LeveragingScheme) -> dict:
     # model version 1 has four scheme keys; "value" belonged to no supported scheme and is always null
     return {"kind": scheme.kind, "tau": scheme.tau, "c_bound": scheme.c_bound, "value": None}
 
 
 def _scheme_from_dict(d: dict) -> LeveragingScheme:
-    scheme = LeveragingScheme(kind=d["kind"], tau=d["tau"], c_bound=float(d["c_bound"]))
+    # tau as stored: the scheme names an unknown kind first, then its 0 < tau < 1 refuses all but a number
+    scheme = LeveragingScheme(kind=d["kind"], tau=d["tau"], c_bound=_number(d["c_bound"]))
     if d["value"] is not None:
         raise ValueError(f"scheme value must be null, got {d['value']!r}")
     return scheme
 
 
+def _tree_to_dict(tree: DecisionTreeClassifier, x_schema: AttributeSchema) -> dict:
+    def node(n: Node) -> dict:
+        if n.is_leaf:
+            return {"leaf": float(n.leaf)}
+        return {
+            "attr": x_schema.attributes[n.attr].name,
+            "split": {"op": n.op, "value": int(n.value)},
+            "left": node(n.left),
+            "right": node(n.right),
+        }
+
+    return {"type": "tree", "c_bound": float(tree.c_bound), "root": node(tree.root)}
+
+
+def _tree_from_dict(d: dict, x_schema: AttributeSchema, c_bound: float) -> DecisionTreeClassifier:
+    """A stored tree, rejecting any node a fit cannot write: its ``c_bound``
+    must be the scheme's, which is finite and > 0, and bounds every leaf."""
+    kind = d.get("type")
+    if kind != "tree":
+        raise ValueError(f"unknown classifier type {kind!r}")
+    tree_bound = _number(d["c_bound"])
+    if tree_bound != c_bound:
+        raise ValueError(f"tree c_bound {tree_bound!r} differs from the scheme's c_bound {c_bound!r}")
+
+    def node(obj) -> Node:
+        if "leaf" in obj:
+            leaf = _number(obj["leaf"])
+            if not (math.isfinite(leaf) and abs(leaf) <= c_bound + 1e-12):
+                raise ValueError(f"tree leaf {leaf!r} is not a finite value in [-c_bound, c_bound]")
+            return Node(leaf=leaf)
+        attr = x_schema.index_of(obj["attr"])
+        op, value = obj["split"]["op"], _int(obj["split"]["value"])
+        if op not in ("le", "eq"):
+            raise ValueError(f"tree split op must be 'le' or 'eq', got {op!r}")
+        card = x_schema.attributes[attr].cardinality
+        if not (0 <= value < card):
+            raise ValueError(f"tree split value {value} on {obj['attr']!r} is outside [0, {card})")
+        return Node(attr=attr, op=op, value=value, left=node(obj["left"]), right=node(obj["right"]))
+
+    return DecisionTreeClassifier(root=node(d["root"]), c_bound=c_bound)
+
+
 def save_model(bd: BoostedDensity, path: str, scheme: LeveragingScheme, run_id: str) -> None:
     doc = {"format": MODEL_FORMAT, "version": MODEL_VERSION, "manifest": run_id}
     doc["scheme"] = _scheme_to_dict(scheme)
+    schema = bd.schema
     doc["q0"] = {
-        "schema": bd.schema.to_dict(),
+        "schema": {
+            "attributes": [
+                {"name": a.name, "cardinality": a.cardinality, "categories": a.categories, "bin_edges": a.bin_edges}
+                for a in schema.attributes
+            ],
+            "sensitive_index": schema.sensitive_index,
+            "target_index": schema.target_index,
+        },
         "conditionals": list(bd.q0.cond),
     }
     doc["rounds"] = [
         {
             "theta": float(r.theta),
-            "classifier": r.classifier.to_dict(),
+            "classifier": _tree_to_dict(r.classifier, bd.q0.x_schema),
             "z": float(r.z),
             "z_by_group": [float(z) for z in r.z_by_group],
         }
@@ -192,8 +258,9 @@ class _ModelReader:
         doc = self.doc
         if doc.get("format") != MODEL_FORMAT:
             raise ValueError("not a model document")
-        if int(doc.get("version", -1)) != MODEL_VERSION:
-            raise ValueError(f"unsupported model version {doc.get('version')!r}")
+        self.field = "version"
+        if _int(doc["version"]) != MODEL_VERSION:
+            raise ValueError(f"unsupported model version {doc['version']!r}")
         self.field = "manifest"
         run_id = doc["manifest"]
         if not isinstance(run_id, str):
@@ -203,31 +270,38 @@ class _ModelReader:
 
     def schema(self) -> AttributeSchema:
         self.field = "q0.schema"
-        return AttributeSchema.from_dict(self.doc["q0"]["schema"])
+        d = self.doc["q0"]["schema"]
+        attributes = tuple(
+            Attribute(
+                name=a["name"],
+                cardinality=_int(a["cardinality"]),
+                categories=tuple(a["categories"]) if a["categories"] is not None else None,
+                bin_edges=tuple(_number(e) for e in a["bin_edges"]) if a["bin_edges"] is not None else None,
+            )
+            for a in d["attributes"]
+        )
+        target = d["target_index"]
+        return AttributeSchema(attributes, _int(d["sensitive_index"]), None if target is None else _int(target))
 
     def rounds(self, schema: AttributeSchema, c_bound: float) -> list[BoostRound]:
         """Every stored round in boosting order: z_by_group holds one entry
-        per sensitive value, the tree decodes over the schema's features and
-        its score bound is the scheme's ``c_bound``."""
+        per sensitive value, and the tree splits the schema's features with
+        the scheme's ``c_bound``.  Each error of round t starts ``round t: ``."""
         x_schema, card = schema.x_subschema(), schema.sensitive.cardinality
         self.field = "rounds"
         rounds = []
         for t, r in enumerate(self.doc["rounds"], start=1):
-            self.field = f"rounds[{t - 1}].theta"
-            theta = float(r["theta"])
-            self.field = f"rounds[{t - 1}].z"
-            z = float(r["z"])
-            self.field = f"rounds[{t - 1}].z_by_group"
-            z_by_group = np.asarray(r["z_by_group"], dtype=np.float64)
-            if z_by_group.shape != (card,):
-                raise ValueError(f"round {t}: z_by_group needs {card} entries, one per sensitive value")
-            self.field = f"rounds[{t - 1}].classifier"
-            classifier = DecisionTreeClassifier.from_dict(r["classifier"], x_schema)
-            if classifier.c_bound != c_bound:
-                raise ValueError(
-                    f"round {t}: tree c_bound {classifier.c_bound!r} differs from the scheme's c_bound {c_bound!r}"
-                )
             try:
+                self.field = f"rounds[{t - 1}].theta"
+                theta = _number(r["theta"])
+                self.field = f"rounds[{t - 1}].z"
+                z = _number(r["z"])
+                self.field = f"rounds[{t - 1}].z_by_group"
+                z_by_group = np.asarray(r["z_by_group"], dtype=np.float64)
+                if z_by_group.shape != (card,):
+                    raise ValueError(f"z_by_group needs {card} entries, one per sensitive value")
+                self.field = f"rounds[{t - 1}].classifier"
+                classifier = _tree_from_dict(r["classifier"], x_schema, c_bound)
                 rounds.append(BoostRound(theta=theta, classifier=classifier, z=z, z_by_group=z_by_group))
             except ValueError as exc:
                 raise ValueError(f"round {t}: {exc}") from None
@@ -271,6 +345,13 @@ def save_trace(rows: Sequence[TraceRow], path: str) -> None:
 _ROUND_ONLY = frozenset({"gamma_p", "gamma_q", "regime"})
 
 
+def _parse_cell(convert, text: str, what: str):
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValueError(f"{what}, got {text!r}") from None
+
+
 def _trace_row(n: int, row: list[str]) -> TraceRow:
     """Row n as ``fbde_fit`` writes it: t = n, kl_train always, kl_test
     never, no margins or regime at t = 0 and at every later t both margins
@@ -278,7 +359,7 @@ def _trace_row(n: int, row: list[str]) -> TraceRow:
     the column."""
     if len(row) != len(TRACE_HEADER):
         raise ValueError(f"trace row {n}: expected {len(TRACE_HEADER)} fields, got {len(row)}")
-    t = int(row[0])
+    t = _parse_cell(int, row[0], f"trace row {n}: t must be an integer")
     if t != n:
         raise ValueError(f"trace row {n}: expected round t={n}, got t={t}")
     vals = {"t": t}
@@ -295,7 +376,7 @@ def _trace_row(n: int, row: list[str]) -> TraceRow:
         elif col == "regime":
             vals[col] = text
         else:
-            vals[col] = float(text)
+            vals[col] = _parse_cell(float, text, f"trace row t={t}: {col} must be a number")
             if not math.isfinite(vals[col]):
                 raise ValueError(f"trace row t={t}: {col} must be finite, got {text!r}")
     if t >= 1:

@@ -38,12 +38,12 @@ exact and the gains equal row-by-row sums bit for bit.
 Induction is deterministic: among the candidates with the largest Gini gain
 the first in row-major grid order wins, so ties resolve to the lowest
 attribute index, then the lowest split value, and a split is made only when
-its gain exceeds a small tolerance.
+its gain exceeds a small tolerance.  A tree knows nothing of its stored
+form, which ``serialize`` writes and reads.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,11 +74,10 @@ class TreeConfig:
 class Node:
     """One tree node; either a split (attr/op/value) or a leaf value."""
 
-    __slots__ = ("attr", "name", "op", "value", "left", "right", "leaf")
+    __slots__ = ("attr", "op", "value", "left", "right", "leaf")
 
-    def __init__(self, attr=None, name=None, op=None, value=None, left=None, right=None, leaf=None):
+    def __init__(self, attr=None, op=None, value=None, left=None, right=None, leaf=None):
         self.attr = attr
-        self.name = name
         self.op = op
         self.value = value
         self.left = left
@@ -143,54 +142,6 @@ class DecisionTreeClassifier:
                         part = view[(slice(None),) * f + (slice(start, stop),)]
                         stack.append((child, part, offset[:f] + (base + start,) + offset[f + 1 :]))
         return cube.reshape(-1)
-
-    def to_dict(self) -> dict:
-        def encode(node):
-            if node.is_leaf:
-                return {"leaf": float(node.leaf)}
-            return {
-                "attr": node.name,
-                "split": {"op": node.op, "value": int(node.value)},
-                "left": encode(node.left),
-                "right": encode(node.right),
-            }
-
-        return {"type": "tree", "c_bound": float(self.c_bound), "root": encode(self.root)}
-
-    @staticmethod
-    def from_dict(d: dict, x_schema: AttributeSchema) -> "DecisionTreeClassifier":
-        """Decode a stored tree, rejecting any node a fitted tree cannot have."""
-        kind = d.get("type")
-        if kind != "tree":
-            raise ValueError(f"unknown classifier type {kind!r}")
-        c_bound = float(d["c_bound"])
-        if not (math.isfinite(c_bound) and c_bound > 0):
-            raise ValueError(f"tree c_bound must be finite and > 0, got {c_bound!r}")
-
-        def decode(obj):
-            if "leaf" in obj:
-                leaf = float(obj["leaf"])
-                if not (math.isfinite(leaf) and abs(leaf) <= c_bound + 1e-12):
-                    raise ValueError(f"tree leaf {leaf!r} is not a finite value in [-c_bound, c_bound]")
-                return Node(leaf=leaf)
-            attr = x_schema.index_of(obj["attr"])
-            split = obj["split"]
-            op, value = split["op"], int(split["value"])
-            if op not in ("le", "eq"):
-                raise ValueError(f"tree split op must be 'le' or 'eq', got {op!r}")
-            card = x_schema.attributes[attr].cardinality
-            if not (0 <= value < card):
-                raise ValueError(f"tree split value {value} on {obj['attr']!r} is outside [0, {card})")
-            return Node(
-                attr=attr,
-                name=obj["attr"],
-                op=op,
-                value=value,
-                left=decode(obj["left"]),
-                right=decode(obj["right"]),
-            )
-
-        return DecisionTreeClassifier(root=decode(d["root"]), c_bound=c_bound)
 
 
 def _gini_terms(wp, wq):
@@ -258,7 +209,7 @@ def train_tree(p_samples: Dataset, q_samples: Dataset, cfg: TreeConfig, c_bound:
         op = "le" if ordinal[f, 0] else "eq"
         col = X[idx, f]
         mask = (col <= value) if op == "le" else (col == value)
-        node = Node(attr=f, name=x_schema.attributes[f].name, op=op, value=value)
+        node = Node(attr=f, op=op, value=value)
         kids = [idx[mask], idx[~mask]]
         hists = [None, None]
         if depth + 1 < cfg.max_depth:

@@ -115,6 +115,16 @@ def group_matrix(schema, mass):
     return cube.reshape(schema.sensitive.cardinality, -1)
 
 
+def tree_nodes(tree):
+    """A tree as plain values, for comparing two trees: its score bound and
+    nested (attr, op, value, left, right) splits down to the leaf values."""
+
+    def node(n):
+        return n.leaf if n.is_leaf else (n.attr, n.op, n.value, node(n.left), node(n.right))
+
+    return tree.c_bound, node(tree.root)
+
+
 def dataset_from_rows(schema, rows):
     return Dataset(schema, np.asarray(rows, dtype=np.int64))
 

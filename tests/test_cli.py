@@ -717,7 +717,7 @@ def _first_leaf(node) -> dict:
     "breaker, message",
     [
         (lambda tree: _first_leaf(tree["root"]).update(leaf=5.0),
-         "tree leaf 5.0 is not a finite value in [-c_bound, c_bound]"),
+         "round 1: tree leaf 5.0 is not a finite value in [-c_bound, c_bound]"),
         (lambda tree: tree.update(c_bound=2.0), f"round 1: tree c_bound 2.0 differs from the scheme's c_bound {LN2!r}"),
         (lambda tree: tree["root"].pop("split"), "model document is missing key 'split'"),
     ],
@@ -731,6 +731,31 @@ def test_tree_no_fit_writes_rejected_by_both_readers(tmp_path, fit_run, synth_cs
     assert main(["eval", "--model", bad, "--data", synth_csv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert _guarantees_error(bad, trace_path, tmp_path, capsys) == f"error: {message}\n"
+
+
+def _root_split(doc) -> dict:
+    return doc["rounds"][0]["classifier"]["root"]["split"]
+
+
+@pytest.mark.parametrize(
+    "breaker, field",
+    [
+        (lambda doc: _root_split(doc).update(value=_root_split(doc)["value"] + 0.7), "rounds[0].classifier"),
+        (lambda doc: doc.update(version=1.9), "version"),
+        (lambda doc: doc["q0"]["schema"]["attributes"][0].update(cardinality=50.5), "q0.schema"),
+        (lambda doc: _root_split(doc).update(value=True), "rounds[0].classifier"),
+        (lambda doc: doc["rounds"][0].update(theta="abc"), "rounds[0].theta"),
+    ],
+    ids=["split-value-float", "version-float", "cardinality-float", "split-value-bool", "theta-string"],
+)
+def test_model_numbers_read_by_json_type(tmp_path, fit_run, synth_csv, capsys, breaker, field):
+    # int() would truncate 26.7 to 26 and read true as 1: an integer field takes only a JSON integer
+    model_path, trace_path = fit_run
+    bad = _broken_model(tmp_path, model_path, breaker)
+    message = f"error: model field {field!r} has the wrong JSON type\n"
+    assert main(["eval", "--model", bad, "--data", synth_csv]) == 1
+    assert capsys.readouterr().err == message
+    assert _guarantees_error(bad, trace_path, tmp_path, capsys) == message
 
 
 @pytest.mark.parametrize(

@@ -26,13 +26,6 @@ def test_attribute_validation():
         Attribute("", 2)
 
 
-def test_attribute_round_trip():
-    a = Attribute("x", 4, bin_edges=(0.0, 0.5, 1.0, 1.5, 2.0))
-    assert Attribute.from_dict(a.to_dict()) == a
-    b = Attribute("c", 2, categories=("yes", "no"))
-    assert Attribute.from_dict(b.to_dict()) == b
-
-
 def test_schema_shape_and_encoding():
     s = xya_schema(nx=3, ny=2, na=2)
     assert s.shape == (3, 2, 2)
@@ -82,11 +75,6 @@ def test_group_matrix_round_trip(rng):
     assert mat.shape == (2, 6)
     assert np.allclose(s.flatten_groups(mat), mass)
     assert np.isclose(mat.sum(), mass.sum())
-
-
-def test_schema_round_trip():
-    s = xya_schema(nx=5, ny=2, na=3)
-    assert AttributeSchema.from_dict(s.to_dict()) == s
 
 
 def test_dataset_basics():

@@ -12,10 +12,14 @@ from fairboost import (
     FAIL,
     HBS,
     LBS,
+    Attribute,
+    AttributeSchema,
+    BoostedDensity,
     Dataset,
     FitConfig,
     LeveragingScheme,
     TraceRow,
+    TreeConfig,
     build_initial,
     fbde_fit,
     load_model,
@@ -23,6 +27,7 @@ from fairboost import (
     manifest_id,
     save_model,
     save_trace,
+    train_tree,
 )
 from fairboost.serialize import (
     TRACE_HEADER,
@@ -33,7 +38,7 @@ from fairboost.serialize import (
     sha256_file,
 )
 
-from conftest import xa_schema
+from conftest import tree_nodes, uniform_initial, xa_schema, xya_schema
 
 LN2 = math.log(2.0)
 
@@ -146,7 +151,7 @@ def test_model_rounds_read_without_the_stack(tmp_path, fitted):
     save_model(stack, path, scheme, run_id="run-2")
     got_scheme, run_id, stored = _model_rounds(path)
     assert got_scheme == scheme and run_id == "run-2"
-    assert stored == [(r.theta, r.z, r.z_by_group.tolist(), r.classifier.to_dict()) for r in stack.rounds]
+    assert stored == [(r.theta, r.z, r.z_by_group.tolist(), tree_nodes(r.classifier)) for r in stack.rounds]
     assert [(theta, z) for theta, z, _, _ in stored] == [(r.theta, r.z) for r in trace[1:]]
     # the anchor is eval's to check, not this reader's
     doc = load_json(path)
@@ -178,7 +183,7 @@ def test_model_rounds_read_without_the_stack(tmp_path, fitted):
 
 def _model_rounds(path):
     scheme, run_id, rounds = load_model_rounds(path)
-    return scheme, run_id, [(r.theta, r.z, r.z_by_group.tolist(), r.classifier.to_dict()) for r in rounds]
+    return scheme, run_id, [(r.theta, r.z, r.z_by_group.tolist(), tree_nodes(r.classifier)) for r in rounds]
 
 
 def test_model_rejects_tree_c_bound_other_than_scheme(tmp_path, fitted):
@@ -192,6 +197,101 @@ def test_model_rejects_tree_c_bound_other_than_scheme(tmp_path, fitted):
     for load in (load_model, load_model_rounds):
         with pytest.raises(ValueError, match=f"round 2: tree c_bound 1.0 differs from the scheme's c_bound {LN2!r}"):
             load(path)
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        AttributeSchema(
+            (
+                Attribute("x", 4, bin_edges=(0.0, 0.5, 1.0, 1.5, 2.0)),
+                Attribute("c", 2, categories=("yes", "no")),
+                Attribute("a", 2),
+            ),
+            sensitive_index=2,
+            target_index=1,
+        ),
+        xya_schema(nx=5, ny=2, na=3),
+    ],
+    ids=["attributes", "xya"],
+)
+def test_model_schema_round_trip(tmp_path, schema):
+    # bin edges, categories and both indices come back equal
+    path = str(tmp_path / "m.json")
+    save_model(BoostedDensity(uniform_initial(schema)), path, LeveragingScheme("exact", 0.8, LN2), run_id="run-1")
+    assert load_model(path)[0].schema == schema
+
+
+def _ordinal_schema():
+    """Two ordinal features and the sensitive column."""
+    edges = tuple(float(i) for i in range(5))
+    return AttributeSchema(
+        (Attribute("f1", 4, bin_edges=edges), Attribute("f2", 4, bin_edges=edges), Attribute("a", 2)),
+        sensitive_index=2,
+    )
+
+
+def _with_a(x_rows):
+    return np.column_stack([x_rows, np.zeros(len(x_rows), dtype=np.int64)])
+
+
+def test_tree_round_trip(tmp_path, rng):
+    s = _ordinal_schema()
+    p = Dataset(s, _with_a(rng.integers(0, 4, size=(80, 2))))
+    q = Dataset(s, _with_a(np.minimum(rng.integers(0, 4, size=(80, 2)) + 1, 3)))
+    tree = train_tree(p, q, TreeConfig(), LN2)
+    assert not tree.root.is_leaf
+    path = str(tmp_path / "m.json")
+    stack = BoostedDensity(uniform_initial(s)).extended(tree, 0.1)
+    save_model(stack, path, LeveragingScheme("exact", 0.8, LN2), run_id="run-1")
+    back = load_model(path)[0].rounds[0].classifier
+    cells = s.x_subschema().all_cells()
+    assert np.array_equal(back.scores(cells), tree.scores(cells))
+    assert tree_nodes(back) == tree_nodes(tree)
+    assert tree_nodes(load_model_rounds(path)[2][0].classifier) == tree_nodes(tree)
+
+
+def test_model_rejects_malformed_trees(tmp_path):
+    # both readers refuse every node a fit cannot write, naming the round
+    good = {
+        "type": "tree",
+        "c_bound": LN2,
+        "root": {
+            "attr": "f1",
+            "split": {"op": "le", "value": 1},
+            "left": {"leaf": LN2},
+            "right": {"leaf": -LN2},
+        },
+    }
+    path = str(tmp_path / "m.json")
+    save_model(BoostedDensity(uniform_initial(_ordinal_schema())), path, LeveragingScheme("exact", 0.8, LN2), "run-1")
+    model = load_json(path)
+
+    def with_tree(tree):
+        doc = json.loads(json.dumps(model))
+        doc["rounds"] = [{"theta": 0.1, "classifier": tree, "z": 1.0, "z_by_group": [1.0, 1.0]}]
+        dump_json(doc, path)
+        return path
+
+    assert tree_nodes(load_model(with_tree(good))[0].rounds[0].classifier) == (LN2, (0, "le", 1, LN2, -LN2))
+
+    def bad(message, c_bound=LN2, attr="f1", op="le", value=1, leaf=LN2):
+        tree = dict(good, c_bound=c_bound)
+        tree["root"] = dict(good["root"], attr=attr, split={"op": op, "value": value}, left={"leaf": leaf})
+        with_tree(tree)
+        for load in (load_model, load_model_rounds):
+            with pytest.raises(ValueError, match=f"^round 1: {message}$"):
+                load(path)
+
+    bad("unknown attribute 'a'", attr="a")  # the sensitive column is no feature
+    bad(r"tree split op must be 'le' or 'eq', got 'lt'", op="lt")
+    bad(r"tree split value -3 on 'f1' is outside \[0, 4\)", value=-3)
+    bad(r"tree split value 4 on 'f1' is outside \[0, 4\)", value=4)
+    for leaf in (float("nan"), float("inf"), 5.0, -0.7):
+        bad(r"tree leaf .* is not a finite value in \[-c_bound, c_bound\]", leaf=leaf)
+    # the scheme's C is finite and > 0, so a tree bound that is not is not the scheme's
+    for c_bound in (float("nan"), float("inf"), 0.0, -1.0):
+        bad(f"tree c_bound {c_bound!r} differs from the scheme's c_bound {LN2!r}", c_bound=c_bound)
 
 
 @pytest.mark.parametrize(
@@ -351,6 +451,8 @@ def test_trace_rejects_non_finite_numbers(tmp_path, column, text):
         (0, "kl_test", "0.6", "trace row t=0: kl_test must be empty, got '0.6'"),
         (1, "kl_test", "0.41", "trace row t=1: kl_test must be empty, got '0.41'"),
         (1, "kl_test", "nan", "trace row t=1: kl_test must be empty, got 'nan'"),
+        (1, "t", "x", "trace row 1: t must be an integer, got 'x'"),
+        (1, "theta", "abc", "trace row t=1: theta must be a number, got 'abc'"),
     ],
     ids=[
         "kl_train-baseline",
@@ -366,6 +468,8 @@ def test_trace_rejects_non_finite_numbers(tmp_path, column, text):
         "baseline-kl_test",
         "kl_test",
         "kl_test-nan",
+        "t-not-integer",
+        "theta-not-number",
     ],
 )
 def test_trace_rejects_rows_fit_never_writes(tmp_path, t, column, text, message):

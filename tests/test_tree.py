@@ -19,7 +19,7 @@ from fairboost import (
     train_tree,
 )
 
-from conftest import LN2, table_classifier, xa_schema
+from conftest import LN2, table_classifier, tree_nodes, xa_schema
 from fairboost.tree import _GAIN_TOL, LEAF_SMOOTHING, Node, _gini_terms
 
 CFG = TreeConfig()
@@ -55,13 +55,14 @@ def tree_depth(tree):
     return below(tree.root)
 
 
-def split_names(tree):
-    """Every attribute name some split of the tree uses."""
+def split_names(tree, schema):
+    """Every attribute name some split of the tree uses; split attributes
+    index the features of `schema`."""
     names, stack = set(), [tree.root]
     while stack:
         node = stack.pop()
         if not node.is_leaf:
-            names.add(node.name)
+            names.add(schema.x_subschema().attributes[node.attr].name)
             stack.extend([node.left, node.right])
     return names
 
@@ -152,7 +153,7 @@ def test_training_is_deterministic(rng):
     p, q = Dataset(s, rows_p), Dataset(s, rows_q)
     t1 = train_tree(p, q, CFG, LN2)
     t2 = train_tree(p, q, CFG, LN2)
-    assert t1.to_dict() == t2.to_dict()
+    assert tree_nodes(t1) == tree_nodes(t2)
 
 
 def test_ties_resolve_to_lowest_attribute_and_value():
@@ -212,8 +213,8 @@ def test_sensitive_attribute_never_splits(rng):
     rows_p = np.column_stack([rng.integers(0, 4, size=(60, 2)), np.zeros(60, dtype=np.int64)])
     rows_q = np.column_stack([rng.integers(0, 4, size=(60, 2)), np.ones(60, dtype=np.int64)])
     tree = train_tree(Dataset(s, rows_p), Dataset(s, rows_q), CFG, LN2)
-    assert "a" not in split_names(tree)
-    assert split_names(tree) <= {"f1", "f2"}
+    assert "a" not in split_names(tree, s)
+    assert split_names(tree, s) <= {"f1", "f2"}
 
 
 def row_level_tree(p, q, cfg, c_bound):
@@ -253,7 +254,7 @@ def row_level_tree(p, q, cfg, c_bound):
         _, f, v = best
         op = "le" if attrs[f].is_ordinal else "eq"
         mask = X[idx, f] <= v if op == "le" else X[idx, f] == v
-        node = Node(attr=f, name=attrs[f].name, op=op, value=v)
+        node = Node(attr=f, op=op, value=v)
         node.left, node.right = grow(idx[mask], depth + 1), grow(idx[~mask], depth + 1)
         return node
 
@@ -296,7 +297,7 @@ def test_histogram_tree_matches_row_level_oracle(rng):
     for _ in range(400):
         p, q = random_tree_problem(rng)
         cfg = TreeConfig(max_depth=int(rng.integers(1, 9)), min_leaf_count=int(rng.integers(1, 9)))
-        assert train_tree(p, q, cfg, LN2).to_dict() == row_level_tree(p, q, cfg, LN2).to_dict()
+        assert tree_nodes(train_tree(p, q, cfg, LN2)) == tree_nodes(row_level_tree(p, q, cfg, LN2))
 
 
 @pytest.mark.parametrize("p_rows, splits", [(4, False), (5, True), (6, True)])
@@ -308,7 +309,7 @@ def test_min_leaf_counts_rows_not_cells(p_rows, splits):
     p = Dataset(s, with_a([[0, 0]] * p_rows))
     q = Dataset(s, with_a([[2, 0]] * (2 * p_rows)))
     tree = train_tree(p, q, TreeConfig(min_leaf_count=5), LN2)
-    assert tree.to_dict() == row_level_tree(p, q, TreeConfig(min_leaf_count=5), LN2).to_dict()
+    assert tree_nodes(tree) == tree_nodes(row_level_tree(p, q, TreeConfig(min_leaf_count=5), LN2))
     if splits:
         assert (tree.root.attr, tree.root.op, tree.root.value) == (0, "le", 0)
         assert np.array_equal(cell_scores(tree, s), [LN2, -LN2, -LN2])
@@ -337,46 +338,6 @@ def test_train_tree_input_validation():
         train_tree(Dataset(s, rows), Dataset(other, with_a([[0, 0]] * 10)), CFG, LN2)
 
 
-def test_tree_serialization_roundtrip(rng):
-    s = two_feature_schema()
-    p = Dataset(s, with_a(rng.integers(0, 4, size=(80, 2))))
-    q = Dataset(s, with_a(np.minimum(rng.integers(0, 4, size=(80, 2)) + 1, 3)))
-    tree = train_tree(p, q, CFG, LN2)
-    back = DecisionTreeClassifier.from_dict(tree.to_dict(), s.x_subschema())
-    cells = s.x_subschema().all_cells()
-    assert np.array_equal(back.scores(cells), tree.scores(cells))
-    assert back.to_dict() == tree.to_dict()
-
-
-def test_tree_serialization_rejects_malformed_trees():
-    s = two_feature_schema()
-    good = {
-        "type": "tree",
-        "c_bound": LN2,
-        "root": {
-            "attr": "f1",
-            "split": {"op": "le", "value": 1},
-            "left": {"leaf": LN2},
-            "right": {"leaf": -LN2},
-        },
-    }
-    DecisionTreeClassifier.from_dict(good, s.x_subschema())
-
-    def bad(message, c_bound=LN2, op="le", value=1, leaf=LN2):
-        doc = dict(good, c_bound=c_bound)
-        doc["root"] = dict(good["root"], split={"op": op, "value": value}, left={"leaf": leaf})
-        with pytest.raises(ValueError, match=message):
-            DecisionTreeClassifier.from_dict(doc, s.x_subschema())
-
-    bad(r"split op must be 'le' or 'eq', got 'lt'", op="lt")
-    bad(r"split value -3 on 'f1' is outside \[0, 4\)", value=-3)
-    bad(r"split value 4 on 'f1' is outside \[0, 4\)", value=4)
-    for leaf in (float("nan"), float("inf"), 5.0, -0.7):
-        bad(r"leaf .* is not a finite value in \[-c_bound, c_bound\]", leaf=leaf)
-    for c_bound in (float("nan"), float("inf"), 0.0, -1.0):
-        bad("c_bound must be finite and > 0", c_bound=c_bound)
-
-
 def random_tree(x_schema, rng, depth):
     """A tree of at most `depth` splits on random attributes, ops and values.
 
@@ -392,7 +353,7 @@ def random_tree(x_schema, rng, depth):
         f = int(rng.integers(len(x_schema.attributes)))
         attr = x_schema.attributes[f]
         op = "le" if rng.random() < 0.5 else "eq"
-        node = Node(attr=f, name=attr.name, op=op, value=int(rng.integers(attr.cardinality)))
+        node = Node(attr=f, op=op, value=int(rng.integers(attr.cardinality)))
         node.left, node.right = grow(d - 1), grow(d - 1)
         return node
 
