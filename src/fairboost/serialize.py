@@ -22,8 +22,9 @@ keys, values of the wrong JSON type (naming the field), anchor rows that are
 not distributions (``load_model`` only), round values ``BoostRound``
 refuses, trees no fit could have produced and trees whose score bound is not
 the scheme's C, prefixing every error of round t with ``round t: ``.  An
-integer field takes only a JSON integer, and a number field any JSON number
-but no string or boolean.  A trace is read in the one shape ``fbde_fit``
+integer field takes only a JSON integer, a number field (``z_by_group``'s
+entries included) any JSON number but no string or boolean, and a name or
+a category only a JSON string.  A trace is read in the one shape ``fbde_fit``
 writes (see ``_trace_row``).
 """
 
@@ -148,6 +149,20 @@ def _number(value) -> float:
     return float(value)
 
 
+def _str(value) -> str:
+    """A JSON string field: any other JSON value is the wrong JSON type."""
+    if type(value) is not str:
+        raise TypeError
+    return value
+
+
+def _list(value, item) -> list:
+    """A JSON list field, each entry read by ``item``."""
+    if type(value) is not list:
+        raise TypeError
+    return [item(v) for v in value]
+
+
 def _scheme_to_dict(scheme: LeveragingScheme) -> dict:
     # model version 1 has four scheme keys; "value" belonged to no supported scheme and is always null
     return {"kind": scheme.kind, "tau": scheme.tau, "c_bound": scheme.c_bound, "value": None}
@@ -262,9 +277,7 @@ class _ModelReader:
         if _int(doc["version"]) != MODEL_VERSION:
             raise ValueError(f"unsupported model version {doc['version']!r}")
         self.field = "manifest"
-        run_id = doc["manifest"]
-        if not isinstance(run_id, str):
-            raise TypeError
+        run_id = _str(doc["manifest"])
         self.field = "scheme"
         return _scheme_from_dict(doc["scheme"]), run_id
 
@@ -273,10 +286,10 @@ class _ModelReader:
         d = self.doc["q0"]["schema"]
         attributes = tuple(
             Attribute(
-                name=a["name"],
+                name=_str(a["name"]),
                 cardinality=_int(a["cardinality"]),
-                categories=tuple(a["categories"]) if a["categories"] is not None else None,
-                bin_edges=tuple(_number(e) for e in a["bin_edges"]) if a["bin_edges"] is not None else None,
+                categories=tuple(_list(a["categories"], _str)) if a["categories"] is not None else None,
+                bin_edges=tuple(_list(a["bin_edges"], _number)) if a["bin_edges"] is not None else None,
             )
             for a in d["attributes"]
         )
@@ -297,7 +310,7 @@ class _ModelReader:
                 self.field = f"rounds[{t - 1}].z"
                 z = _number(r["z"])
                 self.field = f"rounds[{t - 1}].z_by_group"
-                z_by_group = np.asarray(r["z_by_group"], dtype=np.float64)
+                z_by_group = np.array(_list(r["z_by_group"], _number), dtype=np.float64)
                 if z_by_group.shape != (card,):
                     raise ValueError(f"z_by_group needs {card} entries, one per sensitive value")
                 self.field = f"rounds[{t - 1}].classifier"

@@ -23,23 +23,25 @@ feature set.
 
 Induction runs on counts, not rows.  The rows are aggregated once per tree
 into their distinct feature cells, each holding an integer P count and Q
-count; a bin's class mass is then the class weight times its count.  Every
-node holds one histogram of those counts over all (attribute, value) bins,
-and searches it in one vectorized pass over a padded attribute-by-value
-grid: prefix sums along the value axis give the threshold candidates of
-ordinal attributes, the bins themselves the one-vs-rest candidates of the
-rest.  Only the child with fewer distinct cells is counted; its sibling's
-histogram is the parent's minus that one (histogram subtraction, as in
-LightGBM), exact because the counts are integers held in float64.  The
-min-leaf and stopping rules count rows, never cells.  With the fit's two
-negatives per data row the class weights are 3/2 and 3/4, so every sum is
-exact and the gains equal row-by-row sums bit for bit.
+count; a bin's class mass is then the class weight times its count.  The
+tree grows one depth level at a time, as XGBoost's depth-wise growth does:
+the level's nodes share one (class, node, attribute, value) histogram
+array, filled by one bincount per class over each cell's node slot, and
+all of them are searched in one vectorized pass over padded
+attribute-by-value grids: prefix sums along the value axis give the
+threshold candidates of ordinal attributes, the bins themselves the
+one-vs-rest candidates of the rest.  So the number of numpy calls grows
+with the depth, not with the number of nodes; only building the ``Node``
+objects loops over a level.  The counts are integers held in float64, so
+every sum is exact in any order.  The min-leaf and stopping rules count
+rows, never cells.  With the fit's two negatives per data row the class
+weights are 3/2 and 3/4, so the gains equal row-by-row sums bit for bit.
 
-Induction is deterministic: among the candidates with the largest Gini gain
-the first in row-major grid order wins, so ties resolve to the lowest
-attribute index, then the lowest split value, and a split is made only when
-its gain exceeds a small tolerance.  A tree knows nothing of its stored
-form, which ``serialize`` writes and reads.
+Induction is deterministic: among a node's candidates with the largest
+Gini gain the first in row-major grid order wins, so ties resolve to the
+lowest attribute index, then the lowest split value, and a split is made
+only when its gain exceeds a small tolerance.  A tree knows nothing of its
+stored form, which ``serialize`` writes and reads.
 """
 
 from __future__ import annotations
@@ -178,51 +180,58 @@ def train_tree(p_samples: Dataset, q_samples: Dataset, cfg: TreeConfig, c_bound:
     exists = (cards >= 2) & (np.arange(width) < np.where(ordinal, cards - 1, cards))
     bins = X + width * np.arange(n_attr)  # grid position of each cell's value, per attribute
 
-    def histogram(idx):
-        """(class, attribute, value) row counts over the cells idx."""
-        b = bins[idx].ravel()
-        hist = [np.bincount(b, weights=np.repeat(c[idx], n_attr), minlength=n_attr * width) for c in counts]
-        return np.stack(hist).reshape(2, n_attr, width)
+    def leaves(tot):
+        """Each node's leaf value from its (class, node) row totals."""
+        wp, wq = w[:, None] * tot
+        return np.where(np.abs(wp - wq) <= LEAF_SMOOTHING, 0.0, np.where(wp > wq, c_bound, -c_bound)).tolist()
 
-    def leaf(tot):
-        wp, wq = w * tot
-        if abs(wp - wq) <= LEAF_SMOOTHING:
-            return Node(leaf=0.0)
-        return Node(leaf=c_bound if wp > wq else -c_bound)
-
-    def grow(idx, hist, tot, depth):
-        n_rows = tot.sum()
-        if depth >= cfg.max_depth or n_rows < 2 * cfg.min_leaf_count:
-            return leaf(tot)
-        # the left side of `le v` is a prefix of the value axis, of `eq v` one bin
-        left = np.where(ordinal, np.cumsum(hist, axis=2), hist)
-        right = tot[:, None, None] - left
+    # one level at a time: its nodes, their (class, node) row totals, and the
+    # node slot of every cell still inside a node that may split
+    root = Node()
+    level, tot = [root], counts.sum(axis=1)[:, None]
+    cell, slot = np.arange(len(cells)), np.zeros(len(cells), dtype=np.int64)
+    for _ in range(cfg.max_depth):
+        k = len(level)
+        # the level's (class, node, attribute, value) histogram, one bincount per class
+        key = (np.take(bins, cell, axis=0) + n_attr * width * slot[:, None]).ravel()
+        hist = [np.bincount(key, weights=np.repeat(c[cell], n_attr), minlength=k * n_attr * width) for c in counts]
+        hist = np.stack(hist).reshape(2, k, n_attr, width)
+        # the left side of `le v` is a prefix of the value axis, of `eq v` one bin;
+        # a node of fewer than 2 * min_leaf_count rows has no valid candidate
+        left = np.where(ordinal, np.cumsum(hist, axis=3), hist)
+        right = tot[:, :, None, None] - left
         n_left = left.sum(axis=0)
+        n_rows = tot.sum(axis=0)[:, None, None]
         valid = exists & (n_left >= cfg.min_leaf_count) & (n_rows - n_left >= cfg.min_leaf_count)
-        wc = w[:, None, None]  # class weights, broadcast over the grid
-        gains = _gini_terms(*(w * tot)) - (_gini_terms(*(wc * left)) + _gini_terms(*(wc * right)))
-        gains = np.where(valid, gains, -np.inf)
+        wc = w[:, None, None, None]  # class weights, broadcast over the nodes' grids
+        parent = _gini_terms(*(w[:, None] * tot))[:, None, None]
+        gains = parent - (_gini_terms(*(wc * left)) + _gini_terms(*(wc * right)))
+        gains = np.where(valid, gains, -np.inf).reshape(k, -1)
         # first occurrence in row-major order: lowest attribute, then lowest value
-        f, value = divmod(int(np.argmax(gains)), width)
-        if gains[f, value] <= _GAIN_TOL:
-            return leaf(tot)
-        op = "le" if ordinal[f, 0] else "eq"
-        col = X[idx, f]
-        mask = (col <= value) if op == "le" else (col == value)
-        node = Node(attr=f, op=op, value=value)
-        kids = [idx[mask], idx[~mask]]
-        hists = [None, None]
-        if depth + 1 < cfg.max_depth:
-            # sibling subtraction: count the child with fewer cells, the other is the rest
-            s = int(len(kids[1]) < len(kids[0]))
-            hists[s] = histogram(kids[s])
-            hists[1 - s] = hist - hists[s]
-        node.left = grow(kids[0], hists[0], left[:, f, value], depth + 1)
-        node.right = grow(kids[1], hists[1], right[:, f, value], depth + 1)
-        return node
-
-    every = np.arange(len(cells))
-    root = grow(every, histogram(every), counts.sum(axis=1), 0)
+        best = np.argmax(gains, axis=1)
+        split = gains[np.arange(k), best] > _GAIN_TOL
+        f, value = np.divmod(best, width)
+        s = np.flatnonzero(split)
+        tot_next = np.stack([left[:, s, f[s], value[s]], right[:, s, f[s], value[s]]], axis=2).reshape(2, -1)
+        # cells of split nodes move to their child: 2 * (rank among the splits) + (0 left, 1 right)
+        live = split[slot]
+        cell, slot = cell[live], slot[live]
+        fv, vv = f[slot], value[slot]
+        col = X[cell, fv]
+        slot = 2 * (np.cumsum(split) - 1)[slot] + np.where(ordinal[fv, 0], col > vv, col != vv)
+        next_level = []
+        for node, splits, fi, vi, leaf in zip(level, split.tolist(), f.tolist(), value.tolist(), leaves(tot)):
+            if splits:
+                node.attr, node.op, node.value = fi, "le" if ordinal[fi, 0] else "eq", vi
+                node.left, node.right = Node(), Node()
+                next_level += (node.left, node.right)
+            else:
+                node.leaf = leaf
+        level, tot = next_level, tot_next
+        if not level:
+            break
+    for node, leaf in zip(level, leaves(tot)):
+        node.leaf = leaf
     return DecisionTreeClassifier(root=root, c_bound=c_bound)
 
 

@@ -737,6 +737,10 @@ def _root_split(doc) -> dict:
     return doc["rounds"][0]["classifier"]["root"]["split"]
 
 
+def _attribute_a(doc) -> dict:
+    return next(a for a in doc["q0"]["schema"]["attributes"] if a["name"] == "a")
+
+
 @pytest.mark.parametrize(
     "breaker, field",
     [
@@ -745,11 +749,20 @@ def _root_split(doc) -> dict:
         (lambda doc: doc["q0"]["schema"]["attributes"][0].update(cardinality=50.5), "q0.schema"),
         (lambda doc: _root_split(doc).update(value=True), "rounds[0].classifier"),
         (lambda doc: doc["rounds"][0].update(theta="abc"), "rounds[0].theta"),
+        # the same normalizers as JSON strings: np.asarray would convert them
+        (lambda doc: doc["rounds"][0].update(z_by_group=[str(z) for z in doc["rounds"][0]["z_by_group"]]),
+         "rounds[0].z_by_group"),
+        (lambda doc: _attribute_a(doc).update(categories=[0, 1]), "q0.schema"),
+        (lambda doc: _attribute_a(doc).update(name=7), "q0.schema"),
     ],
-    ids=["split-value-float", "version-float", "cardinality-float", "split-value-bool", "theta-string"],
+    ids=[
+        "split-value-float", "version-float", "cardinality-float", "split-value-bool", "theta-string",
+        "z-by-group-strings", "categories-integers", "name-integer",
+    ],
 )
 def test_model_numbers_read_by_json_type(tmp_path, fit_run, synth_csv, capsys, breaker, field):
-    # int() would truncate 26.7 to 26 and read true as 1: an integer field takes only a JSON integer
+    # int() would truncate 26.7 to 26 and read true as 1: an integer field takes only a JSON integer,
+    # a number field no string, and a name or a category only a JSON string
     model_path, trace_path = fit_run
     bad = _broken_model(tmp_path, model_path, breaker)
     message = f"error: model field {field!r} has the wrong JSON type\n"

@@ -300,6 +300,55 @@ def test_histogram_tree_matches_row_level_oracle(rng):
         assert tree_nodes(train_tree(p, q, cfg, LN2)) == tree_nodes(row_level_tree(p, q, cfg, LN2))
 
 
+def wide_tree_problem(rng):
+    """P and Q rows over a few hundred distinct cells of a mixed schema.
+
+    Ordinal, categorical and cardinality-1 attributes in random order; P
+    draws the pool's cells with skewed weights and Q evenly, so deep trees
+    hold dozens of nodes on one level.  Two P rows per Q row keeps the
+    oracle's sums exact, as in `random_tree_problem`.
+    """
+    specs = [(int(rng.integers(6, 13)), True), (int(rng.integers(4, 9)), False), (int(rng.integers(2, 9)), True)]
+    specs += [(1, bool(rng.random() < 0.5)), (int(rng.integers(2, 6)), False)]
+    attrs = [
+        Attribute(f"f{i}", k, bin_edges=tuple(map(float, range(k + 1))) if ordinal else None)
+        for i, (k, ordinal) in enumerate(specs[j] for j in rng.permutation(len(specs)))
+    ]
+    sensitive = int(rng.integers(len(attrs) + 1))
+    schema = AttributeSchema(tuple(attrs[:sensitive] + [Attribute("a", 2)] + attrs[sensitive:]), sensitive)
+    pool = np.unique(rng.integers(0, [a.cardinality for a in attrs], size=(400, len(attrs))), axis=0)
+    skew = rng.random(len(pool)) ** 3
+
+    def draw(n, weights):
+        x_rows = pool[rng.choice(len(pool), size=n, p=weights / weights.sum())]
+        return Dataset(schema, np.insert(x_rows, sensitive, rng.integers(2, size=n), axis=1))
+
+    n_p = int(rng.integers(300, 600))
+    return draw(n_p, skew), draw(2 * n_p, np.ones(len(pool)))
+
+
+def widest_level(tree):
+    """The most nodes, leaves included, that share one depth of the tree."""
+    level, widest = [tree.root], 0
+    while level:
+        widest = max(widest, len(level))
+        level = [child for node in level if not node.is_leaf for child in (node.left, node.right)]
+    return widest
+
+
+def test_level_wise_tree_matches_row_level_oracle_on_wide_levels(rng):
+    widest = 0
+    for depth in range(1, 9):
+        for _ in range(3):
+            p, q = wide_tree_problem(rng)
+            cfg = TreeConfig(max_depth=depth, min_leaf_count=int(rng.integers(1, 5)))
+            tree = train_tree(p, q, cfg, LN2)
+            assert tree_nodes(tree) == tree_nodes(row_level_tree(p, q, cfg, LN2))
+            widest = max(widest, widest_level(tree))
+    # the check is not vacuous: some level held many nodes at once
+    assert widest >= 32
+
+
 @pytest.mark.parametrize("p_rows, splits", [(4, False), (5, True), (6, True)])
 def test_min_leaf_counts_rows_not_cells(p_rows, splits):
     # P is p_rows copies of one cell, Q twice as many copies of another: the
