@@ -24,7 +24,10 @@ sums of log Z_k and log Z_k(a).  Expectations take a vectorized
 
 Normalizers are computed exactly (full log-space sums over the discrete
 domain), frozen when a round is appended, and serialized with the model;
-evaluation never recomputes them.
+evaluation never recomputes them.  Each domain pass fills one buffer: the
+joint table is written in row-major order through a group-major view of its
+cube, and a round's normalizer terms fill one (|A|, n_x) scratch buffer, each
+cell taking the operations, and so the bits, of the group-major expressions.
 
 A classifier here is any object with a ``c_bound`` attribute and two
 methods over the non-sensitive subdomain: ``scores(x_rows) -> array`` for
@@ -124,12 +127,12 @@ class BoostedDensity:
         self._log_z_total = 0.0
         self._log_zg_total = _readonly(np.zeros(q0.cond.shape[0]))
         for rnd in rounds:
-            self._push(rnd, _checked_scores(q0, rnd.classifier))
+            self._push(rnd, rnd.theta * _checked_scores(q0, rnd.classifier))
 
-    def _push(self, rnd: BoostRound, scores: np.ndarray) -> None:
-        # the same left-to-right sums as rebuilding from every round
+    def _push(self, rnd: BoostRound, step: np.ndarray) -> None:
+        # the same left-to-right sums as rebuilding from every round; step is theta * scores
         self.rounds = self.rounds + (rnd,)
-        self._tilt = self._tilt + rnd.theta * scores
+        self._tilt = self._tilt + step
         self._log_z_total = self._log_z_total + math.log(rnd.z)
         self._log_zg_total = self._log_zg_total + np.log(rnd.z_by_group)
         self._tilt.setflags(write=False)
@@ -139,34 +142,37 @@ class BoostedDensity:
 
     def extended(self, classifier, theta: float) -> "BoostedDensity":
         """Append one round, computing its exact normalizers."""
-        scores = _checked_scores(self.q0, classifier)
-        z, z_by_group = self._normalizers(scores, theta)
+        step = theta * _checked_scores(self.q0, classifier)
+        z, z_by_group = self._normalizers(step)
         child = copy.copy(self)
-        child._push(BoostRound(theta, classifier, z, z_by_group), scores)
+        child._push(BoostRound(theta, classifier, z, z_by_group), step)
         return child
 
-    def _normalizers(self, scores: np.ndarray, theta: float) -> tuple[float, np.ndarray]:
-        log_cond = self._log_cond()
-        log_zg = _logsumexp(log_cond + theta * scores[None, :], axis=1)
+    def _normalizers(self, step: np.ndarray) -> tuple[float, np.ndarray]:
+        log_terms = np.add(self.q0.log_cond, self._tilt)
+        log_terms -= self._log_zg_total[:, None]
+        log_terms += step
+        log_zg = _logsumexp(log_terms, axis=1)
         log_marg = np.log(self.sensitive_marginal())
         log_z = _logsumexp(log_marg + log_zg)
         return float(np.exp(log_z)), np.exp(log_zg)
 
     # -- evaluation -----------------------------------------------------
 
-    def _log_cond(self) -> np.ndarray:
-        """log q_T(x|a): anchor conditionals tilted and renormalized per group."""
-        return self.q0.log_cond + self._tilt[None, :] - self._log_zg_total[:, None]
-
     def _raw_joint_vector(self) -> np.ndarray:
-        card = self.q0.cond.shape[0]
-        log_groups = self.q0.log_cond - math.log(card) + self._tilt[None, :] - self._log_z_total
-        return self.schema.flatten_groups(np.exp(log_groups))
+        raw = np.empty(self.schema.n_cells)
+        groups = np.moveaxis(raw.reshape(self.schema.shape), self.schema.sensitive_index, 0)
+        np.subtract(self.q0.log_cond.reshape(groups.shape), math.log(len(groups)), out=groups)
+        groups += self._tilt.reshape(groups.shape[1:])
+        raw -= self._log_z_total
+        return np.exp(raw, out=raw)
 
     def joint(self) -> TabularDensity:
         """Explicit table of the stack, renormalized by its raw total."""
         raw = self._raw_joint_vector()
-        return TabularDensity(self.schema, raw / raw.sum())
+        raw /= raw.sum()
+        raw.setflags(write=False)
+        return TabularDensity(self.schema, raw)
 
     def sensitive_marginal(self) -> np.ndarray:
         """Marginal recursion q_T(a) = q_0(a) * Prod_k Z_k(a)/Z_k."""
@@ -228,14 +234,14 @@ def _logsumexp(a: np.ndarray, axis=None):
     Every maximal element is taken out of the sum and counted (m), so the
     result is log1p(sum(exp(a - a_max)) / m) + log(m) + a_max.  scipy's extra
     pass for infinite results is left out: each reduced slice must hold a
-    finite maximum, as every row of log conditionals does.
+    finite maximum, as every row of log conditionals does.  ``a`` is overwritten.
     """
     a_max = np.max(a, axis=axis, keepdims=True)
     is_max = a == a_max
     m = np.sum(is_max, axis=axis, keepdims=True, dtype=np.float64)
-    shifted = np.where(is_max, -np.inf, a)
-    shifted -= a_max
-    s = np.sum(np.exp(shifted, out=shifted), axis=axis, keepdims=True)
+    np.copyto(a, -np.inf, where=is_max)
+    a -= a_max
+    s = np.sum(np.exp(a, out=a), axis=axis, keepdims=True)
     s = np.where(s == 0, s, s / m)
     out = np.log1p(s) + np.log(m) + a_max
     return np.squeeze(out, axis=axis)[()]

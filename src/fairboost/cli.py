@@ -3,7 +3,7 @@
 One --seed flag drives every random phase through named sub-seeds, so any
 command rerun with identical flags writes byte-identical model, trace, and
 metrics files.  The manifest written next to a model records the resolved
-configuration, input digests, and per-phase wall-clock timings; its stable
+configuration, input digests, per-phase timings and per-round records; its stable
 id is embedded in the model, metrics and report documents (timings vary run
 to run, the id does not).  ``guarantees`` reads from the model its scheme,
 run id, schema and rounds, each decoded and checked as ``eval`` decodes it,
@@ -127,7 +127,7 @@ def cmd_fit(args) -> int:
 
     t0 = time.perf_counter()
     q0 = build_initial(dataset, schema, args.smoothing)
-    stack, trace = fbde_fit(dataset, q0, FitConfig(seed=args.seed, **base_cfg))
+    stack, trace, round_records = fbde_fit(dataset, q0, FitConfig(seed=args.seed, **base_cfg))
     timings["fit"] = time.perf_counter() - t0
 
     fold_summaries = fold_aggregate = None
@@ -137,7 +137,7 @@ def cmd_fit(args) -> int:
         for i, (train, test) in enumerate(splits):
             q0_i = build_initial(train, schema, args.smoothing)
             cfg_i = FitConfig(seed=seeds.subseed(args.seed, seeds.FOLDS, i), **base_cfg)
-            stack_i, _ = fbde_fit(train, q0_i, cfg_i)
+            stack_i, _, _ = fbde_fit(train, q0_i, cfg_i)
             train_hat, test_hat = fit_empirical(train, 0.0), fit_empirical(test, 0.0)
             anchor, final = BoostedDensity(q0_i).joint(), stack_i.joint()
             if (anchor.mass[test_hat.mass > 0] == 0).any():
@@ -171,9 +171,9 @@ def cmd_fit(args) -> int:
     if args.trace:
         save_trace(trace, args.trace)
     timings["write"] = time.perf_counter() - t0
-    extra = {}
+    extra = {"rounds": round_records}
     if fold_summaries is not None:
-        extra = {"fold_summaries": fold_summaries, "fold_aggregate": fold_aggregate}
+        extra.update(fold_summaries=fold_summaries, fold_aggregate=fold_aggregate)
     dump_json(
         build_manifest(run_id, "fit", resolved, digests, __version__, timings, extra),
         args.out + ".manifest.json",

@@ -17,6 +17,7 @@ close to 1 forces theta toward 0 and the fit sticks to the anchor.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -110,15 +111,16 @@ class TraceRow:
     z: float
 
 
-def fbde_fit(p: Dataset, q0: InitialDensity, cfg: FitConfig) -> tuple[BoostedDensity, list[TraceRow]]:
+def fbde_fit(p: Dataset, q0: InitialDensity, cfg: FitConfig) -> tuple[BoostedDensity, list[TraceRow], list[dict]]:
     """Run the boosting loop for cfg.rounds rounds.
 
-    Returns the fitted stack and its trace.  The trace opens with a t=0 row
-    for the anchor (rr and z exactly 1) so downstream consumers can read off
-    per-round drops and total progress without refitting; rounds == 0 returns
-    the bare anchor with an empty trace.  Every row records kl_train, the KL
-    divergence from the training data; kl_test is always None.
-    Deterministic given cfg.seed.
+    Returns the fitted stack, its trace and one record per round (the tree's
+    leaves and depth, and the seconds spent sampling, on the tree, extending and
+    on the joint and KL).  The trace opens with a t=0 row for the anchor (rr and
+    z exactly 1) so downstream consumers can read off per-round drops and total
+    progress without refitting; rounds == 0 returns the bare anchor with an
+    empty trace.  Every row records kl_train, the KL divergence from the
+    training data; kl_test is always None.  Deterministic given cfg.seed, timings aside.
     """
     if p.schema != q0.schema:
         raise ValueError("schema mismatch")
@@ -126,8 +128,9 @@ def fbde_fit(p: Dataset, q0: InitialDensity, cfg: FitConfig) -> tuple[BoostedDen
         raise ValueError("empty dataset")
     stack = BoostedDensity(q0)
     trace: list[TraceRow] = []
+    records: list[dict] = []
     if cfg.rounds == 0:
-        return stack, trace
+        return stack, trace, records
 
     p_hat = fit_empirical(p, 0.0)
     # one joint table per stack: its KL, then the next round's negatives
@@ -137,12 +140,19 @@ def fbde_fit(p: Dataset, q0: InitialDensity, cfg: FitConfig) -> tuple[BoostedDen
     n_neg = NEGATIVES_PER_ROW * len(p)
     for t in range(1, cfg.rounds + 1):
         theta = leverage(cfg.scheme, t)
+        t0 = time.perf_counter()
         negatives = joint.sample(n_neg, seeds.subseed(cfg.seed, seeds.NEGATIVES, t))
         joint = None  # released before extended allocates the next round's arrays
+        t1 = time.perf_counter()
         classifier = train_tree(p, negatives, cfg.tree, cfg.scheme.c_bound)
-        wla = estimate_wla(classifier, p, negatives)
+        t2 = time.perf_counter()
         stack = stack.extended(classifier, theta)
+        t3 = time.perf_counter()
         joint = stack.joint()
+        kl_train = kl_divergence(p_hat, joint)
+        seconds = {"sample_s": t1 - t0, "tree_s": t2 - t1, "extended_s": t3 - t2}
+        records.append({"t": t, **seconds, "joint_kl_s": time.perf_counter() - t3, **_tree_size(classifier.root)})
+        wla = estimate_wla(classifier, p, negatives)
         trace.append(
             TraceRow(
                 t=t,
@@ -152,9 +162,17 @@ def fbde_fit(p: Dataset, q0: InitialDensity, cfg: FitConfig) -> tuple[BoostedDen
                 regime=wla.regime,
                 rr=stack.representation_rate(),
                 rr_bound=rr_lower_bound(cfg.scheme, t),
-                kl_train=kl_divergence(p_hat, joint),
+                kl_train=kl_train,
                 kl_test=None,
                 z=stack.rounds[-1].z,
             )
         )
-    return stack, trace
+    return stack, trace, records
+
+
+def _tree_size(node) -> dict:
+    """The leaves and depth of the tree under ``node``; a lone leaf has depth 0."""
+    if node.is_leaf:
+        return {"leaves": 1, "depth": 0}
+    left, right = _tree_size(node.left), _tree_size(node.right)
+    return {"leaves": left["leaves"] + right["leaves"], "depth": 1 + max(left["depth"], right["depth"])}

@@ -156,8 +156,9 @@ class AttributeSchema:
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, copy=True)
-    arr.setflags(write=False)
+    if arr.flags.writeable or not arr.flags.owndata:  # adopt only a read-only array that owns its data
+        arr = np.array(arr, copy=True)
+        arr.setflags(write=False)
     return arr
 
 

@@ -19,7 +19,7 @@ only.  ``load_model`` returns the stack, the scheme and the run id;
 ``load_model_rounds`` returns the scheme, the run id and the same decoded
 rounds, without building the anchor or the stack.  Loading rejects missing
 keys, values of the wrong JSON type (naming the field), anchor rows that are
-not distributions (``load_model`` only), round values ``BoostRound``
+not distributions of JSON numbers (``load_model`` only), round values ``BoostRound``
 refuses, trees no fit could have produced and trees whose score bound is not
 the scheme's C, prefixing every error of round t with ``round t: ``.  An
 integer field takes only a JSON integer, a number field (``z_by_group``'s
@@ -98,7 +98,8 @@ def _write_floats(fh, arr: np.ndarray, depth: int) -> None:
         fh.write("[]")
         return
     # bit patterns, not values: 0.0 and -0.0 format differently
-    bits, which = np.unique(arr.view(np.uint64), return_inverse=True)
+    bits = np.unique(arr.view(np.uint64))
+    which = np.searchsorted(bits, arr.view(np.uint64))
     texts = np.array([json.dumps(float(v)) for v in bits.view(np.float64)], dtype=object)
     sep = ",\n" + "  " * (depth + 1)
     fh.write("[" + sep[1:])
@@ -330,7 +331,10 @@ def load_model(path: str) -> tuple[BoostedDensity, LeveragingScheme, str]:
         cond = reader.doc["q0"]["conditionals"]
         if len({len(row) for row in cond}) > 1:
             raise ValueError("q0 conditionals: rows differ in length")
-        q0 = InitialDensity(schema, np.asarray(cond, dtype=np.float64))
+        cond = np.asarray(cond)  # a string entry infers dtype '<U' and a null 'object'
+        if cond.dtype.kind not in "fi":
+            raise TypeError
+        q0 = InitialDensity(schema, cond)
         rounds = reader.rounds(schema, scheme.c_bound)
     return BoostedDensity(q0, rounds), scheme, run_id
 

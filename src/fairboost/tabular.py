@@ -33,7 +33,8 @@ class TabularDensity:
     mass: np.ndarray
 
     def __post_init__(self) -> None:
-        mass = np.asarray(self.mass, dtype=np.float64).reshape(-1)
+        mass = np.asarray(self.mass, dtype=np.float64)
+        mass = mass if mass.ndim == 1 else mass.reshape(-1)
         if mass.shape != (self.schema.n_cells,):
             raise ValueError("mass length must equal the number of cells")
         if not np.isfinite(mass).all() or (mass < 0).any():

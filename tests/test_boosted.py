@@ -150,7 +150,7 @@ def test_logsumexp_pinned_bits():
         (np.array([3.5]), None, [0x400C000000000000]),
     ]
     for a, axis, bits in cases:
-        out = _logsumexp(a, axis=axis)
+        out = _logsumexp(a.copy(), axis=axis)  # a fresh array: _logsumexp overwrites its input
         assert np.shape(out) == (() if axis is None else (len(a),))
         assert np.asarray(out, dtype=np.float64).reshape(-1).view(np.uint64).tolist() == bits
 
@@ -465,3 +465,39 @@ def test_kl_to_anchor_well_defined(rng):
     val = kl_divergence(bd.joint(), q0.joint())
     assert val >= 0.0
     assert math.isfinite(val)
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=np.float64).reshape(-1).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("sensitive_index", [0, 1, 2], ids=["a-first", "a-middle", "a-last"])
+def test_joint_and_normalizers_match_group_major_bits(rng, sensitive_index):
+    # the joint is written in place through a group-major view of its cube, and the
+    # normalizers in one scratch buffer; both keep the bits of the group-major
+    # expressions, flatten_groups(exp(log q0 - log|A| + tilt - log Z)) for the joint
+    attrs = [Attribute("x0", 3), Attribute("x1", 4)]
+    attrs.insert(sensitive_index, Attribute("a", 3))
+    s = AttributeSchema(tuple(attrs), sensitive_index=sensitive_index)
+    q0 = random_initial(s, rng)
+    n_x, cells = s.x_subschema().n_cells, s.all_cells()
+
+    def g(rows):
+        return rows[:, 0] * 0.75 - rows[:, 2] / 3.0 + rows[:, 1]
+
+    bd = BoostedDensity(q0)
+    tilt, log_z, log_zg = np.zeros(n_x), 0.0, np.zeros(3)
+    for _ in range(4):
+        raw = s.flatten_groups(np.exp(q0.log_cond - math.log(3) + tilt[None, :] - log_z))
+        assert _bits(bd.joint().mass) == _bits(raw / raw.sum())
+        assert _bits(bd.expectation(g, "exact").value) == _bits(float(raw @ g(cells)))
+
+        scores, theta = rng.uniform(-LN2, LN2, size=n_x), float(rng.uniform(0.0, 0.5))
+        log_terms = q0.log_cond + tilt[None, :] - log_zg[:, None] + theta * scores[None, :]
+        ref_log_zg = _logsumexp(log_terms, axis=1)
+        ref_log_z = _logsumexp(np.log(np.exp(log_zg - log_z) / 3) + ref_log_zg)
+        bd = bd.extended(table_classifier(s, scores), theta)
+        rnd = bd.rounds[-1]
+        assert _bits(rnd.z) == _bits(np.exp(ref_log_z))
+        assert _bits(rnd.z_by_group) == _bits(np.exp(ref_log_zg))
+        tilt, log_z, log_zg = tilt + theta * scores, log_z + math.log(rnd.z), log_zg + np.log(rnd.z_by_group)

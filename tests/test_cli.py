@@ -186,7 +186,7 @@ def test_fit_folds_manifest(tmp_path, synth_csv):
     folds = kfold(dataset, 2, subseed(0, FOLDS))
     for i, (f, (train, test)) in enumerate(zip(manifest["fold_summaries"], folds)):
         q0 = build_initial(train, schema, 1.0)
-        stack, trace = fbde_fit(train, q0, FitConfig(rounds=3, scheme=scheme, seed=subseed(0, FOLDS, i)))
+        stack, trace, _ = fbde_fit(train, q0, FitConfig(rounds=3, scheme=scheme, seed=subseed(0, FOLDS, i)))
         train_hat, test_hat = fit_empirical(train, 0.0), fit_empirical(test, 0.0)
         anchor, final = BoostedDensity(q0).joint(), stack.joint()
         assert f == {
@@ -817,22 +817,62 @@ def test_feature_free_data_rejected(tmp_path, fit_run, synth_csv, capsys):
     assert capsys.readouterr().err.startswith(message)
 
 
+def _anchor_rows(doc, entry):
+    doc["q0"]["conditionals"] = [[entry(v) for v in row] for row in doc["q0"]["conditionals"]]
+
+
 @pytest.mark.parametrize(
     "field, breaker",
     [
         ("q0.conditionals", lambda doc: doc["q0"].update(conditionals=5)),
+        # each entry its own value as a JSON string: converting them would pass every check
+        ("q0.conditionals", lambda doc: _anchor_rows(doc, repr)),
+        ("q0.conditionals", lambda doc: doc["q0"]["conditionals"][0].__setitem__(0, None)),
         ("rounds", lambda doc: doc.update(rounds=5)),
         ("q0.schema", lambda doc: doc["q0"].update(schema=5)),
         ("rounds[0].theta", lambda doc: doc["rounds"][0].update(theta=[1])),
         ("manifest", lambda doc: doc.update(manifest=5)),
     ],
-    ids=["conditionals", "rounds", "schema", "theta", "manifest"],
+    ids=["conditionals", "conditionals-strings", "conditionals-null", "rounds", "schema", "theta", "manifest"],
 )
 def test_eval_rejects_model_value_of_wrong_type(tmp_path, fit_run, synth_csv, capsys, field, breaker):
     model_path, _ = fit_run
     bad = _broken_model(tmp_path, model_path, breaker)
     assert main(["eval", "--model", bad, "--data", synth_csv]) == 1
     assert capsys.readouterr().err.startswith(f"error: model field '{field}' has the wrong JSON type")
+
+def test_load_model_reads_integer_anchor_entries(tmp_path, fit_run):
+    # a JSON integer is a number too: rows of 1s and 0s load as float64
+    model_path, _ = fit_run
+
+    def breaker(doc):
+        rows = doc["q0"]["conditionals"]
+        doc["q0"]["conditionals"] = [[1] + [0] * (len(rows[0]) - 1) for _ in rows]
+        doc["rounds"] = []
+
+    bd, _, _ = load_model(_broken_model(tmp_path, model_path, breaker))
+    assert bd.q0.cond.dtype == np.float64 and bd.q0.cond[:, 0].tolist() == [1.0, 1.0]
+
+
+def _tree_leaves_and_depth(node) -> tuple:
+    if "leaf" in node:
+        return 1, 0
+    (ll, ld), (rl, rd) = _tree_leaves_and_depth(node["left"]), _tree_leaves_and_depth(node["right"])
+    return ll + rl, 1 + max(ld, rd)
+
+
+def test_fit_manifest_records_each_round(fit_run):
+    # per-round seconds and tree sizes go to the manifest, which no digest pins
+    model_path, _ = fit_run
+    manifest = load_json(model_path + ".manifest.json")
+    rounds = load_json(model_path)["rounds"]
+    assert list(manifest)[-1] == "rounds"
+    assert [r["t"] for r in manifest["rounds"]] == list(range(1, len(rounds) + 1))
+    for rec, stored in zip(manifest["rounds"], rounds):
+        assert list(rec) == ["t", "sample_s", "tree_s", "extended_s", "joint_kl_s", "leaves", "depth"]
+        assert all(type(rec[k]) is float and rec[k] >= 0.0 for k in ("sample_s", "tree_s", "extended_s", "joint_kl_s"))
+        assert (rec["leaves"], rec["depth"]) == _tree_leaves_and_depth(stored["classifier"]["root"])
+
 
 # -- entry points -------------------------------------------------------
 

@@ -164,7 +164,7 @@ def fit_setup():
 
 def test_fit_zero_rounds_returns_anchor(fit_setup):
     s, p, q0 = fit_setup
-    stack, trace = fbde_fit(p, q0, FitConfig(rounds=0, scheme=exact_scheme()))
+    stack, trace, _ = fbde_fit(p, q0, FitConfig(rounds=0, scheme=exact_scheme()))
     assert len(stack.rounds) == 0
     assert trace == []
     assert np.allclose(stack.joint().mass, q0.joint().mass)
@@ -172,7 +172,7 @@ def test_fit_zero_rounds_returns_anchor(fit_setup):
 
 def test_fit_trace_shape_and_baseline(fit_setup):
     s, p, q0 = fit_setup
-    stack, trace = fbde_fit(p, q0, FitConfig(rounds=5, scheme=exact_scheme(0.7)))
+    stack, trace, _ = fbde_fit(p, q0, FitConfig(rounds=5, scheme=exact_scheme(0.7)))
     assert len(stack.rounds) == 5
     assert len(trace) == 6
     base = trace[0]
@@ -186,7 +186,7 @@ def test_fit_trace_shape_and_baseline(fit_setup):
 def test_fit_rows_match_scheme_wiring(fit_setup):
     s, p, q0 = fit_setup
     scheme = relative_scheme(0.8)
-    stack, trace = fbde_fit(p, q0, FitConfig(rounds=4, scheme=scheme))
+    stack, trace, _ = fbde_fit(p, q0, FitConfig(rounds=4, scheme=scheme))
     for row in trace[1:]:
         assert row.theta == leverage(scheme, row.t)
         assert row.rr_bound == rr_lower_bound(scheme, row.t)
@@ -199,7 +199,7 @@ def test_fit_rows_match_scheme_wiring(fit_setup):
 def test_fit_respects_rr_floor(fit_setup):
     s, p, q0 = fit_setup
     for scheme in (exact_scheme(0.7), relative_scheme(0.7)):
-        stack, trace = fbde_fit(p, q0, FitConfig(rounds=8, scheme=scheme))
+        stack, trace, _ = fbde_fit(p, q0, FitConfig(rounds=8, scheme=scheme))
         for row in trace:
             assert row.rr >= row.rr_bound - 1e-9
         assert stack.representation_rate() >= rr_lower_bound(scheme, 8) - 1e-9
@@ -209,7 +209,7 @@ def test_fit_trees_share_the_scheme_c_bound(fit_setup):
     # theta_t = -ln(tau) / (C 2^(t+1)) holds the rate floor only for trees
     # scoring inside the same C, so the trees take C from the scheme
     s, p, q0 = fit_setup
-    stack, trace = fbde_fit(p, q0, FitConfig(rounds=10, scheme=LeveragingScheme(EXACT, tau=0.9, c_bound=1.0)))
+    stack, trace, _ = fbde_fit(p, q0, FitConfig(rounds=10, scheme=LeveragingScheme(EXACT, tau=0.9, c_bound=1.0)))
     leaves = set()
     for rnd in stack.rounds:
         assert rnd.classifier.c_bound == 1.0
@@ -223,7 +223,7 @@ def test_fit_trees_share_the_scheme_c_bound(fit_setup):
 def test_fit_stays_in_certified_mollifier(fit_setup):
     s, p, q0 = fit_setup
     scheme = exact_scheme(0.7)
-    stack, _ = fbde_fit(p, q0, FitConfig(rounds=8, scheme=scheme))
+    stack, _, _ = fbde_fit(p, q0, FitConfig(rounds=8, scheme=scheme))
     anchor = q0.joint()
     for t in (2, 5, 8):
         eps = 2.0 * mollifier_size(scheme, t)
@@ -232,26 +232,26 @@ def test_fit_stays_in_certified_mollifier(fit_setup):
 
 def test_fit_near_one_tau_freezes_anchor(fit_setup):
     s, p, q0 = fit_setup
-    stack, _ = fbde_fit(p, q0, FitConfig(rounds=4, scheme=exact_scheme(1.0 - 1e-12)))
+    stack, _, _ = fbde_fit(p, q0, FitConfig(rounds=4, scheme=exact_scheme(1.0 - 1e-12)))
     assert np.abs(stack.joint().mass - q0.joint().mass).max() < 1e-9
 
 
 def test_fit_deterministic(fit_setup):
     s, p, q0 = fit_setup
     cfg = FitConfig(rounds=5, scheme=exact_scheme(0.8), seed=42)
-    s1, tr1 = fbde_fit(p, q0, cfg)
-    s2, tr2 = fbde_fit(p, q0, cfg)
+    s1, tr1, _ = fbde_fit(p, q0, cfg)
+    s2, tr2, _ = fbde_fit(p, q0, cfg)
     assert np.array_equal(s1.joint().mass, s2.joint().mass)
     assert [r.z for r in tr1] == [r.z for r in tr2]
     assert [r.gamma_p for r in tr1] == [r.gamma_p for r in tr2]
-    s3, _ = fbde_fit(p, q0, FitConfig(rounds=5, scheme=exact_scheme(0.8), seed=43))
+    s3, _, _ = fbde_fit(p, q0, FitConfig(rounds=5, scheme=exact_scheme(0.8), seed=43))
     assert not np.array_equal(s1.joint().mass, s3.joint().mass)
 
 
 def test_fit_kl_columns(fit_setup):
     # every row records kl_train, the KL from the training data; kl_test never
     s, p, q0 = fit_setup
-    stack, trace = fbde_fit(p, q0, FitConfig(rounds=3, scheme=exact_scheme()))
+    stack, trace, _ = fbde_fit(p, q0, FitConfig(rounds=3, scheme=exact_scheme()))
     assert len(trace) == 4
     assert all(r.kl_train is not None and r.kl_test is None for r in trace)
     assert trace[-1].kl_train == kl_divergence(fit_empirical(p, 0.0), stack.joint())
@@ -281,7 +281,7 @@ def test_fit_builds_one_joint_table_per_stack(fit_setup, monkeypatch):
 
 def test_fit_kl_shrinks_toward_data(fit_setup):
     s, p, q0 = fit_setup
-    _, trace = fbde_fit(p, q0, FitConfig(rounds=8, scheme=exact_scheme(0.7)))
+    _, trace, _ = fbde_fit(p, q0, FitConfig(rounds=8, scheme=exact_scheme(0.7)))
     assert trace[-1].kl_train < trace[0].kl_train
 
 
@@ -299,7 +299,7 @@ def test_fit_continues_through_wla_failure(fit_setup):
     # min_leaf too large to ever split: the tree abstains, margins are 0,
     # and the loop keeps going with zero trees
     cfg = FitConfig(rounds=5, scheme=exact_scheme(), tree=TreeConfig(min_leaf_count=10_000))
-    stack, trace = fbde_fit(p, q0, cfg)
+    stack, trace, _ = fbde_fit(p, q0, cfg)
     assert len(stack.rounds) == 5
     assert all(r.regime == FAIL for r in trace[1:])
     assert stack.representation_rate() == pytest.approx(1.0, abs=1e-12)

@@ -373,7 +373,7 @@ def fitted_trace(tau=0.8, rounds=5):
     p = Dataset(s, np.asarray(rows, dtype=np.int64))
     scheme = exact_scheme(tau)
     cfg = FitConfig(rounds=rounds, scheme=scheme)
-    stack, trace = fbde_fit(p, uniform_initial(s), cfg)
+    stack, trace, _ = fbde_fit(p, uniform_initial(s), cfg)
     return stack, trace, scheme
 
 

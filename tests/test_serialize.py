@@ -52,7 +52,7 @@ def fitted():
     ds = Dataset(s, rows)
     q0 = build_initial(ds, s, smoothing=1.0)
     scheme = LeveragingScheme("exact", 0.8, LN2)
-    stack, trace = fbde_fit(ds, q0, FitConfig(rounds=4, scheme=scheme, seed=9))
+    stack, trace, _ = fbde_fit(ds, q0, FitConfig(rounds=4, scheme=scheme, seed=9))
     return stack, scheme, trace
 
 

@@ -44,6 +44,23 @@ def test_density_validation():
         TabularDensity(s, np.array([1.5, -0.5]))
 
 
+def test_density_copies_mass_it_does_not_own_alone():
+    # a writable array, or a read-only view of one, is copied; a read-only array
+    # that owns its data is adopted
+    s = a_only_schema()
+    mass = np.array([0.25, 0.75])
+    d = TabularDensity(s, mass)
+    assert not np.shares_memory(d.mass, mass) and not d.mass.flags.writeable
+    mass[:] = 0.5
+    assert d.mass.tolist() == [0.25, 0.75]
+    view = mass[:]
+    view.setflags(write=False)
+    assert not np.shares_memory(TabularDensity(s, view).mass, mass)
+    owned = np.array([0.5, 0.5])
+    owned.setflags(write=False)
+    assert TabularDensity(s, owned).mass is owned
+
+
 def test_random_densities_normalized(rng):
     s = xya_schema(nx=3)
     for _ in range(20):
