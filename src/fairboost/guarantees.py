@@ -17,7 +17,9 @@ Three families of results are covered, all in natural-log units:
   ceiling, and a false-negative-rate budget under which any predictor
   satisfies approximate equal opportunity.
 
-The per-round and total-progress formulas assume C = ln 2; build_report
+build_report assembles one run's report from its model's rounds, which fix
+every value the model and trace share, and the trace's kl_train and sample
+margins.  The per-round and total-progress formulas assume C = ln 2; it
 marks them not applicable for a run fitted with any other bound.
 """
 
@@ -256,9 +258,10 @@ class GuaranteeReport:
     Representation-rate floors and the progress upper bound are asserted
     (holds flags); the per-round drop floors and the progress lower bound are
     evaluated from sample margins and therefore reported, not asserted.
+    ``dataclasses.asdict`` of it is the report document's body.
     """
 
-    scheme_kind: str
+    scheme: str
     tau: float
     rounds: int
     fairness_rounds: tuple
@@ -267,72 +270,55 @@ class GuaranteeReport:
     implied: dict
     all_fairness_hold: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme_kind,
-            "tau": self.tau,
-            "rounds": self.rounds,
-            "fairness_rounds": [dict(r) for r in self.fairness_rounds],
-            "drop_rounds": [dict(r) for r in self.drop_rounds],
-            "delta": dict(self.delta) if self.delta is not None else None,
-            "implied": dict(self.implied),
-            "all_fairness_hold": self.all_fairness_hold,
-        }
 
-
-def check_trace_matches_model(
+def build_report(
     trace: Sequence[TraceRow], scheme: LeveragingScheme, rounds: Sequence[BoostRound]
-) -> None:
-    """Reject a trace that is not the model's run, or whose rates are not its own.
+) -> GuaranteeReport:
+    """Evaluate every bound a finished run carries evidence for.
 
-    ``rounds`` are the model's stored rounds.  The trace must have exactly
-    those rounds, with the same theta_t and Z_t, the rr that the Z_t(a) give
-    and the scheme's rr_bound.  Both files write numbers shortest-repr and
-    the rates come from the same arithmetic, so a trace of the same run
-    matches bit for bit.
+    ``rounds`` are the model's stored rounds; t, theta, each rate (from the
+    Z_t(a)) and each rate floor (from the scheme) come from them.  ``trace``
+    is shaped as ``fbde_fit`` writes it (empty for zero rounds) and gives
+    kl_train, the sample margins and their regime.  The trace must be the
+    model's run: it has exactly those rounds, and its theta, z, rr and rr_bound
+    equal the model's bit for bit (both files write numbers shortest-repr and
+    the rates come from the same arithmetic).  Each round's margins are
+    clamped to 1 once, for its drop floor and for the lower bound on Delta;
+    both are derived for C = ln 2 only, and for any other C they are None,
+    with a note saying why.
     """
     rows = trace[1:]
     if len(rows) != len(rounds):
         raise ValueError(
             f"trace ends at round {len(rows)}, the model at round {len(rounds)}; the trace is not this model's"
         )
-    rates = representation_rates(rnd.z_by_group for rnd in rounds)
-    for r, rnd, rr in zip(rows, rounds, rates[1:]):
-        if (r.theta, r.z) != (rnd.theta, rnd.z):
-            raise ValueError(
-                f"trace round {r.t}: theta {r.theta!r} and z {r.z!r} differ from the model's {rnd.theta!r} and "
-                f"{rnd.z!r}; the trace is not this model's"
-            )
-        if r.rr != rr:
-            raise ValueError(f"trace round {r.t}: rr {r.rr!r} differs from the model's {rr!r}")
-        floor = rr_lower_bound(scheme, r.t)
-        if r.rr_bound != floor:
-            raise ValueError(f"trace round {r.t}: rr_bound {r.rr_bound!r} differs from the scheme's {floor!r}")
-
-
-def build_report(trace: Sequence[TraceRow], scheme: LeveragingScheme) -> GuaranteeReport:
-    """Evaluate every bound a finished trace carries evidence for.
-
-    ``trace`` is shaped as ``fbde_fit`` writes it (empty for zero rounds).
-    The drop floors and the lower bound on Delta are derived for C = ln 2
-    only; for any other C they are None, with a note saying why.
-    """
     c_note = None
     if abs(scheme.c_bound - _LN2) > _C_LN2_TOL:
         c_note = f"not applicable: certified only for C = ln 2, this run used C = {scheme.c_bound!r}"
-    rows = trace[1:]
-    rounds = len(rows)
+    rates = representation_rates(rnd.z_by_group for rnd in rounds)
 
-    fairness = [{"t": r.t, "rr": r.rr, "rr_floor": r.rr_bound, "holds": r.rr >= r.rr_bound - _TOL} for r in rows]
-    all_fair = all(f["holds"] for f in fairness)
+    fairness, drops, hbs_margins = [], [], []
+    for t, (prev, r, rnd, rr) in enumerate(zip(trace, rows, rounds, rates[1:]), start=1):
+        if (r.theta, r.z) != (rnd.theta, rnd.z):
+            raise ValueError(
+                f"trace round {t}: theta {r.theta!r} and z {r.z!r} differ from the model's {rnd.theta!r} and "
+                f"{rnd.z!r}; the trace is not this model's"
+            )
+        if r.rr != rr:
+            raise ValueError(f"trace round {t}: rr {r.rr!r} differs from the model's {rr!r}")
+        floor = rr_lower_bound(scheme, t)
+        if r.rr_bound != floor:
+            raise ValueError(f"trace round {t}: rr_bound {r.rr_bound!r} differs from the scheme's {floor!r}")
+        fairness.append({"t": t, "rr": rr, "rr_floor": floor, "holds": rr >= floor - _TOL})
 
-    drops = []
-    for prev, r in zip(trace, rows):
         measured = prev.kl_train - r.kl_train
-        entry = {"t": r.t, "theta": r.theta, "regime": r.regime, "gamma_p": r.gamma_p, "gamma_q": r.gamma_q,
+        entry = {"t": t, "theta": rnd.theta, "regime": r.regime, "gamma_p": r.gamma_p, "gamma_q": r.gamma_q,
                  "measured_drop": measured}
-        if c_note is None and boosting_regime(r.gamma_p, r.gamma_q) != FAIL:
-            db = kl_drop_bound(r.theta, min(r.gamma_p, 1.0), min(r.gamma_q, 1.0))
+        margins = (min(r.gamma_p, 1.0), min(r.gamma_q, 1.0))
+        if r.regime == HBS:
+            hbs_margins.append(margins)
+        if c_note is None and r.regime != FAIL:
+            db = kl_drop_bound(rnd.theta, *margins)
             entry.update(drop_floor=db.bound, floor_positive=db.positive, holds=measured >= db.bound - _TOL)
         else:
             entry.update(drop_floor=None, floor_positive=None, holds=None)
@@ -343,7 +329,7 @@ def build_report(trace: Sequence[TraceRow], scheme: LeveragingScheme) -> Guarant
     delta = None
     if rows:
         measured = trace[0].kl_train - trace[-1].kl_train
-        upper = mollifier_size(scheme, rounds)
+        upper = mollifier_size(scheme, len(rows))
         delta = {
             "measured": measured,
             "upper": upper,
@@ -351,19 +337,14 @@ def build_report(trace: Sequence[TraceRow], scheme: LeveragingScheme) -> Guarant
             "lower": None,
             "lower_note": "needs > 1 rounds, tau > exp(-1), and all rounds in the high regime",
         }
-        margins_ok = all(
-            boosting_regime(r.gamma_p, r.gamma_q) == HBS and r.gamma_p <= 1 and r.gamma_q <= 1 for r in rows
-        )
         if c_note is not None:
             delta["lower_note"] = c_note
-        elif rounds > 1 and scheme.tau > _E_INV and margins_ok:
-            gp = min(r.gamma_p for r in rows)
-            gq = min(r.gamma_q for r in rows)
-            bounds = delta_bounds(scheme, rounds, gp, gq)
-            delta["lower"] = bounds.lower
+        elif len(rows) > 1 and scheme.tau > _E_INV and len(hbs_margins) == len(rows):
+            gp, gq = (min(g) for g in zip(*hbs_margins))
+            delta["lower"] = delta_bounds(scheme, len(rows), gp, gq).lower
             delta["lower_note"] = "evaluated at the per-run minimum sample margins; informational"
 
-    final_rr = rows[-1].rr if rows else 1.0
+    final_rr = rates[-1]
     implied = {
         "final_rr": final_rr,
         "sr_floor": sr_from_rr(final_rr),
@@ -380,12 +361,12 @@ def build_report(trace: Sequence[TraceRow], scheme: LeveragingScheme) -> Guarant
     }
 
     return GuaranteeReport(
-        scheme_kind=scheme.kind,
+        scheme=scheme.kind,
         tau=scheme.tau,
-        rounds=rounds,
+        rounds=len(rows),
         fairness_rounds=tuple(fairness),
         drop_rounds=tuple(drops),
         delta=delta,
         implied=implied,
-        all_fairness_hold=all_fair,
+        all_fairness_hold=all(f["holds"] for f in fairness),
     )

@@ -22,10 +22,10 @@ keys, values of the wrong JSON type (naming the field), anchor rows that are
 not distributions of JSON numbers (``load_model`` only), round values ``BoostRound``
 refuses, trees no fit could have produced and trees whose score bound is not
 the scheme's C, prefixing every error of round t with ``round t: ``.  An
-integer field takes only a JSON integer, a number field (``z_by_group``'s
-entries included) any JSON number but no string or boolean, and a name or
-a category only a JSON string.  A trace is read in the one shape ``fbde_fit``
-writes (see ``_trace_row``).
+integer field takes only a JSON integer, a number field (the entries of
+``z_by_group`` and of the anchor rows included) any JSON number but no string
+or boolean, and a name or a category only a JSON string.  A trace is read in
+the one shape ``fbde_fit`` writes (see ``_trace_row``).
 """
 
 from __future__ import annotations
@@ -252,7 +252,8 @@ class _ModelReader:
     Inside ``with reader:`` a missing key ends in ``model document is missing
     key '<key>'`` and a value of the wrong JSON type in ``model field
     '<field>' has the wrong JSON type``, where ``field`` names the part being
-    decoded.  Every reader starts with ``header()``.
+    decoded; an integer too large to convert ends in ``model field '<field>'
+    holds a number out of range``.  Every reader starts with ``header()``.
     """
 
     def __init__(self, path: str):
@@ -267,6 +268,8 @@ class _ModelReader:
             raise ValueError(f"model document is missing key {exc.args[0]!r}") from None
         if kind is not None and issubclass(kind, (TypeError, AttributeError)):
             raise ValueError(f"model field {self.field!r} has the wrong JSON type") from None
+        if kind is not None and issubclass(kind, OverflowError):
+            raise ValueError(f"model field {self.field!r} holds a number out of range") from None
         return False
 
     def header(self) -> tuple[LeveragingScheme, str]:
@@ -331,10 +334,10 @@ def load_model(path: str) -> tuple[BoostedDensity, LeveragingScheme, str]:
         cond = reader.doc["q0"]["conditionals"]
         if len({len(row) for row in cond}) > 1:
             raise ValueError("q0 conditionals: rows differ in length")
-        cond = np.asarray(cond)  # a string entry infers dtype '<U' and a null 'object'
-        if cond.dtype.kind not in "fi":
+        # JSON numbers only: a boolean, a string or a null is the wrong JSON type
+        if not all({*map(type, row)} <= {int, float} for row in cond):
             raise TypeError
-        q0 = InitialDensity(schema, cond)
+        q0 = InitialDensity(schema, np.asarray(cond, dtype=np.float64))
         rounds = reader.rounds(schema, scheme.c_bound)
     return BoostedDensity(q0, rounds), scheme, run_id
 

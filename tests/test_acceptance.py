@@ -3,8 +3,9 @@
 Criteria 1-2 drive the command-line interface end to end on the synthetic
 two-group mixture; 3-6 and 9 are randomized property suites over explicit
 tables; 7-8 check the per-round and total KL bounds on the mixture fits and
-on a 4-feature fit from the benchmark's generator, where every round lands in
-the high regime; 10 checks byte-level determinism of the command surface.
+on four 4-feature fits from the benchmark's generator (each scheme at tau 0.7
+and 0.9), where every round lands in the high regime; 10 checks byte-level
+determinism of the command surface.
 Run with -s (or read test_output.txt) for the per-criterion lines.
 """
 
@@ -93,23 +94,36 @@ def runs(workdir, synth_csv):
     return out
 
 
+#: (scheme, tau) of each 4-feature fit
+FEATURE_FITS = {
+    "exact07": ("exact", 0.7),
+    "exact09": ("exact", 0.9),
+    "rel07": ("relative", 0.7),
+    "rel09": ("relative", 0.9),
+}
+
+
 @pytest.fixture(scope="session")
-def features_run(workdir):
-    """Exact tau = 0.7, 10 rounds on the benchmark's 4-feature generator at
-    20 bins (320k cells): every round lands in the high regime, so the drop
-    floors of criterion 7 and the Delta lower bound of criterion 8 apply."""
+def features_runs(workdir):
+    """Each FEATURE_FITS scheme, 10 rounds on the benchmark's 4-feature
+    generator at 20 bins (320k cells): every round lands in the high regime,
+    so the drop floors of criterion 7 and the Delta lower bound of criterion 8
+    apply to all four fits."""
     spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     data = str(workdir / "features4.csv")
     gen.write_csv(*gen.generate(20000, 4, SEED), data)
-    model = str(workdir / "features4.model.json")
-    run_cli(
-        "fit", "--data", data, "--sensitive", "a",
-        "--tau", 0.7, "--scheme", "exact", "--rounds", 10, "--bins", 20,
-        "--seed", SEED, "--out", model,
-    )
-    return {"model": model, "data": data}
+    out = {}
+    for name, (scheme, tau) in FEATURE_FITS.items():
+        model = str(workdir / f"features4.{name}.model.json")
+        run_cli(
+            "fit", "--data", data, "--sensitive", "a",
+            "--tau", tau, "--scheme", scheme, "--rounds", 10, "--bins", 20,
+            "--seed", SEED, "--out", model,
+        )
+        out[name] = {"model": model, "data": data}
+    return out
 
 
 @pytest.fixture(scope="session")
@@ -281,19 +295,32 @@ def test_criterion_06_expectation_trick():
 
 
 def _round_drops(run, data_csv):
-    """(theta, exact margins, measured KL drop) per fitted round."""
-    bd, _, _ = load_model(run["model"])
+    """The fit's scheme, its (theta, exact margins, measured KL drop) per
+    round and its total progress Delta = KL(P, Q0) - KL(P, Q_T)."""
+    bd, scheme, _ = load_model(run["model"])
     data = load_csv_with_schema(data_csv, bd.schema)
     p_hat = fit_empirical(data, 0.0)
-    out = []
-    kl_prev = kl_divergence(p_hat, BoostedDensity(bd.q0).joint())
+    drops = []
+    kl_anchor = kl_prev = kl_divergence(p_hat, BoostedDensity(bd.q0).joint())
     for k, rnd in enumerate(bd.rounds):
         prefix = BoostedDensity(bd.q0, bd.rounds[: k])
         gamma_p, gamma_q = exact_round_margins(p_hat, prefix, rnd.classifier)
         kl_next = kl_divergence(p_hat, BoostedDensity(bd.q0, bd.rounds[: k + 1]).joint())
-        out.append((rnd.theta, gamma_p, gamma_q, kl_prev - kl_next))
+        drops.append((rnd.theta, gamma_p, gamma_q, kl_prev - kl_next))
         kl_prev = kl_next
-    return out, p_hat
+    return {"scheme": scheme, "drops": drops, "delta": kl_anchor - kl_prev}
+
+
+@pytest.fixture(scope="session")
+def mixture_drops(runs, synth_csv):
+    """_round_drops of each mixture fit, shared by criteria 7 and 8."""
+    return {name: _round_drops(run, synth_csv) for name, run in runs.items()}
+
+
+@pytest.fixture(scope="session")
+def features_drops(features_runs):
+    """_round_drops of each 4-feature fit, shared by criteria 7 and 8."""
+    return {name: _round_drops(run, run["data"]) for name, run in features_runs.items()}
 
 
 def _in_high_regime(gamma_p, gamma_q):
@@ -316,56 +343,56 @@ def _check_drop_floors(drops):
     return checked, slack
 
 
-def test_criterion_07_kl_drop_bound(runs, synth_csv, features_run):
+def test_criterion_07_kl_drop_bound(mixture_drops, features_drops):
     checked = total = 0
-    for name in ("exact07", "exact09", "rel07"):
-        drops, _ = _round_drops(runs[name], synth_csv)
-        total += len(drops)
-        checked += _check_drop_floors(drops)[0]
+    for fit in mixture_drops.values():
+        total += len(fit["drops"])
+        checked += _check_drop_floors(fit["drops"])[0]
     note = "" if checked else " (no round landed in the high regime: vacuously true, as expected on this mixture)"
 
-    # the 4-feature workload puts every round in the high regime, so the
-    # floor is really asserted there
-    drops, _ = _round_drops(features_run, features_run["data"])
-    f_checked, f_slack = _check_drop_floors(drops)
-    assert f_checked == len(drops) == 10
+    # the 4-feature workload puts every round of every fit in the high regime,
+    # so the floor is really asserted there
+    f_checked, slacks = 0, []
+    for name, fit in features_drops.items():
+        fit_checked, fit_slack = _check_drop_floors(fit["drops"])
+        assert fit_checked == len(fit["drops"]) == 10
+        f_checked += fit_checked
+        slacks.append(f"{name} {fit_slack:.2e}")
     report(
         7,
         f"mixture: {checked}/{total} rounds in high regime all met the certified drop floor - 1e-9{note}; "
-        f"4 features: {f_checked}/{len(drops)} rounds met it, min slack {f_slack:.2e} nats",
+        f"4 features: {f_checked}/{f_checked} rounds met it, min slack {', '.join(slacks)} nats",
     )
 
 
-def _delta_containment(run, data_csv):
-    """(Delta, upper bound, lower bound at the run's minimum margins or None
+def _delta_containment(fit):
+    """(Delta, upper bound, lower bound at the fit's minimum margins or None
     when some round left the high regime), asserting Delta <= upper."""
-    drops, p_hat = _round_drops(run, data_csv)
-    bd, scheme, _ = load_model(run["model"])
-    rounds = len(bd.rounds)
-    delta = kl_divergence(p_hat, BoostedDensity(bd.q0).joint()) - kl_divergence(p_hat, bd.joint())
-    upper = mollifier_size(scheme, rounds)
+    drops, scheme, delta = fit["drops"], fit["scheme"], fit["delta"]
+    upper = mollifier_size(scheme, len(drops))
     assert delta <= upper + 1e-9
     hbs = [(gp, gq) for _, gp, gq, _ in drops if _in_high_regime(gp, gq)]
     if not hbs or len(hbs) < len(drops):
         return delta, upper, None
-    lower = delta_bounds(scheme, rounds, min(g for g, _ in hbs), min(g for _, g in hbs)).lower
+    lower = delta_bounds(scheme, len(drops), min(g for g, _ in hbs), min(g for _, g in hbs)).lower
     return delta, upper, lower
 
 
-def test_criterion_08_delta_containment(runs, synth_csv, features_run):
+def test_criterion_08_delta_containment(mixture_drops, features_drops):
     lines = []
-    for name in ("exact07", "exact09", "rel07"):
-        delta, upper, lower = _delta_containment(runs[name], synth_csv)
+    for name, fit in mixture_drops.items():
+        delta, upper, lower = _delta_containment(fit)
         if lower is None:
             lower_text = "n/a (not every round landed in the high regime)"
         else:
             lower_text = f"{lower:.4f} (at per-run minimum margins)"
         lines.append(f"{name}: Delta {delta:.4f} <= {upper:.4f}, lower {lower_text}")
 
-    delta, upper, lower = _delta_containment(features_run, features_run["data"])
-    assert lower is not None
-    assert delta >= lower - 1e-9
-    lines.append(f"4 features exact07: {lower:.4f} <= Delta {delta:.4f} <= {upper:.4f}")
+    for name, fit in features_drops.items():
+        delta, upper, lower = _delta_containment(fit)
+        assert lower is not None
+        assert delta >= lower - 1e-9
+        lines.append(f"4 features {name}: {lower:.4f} <= Delta {delta:.4f} <= {upper:.4f}")
     report(8, "; ".join(lines))
 
 

@@ -821,6 +821,14 @@ def _anchor_rows(doc, entry):
     doc["q0"]["conditionals"] = [[entry(v) for v in row] for row in doc["q0"]["conditionals"]]
 
 
+def _boolean_anchor_row(doc):
+    # true then falses: converted, the row is the distribution [1, 0, ..., 0], and a model
+    # without rounds would pass every other check
+    rows = doc["q0"]["conditionals"]
+    rows[0] = [True] + [False] * (len(rows[0]) - 1)
+    doc["rounds"] = []
+
+
 @pytest.mark.parametrize(
     "field, breaker",
     [
@@ -828,18 +836,38 @@ def _anchor_rows(doc, entry):
         # each entry its own value as a JSON string: converting them would pass every check
         ("q0.conditionals", lambda doc: _anchor_rows(doc, repr)),
         ("q0.conditionals", lambda doc: doc["q0"]["conditionals"][0].__setitem__(0, None)),
+        ("q0.conditionals", _boolean_anchor_row),
         ("rounds", lambda doc: doc.update(rounds=5)),
         ("q0.schema", lambda doc: doc["q0"].update(schema=5)),
         ("rounds[0].theta", lambda doc: doc["rounds"][0].update(theta=[1])),
         ("manifest", lambda doc: doc.update(manifest=5)),
     ],
-    ids=["conditionals", "conditionals-strings", "conditionals-null", "rounds", "schema", "theta", "manifest"],
+    ids=[
+        "conditionals", "conditionals-strings", "conditionals-null", "conditionals-bool",
+        "rounds", "schema", "theta", "manifest",
+    ],
 )
 def test_eval_rejects_model_value_of_wrong_type(tmp_path, fit_run, synth_csv, capsys, field, breaker):
     model_path, _ = fit_run
     bad = _broken_model(tmp_path, model_path, breaker)
     assert main(["eval", "--model", bad, "--data", synth_csv]) == 1
     assert capsys.readouterr().err.startswith(f"error: model field '{field}' has the wrong JSON type")
+
+
+@pytest.mark.parametrize(
+    "field, breaker",
+    [
+        ("q0.conditionals", lambda doc: doc["q0"]["conditionals"][0].__setitem__(0, 10**400)),
+        ("rounds[0].theta", lambda doc: doc["rounds"][0].update(theta=10**400)),
+    ],
+    ids=["conditionals", "theta"],
+)
+def test_eval_rejects_model_integer_too_large_for_a_float(tmp_path, fit_run, synth_csv, capsys, field, breaker):
+    # a JSON integer is a number, but float() of this one overflows
+    model_path, _ = fit_run
+    bad = _broken_model(tmp_path, model_path, breaker)
+    assert main(["eval", "--model", bad, "--data", synth_csv]) == 1
+    assert capsys.readouterr().err == f"error: model field '{field}' holds a number out of range\n"
 
 def test_load_model_reads_integer_anchor_entries(tmp_path, fit_run):
     # a JSON integer is a number too: rows of 1s and 0s load as float64

@@ -1,5 +1,6 @@
 """Certificate calculators: per-round drops, total progress, fairness transfer."""
 
+import dataclasses
 import json
 import math
 
@@ -11,6 +12,7 @@ from fairboost import (
     HBS,
     LBS,
     BoostedDensity,
+    BoostRound,
     Dataset,
     DeltaBounds,
     FitConfig,
@@ -29,9 +31,12 @@ from fairboost import (
     kl_divergence,
     kl_drop_bound,
     margin_gain,
+    rr_lower_bound,
     sr_from_rr,
     verify_eo,
 )
+from fairboost.boosted import representation_rates
+from fairboost.tree import boosting_regime
 
 from conftest import (
     LN2,
@@ -379,8 +384,8 @@ def fitted_trace(tau=0.8, rounds=5):
 
 def test_build_report_structure():
     stack, trace, scheme = fitted_trace()
-    report = build_report(trace, scheme)
-    assert report.scheme_kind == EXACT
+    report = build_report(trace, scheme, stack.rounds)
+    assert report.scheme == EXACT
     assert report.rounds == 5
     assert len(report.fairness_rounds) == 5
     assert report.all_fairness_hold
@@ -396,27 +401,41 @@ def test_build_report_structure():
     )
     assert report.delta["upper"] == pytest.approx(-math.log(0.8), abs=1e-12)
     assert report.delta["upper_holds"]
+    assert report.implied["final_rr"] == stack.representation_rate()
     assert report.implied["sr_floor"] == pytest.approx(report.implied["final_rr"] ** 2, rel=1e-12)
     budgets = report.implied["eo_budgets"]
     assert all(b["rho"] <= report.implied["final_rr"] for b in budgets)
-    json.dumps(report.to_dict())  # must serialize cleanly
+    json.dumps(dataclasses.asdict(report))  # must serialize cleanly
+
+
+def hand_run(scheme, margins, kl):
+    """A trace and the model rounds it records: round t has theta 0.1 / t,
+    sample margins margins[t - 1] and kl_train kl[t], and its rate and rate
+    floor are the ones build_report derives from the rounds and the scheme."""
+    clf = table_classifier(xa_schema(), [LN2, -LN2])
+    rounds = [
+        BoostRound(0.1 / t, clf, 1.0 + 0.01 / t, np.array([1.0, 1.0 + 0.05 / t]))
+        for t in range(1, len(margins) + 1)
+    ]
+    rates = representation_rates(r.z_by_group for r in rounds)
+    trace = [TraceRow(0, 0.0, None, None, None, 1.0, 1.0, kl[0], None, 1.0)]
+    for t, (rnd, (gp, gq)) in enumerate(zip(rounds, margins), start=1):
+        regime = boosting_regime(gp, gq)
+        trace.append(TraceRow(t, rnd.theta, gp, gq, regime, rates[t], rr_lower_bound(scheme, t), kl[t], None, rnd.z))
+    return trace, rounds
 
 
 def test_build_report_certifies_drops_only_at_c_ln2():
     # two high-regime rounds: at C = ln 2 both drop floors and the lower
     # bound on Delta are certified; at any other C none of them is
-    trace = [
-        TraceRow(0, 0.0, None, None, None, 1.0, 1.0, 0.5, None, 1.0),
-        TraceRow(1, 0.1, 0.5, 0.5, HBS, 0.95, 0.8, 0.45, None, 1.01),
-        TraceRow(2, 0.05, 0.4, 0.4, HBS, 0.9, 0.8, 0.42, None, 1.005),
-    ]
-    certified = build_report(trace, LeveragingScheme(kind="exact", tau=0.8))
+    trace, rounds = hand_run(exact_scheme(0.8), [(0.5, 0.5), (0.4, 0.4)], kl=(0.5, 0.45, 0.42))
+    certified = build_report(trace, LeveragingScheme(kind="exact", tau=0.8), rounds)
     for entry in certified.drop_rounds:
         assert entry["drop_floor"] is not None and entry["holds"] is not None
         assert "floor_note" not in entry
     assert certified.delta["lower"] is not None
 
-    other = build_report(trace, LeveragingScheme(kind="exact", tau=0.8, c_bound=1.5))
+    other = build_report(trace, LeveragingScheme(kind="exact", tau=0.8, c_bound=1.5), rounds)
     for entry in other.drop_rounds:
         assert entry["drop_floor"] is None
         assert entry["floor_positive"] is None
@@ -429,8 +448,25 @@ def test_build_report_certifies_drops_only_at_c_ln2():
     assert other.delta["upper_holds"] == certified.delta["upper_holds"]
 
 
+def test_build_report_clamps_each_margin_once():
+    # a sample margin that rounded above 1 is read as 1 by its drop floor
+    # and by the lower bound on Delta alike; the report shows it as sampled
+    above = math.nextafter(1.0, 2.0)
+    scheme = exact_scheme(0.8)
+    trace, rounds = hand_run(scheme, [(above, 0.5), (above, above)], kl=(0.5, 0.45, 0.42))
+    report = build_report(trace, scheme, rounds)
+    assert [e["regime"] for e in report.drop_rounds] == [HBS, HBS]
+    assert [e["drop_floor"] for e in report.drop_rounds] == [
+        kl_drop_bound(0.1, 1.0, 0.5).bound,
+        kl_drop_bound(0.05, 1.0, 1.0).bound,
+    ]
+    assert [(e["gamma_p"], e["gamma_q"]) for e in report.drop_rounds] == [(above, 0.5), (above, above)]
+    # the smallest gamma_p is above 1 too: the bound is taken at 1
+    assert report.delta["lower"] == delta_bounds(scheme, 2, 1.0, 0.5).lower
+
+
 def test_build_report_empty_trace():
-    report = build_report([], exact_scheme(0.8))
+    report = build_report([], exact_scheme(0.8), [])
     assert report.rounds == 0
     assert report.fairness_rounds == ()
     assert report.delta is None

@@ -10,7 +10,10 @@ reference file is only read.
 
 Every benchmark workload puts the sensitive column last.  A small run on a
 file whose sensitive column comes first, and one where it sits between the
-features, pins the bytes that the other cell layouts give.
+features, pins the bytes that the other cell layouts give.  Every benchmark
+run also fits at the default C = ln 2; a small relative-scheme run at C = 1.5
+pins the report that marks the drop floors and the Delta lower bound not
+applicable.
 """
 
 import hashlib
@@ -109,3 +112,26 @@ def test_cli_bytes_with_sensitive_column_not_last(tmp_path, monkeypatch, columns
     assert main(["guarantees", "--model", "model.json", "--trace", "trace.csv", "--out", "report.json"]) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in OUTPUTS}
     assert digests == SENSITIVE_NOT_LAST[columns]
+
+
+# SHA-256 of each file of the run below, recorded before build_report took the
+# model's rounds
+C_NOT_LN2 = {
+    "data.csv": "5acce14f6bda91470dfa1d94b318fb5b002d359c1d116a87034957d7cf4f0b47",
+    "model.json": "fe05b758b4ae4e5a9711edc589f198d3d68b2354caf3ea112b3634b265dfaf2b",
+    "trace.csv": "6a2a9ac2eb7b72437542b4404c055dec1bb2ad893f6c02391d169c34b918d3d7",
+    "metrics.json": "1b82a5c3f18c99ec7e05fd338215f9246688141cea655483cfe391c9570b0565",
+    "report.json": "831a5b9310ad2c339ee75aacbae4b1adb7b3340ac1bcae5f800e75c5109a27ad",
+}
+
+
+def test_cli_bytes_with_c_bound_not_ln2(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_two_feature_csv(("x0", "x1", "a"), "data.csv")
+    fit = ["fit", "--data", "data.csv", "--sensitive", "a", "--tau", "0.8", "--scheme", "relative"]
+    fit += ["--c-bound", "1.5", "--rounds", "6", "--bins", "12", "--seed", "2"]
+    assert main(fit + ["--out", "model.json", "--trace", "trace.csv"]) == 0
+    assert main(["eval", "--model", "model.json", "--data", "data.csv", "--out", "metrics.json"]) == 0
+    assert main(["guarantees", "--model", "model.json", "--trace", "trace.csv", "--out", "report.json"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in OUTPUTS}
+    assert digests == C_NOT_LN2
