@@ -72,7 +72,8 @@ class InitialDensity:
             raise ValueError(f"each conditional must sum to 1 within {_SUM_TOL}")
         self.cond = _readonly(cond)
         with np.errstate(divide="ignore"):
-            self.log_cond = _readonly(np.log(self.cond))
+            self.log_cond = np.log(self.cond)
+        self.log_cond.setflags(write=False)
 
     @staticmethod
     def check_schema(schema: AttributeSchema) -> None:
@@ -84,7 +85,9 @@ class InitialDensity:
             raise ValueError("schema must have at least one attribute besides the sensitive one")
 
     def joint(self) -> TabularDensity:
-        return TabularDensity(self.schema, self.schema.flatten_groups(self.cond) / self.cond.shape[0])
+        mass = self.schema.flatten_groups(self.cond) / self.cond.shape[0]
+        mass.setflags(write=False)
+        return TabularDensity(self.schema, mass)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +126,8 @@ class BoostedDensity:
         self.q0 = q0
         self.schema = q0.schema
         self.rounds = ()
-        self._tilt = _readonly(np.zeros(q0.x_schema.n_cells))
+        self._tilt = np.zeros(q0.x_schema.n_cells)
+        self._tilt.setflags(write=False)
         self._log_z_total = 0.0
         self._log_zg_total = _readonly(np.zeros(q0.cond.shape[0]))
         for rnd in rounds:

@@ -151,10 +151,10 @@ def cmd_fit(args) -> int:
                 {
                     "fold": i,
                     "final_rr": stack_i.representation_rate(),
-                    "final_kl_train": kl_divergence(train_hat, final),
-                    "final_kl_test": kl_divergence(test_hat, final),
-                    "anchor_kl_train": kl_divergence(train_hat, anchor),
-                    "anchor_kl_test": kl_divergence(test_hat, anchor),
+                    "final_kl_train": kl_divergence(train_hat.mass, final.mass),
+                    "final_kl_test": kl_divergence(test_hat.mass, final.mass),
+                    "anchor_kl_train": kl_divergence(train_hat.mass, anchor.mass),
+                    "anchor_kl_test": kl_divergence(test_hat.mass, anchor.mass),
                 }
             )
         timings["folds"] = time.perf_counter() - t0
@@ -202,7 +202,7 @@ def cmd_eval(args) -> int:
         "rr_table": rr_table,
         "rr_normalizers": rr_norm,
         "rr_difference": abs(rr_table - rr_norm),
-        "kl": kl_divergence(p_hat, joint),
+        "kl": kl_divergence(p_hat.mass, joint.mass),
         "sr": sr,
     }
     _emit(metrics, args.out)

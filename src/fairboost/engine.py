@@ -21,6 +21,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from . import seeds
 from .boosted import BoostedDensity, InitialDensity
 from .schema import Dataset
@@ -121,6 +123,11 @@ def fbde_fit(p: Dataset, q0: InitialDensity, cfg: FitConfig) -> tuple[BoostedDen
     progress without refitting; rounds == 0 returns the bare anchor with an
     empty trace.  Every row records kl_train, the KL divergence from the
     training data; kl_test is always None.  Deterministic given cfg.seed, timings aside.
+
+    The empirical table p-hat is kept as its support (at most len(p) cells)
+    and its masses there, and each KL is taken over those cells alone, with
+    the bits of the KL over the whole table.  Beyond the anchor, a round
+    holds one joint table, its CDF while sampling, and the tilt.
     """
     if p.schema != q0.schema:
         raise ValueError("schema mismatch")
@@ -132,10 +139,12 @@ def fbde_fit(p: Dataset, q0: InitialDensity, cfg: FitConfig) -> tuple[BoostedDen
     if cfg.rounds == 0:
         return stack, trace, records
 
-    p_hat = fit_empirical(p, 0.0)
+    p_mass = fit_empirical(p, 0.0).mass
+    support = np.flatnonzero(p_mass)
+    p_mass = p_mass[support]
     # one joint table per stack: its KL, then the next round's negatives
     joint = stack.joint()
-    trace.append(TraceRow(0, 0.0, None, None, None, 1.0, 1.0, kl_divergence(p_hat, joint), None, 1.0))
+    trace.append(TraceRow(0, 0.0, None, None, None, 1.0, 1.0, kl_divergence(p_mass, joint.mass[support]), None, 1.0))
 
     n_neg = NEGATIVES_PER_ROW * len(p)
     for t in range(1, cfg.rounds + 1):
@@ -149,7 +158,7 @@ def fbde_fit(p: Dataset, q0: InitialDensity, cfg: FitConfig) -> tuple[BoostedDen
         stack = stack.extended(classifier, theta)
         t3 = time.perf_counter()
         joint = stack.joint()
-        kl_train = kl_divergence(p_hat, joint)
+        kl_train = kl_divergence(p_mass, joint.mass[support])
         seconds = {"sample_s": t1 - t0, "tree_s": t2 - t1, "extended_s": t3 - t2}
         records.append({"t": t, **seconds, "joint_kl_s": time.perf_counter() - t3, **_tree_size(classifier.root)})
         wla = estimate_wla(classifier, p, negatives)

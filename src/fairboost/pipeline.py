@@ -254,10 +254,12 @@ def build_initial(train: Dataset, schema: AttributeSchema, smoothing: float) -> 
     x_schema = schema.x_subschema()
     x_rows = train.x_rows()
     sensitive = train.sensitive_codes()
-    cond = []
-    for a in range(schema.sensitive.cardinality):
+    # one (|A|, n_x) buffer, filled row by row and adopted read-only by the anchor
+    cond = np.empty((schema.sensitive.cardinality, x_schema.n_cells))
+    for a in range(len(cond)):
         mask = sensitive == a
         if not mask.any():
             raise ValueError("unrepresented sensitive value")
-        cond.append(fit_empirical(Dataset(x_schema, x_rows[mask]), smoothing).mass)
-    return InitialDensity(schema, np.stack(cond))
+        cond[a] = fit_empirical(Dataset(x_schema, x_rows[mask]), smoothing).mass
+    cond.setflags(write=False)
+    return InitialDensity(schema, cond)

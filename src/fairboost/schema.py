@@ -22,8 +22,9 @@ class Attribute:
 
     ``categories`` maps integer codes back to the raw category labels for
     columns that were label-encoded.  ``bin_edges`` holds the ``cardinality+1``
-    equal-width edges for columns that were discretized from real values; its
-    presence is what marks an attribute as ordinal for threshold splits.
+    equal-width edges, finite and non-decreasing, for columns that were
+    discretized from real values; its presence is what marks an attribute as
+    ordinal for threshold splits.
     """
 
     name: str
@@ -38,8 +39,13 @@ class Attribute:
             raise ValueError(f"attribute {self.name!r}: cardinality must be >= 1")
         if self.categories is not None and len(self.categories) != self.cardinality:
             raise ValueError(f"attribute {self.name!r}: categories do not match cardinality")
-        if self.bin_edges is not None and len(self.bin_edges) != self.cardinality + 1:
-            raise ValueError(f"attribute {self.name!r}: need cardinality+1 bin edges")
+        if self.bin_edges is not None:
+            if len(self.bin_edges) != self.cardinality + 1:
+                raise ValueError(f"attribute {self.name!r}: need cardinality+1 bin edges")
+            # not strictly increasing: linspace repeats an edge on a range narrower than its bins in ulps
+            edges = np.array(self.bin_edges, dtype=np.float64)
+            if not (np.isfinite(edges).all() and (edges[1:] >= edges[:-1]).all()):
+                raise ValueError(f"attribute {self.name!r}: bin edges must be finite and non-decreasing")
 
     @property
     def is_ordinal(self) -> bool:

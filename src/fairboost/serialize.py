@@ -18,10 +18,12 @@ on load.  Its layout, the schema's and every tree's included, is known here
 only.  ``load_model`` returns the stack, the scheme and the run id;
 ``load_model_rounds`` returns the scheme, the run id and the same decoded
 rounds, without building the anchor or the stack.  Loading rejects missing
-keys, values of the wrong JSON type (naming the field), anchor rows that are
-not distributions of JSON numbers (``load_model`` only), round values ``BoostRound``
-refuses, trees no fit could have produced and trees whose score bound is not
-the scheme's C, prefixing every error of round t with ``round t: ``.  An
+keys, values of the wrong JSON type (naming the field), bin edges that are
+not finite and non-decreasing (naming the attribute), anchor rows that are
+not distributions of JSON numbers (``load_model`` only), a theta <= 0, round
+values ``BoostRound`` refuses, trees no fit could have produced and trees
+whose score bound is not the scheme's C, prefixing every error of round t
+with ``round t: ``.  An
 integer field takes only a JSON integer, a number field (the entries of
 ``z_by_group`` and of the anchor rows included) any JSON number but no string
 or boolean, and a name or a category only a JSON string.  A trace is read in
@@ -301,9 +303,11 @@ class _ModelReader:
         return AttributeSchema(attributes, _int(d["sensitive_index"]), None if target is None else _int(target))
 
     def rounds(self, schema: AttributeSchema, c_bound: float) -> list[BoostRound]:
-        """Every stored round in boosting order: z_by_group holds one entry
-        per sensitive value, and the tree splits the schema's features with
-        the scheme's ``c_bound``.  Each error of round t starts ``round t: ``."""
+        """Every stored round in boosting order: theta is > 0 (no fit writes
+        another; ``BoostRound`` itself takes any finite theta), z_by_group
+        holds one entry per sensitive value, and the tree splits the schema's
+        features with the scheme's ``c_bound``.  Each error of round t starts
+        ``round t: ``."""
         x_schema, card = schema.x_subschema(), schema.sensitive.cardinality
         self.field = "rounds"
         rounds = []
@@ -311,6 +315,8 @@ class _ModelReader:
             try:
                 self.field = f"rounds[{t - 1}].theta"
                 theta = _number(r["theta"])
+                if theta <= 0:
+                    raise ValueError("theta must be > 0")
                 self.field = f"rounds[{t - 1}].z"
                 z = _number(r["z"])
                 self.field = f"rounds[{t - 1}].z_by_group"
@@ -337,7 +343,9 @@ def load_model(path: str) -> tuple[BoostedDensity, LeveragingScheme, str]:
         # JSON numbers only: a boolean, a string or a null is the wrong JSON type
         if not all({*map(type, row)} <= {int, float} for row in cond):
             raise TypeError
-        q0 = InitialDensity(schema, np.asarray(cond, dtype=np.float64))
+        cond = np.asarray(cond, dtype=np.float64)
+        cond.setflags(write=False)  # a fresh array: the anchor adopts it
+        q0 = InitialDensity(schema, cond)
         rounds = reader.rounds(schema, scheme.c_bound)
     return BoostedDensity(q0, rounds), scheme, run_id
 

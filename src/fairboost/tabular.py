@@ -84,7 +84,9 @@ def fit_empirical(dataset: Dataset, smoothing: float = 0.0) -> TabularDensity:
 
     mass[cell] = (count(cell) + smoothing) / (N + smoothing * n_cells),
     where count(cell) is the number of rows in the cell and N the number of
-    rows.
+    rows.  The table is one buffer, divided in place and handed to
+    ``TabularDensity`` read-only, so it is never copied: the build peaks at
+    two domain-sized arrays (the integer counts and the table).
     """
     if not math.isfinite(smoothing):
         raise ValueError(f"smoothing must be finite, got {smoothing!r}")
@@ -93,8 +95,9 @@ def fit_empirical(dataset: Dataset, smoothing: float = 0.0) -> TabularDensity:
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     n_cells = dataset.schema.n_cells
-    counts = np.bincount(dataset.cells(), minlength=n_cells)
-    mass = (counts + smoothing) / (len(dataset) + smoothing * n_cells)
+    mass = np.bincount(dataset.cells(), minlength=n_cells) + float(smoothing)
+    mass /= len(dataset) + smoothing * n_cells
+    mass.setflags(write=False)
     return TabularDensity(dataset.schema, mass)
 
 
@@ -143,17 +146,27 @@ def discrimination_control(density: TabularDensity, y: int) -> float:
     return float(cond.max() / cond.min() - 1.0)
 
 
-def kl_divergence(p: TabularDensity, q: TabularDensity) -> float:
-    """KL(p, q) in nats; requires q's support to cover p's."""
-    if p.schema != q.schema:
-        raise ValueError("schema mismatch")
-    pm = p.mass
-    qm = q.mass
+def kl_divergence(pm: np.ndarray, qm: np.ndarray) -> float:
+    """KL(p, q) in nats from two aligned mass vectors; q's support must cover p's.
+
+    ``pm`` and ``qm`` are whole tables' masses (``TabularDensity.mass``), or
+    both restricted to the same cells, in the same order: the sum runs over
+    the cells where ``pm > 0``, so dropping cells where p is 0 leaves the
+    result unchanged bit for bit.  The terms fill one buffer in place, so
+    over a whole domain the call holds three arrays of p's support size:
+    p's and q's masses there, and the terms.
+    """
+    pm, qm = np.asarray(pm, dtype=np.float64), np.asarray(qm, dtype=np.float64)
+    if pm.ndim != 1 or pm.shape != qm.shape:
+        raise ValueError(f"mass vectors are not aligned: shapes {pm.shape} and {qm.shape}")
     support = pm > 0
-    if (qm[support] <= 0).any():
+    p_s, q_s = pm[support], qm[support]
+    if (q_s <= 0).any():
         raise ValueError("absolute continuity violated")
-    val = float(np.sum(pm[support] * (np.log(pm[support]) - np.log(qm[support]))))
-    return max(val, 0.0)
+    terms = np.log(p_s)
+    terms -= np.log(q_s, out=q_s)
+    terms *= p_s
+    return max(float(terms.sum()), 0.0)
 
 
 def mollifier_membership(q: TabularDensity, q0: TabularDensity, eps: float) -> bool:

@@ -301,11 +301,11 @@ def _round_drops(run, data_csv):
     data = load_csv_with_schema(data_csv, bd.schema)
     p_hat = fit_empirical(data, 0.0)
     drops = []
-    kl_anchor = kl_prev = kl_divergence(p_hat, BoostedDensity(bd.q0).joint())
+    kl_anchor = kl_prev = kl_divergence(p_hat.mass, BoostedDensity(bd.q0).joint().mass)
     for k, rnd in enumerate(bd.rounds):
         prefix = BoostedDensity(bd.q0, bd.rounds[: k])
         gamma_p, gamma_q = exact_round_margins(p_hat, prefix, rnd.classifier)
-        kl_next = kl_divergence(p_hat, BoostedDensity(bd.q0, bd.rounds[: k + 1]).joint())
+        kl_next = kl_divergence(p_hat.mass, BoostedDensity(bd.q0, bd.rounds[: k + 1]).joint().mass)
         drops.append((rnd.theta, gamma_p, gamma_q, kl_prev - kl_next))
         kl_prev = kl_next
     return {"scheme": scheme, "drops": drops, "delta": kl_anchor - kl_prev}

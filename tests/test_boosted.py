@@ -462,7 +462,7 @@ def test_kl_to_anchor_well_defined(rng):
     s = xa_schema(nx=4, na=2)
     q0 = random_initial(s, rng)
     bd = random_stack(s, rng, rounds=5, q0=q0)
-    val = kl_divergence(bd.joint(), q0.joint())
+    val = kl_divergence(bd.joint().mass, q0.joint().mass)
     assert val >= 0.0
     assert math.isfinite(val)
 

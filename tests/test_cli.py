@@ -192,10 +192,10 @@ def test_fit_folds_manifest(tmp_path, synth_csv):
         assert f == {
             "fold": i,
             "final_rr": stack.representation_rate(),
-            "final_kl_train": kl_divergence(train_hat, final),
-            "final_kl_test": kl_divergence(test_hat, final),
-            "anchor_kl_train": kl_divergence(train_hat, anchor),
-            "anchor_kl_test": kl_divergence(test_hat, anchor),
+            "final_kl_train": kl_divergence(train_hat.mass, final.mass),
+            "final_kl_test": kl_divergence(test_hat.mass, final.mass),
+            "anchor_kl_train": kl_divergence(train_hat.mass, anchor.mass),
+            "anchor_kl_test": kl_divergence(test_hat.mass, anchor.mass),
         }
         # the training numbers are the ones the fold's trace records
         assert (f["anchor_kl_train"], f["final_kl_train"]) == (trace[0].kl_train, trace[-1].kl_train)
@@ -380,8 +380,8 @@ def test_fit_and_eval_reject_non_finite_csv_values(tmp_path, synth_csv, fit_run,
 
 
 def test_fit_domain_beyond_memory_is_an_error(tmp_path, capsys):
-    # 8 numeric features at 150 bins make 150**8 cells: the anchor's tables need
-    # 1.78 EiB, more than a 64-bit address space, so the allocation fails at once
+    # 8 numeric features at 150 bins make 150**8 feature cells: the anchor's (|A|, n_x)
+    # buffer needs 3.56 EiB, more than a 64-bit address space, so the allocation fails at once
     rng = np.random.default_rng(0)
     rows = ["f0,f1,f2,f3,f4,f5,f6,f7,a"]
     rows += [",".join(repr(float(v)) for v in rng.random(8)) + f",{i % 2}" for i in range(60)]
@@ -391,7 +391,7 @@ def test_fit_domain_beyond_memory_is_an_error(tmp_path, capsys):
     code = main(["fit", "--data", str(data), "--sensitive", "a", "--bins", "150", "--rounds", "1", "--out", str(model)])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: Unable to allocate 1.78 EiB") and err.count("\n") == 1
+    assert err.startswith("error: Unable to allocate 3.56 EiB") and err.count("\n") == 1
     assert not model.exists()
 
 
@@ -410,7 +410,7 @@ def test_eval_stdout_metrics(fit_run, synth_csv, capsys):
 
     bd, _, _ = load_model(model_path)
     data = load_csv_with_schema(synth_csv, bd.schema)
-    want = kl_divergence(fit_empirical(data, 1.0), bd.joint())
+    want = kl_divergence(fit_empirical(data, 1.0).mass, bd.joint().mass)
     assert metrics["kl"] == want
 
 
@@ -707,6 +707,41 @@ def test_stored_normalizer_below_zero_rejected_by_both_readers(tmp_path, fit_run
             assert capsys.readouterr().err == "error: round 1: normalizers must be > 0\n"
 
 
+@pytest.fixture(scope="module")
+def readme_run(tmp_path_factory):
+    """The README run's data, model and trace (its fit without --folds, which only the manifest records)."""
+    d = tmp_path_factory.mktemp("readme")
+    data, model, trace = str(d / "mixture.csv"), str(d / "model.json"), str(d / "trace.csv")
+    assert main(["synth", "--n", "5000", "--s", "0.9", "--mu", "-0.5", "0.7", "--sigma", "0.4", "0.2",
+                 "--seed", "0", "--out", data]) == 0
+    assert main(["fit", "--data", data, "--sensitive", "a", "--tau", "0.7", "--scheme", "exact", "--rounds", "10",
+                 "--bins", "50", "--max-depth", "8", "--seed", "0", "--out", model, "--trace", trace]) == 0
+    return data, model, trace
+
+
+@pytest.mark.parametrize("theta", [-0.05, 0.0])
+def test_stored_theta_not_positive_rejected_by_both_readers(tmp_path, readme_run, capsys, theta):
+    # no fit writes theta <= 0: both readers refuse it and name the round
+    data, model_path, trace_path = readme_run
+    bad = _broken_model(tmp_path, model_path, lambda doc: doc["rounds"][0].update(theta=theta))
+    assert main(["eval", "--model", bad, "--data", data]) == 1
+    assert capsys.readouterr().err == "error: round 1: theta must be > 0\n"
+    assert _guarantees_error(bad, trace_path, tmp_path, capsys) == "error: round 1: theta must be > 0\n"
+
+
+@pytest.mark.parametrize("edge", [float("nan"), 100.0, -100.0], ids=["nan", "above", "below"])
+def test_stored_bin_edge_out_of_order_rejected(tmp_path, readme_run, capsys, edge):
+    # eval would code its data against the broken edge; the reader names the attribute instead
+    data, model_path, trace_path = readme_run
+    bad = _broken_model(tmp_path, model_path, lambda doc: _attribute(doc, "x")["bin_edges"].__setitem__(25, edge))
+    message = "error: attribute 'x': bin edges must be finite and non-decreasing\n"
+    out = tmp_path / "metrics.json"
+    assert main(["eval", "--model", bad, "--data", data, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    assert _guarantees_error(bad, trace_path, tmp_path, capsys) == message
+
+
 def _first_leaf(node) -> dict:
     while "leaf" not in node:
         node = node["left"]
@@ -737,8 +772,8 @@ def _root_split(doc) -> dict:
     return doc["rounds"][0]["classifier"]["root"]["split"]
 
 
-def _attribute_a(doc) -> dict:
-    return next(a for a in doc["q0"]["schema"]["attributes"] if a["name"] == "a")
+def _attribute(doc, name) -> dict:
+    return next(a for a in doc["q0"]["schema"]["attributes"] if a["name"] == name)
 
 
 @pytest.mark.parametrize(
@@ -752,8 +787,8 @@ def _attribute_a(doc) -> dict:
         # the same normalizers as JSON strings: np.asarray would convert them
         (lambda doc: doc["rounds"][0].update(z_by_group=[str(z) for z in doc["rounds"][0]["z_by_group"]]),
          "rounds[0].z_by_group"),
-        (lambda doc: _attribute_a(doc).update(categories=[0, 1]), "q0.schema"),
-        (lambda doc: _attribute_a(doc).update(name=7), "q0.schema"),
+        (lambda doc: _attribute(doc, "a").update(categories=[0, 1]), "q0.schema"),
+        (lambda doc: _attribute(doc, "a").update(name=7), "q0.schema"),
     ],
     ids=[
         "split-value-float", "version-float", "cardinality-float", "split-value-bool", "theta-string",

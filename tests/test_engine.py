@@ -249,12 +249,16 @@ def test_fit_deterministic(fit_setup):
 
 
 def test_fit_kl_columns(fit_setup):
-    # every row records kl_train, the KL from the training data; kl_test never
+    # every row records kl_train, the KL from the training data; kl_test never.
+    # fbde_fit sums over p-hat's support alone, with the bits of the sum over the dense tables
     s, p, q0 = fit_setup
     stack, trace, _ = fbde_fit(p, q0, FitConfig(rounds=3, scheme=exact_scheme()))
     assert len(trace) == 4
-    assert all(r.kl_train is not None and r.kl_test is None for r in trace)
-    assert trace[-1].kl_train == kl_divergence(fit_empirical(p, 0.0), stack.joint())
+    assert all(r.kl_test is None for r in trace)
+    p_mass = fit_empirical(p, 0.0).mass
+    assert 0 < np.count_nonzero(p_mass) < len(p_mass)
+    for row in trace:
+        assert row.kl_train == kl_divergence(p_mass, BoostedDensity(q0, stack.rounds[: row.t]).joint().mass)
 
 
 def test_fit_builds_one_joint_table_per_stack(fit_setup, monkeypatch):

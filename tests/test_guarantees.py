@@ -143,7 +143,7 @@ def test_kl_drop_floor_against_measured_drops(rng):
         if gamma_p <= 0.0 or gamma_q <= 0.0:
             continue
         nxt = prev.extended(clf, theta)
-        measured = kl_divergence(p_hat, prev.joint()) - kl_divergence(p_hat, nxt.joint())
+        measured = kl_divergence(p_hat.mass, prev.joint().mass) - kl_divergence(p_hat.mass, nxt.joint().mass)
         db = kl_drop_bound(theta, min(gamma_p, 1.0), min(gamma_q, 1.0))
         if db.regime == HBS:
             assert measured >= db.bound - 1e-9
@@ -169,7 +169,7 @@ def test_kl_drop_floor_constructed_high_regime():
     assert gamma_q == pytest.approx(2 / 3, abs=1e-12)
     for theta in (0.02, 0.05, 0.1, 0.2):
         nxt = prev.extended(clf, theta)
-        measured = kl_divergence(p_hat, prev.joint()) - kl_divergence(p_hat, nxt.joint())
+        measured = kl_divergence(p_hat.mass, prev.joint().mass) - kl_divergence(p_hat.mass, nxt.joint().mass)
         db = kl_drop_bound(theta, gamma_p, gamma_q)
         assert db.regime == HBS
         assert measured >= db.bound - 1e-9

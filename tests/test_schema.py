@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fairboost import Attribute, AttributeSchema, Dataset
+from fairboost.pipeline import _equal_width_edges
 
 from conftest import dataset_from_rows, group_matrix, xa_schema, xya_schema
 
@@ -24,6 +25,21 @@ def test_attribute_validation():
         Attribute("x", 3, bin_edges=(0.0, 1.0))
     with pytest.raises(ValueError, match="nonempty"):
         Attribute("", 2)
+
+
+@pytest.mark.parametrize("edge", [float("nan"), float("inf"), 5.0, -1.0])
+def test_attribute_bin_edges_finite_and_non_decreasing(edge):
+    edges = [0.0, 1.0, 2.0, 3.0]
+    edges[1] = edge
+    with pytest.raises(ValueError, match="^attribute 'x': bin edges must be finite and non-decreasing$"):
+        Attribute("x", 3, bin_edges=tuple(edges))
+
+
+def test_attribute_takes_repeated_bin_edges():
+    # 50 bins over a one-ulp range: linspace repeats edges, and such a fit must still load
+    edges = _equal_width_edges(1.0, float(np.nextafter(1.0, 2.0)), 50)
+    assert len(set(edges.tolist())) < len(edges)
+    assert Attribute("x", 50, bin_edges=tuple(edges.tolist())).is_ordinal
 
 
 def test_schema_shape_and_encoding():
