@@ -29,11 +29,10 @@ joint table is written in row-major order through a group-major view of its
 cube, and a round's normalizer terms fill one (|A|, n_x) scratch buffer, each
 cell taking the operations, and so the bits, of the group-major expressions.
 
-A classifier here is any object with a ``c_bound`` attribute and two
-methods over the non-sensitive subdomain: ``scores(x_rows) -> array`` for
-coordinate rows (samples), and ``domain_scores(x_schema) -> array`` for every
-feature cell in row-major order (normalizers and the tilt).  Trained trees
-satisfy this.
+A classifier here is any object with a ``c_bound`` attribute and a method
+``domain_scores(x_schema) -> array`` giving its score on every cell of the
+non-sensitive subdomain in row-major order (normalizers, the tilt, and the
+sample margins of ``tree.estimate_wla``).  Trained trees satisfy this.
 """
 
 from __future__ import annotations
@@ -131,7 +130,7 @@ class BoostedDensity:
         self._log_z_total = 0.0
         self._log_zg_total = _readonly(np.zeros(q0.cond.shape[0]))
         for rnd in rounds:
-            self._push(rnd, rnd.theta * _checked_scores(q0, rnd.classifier))
+            self._push(rnd, rnd.theta * _checked_scores(q0.x_schema, rnd.classifier))
 
     def _push(self, rnd: BoostRound, step: np.ndarray) -> None:
         # the same left-to-right sums as rebuilding from every round; step is theta * scores
@@ -146,7 +145,7 @@ class BoostedDensity:
 
     def extended(self, classifier, theta: float) -> "BoostedDensity":
         """Append one round, computing its exact normalizers."""
-        step = theta * _checked_scores(self.q0, classifier)
+        step = theta * _checked_scores(self.q0.x_schema, classifier)
         z, z_by_group = self._normalizers(step)
         child = copy.copy(self)
         child._push(BoostRound(theta, classifier, z, z_by_group), step)
@@ -251,9 +250,10 @@ def _logsumexp(a: np.ndarray, axis=None):
     return np.squeeze(out, axis=axis)[()]
 
 
-def _checked_scores(q0: InitialDensity, classifier) -> np.ndarray:
-    scores = np.asarray(classifier.domain_scores(q0.x_schema), dtype=np.float64)
-    if scores.shape != (q0.x_schema.n_cells,) or not np.isfinite(scores).all():
+def _checked_scores(x_schema: AttributeSchema, classifier) -> np.ndarray:
+    """The classifier's ``domain_scores``: one finite value per feature cell."""
+    scores = np.asarray(classifier.domain_scores(x_schema), dtype=np.float64)
+    if scores.shape != (x_schema.n_cells,) or not np.isfinite(scores).all():
         raise ValueError("classifier unbounded")
     return scores
 

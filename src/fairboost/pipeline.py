@@ -1,11 +1,14 @@
 """Data ingestion and experiment plumbing.
 
-CSV files come in with a header row.  ``infer_csv_spec`` reads a training
-file once and derives its schema: categorical columns keep their labels in
-first-appearance order, continuous columns get equal-width bin edges over the
-observed range.  ``load_csv_with_schema`` is the one coder: it codes the
-training file and every later file against a schema, so eval rows land in
-the cells fit used (out-of-range values clamp to the edge bins, unknown
+CSV files come in with a header row, and no data row may hold more fields
+than the header.  ``infer_csv_spec`` reads and parses a training file once,
+derives its schema from the parsed columns (categorical columns keep their
+labels in first-appearance order, continuous columns get equal-width bin
+edges over the observed range) and codes those same columns into the
+spec's dataset.  Every file is coded column by column through one coder,
+``_code_column``: the training file inside ``infer_csv_spec``, every later
+file by ``load_csv_with_schema`` against a stored schema, so eval rows land
+in the cells fit used (out-of-range values clamp to the edge bins, unknown
 categories are errors).
 
 The synthetic generator draws the two-group Gaussian mixture through the
@@ -34,10 +37,12 @@ _AUTO_CATEGORICAL_MAX_LEVELS = 12
 
 @dataclass(frozen=True)
 class CsvSpec:
-    """A CSV file and the schema that codes it."""
+    """A training CSV file, the schema derived from it, and its rows coded
+    with that schema."""
 
     path: str
     schema: AttributeSchema
+    dataset: Dataset
 
 
 def _read_rows(path: str) -> tuple[list, list]:
@@ -50,6 +55,9 @@ def _read_rows(path: str) -> tuple[list, list]:
         rows = list(reader)
     if not rows:
         raise ValueError(f"{path!r} has a header and no data rows")
+    if max(map(len, rows)) > len(header):
+        i = next(i for i, row in enumerate(rows) if len(row) > len(header))
+        raise ValueError(f"row {i} has {len(rows[i])} fields, the header has {len(header)}")
     return header, rows
 
 
@@ -70,12 +78,15 @@ def _parse_floats(values: Sequence[str], name: str) -> np.ndarray:
     """The column as finite floats.  A value that is not a number is
     reported first (as ``_NonNumeric``, so inference reads the column as
     labels), then a NaN or infinity; each error names the column and row."""
-    out = np.empty(len(values))
-    for i, v in enumerate(values):
-        try:
-            out[i] = float(v)
-        except ValueError:
-            raise _NonNumeric(f"non-numeric value in column {name!r} at row {i}") from None
+    try:
+        out = np.fromiter(map(float, values), dtype=np.float64, count=len(values))
+    except ValueError:
+        for i, v in enumerate(values):
+            try:
+                float(v)
+            except ValueError:
+                raise _NonNumeric(f"non-numeric value in column {name!r} at row {i}") from None
+        raise
     bad = ~np.isfinite(out)
     if bad.any():
         i = int(np.argmax(bad))
@@ -92,6 +103,22 @@ def _equal_width_edges(lo: float, hi: float, bins: int) -> np.ndarray:
 def _bin_codes(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     # lower edge inclusive; values outside the range clamp to the edge bins
     return np.clip(np.searchsorted(edges, values, side="right") - 1, 0, len(edges) - 2)
+
+
+def _code_column(attr: Attribute, values: Sequence[str], floats: Optional[np.ndarray] = None) -> np.ndarray:
+    """The codes of one column's values under ``attr``: bin indices of an
+    ordinal attribute (``floats``, the values already parsed, when given),
+    category indices of the rest, where an unseen label is an error."""
+    if attr.is_ordinal:
+        if floats is None:
+            floats = _parse_floats(values, attr.name)
+        return _bin_codes(floats, np.asarray(attr.bin_edges))
+    lookup = {c: i for i, c in enumerate(attr.categories or ())}
+    col = np.array([lookup.get(v, -1) for v in values], dtype=np.int64)
+    if (col < 0).any():
+        i = int(np.argmax(col < 0))
+        raise ValueError(f"unseen category {values[i]!r} in column {attr.name!r} at row {i}")
+    return col
 
 
 def _continuous_values(values: Sequence[str], name: str) -> Optional[np.ndarray]:
@@ -115,15 +142,18 @@ def infer_csv_spec(
     bins: int = 50,
     ignore: Sequence[str] = (),
 ) -> CsvSpec:
-    """Derive a training file's schema from its contents.
+    """Derive a training file's schema from its contents, and code its rows.
 
     Every column not ignored becomes an attribute, in header order.  A
     feature column whose values all parse as floats is cut into
     ``bins`` equal-width bins over its observed range, unless it holds a
-    handful of integer levels; a NaN or infinity in it is an error.  Every
-    other column, the sensitive and target ones included, is categorical,
-    with categories in first-appearance order; the sensitive and target
-    columns need at least two.
+    handful of integer levels; a NaN or infinity in it is an error, and so
+    is a range too wide for its width to be a float.  Every other column,
+    the sensitive and target ones included, is categorical, with categories
+    in first-appearance order; the sensitive and target columns need at
+    least two.  The file is read and parsed once: each column is coded as
+    soon as its attribute is known, with the values already parsed, and
+    the spec carries the resulting dataset.
     """
     if target == sensitive:
         raise ValueError(f"column {sensitive!r} cannot be both sensitive and target")
@@ -136,7 +166,7 @@ def infer_csv_spec(
     for name in (sensitive, *((target,) if target else ()), *ignore):
         if name not in header:
             raise ValueError(f"column {name!r} not found")
-    attributes = []
+    attributes, codes = [], []
     for pos, name in enumerate(header):
         if name in ignore:
             continue
@@ -148,22 +178,27 @@ def infer_csv_spec(
                 raise ValueError(f"sensitive column {sensitive!r} needs at least 2 values, got {len(categories)}")
             if name == target and len(categories) < 2:
                 raise ValueError(f"target column {target!r} needs at least 2 classes, got {len(categories)}")
-            attributes.append(Attribute(name, len(categories), categories=categories))
+            attr = Attribute(name, len(categories), categories=categories)
         else:
-            edges = _equal_width_edges(float(floats.min()), float(floats.max()), bins)
-            attributes.append(Attribute(name, bins, bin_edges=tuple(float(e) for e in edges)))
+            lo, hi = float(floats.min()), float(floats.max())
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"column {name!r}: range [{lo:g}, {hi:g}] is too wide to bin")
+            edges = _equal_width_edges(lo, hi, bins)
+            attr = Attribute(name, bins, bin_edges=tuple(float(e) for e in edges))
+        attributes.append(attr)
+        codes.append(_code_column(attr, values, floats))
     names = [a.name for a in attributes]
     schema = AttributeSchema(
         tuple(attributes),
         sensitive_index=names.index(sensitive),
         target_index=names.index(target) if target else None,
     )
-    return CsvSpec(path, schema)
+    return CsvSpec(path, schema, Dataset(schema, np.stack(codes, axis=1)))
 
 
 def load_csv(spec: CsvSpec) -> tuple[Dataset, AttributeSchema]:
-    """Code a training file with the schema derived from it."""
-    return load_csv_with_schema(spec.path, spec.schema), spec.schema
+    """The training file's coded rows and the schema derived from it."""
+    return spec.dataset, spec.schema
 
 
 def load_csv_with_schema(path: str, schema: AttributeSchema) -> Dataset:
@@ -174,17 +209,7 @@ def load_csv_with_schema(path: str, schema: AttributeSchema) -> Dataset:
     for attr in schema.attributes:
         if attr.name not in header:
             raise ValueError(f"column {attr.name!r} not found")
-        values = _cell(raw_rows, header.index(attr.name), attr.name)
-        if attr.is_ordinal:
-            floats = _parse_floats(values, attr.name)
-            codes.append(_bin_codes(floats, np.asarray(attr.bin_edges)))
-        else:
-            lookup = {c: i for i, c in enumerate(attr.categories or ())}
-            col = np.array([lookup.get(v, -1) for v in values], dtype=np.int64)
-            if (col < 0).any():
-                i = int(np.argmax(col < 0))
-                raise ValueError(f"unseen category {values[i]!r} in column {attr.name!r} at row {i}")
-            codes.append(col)
+        codes.append(_code_column(attr, _cell(raw_rows, header.index(attr.name), attr.name)))
     return Dataset(schema, np.stack(codes, axis=1))
 
 

@@ -70,12 +70,22 @@ class TabularDensity:
 
     def sample(self, n: int, seed: int) -> Dataset:
         """Draw n rows by inverting the CDF of the table, deterministically
-        for a given seed."""
+        for a given seed.
+
+        Row i falls in the first cell whose CDF value exceeds the key
+        ``u_i * cdf[-1]`` (clamped to the last cell).  The keys are searched
+        in sorted order, so the binary searches walk the CDF in one
+        direction; a key's cell does not depend on that order, so row i is
+        the one the unsorted search finds.
+        """
         if n < 1:
             raise ValueError("n must be >= 1")
         cdf = np.cumsum(self.mass)
-        u = np.random.default_rng(seed).random(n)
-        cells = np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), len(cdf) - 1)
+        keys = np.random.default_rng(seed).random(n) * cdf[-1]
+        order = np.argsort(keys)
+        cells = np.empty(n, dtype=np.intp)
+        cells[order] = np.searchsorted(cdf, keys[order], side="right")
+        np.minimum(cells, len(cdf) - 1, out=cells)
         return Dataset(self.schema, self.schema.decode(cells))
 
 

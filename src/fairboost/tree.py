@@ -50,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boosted import _checked_scores
 from .schema import AttributeSchema, Dataset
 
 _GAIN_TOL = 1e-12
@@ -258,9 +259,18 @@ class WlaEstimate:
 
 
 def estimate_wla(classifier, p_samples: Dataset, q_samples: Dataset) -> WlaEstimate:
+    """The classifier's sample margins on P and Q.
+
+    Each row's score is read from ``domain_scores`` at the row's feature
+    cell, the values ``scores`` gives the rows, in the same order, so the
+    means carry the same bits; the domain scores must be one finite value
+    per cell.
+    """
     if len(p_samples) == 0 or len(q_samples) == 0:
         raise ValueError("empty sample side")
+    x_schema = p_samples.schema.x_subschema()
+    d = _checked_scores(x_schema, classifier)
     C = classifier.c_bound
-    gamma_p = float(classifier.scores(p_samples.x_rows()).mean()) / C
-    gamma_q = -float(classifier.scores(q_samples.x_rows()).mean()) / C
+    gamma_p = float(d[x_schema.encode(p_samples.x_rows())].mean()) / C
+    gamma_q = -float(d[x_schema.encode(q_samples.x_rows())].mean()) / C
     return WlaEstimate(gamma_p, gamma_q, boosting_regime(gamma_p, gamma_q))

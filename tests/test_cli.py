@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import fairboost.cli as cli
+import fairboost.pipeline as pipeline
 from fairboost import (
     BoostedDensity,
     FitConfig,
@@ -377,6 +378,47 @@ def test_fit_and_eval_reject_non_finite_csv_values(tmp_path, synth_csv, fit_run,
     model_path, _ = fit_run
     assert main(["eval", "--model", model_path, "--data", str(bad)]) == 1
     assert capsys.readouterr().err == message
+
+
+def test_fit_reads_its_csv_once(tmp_path, synth_csv, monkeypatch):
+    reads = []
+    read_rows = pipeline._read_rows
+    monkeypatch.setattr(pipeline, "_read_rows", lambda path: reads.append(path) or read_rows(path))
+    model = tmp_path / "m.json"
+    assert main(["fit", "--data", synth_csv, "--sensitive", "a", "--rounds", "1", "--out", str(model)]) == 0
+    assert reads == [synth_csv]
+
+
+def test_fit_and_eval_reject_rows_longer_than_the_header(tmp_path, synth_csv, fit_run, capsys):
+    lines = open(synth_csv).read().splitlines()
+    lines[3] += ",9"
+    bad = tmp_path / "long.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    message = "error: row 2 has 3 fields, the header has 2\n"
+    model = tmp_path / "m.json"
+    assert main(["fit", "--data", str(bad), "--sensitive", "a", "--rounds", "1", "--out", str(model)]) == 1
+    assert capsys.readouterr().err == message
+    assert not model.exists()
+    out = tmp_path / "metrics.json"
+    assert main(["eval", "--model", fit_run[0], "--data", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_fit_rejects_a_range_too_wide_to_bin(tmp_path):
+    # a child process, so that any numpy warning would show on its stderr
+    data = tmp_path / "wide.csv"
+    data.write_text("x,a\n-1e308,0\n0.5,1\n1e308,0\n2.5,1\n3.5,0\n")
+    model = tmp_path / "m.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fairboost.cli", "fit", "--data", str(data), "--sensitive", "a", "--bins", "4", "--out", str(model)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: column 'x': range [-1e+308, 1e+308] is too wide to bin\n"
+    assert not model.exists()
 
 
 def test_fit_domain_beyond_memory_is_an_error(tmp_path, capsys):

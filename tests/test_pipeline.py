@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,11 +33,39 @@ def write(path, text):
 # -- deriving the schema -----------------------------------------------
 
 
-def test_csv_spec_is_path_and_schema(tmp_path):
+def test_csv_spec_is_path_schema_and_dataset(tmp_path):
     path = write(tmp_path / "t.csv", "x,a\nred,0\nblue,1\n")
     spec = infer_csv_spec(path, sensitive="a")
-    assert [f.name for f in dataclasses.fields(CsvSpec)] == ["path", "schema"]
-    assert spec == CsvSpec(path, spec.schema)
+    assert [f.name for f in dataclasses.fields(CsvSpec)] == ["path", "schema", "dataset"]
+    assert spec == CsvSpec(path, spec.schema, spec.dataset)
+    assert spec.dataset.schema == spec.schema
+    assert spec.dataset.rows.tolist() == [[0, 0], [1, 1]]
+    # load_csv hands back what inference coded, without reading the file again
+    ds, schema = load_csv(spec)
+    assert ds is spec.dataset and schema is spec.schema
+
+
+def test_infer_csv_spec_codes_rows_as_load_csv_with_schema_does(tmp_path, rng):
+    # categorical text, ordinal floats, a few integer levels (categorical), the
+    # sensitive and target columns and an ignored one, in a shuffled header
+    n = 500
+    cols = {
+        "color": rng.choice(["red", "blue", "green", "nan"], n).tolist(),
+        "age": [repr(float(v)) for v in rng.normal(40.0, 12.0, n)],
+        "name": [f"p{i}" for i in range(n)],
+        "grade": [str(v) for v in rng.integers(1, 6, n)],
+        "a": rng.choice(["f", "m", "x"], n).tolist(),
+        "score": [repr(float(v)) for v in rng.uniform(-1e3, 1e3, n)],
+        "y": [str(v) for v in rng.integers(0, 2, n)],
+    }
+    header = ["score", "a", "name", "color", "y", "age", "grade"]
+    lines = [",".join(header)] + [",".join(cols[h][i] for h in header) for i in range(n)]
+    path = write(tmp_path / "t.csv", "\n".join(lines) + "\n")
+    for bins in (1, 7, 50):
+        spec = infer_csv_spec(path, sensitive="a", target="y", bins=bins, ignore=("name",))
+        kinds = {a.name: a.is_ordinal for a in spec.schema.attributes}
+        assert kinds == {"score": True, "a": False, "color": False, "y": False, "age": True, "grade": False}
+        assert np.array_equal(spec.dataset.rows, load_csv_with_schema(path, spec.schema).rows)
 
 
 def test_infer_csv_spec_rejects_conflicting_roles(tmp_path):
@@ -91,18 +120,43 @@ def test_load_csv_errors(tmp_path):
         infer_csv_spec(write(tmp_path / "m.csv", "x,a\n1,0\n,0\n"), sensitive="a")
     # a column binned from one file must parse as numbers in every later one
     spec = infer_csv_spec(write(tmp_path / "ok.csv", "x,a\n1.5,0\n2.5,1\n"), sensitive="a", bins=3)
-    bad = CsvSpec(write(tmp_path / "n.csv", "x,a\n1,0\nfoo,0\n"), spec.schema)
+    bad = write(tmp_path / "n.csv", "x,a\n1,0\nfoo,0\n")
     with pytest.raises(ValueError, match="non-numeric value in column 'x' at row 1"):
-        load_csv(bad)
+        load_csv_with_schema(bad, spec.schema)
     # a NaN or infinity in a numeric column is an error, not a category
     with pytest.raises(ValueError, match="non-finite value 'nan' in column 'x' at row 2"):
         infer_csv_spec(write(tmp_path / "f.csv", "x,a\n1.5,0\n2.5,0\nnan,1\n"), sensitive="a")
-    bad = CsvSpec(write(tmp_path / "i.csv", "x,a\n1,0\n-inf,0\n"), spec.schema)
+    bad = write(tmp_path / "i.csv", "x,a\n1,0\n-inf,0\n")
     with pytest.raises(ValueError, match="non-finite value '-inf' in column 'x' at row 1"):
-        load_csv(bad)
+        load_csv_with_schema(bad, spec.schema)
     # a text column may hold the label "nan"
     _, schema = load_csv(infer_csv_spec(write(tmp_path / "t.csv", "x,a\nnan,0\nred,1\n"), sensitive="a"))
     assert schema.attributes[0].categories == ("nan", "red")
+
+
+def test_rows_longer_than_the_header_are_errors(tmp_path):
+    path = write(tmp_path / "t.csv", "x,a\n0.5,0\n1.5,1\n2.5,0,9\n3.5,1\n")
+    with pytest.raises(ValueError, match="^row 2 has 3 fields, the header has 2$"):
+        infer_csv_spec(path, sensitive="a")
+    _, schema = load_csv(infer_csv_spec(write(tmp_path / "ok.csv", "x,a\n0.5,0\n1.5,1\n"), sensitive="a"))
+    with pytest.raises(ValueError, match="^row 0 has 4 fields, the header has 2$"):
+        load_csv_with_schema(write(tmp_path / "e.csv", "x,a\n0.5,0,,\n"), schema)
+    # a short row is a missing value, named by its column
+    with pytest.raises(ValueError, match="missing value in column 'a' at row 1"):
+        load_csv_with_schema(write(tmp_path / "s.csv", "x,a\n0.5,0\n1.5\n"), schema)
+
+
+def test_range_too_wide_to_bin_is_an_error(tmp_path):
+    body = "x,a\n-1e308,0\n0.5,1\n1e308,0\n2.5,1\n3.5,0\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^column 'x': range \[-1e\+308, 1e\+308\] is too wide to bin$"):
+            infer_csv_spec(write(tmp_path / "w.csv", body), sensitive="a", bins=4)
+        # a range whose width is still a float bins without a warning
+        ds, schema = load_csv(infer_csv_spec(write(tmp_path / "f.csv", body.replace("e308", "e307")), sensitive="a", bins=4))
+    edges = schema.attributes[0].bin_edges
+    assert (edges[0], edges[2], edges[-1]) == (-1e307, 0.0, 1e307)
+    assert ds.rows[:, 0].tolist() == [0, 2, 3, 2, 2]
 
 
 def test_load_with_schema_roundtrip_and_clamp(tmp_path):
@@ -216,7 +270,8 @@ def test_mixture_csv_roundtrip(tmp_path):
     spec = infer_csv_spec(path, sensitive="a", bins=20)
     assert spec.schema.attributes[0].is_ordinal
     assert spec.schema.sensitive_index == 1
-    ds, schema = load_csv(CsvSpec(path, spec.schema))
+    ds, schema = load_csv(spec)
+    assert np.array_equal(ds.rows, load_csv_with_schema(path, schema).rows)
     assert len(ds) == 300
     # categorical codes follow first appearance, so map through the stored labels
     labels = schema.attributes[1].categories

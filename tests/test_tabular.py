@@ -110,6 +110,74 @@ def test_sample_draws_from_table():
         d.sample(0, seed=0)
 
 
+def reference_cells(mass, u):
+    """The inverse-CDF search on unsorted keys: each key's first cell whose
+    CDF value exceeds it, clamped to the last cell."""
+    cdf = np.cumsum(mass)
+    return np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), len(cdf) - 1)
+
+
+def one_cell_schema():
+    return AttributeSchema(attributes=(Attribute("x", 1), Attribute("a", 1)), sensitive_index=1)
+
+
+SAMPLE_TABLES = [
+    # zero-mass runs at the start, inside and at the end of the table
+    (xa_schema(nx=6, na=2), [0.0, 0.0, 3.0, 1.0, 0.0, 0.0, 0.0, 2.0, 1.0, 0.0, 0.0, 0.0]),
+    (xa_schema(nx=3, na=2), [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
+    (one_cell_schema(), [1.0]),
+]
+
+
+@pytest.mark.parametrize("table", range(len(SAMPLE_TABLES)))
+@pytest.mark.parametrize("n", [1, 2, 7, 5000])
+def test_sample_rows_equal_unsorted_search(table, n):
+    schema, weights = SAMPLE_TABLES[table]
+    d = density(schema, weights)
+    for seed in range(5):
+        u = np.random.default_rng(seed).random(n)
+        expected = schema.decode(reference_cells(d.mass, u))
+        assert np.array_equal(d.sample(n, seed).rows, expected)
+
+
+def test_sample_rows_equal_unsorted_search_on_random_sparse_tables(rng):
+    schema = xya_schema(nx=7, ny=3, na=2)
+    for _ in range(20):
+        mass = rng.random(schema.n_cells) * (rng.random(schema.n_cells) < 0.3)
+        mass[rng.integers(schema.n_cells)] += 1.0
+        d = density(schema, mass)
+        n, seed = int(rng.integers(1, 3000)), int(rng.integers(2**31))
+        u = np.random.default_rng(seed).random(n)
+        assert np.array_equal(d.sample(n, seed).rows, schema.decode(reference_cells(d.mass, u)))
+
+
+class _FixedUniforms:
+    """Stands in for a seeded generator: ``random(n)`` returns chosen values."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u.copy()
+
+
+def test_sample_keys_on_cdf_values_and_the_clamp(monkeypatch):
+    # dyadic masses, so u * cdf[-1] lands exactly on CDF values; 1.0 (which a
+    # generator never returns) lands on cdf[-1] and reaches the clamp, here a
+    # trailing zero-mass cell
+    s = xa_schema(nx=3, na=2)
+    d = density(s, [0.25, 0.0, 0.25, 0.5, 0.0, 0.0])  # cdf 0.25 0.25 0.5 1 1 1
+    u = [0.5, 0.0, 1.0, 0.25, 0.75, 0.25, 0.0, 1.0 - 2.0**-53]
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedUniforms(u))
+    cells = s.encode(d.sample(len(u), seed=0).rows)
+    assert cells.tolist() == reference_cells(d.mass, np.array(u)).tolist() == [3, 0, 5, 2, 3, 2, 0, 3]
+    one = density(one_cell_schema(), [1.0])
+    for v in (0.0, 0.5, 1.0):
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedUniforms([v]))
+        assert one.sample(1, seed=0).rows.tolist() == [[0, 0]]
+
+
 def test_fit_empirical_errors():
     s = a_only_schema()
     with pytest.raises(ValueError, match="empty dataset"):

@@ -481,6 +481,31 @@ def test_wla_negative_p_margin_fails():
     assert estimate_wla(clf, p, q).regime == FAIL
 
 
+@pytest.mark.parametrize("sensitive_index", [0, 2])
+@pytest.mark.parametrize("depth", range(6))
+def test_wla_margins_equal_row_walk_means(rng, sensitive_index, depth):
+    x_attrs = [
+        Attribute("o1", 6, bin_edges=tuple(float(i) for i in range(7))),
+        Attribute("c1", 3),
+        Attribute("o2", 4, bin_edges=tuple(float(i) for i in range(5))),
+    ]
+    attrs = x_attrs[:sensitive_index] + [Attribute("a", 2)] + x_attrs[sensitive_index:]
+    schema = AttributeSchema(tuple(attrs), sensitive_index=sensitive_index)
+    x_schema = schema.x_subschema()
+    upper = np.array(schema.shape)
+
+    def draw(n):
+        return Dataset(schema, (rng.random((n, len(upper))) * upper).astype(np.int64))
+
+    for _ in range(10):
+        tree = random_tree(x_schema, rng, depth)
+        n = int(rng.integers(1, 400))
+        p, q = draw(n), draw(int(rng.integers(1, 2 * n + 1)))
+        est = estimate_wla(tree, p, q)
+        assert est.gamma_p == float(tree.scores(p.x_rows()).mean()) / LN2
+        assert est.gamma_q == -float(tree.scores(q.x_rows()).mean()) / LN2
+
+
 def test_wla_empty_side_rejected():
     s = xa_schema(nx=2)
     clf = table_classifier(s, [LN2, -LN2])
