@@ -54,7 +54,9 @@ class InitialDensity:
     The sensitive marginal is the constant 1/|A| by construction, never
     estimated, so the anchor's representation rate is exactly 1.  The
     conditionals are the (|A|, n_x) matrix ``cond``: row a is q0(x | A=a)
-    over the feature cells in row-major order.
+    over the feature cells in row-major order.  The anchor has no table of
+    its own: its joint table is the zero-round stack's,
+    ``BoostedDensity(q0).joint()``.
     """
 
     def __init__(self, schema: AttributeSchema, cond: np.ndarray):
@@ -82,11 +84,6 @@ class InitialDensity:
             raise ValueError("schema must designate a sensitive attribute")
         if len(schema.attributes) < 2:
             raise ValueError("schema must have at least one attribute besides the sensitive one")
-
-    def joint(self) -> TabularDensity:
-        mass = self.schema.flatten_groups(self.cond) / self.cond.shape[0]
-        mass.setflags(write=False)
-        return TabularDensity(self.schema, mass)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +194,8 @@ class BoostedDensity:
         """E_{Q_T}[g], where g maps a coordinate matrix to one value per row.
 
         Exact mode sums the unrolled product over the whole domain.  Monte
-        Carlo mode draws from the anchor and averages the importance-weighted
+        Carlo mode draws from the anchor's table (the zero-round stack's
+        ``joint()``) and averages the importance-weighted
         values Prod_k exp(theta_k c_k(x))/Z_k * g(x, a); the estimator is
         unbiased because the stored normalizers are exact.
         """
@@ -207,7 +205,7 @@ class BoostedDensity:
         n = int(sample_budget)
         if n < 2:
             raise ValueError("sample_budget must be >= 2 in Monte Carlo mode")
-        rows = self.q0.joint().sample(n, seed).rows
+        rows = BoostedDensity(self.q0).joint().sample(n, seed).rows
         x_idx = self.q0.x_schema.encode(self.schema.split_rows(rows)[0])
         vals = np.exp(self._tilt[x_idx] - self._log_z_total) * _values(g, rows)
         return ExpectationEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n)), n)

@@ -234,12 +234,16 @@ def exact_round_margins(p: TabularDensity, prev: BoostedDensity, classifier) -> 
     """Exact margins (E_P[c]/C, E_Qprev[-c]/C) by full summation.
 
     These are the population quantities the per-round certificates are stated
-    for; trace rows carry their sample estimates instead.
+    for; trace rows carry their sample estimates instead.  The scores fill a
+    full-domain vector through its group-major view, as ``joint()`` fills its
+    table, so every cell holds its feature cell's score bit for bit.
     """
     if p.schema != prev.schema:
         raise ValueError("schema mismatch")
     scores_x = np.asarray(classifier.domain_scores(prev.q0.x_schema), dtype=np.float64)
-    full = prev.schema.flatten_groups(np.tile(scores_x, (prev.q0.cond.shape[0], 1)))
+    full = np.empty(prev.schema.n_cells)
+    groups = np.moveaxis(full.reshape(prev.schema.shape), prev.schema.sensitive_index, 0)
+    groups[...] = scores_x.reshape(groups.shape[1:])
     c = float(classifier.c_bound)
     gamma_p = float(p.mass @ full) / c
     gamma_q = -float(prev.joint().mass @ full) / c

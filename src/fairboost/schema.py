@@ -148,18 +148,6 @@ class AttributeSchema:
             raise ValueError("no sensitive attribute")
         return rows[:, list(self.x_indices)], rows[:, self.sensitive_index]
 
-    # -- mass-vector reshaping -----------------------------------------
-
-    def flatten_groups(self, groups: np.ndarray) -> np.ndarray:
-        """An (|A|, n_x_cells) matrix, row a in the row-major order of the
-        sensitive-free subdomain (the InitialDensity conditionals' layout),
-        back to the flat row-major cell vector."""
-        card = self.sensitive.cardinality
-        x_shape = self.x_subschema().shape
-        cube = np.asarray(groups).reshape((card,) + x_shape)
-        cube = np.moveaxis(cube, 0, self.sensitive_index)
-        return cube.reshape(-1)
-
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     if arr.flags.writeable or not arr.flags.owndata:  # adopt only a read-only array that owns its data

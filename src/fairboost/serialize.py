@@ -18,7 +18,8 @@ on load.  Its layout, the schema's and every tree's included, is known here
 only.  ``load_model`` returns the stack, the scheme and the run id;
 ``load_model_rounds`` returns the scheme, the run id and the same decoded
 rounds, without building the anchor or the stack.  Loading rejects missing
-keys, values of the wrong JSON type (naming the field), bin edges that are
+keys, values of the wrong JSON type (naming the field; ``rounds`` is a list,
+so ``{}`` is not read as zero rounds), bin edges that are
 not finite and non-decreasing (naming the attribute), anchor rows that are
 not distributions of JSON numbers (``load_model`` only), a theta <= 0, round
 values ``BoostRound`` refuses, trees no fit could have produced and trees
@@ -26,8 +27,12 @@ whose score bound is not the scheme's C, prefixing every error of round t
 with ``round t: ``.  An
 integer field takes only a JSON integer, a number field (the entries of
 ``z_by_group`` and of the anchor rows included) any JSON number but no string
-or boolean, and a name or a category only a JSON string.  A trace is read in
-the one shape ``fbde_fit`` writes (see ``_trace_row``).
+or boolean, and a name or a category only a JSON string.  So a stored value
+is refused on load or leaves the outputs of ``eval`` and ``guarantees``
+unchanged, with two exceptions: no reader recomputes the normalizers, so a
+``z`` or ``z_by_group`` entry moved by an ulp can pass, and ``eval`` reads a
+model without its last round as a shorter fit of the same run.  A trace is
+read in the one shape ``fbde_fit`` writes (see ``_trace_row``).
 """
 
 from __future__ import annotations
@@ -303,13 +308,15 @@ class _ModelReader:
         return AttributeSchema(attributes, _int(d["sensitive_index"]), None if target is None else _int(target))
 
     def rounds(self, schema: AttributeSchema, c_bound: float) -> list[BoostRound]:
-        """Every stored round in boosting order: theta is > 0 (no fit writes
-        another; ``BoostRound`` itself takes any finite theta), z_by_group
+        """Every round of the stored list, in boosting order: theta is > 0 (no
+        fit writes another; ``BoostRound`` itself takes any finite theta), z_by_group
         holds one entry per sensitive value, and the tree splits the schema's
         features with the scheme's ``c_bound``.  Each error of round t starts
         ``round t: ``."""
         x_schema, card = schema.x_subschema(), schema.sensitive.cardinality
         self.field = "rounds"
+        if type(self.doc["rounds"]) is not list:
+            raise TypeError
         rounds = []
         for t, r in enumerate(self.doc["rounds"], start=1):
             try:

@@ -110,7 +110,7 @@ def random_stack(schema, rng, rounds, c_bound=LN2, theta_scale=0.3, q0=None):
 
 def group_matrix(schema, mass):
     """A flat cell vector as an (|A|, n_x_cells) matrix: row a is group a's
-    slice in row-major feature-cell order (the inverse of flatten_groups)."""
+    slice in row-major feature-cell order (the layout of ``InitialDensity.cond``)."""
     cube = np.moveaxis(np.asarray(mass).reshape(schema.shape), schema.sensitive_index, 0)
     return cube.reshape(schema.sensitive.cardinality, -1)
 

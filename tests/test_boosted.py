@@ -86,7 +86,7 @@ def test_anchor_marginal_is_exactly_uniform(rng):
 def test_anchor_joint_matches_conditionals(rng):
     s = xa_schema(nx=4, na=2)
     q0 = random_initial(s, rng)
-    joint = q0.joint()
+    joint = BoostedDensity(q0).joint()
     for a in range(2):
         for x in range(4):
             cell = joint.schema.encode(np.array([x, a]))[0]
@@ -229,9 +229,8 @@ def test_density_at_zero_rounds_is_anchor(rng):
     s = xa_schema(nx=3, na=2)
     q0 = random_initial(s, rng)
     bd = BoostedDensity(q0)
-    joint = q0.joint()
-    for i, row in enumerate(s.all_cells()):
-        assert density_at(bd, row) == pytest.approx(joint.mass[i], abs=1e-15)
+    for x, a in s.all_cells():
+        assert density_at(bd, [x, a]) == pytest.approx(q0.cond[a, x] / 2, abs=1e-15)
 
 
 def test_density_at_four_cell_example():
@@ -250,7 +249,7 @@ def test_zero_theta_rounds_change_nothing(rng):
     bd = BoostedDensity(q0)
     for _ in range(3):
         bd = bd.extended(table_classifier(s, rng.uniform(-LN2, LN2, size=4)), 0.0)
-    assert np.allclose(bd.joint().mass, q0.joint().mass, atol=1e-12)
+    assert np.allclose(bd.joint().mass, BoostedDensity(q0).joint().mass, atol=1e-12)
     assert bd.representation_rate() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -404,7 +403,7 @@ def test_sample_zero_rounds_draws_from_anchor(rng):
     n = 60_000
     ds = bd.sample(n, seed=9)
     freq = np.bincount(s.encode(ds.rows), minlength=6) / n
-    for p, f in zip(q0.joint().mass, freq):
+    for p, f in zip(bd.joint().mass, freq):
         assert abs(f - p) <= 4.0 * math.sqrt(p * (1 - p) / n) + 1e-12
 
 
@@ -449,7 +448,7 @@ def test_stack_against_brute_force_table(rng):
     s = xa_schema(nx=3, na=3)
     q0 = random_initial(s, rng)
     bd = random_stack(s, rng, rounds=4, q0=q0)
-    mass = q0.joint().mass.copy()
+    mass = BoostedDensity(q0).joint().mass.copy()
     cells = s.all_cells()
     for rnd in bd.rounds:
         w = np.exp(rnd.theta * rnd.classifier.scores(s.split_rows(cells)[0]))
@@ -462,7 +461,7 @@ def test_kl_to_anchor_well_defined(rng):
     s = xa_schema(nx=4, na=2)
     q0 = random_initial(s, rng)
     bd = random_stack(s, rng, rounds=5, q0=q0)
-    val = kl_divergence(bd.joint().mass, q0.joint().mass)
+    val = kl_divergence(bd.joint().mass, BoostedDensity(q0).joint().mass)
     assert val >= 0.0
     assert math.isfinite(val)
 
@@ -475,12 +474,14 @@ def _bits(values) -> list:
 def test_joint_and_normalizers_match_group_major_bits(rng, sensitive_index):
     # the joint is written in place through a group-major view of its cube, and the
     # normalizers in one scratch buffer; both keep the bits of the group-major
-    # expressions, flatten_groups(exp(log q0 - log|A| + tilt - log Z)) for the joint
+    # expressions: for the joint, exp(log q0 - log|A| + tilt - log Z) at each cell's group and feature cell
     attrs = [Attribute("x0", 3), Attribute("x1", 4)]
     attrs.insert(sensitive_index, Attribute("a", 3))
     s = AttributeSchema(tuple(attrs), sensitive_index=sensitive_index)
     q0 = random_initial(s, rng)
     n_x, cells = s.x_subschema().n_cells, s.all_cells()
+    x_rows, a_codes = s.split_rows(cells)
+    x_cells = s.x_subschema().encode(x_rows)
 
     def g(rows):
         return rows[:, 0] * 0.75 - rows[:, 2] / 3.0 + rows[:, 1]
@@ -488,7 +489,7 @@ def test_joint_and_normalizers_match_group_major_bits(rng, sensitive_index):
     bd = BoostedDensity(q0)
     tilt, log_z, log_zg = np.zeros(n_x), 0.0, np.zeros(3)
     for _ in range(4):
-        raw = s.flatten_groups(np.exp(q0.log_cond - math.log(3) + tilt[None, :] - log_z))
+        raw = np.exp(q0.log_cond - math.log(3) + tilt[None, :] - log_z)[a_codes, x_cells]
         assert _bits(bd.joint().mass) == _bits(raw / raw.sum())
         assert _bits(bd.expectation(g, "exact").value) == _bits(float(raw @ g(cells)))
 

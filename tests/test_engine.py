@@ -167,7 +167,7 @@ def test_fit_zero_rounds_returns_anchor(fit_setup):
     stack, trace, _ = fbde_fit(p, q0, FitConfig(rounds=0, scheme=exact_scheme()))
     assert len(stack.rounds) == 0
     assert trace == []
-    assert np.allclose(stack.joint().mass, q0.joint().mass)
+    assert np.allclose(stack.joint().mass, BoostedDensity(q0).joint().mass)
 
 
 def test_fit_trace_shape_and_baseline(fit_setup):
@@ -224,7 +224,7 @@ def test_fit_stays_in_certified_mollifier(fit_setup):
     s, p, q0 = fit_setup
     scheme = exact_scheme(0.7)
     stack, _, _ = fbde_fit(p, q0, FitConfig(rounds=8, scheme=scheme))
-    anchor = q0.joint()
+    anchor = BoostedDensity(q0).joint()
     for t in (2, 5, 8):
         eps = 2.0 * mollifier_size(scheme, t)
         assert mollifier_membership(BoostedDensity(q0, stack.rounds[:t]).joint(), anchor, eps)
@@ -233,7 +233,7 @@ def test_fit_stays_in_certified_mollifier(fit_setup):
 def test_fit_near_one_tau_freezes_anchor(fit_setup):
     s, p, q0 = fit_setup
     stack, _, _ = fbde_fit(p, q0, FitConfig(rounds=4, scheme=exact_scheme(1.0 - 1e-12)))
-    assert np.abs(stack.joint().mass - q0.joint().mass).max() < 1e-9
+    assert np.abs(stack.joint().mass - BoostedDensity(q0).joint().mass).max() < 1e-9
 
 
 def test_fit_deterministic(fit_setup):

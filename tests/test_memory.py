@@ -15,6 +15,7 @@ import pytest
 from fairboost import (
     Attribute,
     AttributeSchema,
+    BoostedDensity,
     Dataset,
     FitConfig,
     LeveragingScheme,
@@ -75,7 +76,7 @@ def test_fit_holds_under_three_tables(wide_data):
 def test_dense_kl_holds_three_tables(wide_data):
     # KL over a full-support p: p's and q's masses on that support, and one buffer of terms
     q0 = build_initial(wide_data, wide_data.schema, 1.0)
-    pm, qm = fit_empirical(wide_data, 1.0).mass, q0.joint().mass
+    pm, qm = fit_empirical(wide_data, 1.0).mass, BoostedDensity(q0).joint().mass
     assert np.count_nonzero(pm) == len(pm)
     kl, tables = _peak_tables(lambda: kl_divergence(pm, qm), wide_data.schema.n_cells)
     assert kl > 0.0
