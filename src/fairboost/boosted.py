@@ -31,8 +31,9 @@ cell taking the operations, and so the bits, of the group-major expressions.
 
 A classifier here is any object with a ``c_bound`` attribute and a method
 ``domain_scores(x_schema) -> array`` giving its score on every cell of the
-non-sensitive subdomain in row-major order (normalizers, the tilt, and the
-sample margins of ``tree.estimate_wla``).  Trained trees satisfy this.
+non-sensitive subdomain in row-major order, a fresh array per call; trained
+trees satisfy this.  A fit paints each tree once (``_checked_scores``), reads
+its sample margins from the paint, and ``extended`` consumes it in place.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class InitialDensity:
     conditionals are the (|A|, n_x) matrix ``cond``: row a is q0(x | A=a)
     over the feature cells in row-major order.  The anchor has no table of
     its own: its joint table is the zero-round stack's,
-    ``BoostedDensity(q0).joint()``.
+    ``BoostedDensity(q0).table()``.
     """
 
     def __init__(self, schema: AttributeSchema, cond: np.ndarray):
@@ -127,12 +128,14 @@ class BoostedDensity:
         self._log_z_total = 0.0
         self._log_zg_total = _readonly(np.zeros(q0.cond.shape[0]))
         for rnd in rounds:
-            self._push(rnd, rnd.theta * _checked_scores(q0.x_schema, rnd.classifier))
+            step = rnd.theta * _checked_scores(q0.x_schema, rnd.classifier)
+            self._push(rnd, self._tilt + step)
+            del step  # after the parent's tilt: eval's peak RSS moves with this free order
 
-    def _push(self, rnd: BoostRound, step: np.ndarray) -> None:
-        # the same left-to-right sums as rebuilding from every round; step is theta * scores
+    def _push(self, rnd: BoostRound, tilt: np.ndarray) -> None:
+        # tilt is the parent's plus theta * scores: the same left-to-right sums as rebuilding from every round
         self.rounds = self.rounds + (rnd,)
-        self._tilt = self._tilt + step
+        self._tilt = tilt
         self._log_z_total = self._log_z_total + math.log(rnd.z)
         self._log_zg_total = self._log_zg_total + np.log(rnd.z_by_group)
         self._tilt.setflags(write=False)
@@ -140,12 +143,13 @@ class BoostedDensity:
 
     # -- structure ------------------------------------------------------
 
-    def extended(self, classifier, theta: float) -> "BoostedDensity":
-        """Append one round, computing its exact normalizers."""
-        step = theta * _checked_scores(self.q0.x_schema, classifier)
+    def extended(self, classifier, theta: float, scores: np.ndarray) -> "BoostedDensity":
+        """Append one round, computing its exact normalizers.  ``scores``, the classifier's
+        ``_checked_scores``, is scaled in place to theta * scores, then holds the child's tilt."""
+        step = np.multiply(theta, scores, out=scores)
         z, z_by_group = self._normalizers(step)
         child = copy.copy(self)
-        child._push(BoostRound(theta, classifier, z, z_by_group), step)
+        child._push(BoostRound(theta, classifier, z, z_by_group), np.add(self._tilt, step, out=step))
         return child
 
     def _normalizers(self, step: np.ndarray) -> tuple[float, np.ndarray]:
@@ -167,12 +171,17 @@ class BoostedDensity:
         raw -= self._log_z_total
         return np.exp(raw, out=raw)
 
-    def joint(self) -> TabularDensity:
-        """Explicit table of the stack, renormalized by its raw total."""
+    def joint(self) -> np.ndarray:
+        """The stack's mass on every cell, renormalized by its raw total, in a fresh buffer the caller owns."""
         raw = self._raw_joint_vector()
         raw /= raw.sum()
-        raw.setflags(write=False)
-        return TabularDensity(self.schema, raw)
+        return raw
+
+    def table(self) -> TabularDensity:
+        """Explicit table of the stack: ``joint()``, adopted read-only without a copy."""
+        mass = self.joint()
+        mass.setflags(write=False)
+        return TabularDensity(self.schema, mass)
 
     def sensitive_marginal(self) -> np.ndarray:
         """Marginal recursion q_T(a) = q_0(a) * Prod_k Z_k(a)/Z_k."""
@@ -195,7 +204,7 @@ class BoostedDensity:
 
         Exact mode sums the unrolled product over the whole domain.  Monte
         Carlo mode draws from the anchor's table (the zero-round stack's
-        ``joint()``) and averages the importance-weighted
+        ``table()``) and averages the importance-weighted
         values Prod_k exp(theta_k c_k(x))/Z_k * g(x, a); the estimator is
         unbiased because the stored normalizers are exact.
         """
@@ -205,7 +214,7 @@ class BoostedDensity:
         n = int(sample_budget)
         if n < 2:
             raise ValueError("sample_budget must be >= 2 in Monte Carlo mode")
-        rows = BoostedDensity(self.q0).joint().sample(n, seed).rows
+        rows = BoostedDensity(self.q0).table().sample(n, seed).rows
         x_idx = self.q0.x_schema.encode(self.schema.split_rows(rows)[0])
         vals = np.exp(self._tilt[x_idx] - self._log_z_total) * _values(g, rows)
         return ExpectationEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n)), n)
@@ -214,7 +223,7 @@ class BoostedDensity:
 
     def sample(self, n: int, seed: int) -> Dataset:
         """Draw n rows from Q_T through its joint table (``TabularDensity.sample``)."""
-        return self.joint().sample(n, seed)
+        return self.table().sample(n, seed)
 
 
 def representation_rates(z_by_group: Iterable[np.ndarray]) -> list[float]:

@@ -141,7 +141,7 @@ def cmd_fit(args) -> int:
             cfg_i = FitConfig(seed=seeds.subseed(args.seed, seeds.FOLDS, i), **base_cfg)
             stack_i, _, _ = fbde_fit(train, q0_i, cfg_i)
             train_hat, test_hat = fit_empirical(train, 0.0), fit_empirical(test, 0.0)
-            anchor, final = BoostedDensity(q0_i).joint(), stack_i.joint()
+            anchor, final = BoostedDensity(q0_i).table(), stack_i.table()
             if (anchor.mass[test_hat.mass > 0] == 0).any():
                 raise ValueError(
                     f"fold {i}: a held-out row falls in a cell where the fold's unsmoothed anchor puts no mass; "
@@ -187,7 +187,7 @@ def cmd_eval(args) -> int:
     bd, _, run_id = load_model(args.model)
     data = load_csv_with_schema(args.data, bd.schema)
     p_hat = fit_empirical(data, args.smoothing)
-    joint = bd.joint()
+    joint = bd.table()
     rr_table = representation_rate(joint)
     rr_norm = bd.representation_rate()
     sr = None

@@ -24,9 +24,9 @@ from typing import Optional
 import numpy as np
 
 from . import seeds
-from .boosted import BoostedDensity, InitialDensity
+from .boosted import BoostedDensity, InitialDensity, _checked_scores
 from .schema import Dataset
-from .tabular import fit_empirical, kl_divergence
+from .tabular import _checked_mass, _sample_cdf, fit_empirical, kl_divergence
 from .tree import TreeConfig, estimate_wla, train_tree
 
 EXACT = "exact"
@@ -117,17 +117,19 @@ def fbde_fit(p: Dataset, q0: InitialDensity, cfg: FitConfig) -> tuple[BoostedDen
     """Run the boosting loop for cfg.rounds rounds.
 
     Returns the fitted stack, its trace and one record per round (the tree's
-    leaves and depth, and the seconds spent sampling, on the tree, extending and
-    on the joint and KL).  The trace opens with a t=0 row for the anchor (rr and
-    z exactly 1) so downstream consumers can read off per-round drops and total
-    progress without refitting; rounds == 0 returns the bare anchor with an
-    empty trace.  Every row records kl_train, the KL divergence from the
-    training data; kl_test is always None.  Deterministic given cfg.seed, timings aside.
+    leaves and depth, and the seconds spent sampling, on the tree, on the
+    round's ``_step`` and on the joint and KL).  The trace opens with a t=0
+    row for the anchor (rr and z exactly 1) so downstream consumers can read
+    off per-round drops and total progress without refitting; rounds == 0
+    returns the bare anchor with an empty trace.  Every row records
+    kl_train, the KL divergence from the training data; kl_test is always
+    None.  Deterministic given cfg.seed, timings aside.
 
     The empirical table p-hat is kept as its support (at most len(p) cells)
     and its masses there, and each KL is taken over those cells alone, with
-    the bits of the KL over the whole table.  Beyond the anchor, a round
-    holds one joint table, its CDF while sampling, and the tilt.
+    the bits of the KL over the whole table.  Beyond the anchor, a round holds
+    the tilt, the tree's one paint and one whole-domain table at a time: the joint,
+    read by its KL and then made the next round's CDF in place, or the normalizer terms.
     """
     if p.schema != q0.schema:
         raise ValueError("schema mismatch")
@@ -142,26 +144,26 @@ def fbde_fit(p: Dataset, q0: InitialDensity, cfg: FitConfig) -> tuple[BoostedDen
     p_mass = fit_empirical(p, 0.0).mass
     support = np.flatnonzero(p_mass)
     p_mass = p_mass[support]
-    # one joint table per stack: its KL, then the next round's negatives
-    joint = stack.joint()
-    trace.append(TraceRow(0, 0.0, None, None, None, 1.0, 1.0, kl_divergence(p_mass, joint.mass[support]), None, 1.0))
+    # one joint table per stack, checked as a TabularDensity's: its KL, then its CDF for the next round's negatives
+    mass = _checked_mass(p.schema, stack.joint())
+    trace.append(TraceRow(0, 0.0, None, None, None, 1.0, 1.0, kl_divergence(p_mass, mass[support]), None, 1.0))
 
     n_neg = NEGATIVES_PER_ROW * len(p)
     for t in range(1, cfg.rounds + 1):
         theta = leverage(cfg.scheme, t)
         t0 = time.perf_counter()
-        negatives = joint.sample(n_neg, seeds.subseed(cfg.seed, seeds.NEGATIVES, t))
-        joint = None  # released before extended allocates the next round's arrays
+        seed = seeds.subseed(cfg.seed, seeds.NEGATIVES, t)
+        negatives = _sample_cdf(p.schema, np.cumsum(mass, out=mass), n_neg, seed)
+        mass = None  # released before the round allocates its arrays
         t1 = time.perf_counter()
         classifier = train_tree(p, negatives, cfg.tree, cfg.scheme.c_bound)
         t2 = time.perf_counter()
-        stack = stack.extended(classifier, theta)
+        stack, wla = _step(stack, classifier, theta, p, negatives)
         t3 = time.perf_counter()
-        joint = stack.joint()
-        kl_train = kl_divergence(p_mass, joint.mass[support])
+        mass = _checked_mass(p.schema, stack.joint())
+        kl_train = kl_divergence(p_mass, mass[support])
         seconds = {"sample_s": t1 - t0, "tree_s": t2 - t1, "extended_s": t3 - t2}
         records.append({"t": t, **seconds, "joint_kl_s": time.perf_counter() - t3, **_tree_size(classifier.root)})
-        wla = estimate_wla(classifier, p, negatives)
         trace.append(
             TraceRow(
                 t=t,
@@ -177,6 +179,14 @@ def fbde_fit(p: Dataset, q0: InitialDensity, cfg: FitConfig) -> tuple[BoostedDen
             )
         )
     return stack, trace, records
+
+
+def _step(stack: BoostedDensity, classifier, theta: float, p: Dataset, negatives: Dataset):
+    """One round on its trained tree: paint it once, read the sample margins from
+    the paint, and extend the stack by it.  Returns the child and the margins."""
+    scores = _checked_scores(stack.q0.x_schema, classifier)
+    wla = estimate_wla(classifier, p, negatives, scores)
+    return stack.extended(classifier, theta, scores), wla
 
 
 def _tree_size(node) -> dict:

@@ -246,7 +246,7 @@ def exact_round_margins(p: TabularDensity, prev: BoostedDensity, classifier) -> 
     groups[...] = scores_x.reshape(groups.shape[1:])
     c = float(classifier.c_bound)
     gamma_p = float(p.mass @ full) / c
-    gamma_q = -float(prev.joint().mass @ full) / c
+    gamma_q = -float(prev.table().mass @ full) / c
     return gamma_p, gamma_q
 
 

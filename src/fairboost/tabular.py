@@ -35,13 +35,7 @@ class TabularDensity:
     def __post_init__(self) -> None:
         mass = np.asarray(self.mass, dtype=np.float64)
         mass = mass if mass.ndim == 1 else mass.reshape(-1)
-        if mass.shape != (self.schema.n_cells,):
-            raise ValueError("mass length must equal the number of cells")
-        if not np.isfinite(mass).all() or (mass < 0).any():
-            raise ValueError("mass entries must be finite and >= 0")
-        if abs(float(mass.sum()) - 1.0) > _SUM_TOL:
-            raise ValueError(f"mass must sum to 1 within {_SUM_TOL}")
-        object.__setattr__(self, "mass", _readonly(mass))
+        object.__setattr__(self, "mass", _readonly(_checked_mass(self.schema, mass)))
 
     def marginal(self, attr_index: int) -> np.ndarray:
         cube = self.mass.reshape(self.schema.shape)
@@ -69,24 +63,38 @@ class TabularDensity:
         return joint
 
     def sample(self, n: int, seed: int) -> Dataset:
-        """Draw n rows by inverting the CDF of the table, deterministically
-        for a given seed.
+        """Draw n rows by inverting the table's CDF, ``np.cumsum(mass)``, through ``_sample_cdf``."""
+        return _sample_cdf(self.schema, np.cumsum(self.mass), n, seed)
 
-        Row i falls in the first cell whose CDF value exceeds the key
-        ``u_i * cdf[-1]`` (clamped to the last cell).  The keys are searched
-        in sorted order, so the binary searches walk the CDF in one
-        direction; a key's cell does not depend on that order, so row i is
-        the one the unsorted search finds.
-        """
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        cdf = np.cumsum(self.mass)
-        keys = np.random.default_rng(seed).random(n) * cdf[-1]
-        order = np.argsort(keys)
-        cells = np.empty(n, dtype=np.intp)
-        cells[order] = np.searchsorted(cdf, keys[order], side="right")
-        np.minimum(cells, len(cdf) - 1, out=cells)
-        return Dataset(self.schema, self.schema.decode(cells))
+
+def _checked_mass(schema: AttributeSchema, mass: np.ndarray) -> np.ndarray:
+    """``mass``, checked to be one finite value >= 0 per cell, summing to 1 within ``_SUM_TOL``."""
+    if mass.shape != (schema.n_cells,):
+        raise ValueError("mass length must equal the number of cells")
+    if not np.isfinite(mass).all() or (mass < 0).any():
+        raise ValueError("mass entries must be finite and >= 0")
+    if abs(float(mass.sum()) - 1.0) > _SUM_TOL:
+        raise ValueError(f"mass must sum to 1 within {_SUM_TOL}")
+    return mass
+
+
+def _sample_cdf(schema: AttributeSchema, cdf: np.ndarray, n: int, seed: int) -> Dataset:
+    """Draw n rows from a table's CDF, deterministically for a given seed.
+
+    Row i falls in the first cell whose CDF value exceeds the key
+    ``u_i * cdf[-1]`` (clamped to the last cell).  The keys are searched
+    in sorted order, so the binary searches walk the CDF in one
+    direction; a key's cell does not depend on that order, so row i is
+    the one the unsorted search finds.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    keys = np.random.default_rng(seed).random(n) * cdf[-1]
+    order = np.argsort(keys)
+    cells = np.empty(n, dtype=np.intp)
+    cells[order] = np.searchsorted(cdf, keys[order], side="right")
+    np.minimum(cells, len(cdf) - 1, out=cells)
+    return Dataset(schema, schema.decode(cells))
 
 
 def fit_empirical(dataset: Dataset, smoothing: float = 0.0) -> TabularDensity:

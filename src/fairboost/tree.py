@@ -50,7 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosted import _checked_scores
 from .schema import AttributeSchema, Dataset
 
 _GAIN_TOL = 1e-12
@@ -258,19 +257,18 @@ class WlaEstimate:
     regime: str
 
 
-def estimate_wla(classifier, p_samples: Dataset, q_samples: Dataset) -> WlaEstimate:
-    """The classifier's sample margins on P and Q.
+def estimate_wla(classifier, p_samples: Dataset, q_samples: Dataset, scores: np.ndarray) -> WlaEstimate:
+    """The classifier's sample margins on P and Q, read from its paint.
 
-    Each row's score is read from ``domain_scores`` at the row's feature
-    cell, the values ``scores`` gives the rows, in the same order, so the
-    means carry the same bits; the domain scores must be one finite value
-    per cell.
+    ``scores`` is the classifier's checked ``domain_scores``
+    (``boosted._checked_scores``).  Each row's score is read from it at the
+    row's feature cell, the value a tree's row walk gives the row, in the
+    same order, so the means carry the same bits.
     """
     if len(p_samples) == 0 or len(q_samples) == 0:
         raise ValueError("empty sample side")
     x_schema = p_samples.schema.x_subschema()
-    d = _checked_scores(x_schema, classifier)
     C = classifier.c_bound
-    gamma_p = float(d[x_schema.encode(p_samples.x_rows())].mean()) / C
-    gamma_q = -float(d[x_schema.encode(q_samples.x_rows())].mean()) / C
+    gamma_p = float(scores[x_schema.encode(p_samples.x_rows())].mean()) / C
+    gamma_q = -float(scores[x_schema.encode(q_samples.x_rows())].mean()) / C
     return WlaEstimate(gamma_p, gamma_q, boosting_regime(gamma_p, gamma_q))

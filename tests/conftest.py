@@ -13,7 +13,9 @@ from fairboost import (
     Dataset,
     InitialDensity,
     TabularDensity,
+    estimate_wla,
 )
+from fairboost.boosted import _checked_scores
 
 LN2 = math.log(2.0)
 
@@ -43,7 +45,7 @@ class TableClassifier:
         return self.values[self.x_schema.encode(x_rows)]
 
     def domain_scores(self, x_schema: AttributeSchema) -> np.ndarray:
-        return self.values
+        return self.values.copy()  # a fresh buffer, as a round consumes its paint
 
 
 def xa_schema(nx=2, na=2):
@@ -97,6 +99,16 @@ def table_classifier(schema, values, c_bound=LN2):
     )
 
 
+def extend(bd, classifier, theta):
+    """``bd.extended`` on the classifier's checked paint, as the fit's round step passes it."""
+    return bd.extended(classifier, theta, _checked_scores(bd.q0.x_schema, classifier))
+
+
+def wla(classifier, p, q):
+    """``estimate_wla`` on the classifier's checked paint, as the fit's round step passes it."""
+    return estimate_wla(classifier, p, q, _checked_scores(p.schema.x_subschema(), classifier))
+
+
 def random_stack(schema, rng, rounds, c_bound=LN2, theta_scale=0.3, q0=None):
     """Anchor plus `rounds` random bounded-classifier tilts."""
     bd = BoostedDensity(q0 if q0 is not None else random_initial(schema, rng))
@@ -104,7 +116,7 @@ def random_stack(schema, rng, rounds, c_bound=LN2, theta_scale=0.3, q0=None):
     for _ in range(rounds):
         values = rng.uniform(-c_bound, c_bound, size=n_x)
         theta = float(rng.uniform(0.0, theta_scale))
-        bd = bd.extended(table_classifier(schema, values, c_bound), theta)
+        bd = extend(bd, table_classifier(schema, values, c_bound), theta)
     return bd
 
 

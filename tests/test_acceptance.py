@@ -40,7 +40,7 @@ from fairboost.guarantees import delta_bounds, exact_round_margins
 from fairboost.pipeline import load_csv_with_schema
 from fairboost.tree import boosting_regime
 
-from conftest import random_initial, table_classifier, xya_schema
+from conftest import extend, random_initial, table_classifier, xya_schema
 
 LN2 = math.log(2.0)
 SEED = 0
@@ -209,7 +209,7 @@ def _adversarial_stack(rng, kind, tau, c):
             # one hot cell, everything else cold: extremal marginal push
             values = np.full(nx, -c)
             values[rng.integers(0, nx)] = c
-        bd = bd.extended(table_classifier(schema, values, c_bound=c), leverage(scheme, t))
+        bd = extend(bd, table_classifier(schema, values, c_bound=c), leverage(scheme, t))
     return bd, scheme, rounds
 
 
@@ -250,7 +250,7 @@ def test_criterion_05_normalizer_identities():
     for _ in range(100):
         schema = xa_schema(nx=int(rng.integers(2, 12)), na=int(rng.integers(2, 4)))
         bd = random_stack(schema, rng, rounds=int(rng.integers(1, 9)), theta_scale=0.6)
-        table = bd.joint()
+        table = bd.table()
         worst_rr = max(worst_rr, abs(bd.representation_rate() - representation_rate(table)))
         worst_marg = max(
             worst_marg,
@@ -276,7 +276,7 @@ def test_criterion_06_expectation_trick():
         bd = random_stack(schema, rng, rounds=int(rng.integers(1, 6)), theta_scale=0.5)
         gv = rng.uniform(0.0, 2.0, schema.n_cells)
         g = lambda rows: gv[schema.encode(rows)]
-        direct = float(bd.joint().mass @ gv)
+        direct = float(bd.table().mass @ gv)
 
         est = bd.expectation(g)
         worst_exact = max(worst_exact, abs(est.value - direct))
@@ -301,11 +301,11 @@ def _round_drops(run, data_csv):
     data = load_csv_with_schema(data_csv, bd.schema)
     p_hat = fit_empirical(data, 0.0)
     drops = []
-    kl_anchor = kl_prev = kl_divergence(p_hat.mass, BoostedDensity(bd.q0).joint().mass)
+    kl_anchor = kl_prev = kl_divergence(p_hat.mass, BoostedDensity(bd.q0).table().mass)
     for k, rnd in enumerate(bd.rounds):
         prefix = BoostedDensity(bd.q0, bd.rounds[: k])
         gamma_p, gamma_q = exact_round_margins(p_hat, prefix, rnd.classifier)
-        kl_next = kl_divergence(p_hat.mass, BoostedDensity(bd.q0, bd.rounds[: k + 1]).joint().mass)
+        kl_next = kl_divergence(p_hat.mass, BoostedDensity(bd.q0, bd.rounds[: k + 1]).table().mass)
         drops.append((rnd.theta, gamma_p, gamma_q, kl_prev - kl_next))
         kl_prev = kl_next
     return {"scheme": scheme, "drops": drops, "delta": kl_anchor - kl_prev}

@@ -19,6 +19,7 @@ from fairboost.boosted import _logsumexp
 
 from conftest import (
     LN2,
+    extend,
     group_matrix,
     random_initial,
     random_stack,
@@ -39,12 +40,12 @@ def plusminus_classifier(schema):
 
 def density_at(bd, row):
     """Q_T at one coordinate row, read off the stack's joint table."""
-    return bd.joint().mass[bd.schema.encode(np.asarray(row))[0]]
+    return bd.table().mass[bd.schema.encode(np.asarray(row))[0]]
 
 
 def normalizers(bd, classifier, theta):
     """(Z, Z(a)) of the round that appending this classifier would add."""
-    rnd = bd.extended(classifier, theta).rounds[-1]
+    rnd = extend(bd, classifier, theta).rounds[-1]
     return rnd.z, rnd.z_by_group
 
 
@@ -86,7 +87,7 @@ def test_anchor_marginal_is_exactly_uniform(rng):
 def test_anchor_joint_matches_conditionals(rng):
     s = xa_schema(nx=4, na=2)
     q0 = random_initial(s, rng)
-    joint = BoostedDensity(q0).joint()
+    joint = BoostedDensity(q0).table()
     for a in range(2):
         for x in range(4):
             cell = joint.schema.encode(np.array([x, a]))[0]
@@ -189,8 +190,9 @@ def test_unbounded_scores_rejected(rng):
         def domain_scores(self, x_schema):
             return np.array([np.inf, 0.0])
 
+    # a round's one paint is checked before the stack takes it
     with pytest.raises(ValueError, match="classifier unbounded"):
-        bd.extended(Wild(), 1.0)
+        extend(bd, Wild(), 1.0)
     # a stack rebuilt from stored rounds scores each classifier again
     with pytest.raises(ValueError, match="classifier unbounded"):
         BoostedDensity(bd.q0, [BoostRound(1.0, Wild(), 1.0, np.array([1.0, 1.0]))])
@@ -235,7 +237,7 @@ def test_density_at_zero_rounds_is_anchor(rng):
 
 def test_density_at_four_cell_example():
     s = xa_schema()
-    bd = BoostedDensity(uniform_initial(s)).extended(plusminus_classifier(s), 1.0)
+    bd = extend(BoostedDensity(uniform_initial(s)), plusminus_classifier(s), 1.0)
     # 0.25 * 2 / 1.25 = 0.4 on x0 cells, 0.25 * 0.5 / 1.25 = 0.1 on x1 cells
     assert density_at(bd, [0, 0]) == pytest.approx(0.4, abs=1e-12)
     assert density_at(bd, [0, 1]) == pytest.approx(0.4, abs=1e-12)
@@ -248,8 +250,8 @@ def test_zero_theta_rounds_change_nothing(rng):
     q0 = random_initial(s, rng)
     bd = BoostedDensity(q0)
     for _ in range(3):
-        bd = bd.extended(table_classifier(s, rng.uniform(-LN2, LN2, size=4)), 0.0)
-    assert np.allclose(bd.joint().mass, BoostedDensity(q0).joint().mass, atol=1e-12)
+        bd = extend(bd, table_classifier(s, rng.uniform(-LN2, LN2, size=4)), 0.0)
+    assert np.allclose(bd.table().mass, BoostedDensity(q0).table().mass, atol=1e-12)
     assert bd.representation_rate() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -258,7 +260,7 @@ def test_total_mass_stays_one_after_many_rounds(rng):
     bd = random_stack(s, rng, rounds=50)
     # the unrolled product, summed over the domain with the stored normalizers
     assert bd.expectation(lambda rows: np.ones(len(rows))).value == pytest.approx(1.0, abs=1e-9)
-    assert bd.joint().mass.sum() == pytest.approx(1.0, abs=1e-15)
+    assert bd.table().mass.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_conditional_tables_sum_to_one(rng):
@@ -266,7 +268,7 @@ def test_conditional_tables_sum_to_one(rng):
     # marginal is a distribution q_T(x | A=a)
     s = xa_schema(nx=5, na=3)
     bd = random_stack(s, rng, rounds=8)
-    groups = group_matrix(s, bd.joint().mass)
+    groups = group_matrix(s, bd.table().mass)
     for a in range(3):
         assert (groups[a] / bd.sensitive_marginal()[a]).sum() == pytest.approx(1.0, abs=1e-10)
 
@@ -276,7 +278,7 @@ def test_conditional_tables_sum_to_one(rng):
 
 def test_marginal_recursion_degenerate_example():
     s = xa_schema()
-    bd = BoostedDensity(degenerate_initial(s)).extended(plusminus_classifier(s), 1.0)
+    bd = extend(BoostedDensity(degenerate_initial(s)), plusminus_classifier(s), 1.0)
     # q1(a) = (1/2) * Z(a)/Z: (0.5*2/1.25, 0.5*0.5/1.25)
     assert np.allclose(bd.sensitive_marginal(), [0.8, 0.2], atol=1e-12)
     assert bd.representation_rate() == pytest.approx(0.25, abs=1e-12)
@@ -285,7 +287,7 @@ def test_marginal_recursion_degenerate_example():
 def test_marginal_matches_joint_table(rng):
     s = xa_schema(nx=4, na=3)
     bd = random_stack(s, rng, rounds=6)
-    from_table = bd.joint().sensitive_marginal()
+    from_table = bd.table().sensitive_marginal()
     assert np.allclose(bd.sensitive_marginal(), from_table, atol=1e-10)
     assert bd.sensitive_marginal().sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -295,7 +297,7 @@ def test_rr_from_normalizers_matches_table(rng):
     for _ in range(5):
         bd = random_stack(s, rng, rounds=5)
         assert bd.representation_rate() == pytest.approx(
-            representation_rate(bd.joint()), abs=1e-10
+            representation_rate(bd.table()), abs=1e-10
         )
 
 
@@ -333,7 +335,7 @@ def test_expectation_indicator_matches_density(rng):
 
 def test_expectation_four_cell_example():
     s = xa_schema()
-    bd = BoostedDensity(uniform_initial(s)).extended(plusminus_classifier(s), 1.0)
+    bd = extend(BoostedDensity(uniform_initial(s)), plusminus_classifier(s), 1.0)
     est = bd.expectation(lambda rows: (rows[:, 0] == 0).astype(float))
     assert est.value == pytest.approx(0.8, abs=1e-12)
 
@@ -373,7 +375,7 @@ def test_conditional_expectation_agrees_with_table(rng):
     # matches the conditional read off the joint table
     s = xa_schema(nx=4, na=3)
     bd = random_stack(s, rng, rounds=6)
-    groups = group_matrix(s, bd.joint().mass)
+    groups = group_matrix(s, bd.table().mass)
     g_x = (s.x_subschema().all_cells()[:, 0] ** 2).astype(float)
     for a in range(3):
         want = float(groups[a] @ g_x) / groups[a].sum()
@@ -386,10 +388,10 @@ def test_conditional_expectation_agrees_with_table(rng):
 
 def test_sample_frequencies_match_table(rng):
     s = xa_schema()
-    bd = BoostedDensity(uniform_initial(s)).extended(plusminus_classifier(s), 1.0)
+    bd = extend(BoostedDensity(uniform_initial(s)), plusminus_classifier(s), 1.0)
     n = 100_000
     ds = bd.sample(n, seed=5)
-    probs = bd.joint().mass
+    probs = bd.table().mass
     codes = s.encode(ds.rows)
     freq = np.bincount(codes, minlength=4) / n
     for p, f in zip(probs, freq):
@@ -403,7 +405,7 @@ def test_sample_zero_rounds_draws_from_anchor(rng):
     n = 60_000
     ds = bd.sample(n, seed=9)
     freq = np.bincount(s.encode(ds.rows), minlength=6) / n
-    for p, f in zip(bd.joint().mass, freq):
+    for p, f in zip(bd.table().mass, freq):
         assert abs(f - p) <= 4.0 * math.sqrt(p * (1 - p) / n) + 1e-12
 
 
@@ -430,14 +432,14 @@ def test_prefix_and_extended_consistency(rng):
         return BoostedDensity(bd.q0, bd.rounds[:t])
 
     assert prefix(len(bd.rounds)) is not bd
-    assert np.allclose(prefix(6).joint().mass, bd.joint().mass, atol=1e-15)
+    assert np.allclose(prefix(6).table().mass, bd.table().mass, atol=1e-15)
     # the incremental tilt sums rounds in the same order as a rebuild
-    assert np.array_equal(BoostedDensity(bd.q0, bd.rounds).joint().mass, bd.joint().mass)
+    assert np.array_equal(BoostedDensity(bd.q0, bd.rounds).table().mass, bd.table().mass)
     assert len(prefix(0).rounds) == 0
     # re-appending round t to prefix(t) reproduces the stored normalizers
     for t in range(6):
         rnd = bd.rounds[t]
-        redo = prefix(t).extended(rnd.classifier, rnd.theta)
+        redo = extend(prefix(t), rnd.classifier, rnd.theta)
         new = redo.rounds[-1]
         assert new.z == pytest.approx(rnd.z, rel=1e-12)
         assert np.allclose(new.z_by_group, rnd.z_by_group, rtol=1e-12)
@@ -448,20 +450,20 @@ def test_stack_against_brute_force_table(rng):
     s = xa_schema(nx=3, na=3)
     q0 = random_initial(s, rng)
     bd = random_stack(s, rng, rounds=4, q0=q0)
-    mass = BoostedDensity(q0).joint().mass.copy()
+    mass = BoostedDensity(q0).table().mass.copy()
     cells = s.all_cells()
     for rnd in bd.rounds:
         w = np.exp(rnd.theta * rnd.classifier.scores(s.split_rows(cells)[0]))
         mass = mass * w
         mass /= mass.sum()
-    assert np.allclose(bd.joint().mass, mass, atol=1e-12)
+    assert np.allclose(bd.table().mass, mass, atol=1e-12)
 
 
 def test_kl_to_anchor_well_defined(rng):
     s = xa_schema(nx=4, na=2)
     q0 = random_initial(s, rng)
     bd = random_stack(s, rng, rounds=5, q0=q0)
-    val = kl_divergence(bd.joint().mass, BoostedDensity(q0).joint().mass)
+    val = kl_divergence(bd.table().mass, BoostedDensity(q0).table().mass)
     assert val >= 0.0
     assert math.isfinite(val)
 
@@ -474,7 +476,8 @@ def _bits(values) -> list:
 def test_joint_and_normalizers_match_group_major_bits(rng, sensitive_index):
     # the joint is written in place through a group-major view of its cube, and the
     # normalizers in one scratch buffer; both keep the bits of the group-major
-    # expressions: for the joint, exp(log q0 - log|A| + tilt - log Z) at each cell's group and feature cell
+    # expressions: for the joint, exp(log q0 - log|A| + tilt - log Z) at each cell's group and feature cell.
+    # extended scales the paint in place and writes the child's tilt into it, with the bits of tilt + theta * scores
     attrs = [Attribute("x0", 3), Attribute("x1", 4)]
     attrs.insert(sensitive_index, Attribute("a", 3))
     s = AttributeSchema(tuple(attrs), sensitive_index=sensitive_index)
@@ -490,15 +493,17 @@ def test_joint_and_normalizers_match_group_major_bits(rng, sensitive_index):
     tilt, log_z, log_zg = np.zeros(n_x), 0.0, np.zeros(3)
     for _ in range(4):
         raw = np.exp(q0.log_cond - math.log(3) + tilt[None, :] - log_z)[a_codes, x_cells]
-        assert _bits(bd.joint().mass) == _bits(raw / raw.sum())
+        assert _bits(bd.table().mass) == _bits(raw / raw.sum())
         assert _bits(bd.expectation(g, "exact").value) == _bits(float(raw @ g(cells)))
 
         scores, theta = rng.uniform(-LN2, LN2, size=n_x), float(rng.uniform(0.0, 0.5))
         log_terms = q0.log_cond + tilt[None, :] - log_zg[:, None] + theta * scores[None, :]
         ref_log_zg = _logsumexp(log_terms, axis=1)
         ref_log_z = _logsumexp(np.log(np.exp(log_zg - log_z) / 3) + ref_log_zg)
-        bd = bd.extended(table_classifier(s, scores), theta)
+        paint = scores.copy()
+        bd = bd.extended(table_classifier(s, scores), theta, paint)
         rnd = bd.rounds[-1]
         assert _bits(rnd.z) == _bits(np.exp(ref_log_z))
         assert _bits(rnd.z_by_group) == _bits(np.exp(ref_log_zg))
+        assert np.shares_memory(bd._tilt, paint) and _bits(bd._tilt) == _bits(tilt + theta * scores)
         tilt, log_z, log_zg = tilt + theta * scores, log_z + math.log(rnd.z), log_zg + np.log(rnd.z_by_group)

@@ -189,7 +189,7 @@ def test_fit_folds_manifest(tmp_path, synth_csv):
         q0 = build_initial(train, schema, 1.0)
         stack, trace, _ = fbde_fit(train, q0, FitConfig(rounds=3, scheme=scheme, seed=subseed(0, FOLDS, i)))
         train_hat, test_hat = fit_empirical(train, 0.0), fit_empirical(test, 0.0)
-        anchor, final = BoostedDensity(q0).joint(), stack.joint()
+        anchor, final = BoostedDensity(q0).table(), stack.table()
         assert f == {
             "fold": i,
             "final_rr": stack.representation_rate(),
@@ -452,7 +452,7 @@ def test_eval_stdout_metrics(fit_run, synth_csv, capsys):
 
     bd, _, _ = load_model(model_path)
     data = load_csv_with_schema(synth_csv, bd.schema)
-    want = kl_divergence(fit_empirical(data, 1.0).mass, bd.joint().mass)
+    want = kl_divergence(fit_empirical(data, 1.0).mass, bd.table().mass)
     assert metrics["kl"] == want
 
 
@@ -510,7 +510,7 @@ def test_eval_statistical_rate_with_target(tmp_path, capsys):
     assert main(["eval", "--model", model, "--data", str(path)]) == 0
     metrics = json.loads(capsys.readouterr().out)
     bd, _, _ = load_model(model)
-    assert metrics["sr"] == statistical_rate(bd.joint(), 1)
+    assert metrics["sr"] == statistical_rate(bd.table(), 1)
     assert 0.0 <= metrics["sr"] <= 1.0
 
 
@@ -550,13 +550,6 @@ def test_guarantees_out_file(fit_run, tmp_path):
     out = str(tmp_path / "report.json")
     assert main(["guarantees", "--model", model_path, "--trace", trace_path, "--out", out]) == 0
     assert json.load(open(out))["format"] == "fairboost.report"
-
-
-def test_guarantees_needs_scheme(tmp_path, fit_run, capsys):
-    model_path, trace_path = fit_run
-    bare = _broken_model(tmp_path, model_path, lambda doc: doc.pop("scheme"))
-    assert main(["guarantees", "--model", bare, "--trace", trace_path]) == 1
-    assert capsys.readouterr().err.startswith("error: model document is missing key 'scheme'")
 
 
 def test_guarantees_rejects_non_finite_trace(tmp_path, fit_run, capsys):
@@ -863,13 +856,6 @@ def test_scheme_no_fit_writes_rejected_by_both_readers(tmp_path, fit_run, synth_
     for argv in (["guarantees", "--trace", trace_path], ["eval", "--data", synth_csv]):
         assert main([*argv, "--model", bad]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
-
-
-def test_eval_rejects_model_without_schema(tmp_path, fit_run, synth_csv, capsys):
-    model_path, _ = fit_run
-    bad = _broken_model(tmp_path, model_path, lambda doc: doc["q0"].pop("schema"))
-    assert main(["eval", "--model", bad, "--data", synth_csv]) == 1
-    assert capsys.readouterr().err.startswith("error: model document is missing key 'schema'")
 
 
 def test_feature_free_data_rejected(tmp_path, fit_run, synth_csv, capsys):

@@ -13,8 +13,8 @@ from fairboost import (
     Dataset,
     FitConfig,
     LeveragingScheme,
-    TabularDensity,
     TreeConfig,
+    engine,
     fbde_fit,
     fit_empirical,
     kl_divergence,
@@ -22,6 +22,7 @@ from fairboost import (
     mollifier_membership,
     mollifier_size,
     rr_lower_bound,
+    seeds,
 )
 
 from conftest import LN2, uniform_initial, xa_schema
@@ -167,7 +168,7 @@ def test_fit_zero_rounds_returns_anchor(fit_setup):
     stack, trace, _ = fbde_fit(p, q0, FitConfig(rounds=0, scheme=exact_scheme()))
     assert len(stack.rounds) == 0
     assert trace == []
-    assert np.allclose(stack.joint().mass, BoostedDensity(q0).joint().mass)
+    assert np.allclose(stack.table().mass, BoostedDensity(q0).table().mass)
 
 
 def test_fit_trace_shape_and_baseline(fit_setup):
@@ -224,16 +225,16 @@ def test_fit_stays_in_certified_mollifier(fit_setup):
     s, p, q0 = fit_setup
     scheme = exact_scheme(0.7)
     stack, _, _ = fbde_fit(p, q0, FitConfig(rounds=8, scheme=scheme))
-    anchor = BoostedDensity(q0).joint()
+    anchor = BoostedDensity(q0).table()
     for t in (2, 5, 8):
         eps = 2.0 * mollifier_size(scheme, t)
-        assert mollifier_membership(BoostedDensity(q0, stack.rounds[:t]).joint(), anchor, eps)
+        assert mollifier_membership(BoostedDensity(q0, stack.rounds[:t]).table(), anchor, eps)
 
 
 def test_fit_near_one_tau_freezes_anchor(fit_setup):
     s, p, q0 = fit_setup
     stack, _, _ = fbde_fit(p, q0, FitConfig(rounds=4, scheme=exact_scheme(1.0 - 1e-12)))
-    assert np.abs(stack.joint().mass - BoostedDensity(q0).joint().mass).max() < 1e-9
+    assert np.abs(stack.table().mass - BoostedDensity(q0).table().mass).max() < 1e-9
 
 
 def test_fit_deterministic(fit_setup):
@@ -241,11 +242,11 @@ def test_fit_deterministic(fit_setup):
     cfg = FitConfig(rounds=5, scheme=exact_scheme(0.8), seed=42)
     s1, tr1, _ = fbde_fit(p, q0, cfg)
     s2, tr2, _ = fbde_fit(p, q0, cfg)
-    assert np.array_equal(s1.joint().mass, s2.joint().mass)
+    assert np.array_equal(s1.table().mass, s2.table().mass)
     assert [r.z for r in tr1] == [r.z for r in tr2]
     assert [r.gamma_p for r in tr1] == [r.gamma_p for r in tr2]
     s3, _, _ = fbde_fit(p, q0, FitConfig(rounds=5, scheme=exact_scheme(0.8), seed=43))
-    assert not np.array_equal(s1.joint().mass, s3.joint().mass)
+    assert not np.array_equal(s1.table().mass, s3.table().mass)
 
 
 def test_fit_kl_columns(fit_setup):
@@ -258,29 +259,37 @@ def test_fit_kl_columns(fit_setup):
     p_mass = fit_empirical(p, 0.0).mass
     assert 0 < np.count_nonzero(p_mass) < len(p_mass)
     for row in trace:
-        assert row.kl_train == kl_divergence(p_mass, BoostedDensity(q0, stack.rounds[: row.t]).joint().mass)
+        assert row.kl_train == kl_divergence(p_mass, BoostedDensity(q0, stack.rounds[: row.t]).table().mass)
 
 
 def test_fit_builds_one_joint_table_per_stack(fit_setup, monkeypatch):
-    # the anchor's table and each round's serve both that stack's KL and
-    # the next round's negatives
+    # the anchor's table and each round's serve both that stack's KL and, turned
+    # into its CDF in place, the next round's negatives: the rows TabularDensity.sample
+    # draws from that table
     s, p, q0 = fit_setup
-    built, sampled = [], []
-    joint, sample = BoostedDensity.joint, TabularDensity.sample
+    built, negatives = [], []
+    joint, train = BoostedDensity.joint, engine.train_tree
 
-    def counting_joint(self):
+    def recording_joint(self):
         built.append(joint(self))
         return built[-1]
 
-    def recording_sample(self, n, seed):
-        sampled.append(self)
-        return sample(self, n, seed)
+    def recording_train(p_samples, q_samples, *args):
+        negatives.append(q_samples.rows)
+        return train(p_samples, q_samples, *args)
 
-    monkeypatch.setattr(BoostedDensity, "joint", counting_joint)
-    monkeypatch.setattr(TabularDensity, "sample", recording_sample)
-    fbde_fit(p, q0, FitConfig(rounds=4, scheme=exact_scheme()))
+    monkeypatch.setattr(BoostedDensity, "joint", recording_joint)
+    monkeypatch.setattr(engine, "train_tree", recording_train)
+    cfg = FitConfig(rounds=4, scheme=exact_scheme(), seed=7)
+    stack, _, _ = fbde_fit(p, q0, cfg)
+    monkeypatch.undo()
     assert len(built) == 4 + 1
-    assert sampled == built[:4]  # the same objects: round t samples the table of stack t-1
+    for t, rows in enumerate(negatives, start=1):
+        table = BoostedDensity(q0, stack.rounds[: t - 1]).table()
+        assert np.array_equal(built[t - 1], np.cumsum(table.mass))  # the buffer became that table's CDF
+        seed = seeds.subseed(cfg.seed, seeds.NEGATIVES, t)
+        assert np.array_equal(rows, table.sample(engine.NEGATIVES_PER_ROW * len(p), seed).rows)
+    assert np.array_equal(built[4], stack.table().mass)
 
 
 def test_fit_kl_shrinks_toward_data(fit_setup):

@@ -41,10 +41,12 @@ from fairboost.tree import boosting_regime
 from conftest import (
     LN2,
     density,
+    extend,
     random_density,
     random_initial,
     table_classifier,
     uniform_initial,
+    wla,
     xa_schema,
     xya_schema,
 )
@@ -142,8 +144,8 @@ def test_kl_drop_floor_against_measured_drops(rng):
         gamma_p, gamma_q = exact_round_margins(p_hat, prev, clf)
         if gamma_p <= 0.0 or gamma_q <= 0.0:
             continue
-        nxt = prev.extended(clf, theta)
-        measured = kl_divergence(p_hat.mass, prev.joint().mass) - kl_divergence(p_hat.mass, nxt.joint().mass)
+        nxt = extend(prev, clf, theta)
+        measured = kl_divergence(p_hat.mass, prev.table().mass) - kl_divergence(p_hat.mass, nxt.table().mass)
         db = kl_drop_bound(theta, min(gamma_p, 1.0), min(gamma_q, 1.0))
         if db.regime == HBS:
             assert measured >= db.bound - 1e-9
@@ -168,8 +170,8 @@ def test_kl_drop_floor_constructed_high_regime():
     assert gamma_p == pytest.approx(2 / 3, abs=1e-12)
     assert gamma_q == pytest.approx(2 / 3, abs=1e-12)
     for theta in (0.02, 0.05, 0.1, 0.2):
-        nxt = prev.extended(clf, theta)
-        measured = kl_divergence(p_hat.mass, prev.joint().mass) - kl_divergence(p_hat.mass, nxt.joint().mass)
+        nxt = extend(prev, clf, theta)
+        measured = kl_divergence(p_hat.mass, prev.table().mass) - kl_divergence(p_hat.mass, nxt.table().mass)
         db = kl_drop_bound(theta, gamma_p, gamma_q)
         assert db.regime == HBS
         assert measured >= db.bound - 1e-9
@@ -353,9 +355,7 @@ def test_exact_round_margins_match_weighted_sample(rng):
     ds = Dataset(s, np.repeat(s.all_cells(), rng.integers(1, 20, size=s.n_cells), axis=0))
     p_hat = fit_empirical(ds, 0.0)
     gamma_p, _ = exact_round_margins(p_hat, prev, clf)
-    from fairboost import estimate_wla
-
-    est = estimate_wla(clf, ds, ds)
+    est = wla(clf, ds, ds)
     assert est.gamma_p == pytest.approx(gamma_p, abs=1e-12)
 
 

@@ -38,7 +38,7 @@ from fairboost.serialize import (
     sha256_file,
 )
 
-from conftest import tree_nodes, uniform_initial, xa_schema, xya_schema
+from conftest import extend, tree_nodes, uniform_initial, xa_schema, xya_schema
 
 LN2 = math.log(2.0)
 
@@ -74,7 +74,7 @@ def test_model_roundtrip_exact(tmp_path, fitted):
         assert r_new.theta == r_old.theta
         cells = stack.q0.x_schema.all_cells()
         assert np.array_equal(r_new.classifier.scores(cells), r_old.classifier.scores(cells))
-    assert back.joint().mass.tobytes() == stack.joint().mass.tobytes()
+    assert back.table().mass.tobytes() == stack.table().mass.tobytes()
     assert back.representation_rate() == stack.representation_rate()
 
 
@@ -186,19 +186,6 @@ def _model_rounds(path):
     return scheme, run_id, [(r.theta, r.z, r.z_by_group.tolist(), tree_nodes(r.classifier)) for r in rounds]
 
 
-def test_model_rejects_tree_c_bound_other_than_scheme(tmp_path, fitted):
-    # leaves of +-ln 2 fit inside 1.0, but the coefficients were set for C = ln 2
-    stack, scheme, _ = fitted
-    path = str(tmp_path / "m.json")
-    save_model(stack, path, scheme, run_id="run-1")
-    doc = load_json(path)
-    doc["rounds"][1]["classifier"]["c_bound"] = 1.0
-    dump_json(doc, path)
-    for load in (load_model, load_model_rounds):
-        with pytest.raises(ValueError, match=f"round 2: tree c_bound 1.0 differs from the scheme's c_bound {LN2!r}"):
-            load(path)
-
-
 @pytest.mark.parametrize(
     "schema",
     [
@@ -242,7 +229,7 @@ def test_tree_round_trip(tmp_path, rng):
     tree = train_tree(p, q, TreeConfig(), LN2)
     assert not tree.root.is_leaf
     path = str(tmp_path / "m.json")
-    stack = BoostedDensity(uniform_initial(s)).extended(tree, 0.1)
+    stack = extend(BoostedDensity(uniform_initial(s)), tree, 0.1)
     save_model(stack, path, LeveragingScheme("exact", 0.8, LN2), run_id="run-1")
     back = load_model(path)[0].rounds[0].classifier
     cells = s.x_subschema().all_cells()

@@ -15,6 +15,7 @@ from fairboost import (
     statistical_rate,
 )
 from fairboost.schema import Attribute, AttributeSchema
+from fairboost.tabular import _sample_cdf
 
 from conftest import dataset_from_rows, density, group_matrix, random_density, xa_schema, xya_schema
 
@@ -138,6 +139,26 @@ def test_sample_rows_equal_unsorted_search(table, n):
         u = np.random.default_rng(seed).random(n)
         expected = schema.decode(reference_cells(d.mass, u))
         assert np.array_equal(d.sample(n, seed).rows, expected)
+
+
+def wide_sparse_table():
+    """70,000 cells (more than 2**16), zero-mass runs at the start, inside and at the end."""
+    weights = np.random.default_rng(11).random(70_000)
+    weights[:900] = weights[30_000:41_000] = weights[-2_500:] = 0.0
+    return xa_schema(nx=35_000, na=2), weights
+
+
+@pytest.mark.parametrize("table", range(len(SAMPLE_TABLES) + 1))
+def test_sample_from_cdf_built_in_place_equals_sample(table):
+    # the fit turns its own joint buffer into the CDF in place and draws through
+    # the same search: its rows are TabularDensity.sample's, bit for bit
+    schema, weights = (SAMPLE_TABLES + [wide_sparse_table()])[table]
+    d = density(schema, weights)
+    for seed in range(4):
+        for n in (1, 9, 4000):
+            buf = d.mass.copy()
+            rows = _sample_cdf(schema, np.cumsum(buf, out=buf), n, seed).rows
+            assert np.array_equal(rows, d.sample(n, seed).rows)
 
 
 def test_sample_rows_equal_unsorted_search_on_random_sparse_tables(rng):

@@ -27,7 +27,7 @@ STEPS = [
 def test_traced_cli_runs_the_pipeline(tmp_path):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, PYTHONPATH=path)
-    names = set()
+    names = {}
     for i, argv in enumerate(STEPS):
         spans = tmp_path / f"spans{i}.json"
         proc = subprocess.run(
@@ -39,6 +39,7 @@ def test_traced_cli_runs_the_pipeline(tmp_path):
             timeout=300,
         )
         assert proc.returncode == 0, f"{argv[0]}: {proc.stderr}"
-        names.update(span[0] for span in json.loads(spans.read_text())["spans"])
-    # tree.train_tree wraps engine's name for the trainer: a fit that reaches it by another name has no span
-    assert {"engine.fbde_fit", "boosted.extended", "tree.train_tree"} <= names
+        names[argv[0]] = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    # each span wraps the name its caller resolves (tree.train_tree and tree.estimate_wla
+    # wrap engine's names): a fit whose round reaches one by another name has no span
+    assert {"engine.fbde_fit", "boosted.extended", "boosted.joint", "tree.train_tree", "tree.estimate_wla"} <= names["fit"]

@@ -15,11 +15,10 @@ from fairboost import (
     Dataset,
     DecisionTreeClassifier,
     TreeConfig,
-    estimate_wla,
     train_tree,
 )
 
-from conftest import LN2, table_classifier, tree_nodes, xa_schema
+from conftest import LN2, table_classifier, tree_nodes, wla, xa_schema
 from fairboost.tree import _GAIN_TOL, LEAF_SMOOTHING, Node, _gini_terms
 
 CFG = TreeConfig()
@@ -93,7 +92,7 @@ def test_identical_sides_yield_abstaining_tree():
     tree = train_tree(Dataset(s, rows), Dataset(s, rows), CFG, LN2)
     assert tree_depth(tree) == 0
     assert np.all(cell_scores(tree, s) == 0.0)
-    est = estimate_wla(tree, Dataset(s, rows), Dataset(s, rows))
+    est = wla(tree, Dataset(s, rows), Dataset(s, rows))
     assert est.gamma_p == 0.0
     assert est.gamma_q == 0.0
     assert est.regime == FAIL
@@ -437,7 +436,7 @@ def test_wla_perfect_separation():
     clf = table_classifier(s, [LN2, -LN2])
     p = Dataset(s, [[0, 0]] * 5)
     q = Dataset(s, [[1, 0]] * 5)
-    est = estimate_wla(clf, p, q)
+    est = wla(clf, p, q)
     assert est.gamma_p == pytest.approx(1.0, abs=1e-12)
     assert est.gamma_q == pytest.approx(1.0, abs=1e-12)
     assert est.regime == HBS
@@ -448,7 +447,7 @@ def test_wla_zero_classifier_fails():
     clf = table_classifier(s, [0.0, 0.0])
     p = Dataset(s, [[0, 0]] * 5)
     q = Dataset(s, [[1, 0]] * 5)
-    assert estimate_wla(clf, p, q).regime == FAIL
+    assert wla(clf, p, q).regime == FAIL
 
 
 def test_wla_low_regime_margin():
@@ -457,7 +456,7 @@ def test_wla_low_regime_margin():
     p = Dataset(s, [[0, 0]] * 5)
     # model mass 0.6 on the -C cell, 0.4 on the +C cell: gamma_q = 0.2
     q = Dataset(s, [[0, 0]] * 2 + [[1, 0]] * 3)
-    est = estimate_wla(clf, p, q)
+    est = wla(clf, p, q)
     assert est.gamma_p == pytest.approx(1.0, abs=1e-12)
     assert est.gamma_q == pytest.approx(0.2, abs=1e-12)
     assert est.regime == LBS
@@ -468,7 +467,7 @@ def test_wla_regime_boundary_is_high():
     clf = table_classifier(s, [1.0, -1.0], c_bound=1.0)
     p = Dataset(s, [[0, 0]] * 3)
     q = Dataset(s, [[0, 0], [1, 0], [1, 0]])  # gamma_q = 1/3
-    est = estimate_wla(clf, p, q)
+    est = wla(clf, p, q)
     assert est.gamma_q == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert est.regime == HBS
 
@@ -478,7 +477,7 @@ def test_wla_negative_p_margin_fails():
     clf = table_classifier(s, [-LN2, LN2])
     p = Dataset(s, [[0, 0]] * 5)
     q = Dataset(s, [[1, 0]] * 5)
-    assert estimate_wla(clf, p, q).regime == FAIL
+    assert wla(clf, p, q).regime == FAIL
 
 
 @pytest.mark.parametrize("sensitive_index", [0, 2])
@@ -501,7 +500,7 @@ def test_wla_margins_equal_row_walk_means(rng, sensitive_index, depth):
         tree = random_tree(x_schema, rng, depth)
         n = int(rng.integers(1, 400))
         p, q = draw(n), draw(int(rng.integers(1, 2 * n + 1)))
-        est = estimate_wla(tree, p, q)
+        est = wla(tree, p, q)
         assert est.gamma_p == float(tree.scores(p.x_rows()).mean()) / LN2
         assert est.gamma_q == -float(tree.scores(q.x_rows()).mean()) / LN2
 
@@ -511,4 +510,4 @@ def test_wla_empty_side_rejected():
     clf = table_classifier(s, [LN2, -LN2])
     p = Dataset(s, [[0, 0]] * 5)
     with pytest.raises(ValueError, match="empty sample side"):
-        estimate_wla(clf, p, Dataset(s, np.empty((0, 2))))
+        wla(clf, p, Dataset(s, np.empty((0, 2))))
