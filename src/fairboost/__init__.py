@@ -13,7 +13,6 @@ from .tabular import (
     discrimination_control,
     fit_empirical,
     kl_divergence,
-    mollifier_membership,
     representation_rate,
     statistical_rate,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "statistical_rate",
     "discrimination_control",
     "kl_divergence",
-    "mollifier_membership",
     "BoostedDensity",
     "BoostRound",
     "ExpectationEstimate",

@@ -75,8 +75,8 @@ def rr_lower_bound(scheme: LeveragingScheme, t: int) -> float:
 
 
 def mollifier_size(scheme: LeveragingScheme, t: int) -> float:
-    """Size parameter eps_t of the anchored mollifier certified to contain Q_t
-    (membership holds at width 2*eps_t)."""
+    """Size parameter eps_t of the anchored mollifier certified to contain Q_t:
+    the anchor's group marginal is uniform, so Q_t's rate is >= exp(-eps_t)."""
     if t < 1:
         raise ValueError("t must be >= 1")
     if scheme.kind == EXACT:

@@ -127,10 +127,17 @@ def load_json(path: str) -> dict:
     """``json.load`` of ``path``, each distinct float text decoded once.
 
     A model's anchor rows repeat a handful of values across millions of
-    cells; every repeat shares one float object.
+    cells; every repeat shares one float object.  The text is read as
+    ``json.load`` reads it (``open(path)``'s decoding and newlines), in
+    pieces, so the file's bytes and its text are never held together.
     """
+    text = ""
     with open(path) as fh:
-        return json.load(fh, parse_float=_FloatMemo().__getitem__)
+        # CPython grows a str that only this name refers to in place, so
+        # the text exists once, not once per concatenation
+        for piece in iter(lambda: fh.read(1 << 20), ""):
+            text += piece
+    return json.loads(text, parse_float=_FloatMemo().__getitem__)
 
 
 def sha256_file(path: str) -> str:

@@ -21,8 +21,8 @@ import numpy as np
 from .schema import AttributeSchema, Dataset, _readonly
 
 _SUM_TOL = 1e-12
-#: slack applied to log-space ratio comparisons at constraint boundaries
-_LOG_TOL = 1e-12
+#: cells per block of ``kl_divergence``'s terms
+_KL_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,15 +37,12 @@ class TabularDensity:
         mass = mass if mass.ndim == 1 else mass.reshape(-1)
         object.__setattr__(self, "mass", _readonly(_checked_mass(self.schema, mass)))
 
-    def marginal(self, attr_index: int) -> np.ndarray:
-        cube = self.mass.reshape(self.schema.shape)
-        other = tuple(i for i in range(cube.ndim) if i != attr_index)
-        return cube.sum(axis=other)
-
     def sensitive_marginal(self) -> np.ndarray:
-        if self.schema.sensitive_index is None:
+        s = self.schema
+        if s.sensitive_index is None:
             raise ValueError("no sensitive attribute")
-        return self.marginal(self.schema.sensitive_index)
+        other = tuple(i for i in range(len(s.shape)) if i != s.sensitive_index)
+        return self.mass.reshape(s.shape).sum(axis=other)
 
     def target_sensitive_joint(self) -> np.ndarray:
         """p[Y=y, A=a] as a (|Y|, |A|) matrix."""
@@ -170,40 +167,26 @@ def kl_divergence(pm: np.ndarray, qm: np.ndarray) -> float:
     ``pm`` and ``qm`` are whole tables' masses (``TabularDensity.mass``), or
     both restricted to the same cells, in the same order: the sum runs over
     the cells where ``pm > 0``, so dropping cells where p is 0 leaves the
-    result unchanged bit for bit.  The terms fill one buffer in place, so
-    over a whole domain the call holds three arrays of p's support size:
-    p's and q's masses there, and the terms.
+    result unchanged bit for bit.  The terms fill one buffer of p's support
+    size, ``_KL_BLOCK`` cells at a time, so over a whole domain the call
+    holds about one table: each term has the bits of the whole-array
+    ``p * (log p - log q)``, and the one pairwise sum over the buffer has
+    the bits of that expression's ``sum()``.
     """
     pm, qm = np.asarray(pm, dtype=np.float64), np.asarray(qm, dtype=np.float64)
     if pm.ndim != 1 or pm.shape != qm.shape:
         raise ValueError(f"mass vectors are not aligned: shapes {pm.shape} and {qm.shape}")
     support = pm > 0
-    p_s, q_s = pm[support], qm[support]
-    if (q_s <= 0).any():
-        raise ValueError("absolute continuity violated")
-    terms = np.log(p_s)
-    terms -= np.log(q_s, out=q_s)
-    terms *= p_s
+    terms = np.empty(np.count_nonzero(support))
+    filled = 0
+    for start in range(0, len(pm), _KL_BLOCK):
+        cells = slice(start, start + _KL_BLOCK)
+        p_b, q_b = pm[cells][support[cells]], qm[cells][support[cells]]
+        if (q_b <= 0).any():
+            raise ValueError("absolute continuity violated")
+        out = terms[filled : filled + len(p_b)]
+        np.log(p_b, out=out)
+        out -= np.log(q_b, out=q_b)
+        out *= p_b
+        filled += len(p_b)
     return max(float(terms.sum()), 0.0)
-
-
-def mollifier_membership(q: TabularDensity, q0: TabularDensity, eps: float) -> bool:
-    """Does q sit inside the anchored fairness band of width eps around q0?
-
-    Checks, for every ordered pair of sensitive values (a_i, a_j), that the
-    pairwise representation ratio of q deviates from q0's by a factor of at
-    most exp(eps/2) in either direction.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    if q.schema != q0.schema:
-        raise ValueError("schema mismatch")
-    mq = q.sensitive_marginal()
-    m0 = q0.sensitive_marginal()
-    if (mq <= 0).any() or (m0 <= 0).any():
-        raise ValueError("degenerate marginal")
-    # log of the pairwise ratio r_ij = m[i]/m[j] for every ordered pair
-    lq = np.log(mq)
-    l0 = np.log(m0)
-    dev = (lq[:, None] - lq[None, :]) - (l0[:, None] - l0[None, :])
-    return bool(np.abs(dev).max() <= eps / 2.0 + _LOG_TOL)

@@ -19,8 +19,8 @@ from fairboost import (
     fit_empirical,
     kl_divergence,
     leverage,
-    mollifier_membership,
     mollifier_size,
+    representation_rate,
     rr_lower_bound,
     seeds,
 )
@@ -225,10 +225,11 @@ def test_fit_stays_in_certified_mollifier(fit_setup):
     s, p, q0 = fit_setup
     scheme = exact_scheme(0.7)
     stack, _, _ = fbde_fit(p, q0, FitConfig(rounds=8, scheme=scheme))
-    anchor = BoostedDensity(q0).table()
+    # the anchor's group marginal is uniform, so Q_t inside the anchored mollifier of
+    # size eps_t is Q_t's rate at or above exp(-eps_t)
     for t in (2, 5, 8):
-        eps = 2.0 * mollifier_size(scheme, t)
-        assert mollifier_membership(BoostedDensity(q0, stack.rounds[:t]).table(), anchor, eps)
+        rate = representation_rate(BoostedDensity(q0, stack.rounds[:t]).table())
+        assert rate >= math.exp(-mollifier_size(scheme, t) - 1e-12)
 
 
 def test_fit_near_one_tau_freezes_anchor(fit_setup):

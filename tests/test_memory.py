@@ -2,9 +2,10 @@
 
 Each bound is the ``tracemalloc`` peak of one call above the memory held when
 the call starts, in units of one float64 table over the domain (``n_cells * 8``
-bytes).  numpy reports its array buffers to ``tracemalloc``, so the peaks
-count every domain-sized array a call holds at once.  The fixture has 432k
-cells and 2,000 rows, so p-hat's support is under 0.5% of the domain.
+bytes), or of the file's size for ``load_json``.  numpy reports its array
+buffers to ``tracemalloc``, so the peaks count every domain-sized array a call
+holds at once.  The fixture has 432k cells and 2,000 rows, so p-hat's support
+is under 0.5% of the domain.
 """
 
 import tracemalloc
@@ -24,6 +25,7 @@ from fairboost import (
     fit_empirical,
     kl_divergence,
 )
+from fairboost.serialize import dump_json, load_json
 
 BINS, FEATURES, ROWS = 60, 3, 2000
 
@@ -40,8 +42,8 @@ def wide_data():
     return Dataset(schema, np.column_stack([np.clip(x, 0, BINS - 1).astype(np.int64), a]))
 
 
-def _peak_tables(fn, n_cells):
-    """fn's result, and its tracemalloc peak above the memory traced when it starts, in tables."""
+def _peak(fn, unit):
+    """fn's result, and its tracemalloc peak above the memory traced when it starts, in units of ``unit`` bytes."""
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
@@ -53,13 +55,13 @@ def _peak_tables(fn, n_cells):
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    return result, (peak - start) / (8 * n_cells)
+    return result, (peak - start) / unit
 
 
 def test_build_initial_holds_two_tables(wide_data):
     # the anchor is cond and log_cond, each built once in its own buffer
     assert wide_data.schema.n_cells == 432_000
-    q0, tables = _peak_tables(lambda: build_initial(wide_data, wide_data.schema, 1.0), wide_data.schema.n_cells)
+    q0, tables = _peak(lambda: build_initial(wide_data, wide_data.schema, 1.0), 8 * wide_data.schema.n_cells)
     assert q0.cond.shape == (2, BINS**FEATURES)
     assert tables <= 2.2
 
@@ -70,16 +72,29 @@ def test_fit_holds_under_three_tables(wide_data):
     # p-hat's dense build, its integer counts and masses beside the tilt, peaks at about 2.5
     q0 = build_initial(wide_data, wide_data.schema, 1.0)
     cfg = FitConfig(rounds=3, scheme=LeveragingScheme("exact", 0.7))
-    (stack, _, _), tables = _peak_tables(lambda: fbde_fit(wide_data, q0, cfg), wide_data.schema.n_cells)
+    (stack, _, _), tables = _peak(lambda: fbde_fit(wide_data, q0, cfg), 8 * wide_data.schema.n_cells)
     assert len(stack.rounds) == 3
     assert tables <= 2.6
 
 
-def test_dense_kl_holds_three_tables(wide_data):
-    # KL over a full-support p: p's and q's masses on that support, and one buffer of terms
+def test_dense_kl_holds_one_table(wide_data):
+    # KL over a full-support p: one buffer of terms, p's support mask and a few blocks' masses
     q0 = build_initial(wide_data, wide_data.schema, 1.0)
     pm, qm = fit_empirical(wide_data, 1.0).mass, BoostedDensity(q0).table().mass
     assert np.count_nonzero(pm) == len(pm)
-    kl, tables = _peak_tables(lambda: kl_divergence(pm, qm), wide_data.schema.n_cells)
+    kl, tables = _peak(lambda: kl_divergence(pm, qm), 8 * wide_data.schema.n_cells)
     assert kl > 0.0
-    assert tables <= 3.3
+    assert tables <= 1.35
+
+
+def test_load_json_holds_the_text_once(tmp_path):
+    # the text once, then the parsed list beside it (a few distinct floats, so 8 bytes an
+    # entry); the file's bytes and its text held together would be 2x.  The text grows in
+    # place only once its loop is specialized, a few pieces in: a 2 MiB file peaks at 2.5x
+    path = tmp_path / "doc.json"
+    dump_json({"values": np.resize([1 / 3, 2 / 7, 1e-5 / 3], 480_000)}, str(path))
+    size = path.stat().st_size
+    assert size >= 10 << 20
+    doc, files = _peak(lambda: load_json(str(path)), size)
+    assert len(doc["values"]) == 480_000
+    assert files <= 1.6

@@ -87,34 +87,6 @@ def test_model_resave_byte_identical(tmp_path, fitted):
     assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
 
 
-def test_model_document_errors(tmp_path, fitted):
-    stack, scheme, _ = fitted
-    path = str(tmp_path / "m.json")
-    save_model(stack, path, scheme=scheme, run_id="run-1")
-    doc = load_json(path)
-
-    bad = dict(doc, format="fairboost.density")
-    p = str(tmp_path / "bad1.json")
-    dump_json(bad, p)
-    with pytest.raises(ValueError, match="not a model document"):
-        load_model(p)
-
-    bad = dict(doc, version=99)
-    p = str(tmp_path / "bad2.json")
-    dump_json(bad, p)
-    with pytest.raises(ValueError, match="unsupported model version 99"):
-        load_model(p)
-
-    # "table" classifiers exist for the property suites but are no model format
-    for kind in ("stump", "table"):
-        bad = json.loads(json.dumps(doc))
-        bad["rounds"][0]["classifier"]["type"] = kind
-        p = str(tmp_path / "bad3.json")
-        dump_json(bad, p)
-        with pytest.raises(ValueError, match=f"unknown classifier type '{kind}'"):
-            load_model(p)
-
-
 @pytest.mark.parametrize(
     "path",
     [
@@ -158,27 +130,6 @@ def test_model_rounds_read_without_the_stack(tmp_path, fitted):
     doc["q0"]["conditionals"] = 5
     dump_json(doc, path)
     assert _model_rounds(path) == (scheme, "run-2", stored)
-    # the header check, the key and type errors and the tree checks are load_model's
-    for breaker, message in [
-        (lambda d: d["rounds"][0].update(classifier={"type": "stump"}), "unknown classifier type 'stump'"),
-        (lambda d: d["rounds"][1]["classifier"]["root"].pop("split"), "model document is missing key 'split'"),
-        (lambda d: d.update(format="fairboost.density"), "not a model document"),
-        (lambda d: d.update(version=99), "unsupported model version 99"),
-        (lambda d: d.pop("scheme"), "model document is missing key 'scheme'"),
-        (lambda d: d["rounds"][1].pop("z"), "model document is missing key 'z'"),
-        (lambda d: d.update(manifest=5), "model field 'manifest' has the wrong JSON type"),
-        (lambda d: d.pop("manifest"), "model document is missing key 'manifest'"),
-        (lambda d: d["rounds"][0].update(z_by_group={}), r"model field 'rounds\[0\].z_by_group' has the wrong JSON type"),
-        (lambda d: d["rounds"][1].update(z_by_group=[1.0]), "round 2: z_by_group needs 2 entries"),
-        (lambda d: d["rounds"][1].update(theta=[1]), r"model field 'rounds\[1\].theta' has the wrong JSON type"),
-    ]:
-        save_model(stack, path, scheme, run_id="run-2")
-        doc = load_json(path)
-        breaker(doc)
-        dump_json(doc, path)
-        for load in (load_model, load_model_rounds):
-            with pytest.raises(ValueError, match=message):
-                load(path)
 
 
 def _model_rounds(path):
@@ -599,6 +550,33 @@ def test_load_json_matches_json_load(tmp_path, fitted):
         with open(path) as fh:
             want = json.load(fh)
         assert _same(load_json(str(path)), want)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_load_json_reads_across_its_pieces_as_json_load_does(tmp_path, newline):
+    # load_json reads 1 MiB of text at a time: a non-ASCII string spans the first
+    # boundary, and the second piece ends on a line break
+    piece, name = 1 << 20, "é€😀" * 4
+    head = '{"pad": "' + "a" * (piece - 26) + '",\n "name": "'
+    middle = head + name + '",\n "more": "'
+    middle += "b" * (2 * piece - 3 - len(middle)) + '",\n'
+    assert len(head) < piece < len(head) + len(name) and len(middle) == 2 * piece
+    rows = "".join(f"\n  [{i / 7!r}, {i}]," for i in range(20_000))
+    text = middle + ' "rows": [' + rows + "\n  []\n ]\n}\n"
+    path = tmp_path / "doc.json"
+    path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+    with open(path) as fh:
+        want = json.load(fh)
+    got = load_json(str(path))
+    assert _same(got, want) and got["name"] == name and len(got["rows"]) == 20_001
+    # cut inside the last row: the error's message and position are json.load's
+    path.write_bytes(text[:-12].replace("\n", newline).encode("utf-8"))
+    with open(path) as fh, pytest.raises(json.JSONDecodeError) as want:
+        json.load(fh)
+    with pytest.raises(json.JSONDecodeError) as got:
+        load_json(str(path))
+    assert str(got.value) == str(want.value)
+    assert (got.value.pos, got.value.lineno, got.value.colno) == (want.value.pos, want.value.lineno, want.value.colno)
 
 
 def test_load_json_decodes_each_float_text_once(tmp_path, fitted):

@@ -1,4 +1,4 @@
-"""Probability tables: fitting, fairness measures, KL, mollifier membership."""
+"""Probability tables: fitting, fairness measures, KL."""
 
 import math
 
@@ -10,12 +10,11 @@ from fairboost import (
     discrimination_control,
     fit_empirical,
     kl_divergence,
-    mollifier_membership,
     representation_rate,
     statistical_rate,
 )
 from fairboost.schema import Attribute, AttributeSchema
-from fairboost.tabular import _sample_cdf
+from fairboost.tabular import _KL_BLOCK, _sample_cdf
 
 from conftest import dataset_from_rows, density, group_matrix, random_density, xa_schema, xya_schema
 
@@ -341,6 +340,36 @@ def test_kl_absolute_continuity():
     assert kl_divergence(q.mass, p.mass) > 0.0
 
 
+B = _KL_BLOCK
+
+
+@pytest.mark.parametrize(
+    "zero_runs",
+    [
+        [(B, 100)], [(B + B // 2, 100)], [(2 * B - 100, 100)],
+        [(B + 1, B - 1)], [(B, B)], [(B - 1, B + 1)], [(0, 7), (3 * B + 12, 5)],
+    ],
+    ids=["block-start", "block-middle", "block-end", "block-minus-1", "one-block", "block-plus-1", "both-ends"],
+)
+def test_kl_blocks_keep_the_whole_array_bits(rng, zero_runs):
+    # each block's terms are the whole-array expression's, and one sum runs over them all
+    pm, qm = rng.random(3 * B + 17) ** 3, rng.random(3 * B + 17) + 1e-3
+    for start, length in zero_runs:
+        pm[start : start + length] = 0.0
+    pm /= pm.sum()
+    qm /= qm.sum()
+    support = pm > 0
+    p, q = pm[support], qm[support]
+    whole = np.float64(((np.log(p) - np.log(q)) * p).sum())
+    assert whole > 0.0
+    for got in (kl_divergence(pm, qm), kl_divergence(p, q)):
+        assert np.float64(got).view(np.uint64) == whole.view(np.uint64)
+    qm[3 * B + 9] = 0.0  # inside p's support, in the last block
+    assert pm[3 * B + 9] > 0.0
+    with pytest.raises(ValueError, match="absolute continuity violated"):
+        kl_divergence(pm, qm)
+
+
 def test_kl_nonnegative_zero_only_at_equality(rng):
     s = xa_schema(nx=4)
     for _ in range(50):
@@ -356,57 +385,3 @@ def test_kl_schema_mismatch(rng):
     p, q = random_density(xa_schema(nx=2), rng), random_density(xa_schema(nx=3), rng)
     with pytest.raises(ValueError, match=r"mass vectors are not aligned: shapes \(4,\) and \(6,\)"):
         kl_divergence(p.mass, q.mass)
-
-
-# -- mollifier membership --
-
-
-def two_group_marginal(r):
-    """Two-group density with sensitive-marginal ratio r (a0/a1)."""
-    return density(a_only_schema(), [r / (1.0 + r), 1.0 / (1.0 + r)])
-
-
-def test_membership_identity(rng):
-    s = xa_schema(nx=3)
-    d = random_density(s, rng)
-    assert mollifier_membership(d, d, 1e-6)
-
-
-def test_membership_boundary():
-    eps = 0.4
-    q0 = two_group_marginal(1.0)
-    q = two_group_marginal(math.exp(-eps / 2.0))
-    assert mollifier_membership(q, q0, eps)
-    beyond = two_group_marginal(math.exp(-eps) - 1e-3)
-    assert not mollifier_membership(beyond, q0, eps)
-
-
-def test_membership_errors():
-    q0 = two_group_marginal(1.0)
-    with pytest.raises(ValueError, match="eps"):
-        mollifier_membership(q0, q0, 0.0)
-    with pytest.raises(ValueError, match="degenerate marginal"):
-        mollifier_membership(density(a_only_schema(), [1.0, 0.0]), q0, 0.5)
-
-
-def test_fair_anchor_membership_implies_rr(rng):
-    # members of an eps-mollifier around a perfectly fair anchor keep RR >= exp(-eps)
-    s = a_only_schema(3)
-    anchor = density(s, [1.0, 1.0, 1.0])
-    for _ in range(200):
-        d = random_density(s, rng, floor=0.05)
-        for eps in (0.2, 0.7, 1.5):
-            if mollifier_membership(d, anchor, eps):
-                assert representation_rate(d) >= math.exp(-eps) - 1e-12
-
-
-def test_rr_implies_membership(rng):
-    # RR >= exp(-eps/2) puts a density inside the eps-mollifier of a fair anchor
-    s = a_only_schema(3)
-    anchor = density(s, [1.0, 1.0, 1.0])
-    for _ in range(200):
-        d = random_density(s, rng, floor=0.05)
-        eps = -2.0 * math.log(representation_rate(d))
-        if eps <= 0.0:
-            eps = 1e-9
-        assert mollifier_membership(d, anchor, eps)
