@@ -9,8 +9,12 @@ byte-identical files.  ``dump_json`` writes exactly
 what ``json.dump(doc, indent=2)`` would, but also takes 1-D float64 arrays:
 ``json.dumps`` lays the document out with a placeholder string for each
 array, and each array is streamed in its place, each distinct value
-formatted once.  The trace is one ``csv`` row per ``TraceRow``, ``str`` of
-each value and an empty cell for None.
+formatted once.  The model readers stream that layout back: the anchor
+rows line by line, each distinct entry line checked and decoded once, and
+only the rest of the document through ``json``; a model file in any other
+layout is read whole, by ``load_json``, to the same result or the same
+error.  The trace is one ``csv`` row per ``TraceRow``, ``str`` of each
+value and an empty cell for None.
 The model document stores the run id, the leveraging scheme, the anchor
 schema and conditionals and the per-round {theta, classifier, z, z_by_group}
 in boosting order; stored normalizers are authoritative and never recomputed
@@ -42,6 +46,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 from typing import Sequence
 
 import numpy as np
@@ -126,10 +131,12 @@ class _FloatMemo(dict):
 def load_json(path: str) -> dict:
     """``json.load`` of ``path``, each distinct float text decoded once.
 
-    A model's anchor rows repeat a handful of values across millions of
-    cells; every repeat shares one float object.  The text is read as
-    ``json.load`` reads it (``open(path)``'s decoding and newlines), in
-    pieces, so the file's bytes and its text are never held together.
+    It reads metrics and reports, and any model file not laid out as
+    ``dump_json`` writes it (the model readers stream the rest).  A model's
+    anchor rows repeat a handful of values across millions of cells; every
+    repeat shares one float object.  The text is read as ``json.load`` reads
+    it (``open(path)``'s decoding and newlines), in pieces, so the file's
+    bytes and its text are never held together.
     """
     text = ""
     with open(path) as fh:
@@ -260,6 +267,83 @@ def save_model(bd: BoostedDensity, path: str, scheme: LeveragingScheme, run_id: 
     dump_json(doc, path)
 
 
+#: the line before a model's anchor rows, as ``dump_json`` writes it
+_ROWS_LINE = '    "conditionals": [\n'
+#: an anchor entry line as ``dump_json`` writes all but a row's last: 8 spaces, a JSON number
+#: with a fraction or an exponent (so ``json`` reads it as a float), a comma
+_ENTRY = re.compile(r" {8}-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+),\n")
+
+
+class _EntryMemo(dict):
+    """``float`` of each anchor entry line, checked against ``_ENTRY`` the first time it is seen."""
+
+    def __missing__(self, line: str) -> float:
+        if not _ENTRY.fullmatch(line):
+            raise ValueError(f"not an anchor entry line: {line!r}")
+        value = self[line] = float(line[8:-2])
+        return value
+
+
+def _stream_model(path: str, anchor: bool) -> dict:
+    """``load_json(path)``, with ``q0.conditionals`` read line by line as one
+    (|A|, n_x) float64 array, or as None when ``anchor`` is false.  Text off
+    ``dump_json``'s layout raises: a ValueError, or whatever looking up the
+    schema in the head raises.
+
+    The text before ``_ROWS_LINE`` gives the schema and so the anchor's shape.
+    Each row is an opening line, its entry lines and a closing line.  The rest
+    of the document is parsed with the one constant ``NaN`` in the rows'
+    place, which must land at ``q0.conditionals``.
+    """
+    with open(path) as fh:
+        head = ""  # one string grown in place, as in load_json: a file without the line is held once
+        for line in fh:
+            if line == _ROWS_LINE:
+                break
+            head += line
+        else:
+            raise ValueError("no anchor rows line")
+        schema = json.loads(head + '"conditionals": null}}')["q0"]["schema"]
+        cards = [a["cardinality"] for a in schema["attributes"]]
+        n_a, n_x = cards.pop(schema["sensitive_index"]), math.prod(cards)
+        cond, memo = np.empty((n_a, n_x)) if anchor else None, _EntryMemo()
+        for a in range(n_a):
+            if fh.readline() != "      [\n":
+                raise ValueError("an anchor row does not open on its own line")
+            entries = np.fromiter(map(memo.__getitem__, fh), np.float64, n_x - 1)
+            last = memo[fh.readline().replace("\n", ",\n")]  # the one entry line without a comma
+            if fh.readline() != ("      ]\n" if a == n_a - 1 else "      ],\n"):
+                raise ValueError("an anchor row does not close on its own line")
+            if anchor:
+                cond[a, :-1], cond[a, -1] = entries, last
+            del entries  # before the next row's: one row is held beside the anchor
+        close = fh.readline()
+        if close[:5] != "    ]":
+            raise ValueError("the anchor rows do not close on their own line")
+        text = head + '    "conditionals": NaN' + close[5:] + fh.read()
+    constants = []  # what json makes of each NaN, Infinity or -Infinity: a new object
+
+    def constant(_: str) -> object:
+        constants.append(object())
+        return constants[-1]
+
+    doc = json.loads(text, parse_float=_FloatMemo().__getitem__, parse_constant=constant)
+    if constants != [doc["q0"]["conditionals"]]:
+        raise ValueError("the anchor rows are not the document's q0.conditionals")
+    doc["q0"]["conditionals"] = cond
+    return doc
+
+
+def _read_model(path: str, anchor: bool) -> dict:
+    """The model document: streamed when it has ``dump_json``'s layout, else ``load_json``'s."""
+    try:
+        return _stream_model(path, anchor)
+    except Exception:  # the whole-text parse reads the file as before, or fails as before
+        pass
+    # outside the handler, so the failed attempt's frames and buffer are gone
+    return load_json(path)
+
+
 class _ModelReader:
     """One parsed model document, decoded field by field.
 
@@ -270,8 +354,8 @@ class _ModelReader:
     holds a number out of range``.  Every reader starts with ``header()``.
     """
 
-    def __init__(self, path: str):
-        self.doc = load_json(path)
+    def __init__(self, path: str, anchor: bool):
+        self.doc = _read_model(path, anchor)
         self.field = "document"
 
     def __enter__(self) -> "_ModelReader":
@@ -346,18 +430,23 @@ class _ModelReader:
 
 
 def load_model(path: str) -> tuple[BoostedDensity, LeveragingScheme, str]:
-    """The fitted stack, its scheme and its run id."""
-    with _ModelReader(path) as reader:
+    """The fitted stack, its scheme and its run id.
+
+    A file as ``save_model`` writes it has its anchor rows read line by line
+    into the array the anchor adopts, and no text of them is held; any other
+    file is read whole by ``load_json``, to the same stack or the same error."""
+    with _ModelReader(path, anchor=True) as reader:
         scheme, run_id = reader.header()
         schema = reader.schema()
         reader.field = "q0.conditionals"
         cond = reader.doc["q0"]["conditionals"]
-        if len({len(row) for row in cond}) > 1:
-            raise ValueError("q0 conditionals: rows differ in length")
-        # JSON numbers only: a boolean, a string or a null is the wrong JSON type
-        if not all({*map(type, row)} <= {int, float} for row in cond):
-            raise TypeError
-        cond = np.asarray(cond, dtype=np.float64)
+        if type(cond) is not np.ndarray:  # read whole: JSON lists
+            if len({len(row) for row in cond}) > 1:
+                raise ValueError("q0 conditionals: rows differ in length")
+            # JSON numbers only: a boolean, a string or a null is the wrong JSON type
+            if not all({*map(type, row)} <= {int, float} for row in cond):
+                raise TypeError
+            cond = np.asarray(cond, dtype=np.float64)
         cond.setflags(write=False)  # a fresh array: the anchor adopts it
         q0 = InitialDensity(schema, cond)
         rounds = reader.rounds(schema, scheme.c_bound)
@@ -366,8 +455,11 @@ def load_model(path: str) -> tuple[BoostedDensity, LeveragingScheme, str]:
 
 def load_model_rounds(path: str) -> tuple[LeveragingScheme, str, list[BoostRound]]:
     """The scheme, the run id and every round, decoded and checked as
-    ``load_model`` decodes them, without building the anchor or the stack."""
-    with _ModelReader(path) as reader:
+    ``load_model`` decodes them, without building the anchor or the stack.
+
+    The file is read as ``load_model`` reads it, but the anchor rows are only
+    checked as JSON, one row at a time, and none is kept."""
+    with _ModelReader(path, anchor=False) as reader:
         scheme, run_id = reader.header()
         return scheme, run_id, reader.rounds(reader.schema(), scheme.c_bound)
 

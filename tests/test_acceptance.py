@@ -19,26 +19,24 @@ import numpy as np
 import pytest
 
 from fairboost import (
-    HBS,
     BoostedDensity,
     LeveragingScheme,
-    discrimination_control,
     fit_empirical,
     kl_divergence,
     kl_drop_bound,
     leverage,
-    load_model,
-    load_trace,
-    mollifier_size,
     representation_rate,
     rr_lower_bound,
     statistical_rate,
     verify_eo,
 )
 from fairboost.cli import main
+from fairboost.engine import mollifier_size
 from fairboost.guarantees import delta_bounds, exact_round_margins
 from fairboost.pipeline import load_csv_with_schema
-from fairboost.tree import boosting_regime
+from fairboost.serialize import load_model, load_trace
+from fairboost.tabular import discrimination_control
+from fairboost.tree import HBS, boosting_regime
 
 from conftest import extend, random_initial, table_classifier, xya_schema
 

@@ -6,9 +6,6 @@ import numpy as np
 import pytest
 
 from fairboost import (
-    EXACT,
-    FAIL,
-    RELATIVE,
     BoostedDensity,
     Dataset,
     FitConfig,
@@ -19,11 +16,12 @@ from fairboost import (
     fit_empirical,
     kl_divergence,
     leverage,
-    mollifier_size,
     representation_rate,
     rr_lower_bound,
     seeds,
 )
+from fairboost.engine import EXACT, RELATIVE, mollifier_size
+from fairboost.tree import FAIL
 
 from conftest import LN2, uniform_initial, xa_schema
 

@@ -8,35 +8,28 @@ import numpy as np
 import pytest
 
 from fairboost import (
-    EXACT,
-    HBS,
-    LBS,
     BoostedDensity,
     BoostRound,
     Dataset,
-    DeltaBounds,
     FitConfig,
     InitialDensity,
     LeveragingScheme,
     TabularDensity,
-    TraceRow,
     build_report,
     delta_bounds,
     dc_from_rr,
-    eo_fnr_bound,
-    exact_round_margins,
     fbde_fit,
     fit_empirical,
-    gain_ratio,
     kl_divergence,
     kl_drop_bound,
-    margin_gain,
     rr_lower_bound,
     sr_from_rr,
     verify_eo,
 )
 from fairboost.boosted import representation_rates
-from fairboost.tree import boosting_regime
+from fairboost.engine import EXACT, TraceRow
+from fairboost.guarantees import DeltaBounds, eo_fnr_bound, exact_round_margins, gain_ratio, margin_gain
+from fairboost.tree import HBS, LBS, boosting_regime
 
 from conftest import (
     LN2,

@@ -2,12 +2,13 @@
 
 Each bound is the ``tracemalloc`` peak of one call above the memory held when
 the call starts, in units of one float64 table over the domain (``n_cells * 8``
-bytes), or of the file's size for ``load_json``.  numpy reports its array
+bytes), or of the file's size for the readers.  numpy reports its array
 buffers to ``tracemalloc``, so the peaks count every domain-sized array a call
 holds at once.  The fixture has 432k cells and 2,000 rows, so p-hat's support
 is under 0.5% of the domain.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -20,12 +21,12 @@ from fairboost import (
     Dataset,
     FitConfig,
     LeveragingScheme,
-    build_initial,
     fbde_fit,
     fit_empirical,
     kl_divergence,
 )
-from fairboost.serialize import dump_json, load_json
+from fairboost.pipeline import build_initial
+from fairboost.serialize import dump_json, load_json, load_model, load_model_rounds, save_model
 
 BINS, FEATURES, ROWS = 60, 3, 2000
 
@@ -98,3 +99,29 @@ def test_load_json_holds_the_text_once(tmp_path):
     doc, files = _peak(lambda: load_json(str(path)), size)
     assert len(doc["values"]) == 480_000
     assert files <= 1.6
+
+
+def test_model_readers_stream_the_anchor_rows(tmp_path, wide_data):
+    # a model of 432,000 anchor entries, about 31 bytes of text each: the round reader holds
+    # one row of entries (8 bytes each, half the anchor), about 0.13 file sizes; the whole
+    # text and its parsed lists, 1.33, are never held.  load_model adds the anchor it
+    # builds, cond and log_cond, about 0.26 each
+    path = str(tmp_path / "model.json")
+    q0 = build_initial(wide_data, wide_data.schema, 1.0)
+    save_model(BoostedDensity(q0), path, LeveragingScheme("exact", 0.8), run_id="run-1")
+    size = (tmp_path / "model.json").stat().st_size
+    assert size >= 12 << 20
+    (_, _, rounds), files = _peak(lambda: load_model_rounds(path), size)
+    assert rounds == [] and files <= 0.2
+    (stack, _, _), files = _peak(lambda: load_model(path), size)
+    assert stack.q0.cond.shape == (2, BINS**FEATURES) and files <= 0.75
+    # a file in another layout is read whole, 1.22 file sizes as before: the failed attempt
+    # holds its text once, and nothing of it is left when load_json starts (its lines, held
+    # one by one, would be 2.48)
+    doc = load_json(path)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=4)
+    del doc
+    size = (tmp_path / "model.json").stat().st_size
+    (_, _, rounds), files = _peak(lambda: load_model_rounds(path), size)
+    assert rounds == [] and files <= 1.6

@@ -11,16 +11,12 @@ from fairboost import (
     BoostedDensity,
     CsvSpec,
     Dataset,
-    MixtureParams,
-    build_initial,
     fit_empirical,
-    generate_mixture,
     infer_csv_spec,
-    kfold,
     load_csv,
     load_csv_with_schema,
-    write_mixture_csv,
 )
+from fairboost.pipeline import MixtureParams, build_initial, generate_mixture, kfold, write_mixture_csv
 
 from conftest import xa_schema
 

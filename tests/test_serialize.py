@@ -9,36 +9,36 @@ import numpy as np
 import pytest
 
 from fairboost import (
-    FAIL,
-    HBS,
-    LBS,
     Attribute,
     AttributeSchema,
     BoostedDensity,
     Dataset,
+    DecisionTreeClassifier,
     FitConfig,
     LeveragingScheme,
-    TraceRow,
     TreeConfig,
-    build_initial,
     fbde_fit,
-    load_model,
-    load_trace,
-    manifest_id,
-    save_model,
-    save_trace,
     train_tree,
 )
+from fairboost import serialize
+from fairboost.engine import TraceRow
+from fairboost.pipeline import build_initial
 from fairboost.serialize import (
     TRACE_HEADER,
     _CHUNK,
     dump_json,
     load_json,
+    load_model,
     load_model_rounds,
+    load_trace,
+    manifest_id,
+    save_model,
+    save_trace,
     sha256_file,
 )
+from fairboost.tree import FAIL, HBS, LBS, Node
 
-from conftest import extend, tree_nodes, uniform_initial, xa_schema, xya_schema
+from conftest import extend, random_initial, tree_nodes, uniform_initial, xa_schema, xya_schema
 
 LN2 = math.log(2.0)
 
@@ -294,6 +294,124 @@ def test_model_rejects_bad_round_values(tmp_path, fitted, field, value, message)
     for load in (load_model, load_model_rounds):
         with pytest.raises(ValueError, match=message):
             load(path)
+
+
+def _stack_with_sensitive_at(position, groups, feature_cards, rng):
+    """A two-round stack of trees on a random anchor: features of ``feature_cards``,
+    with the sensitive column of ``groups`` values at ``position``."""
+    attrs = [Attribute(f"x{j}", card) for j, card in enumerate(feature_cards)]
+    attrs.insert(position, Attribute("a", groups))
+    schema = AttributeSchema(tuple(attrs), sensitive_index=position)
+    stack = BoostedDensity(random_initial(schema, rng))
+    for value, leaf in [(0, 0.4), (feature_cards[-1] // 2, -0.3)]:
+        split = Node(attr=len(feature_cards) - 1, op="le", value=value, left=Node(leaf=leaf), right=Node(leaf=-leaf))
+        stack = extend(stack, DecisionTreeClassifier(root=split, c_bound=LN2), 0.2)
+    return stack
+
+
+def _rounds_bits(rounds):
+    return [(r.theta, r.z, r.z_by_group.tobytes(), tree_nodes(r.classifier)) for r in rounds]
+
+
+def _refuse(path):
+    raise AssertionError(f"{path} was read whole")
+
+
+@pytest.mark.parametrize(
+    "groups, position, feature_cards",
+    [(2, 0, (3, 4)), (2, 1, (3, 4)), (2, 2, (3, 4)), (3, 0, (5, 2)), (3, 1, (5, 2)), (3, 2, (5, 2)), (2, 1, (1,))],
+    ids=["2-first", "2-middle", "2-last", "3-first", "3-middle", "3-last", "one-entry-rows"],
+)
+def test_saved_models_stream_their_anchor_rows(tmp_path, monkeypatch, rng, groups, position, feature_cards):
+    # what save_model writes is read without the whole-text parse, to the same bits
+    stack = _stack_with_sensitive_at(position, groups, feature_cards, rng)
+    scheme, path = LeveragingScheme("exact", 0.8, LN2), str(tmp_path / "m.json")
+    save_model(stack, path, scheme, run_id="run-1")
+    monkeypatch.setattr(serialize, "load_json", _refuse)
+    back, back_scheme, run_id = load_model(path)
+    assert (back_scheme, run_id) == (scheme, "run-1")
+    assert back.q0.cond.shape == (groups, back.q0.x_schema.n_cells)
+    assert back.q0.cond.tobytes() == stack.q0.cond.tobytes()
+    assert back.table().mass.tobytes() == stack.table().mass.tobytes()
+    assert _rounds_bits(back.rounds) == _rounds_bits(stack.rounds)
+    rounds_scheme, rounds_id, rounds = load_model_rounds(path)
+    assert (rounds_scheme, rounds_id, _rounds_bits(rounds)) == (scheme, "run-1", _rounds_bits(stack.rounds))
+
+
+def _outcomes(path):
+    """What ``load_model`` and ``load_model_rounds`` make of ``path``: bits, or the error."""
+    out = []
+    for load in (load_model, load_model_rounds):
+        try:
+            result = load(path)
+        except Exception as exc:
+            out.append((type(exc), str(exc)))
+            continue
+        if load is load_model:
+            stack, scheme, run_id = result
+            bits = stack.q0.cond.tobytes(), stack.table().mass.tobytes(), _rounds_bits(stack.rounds)
+            out.append((*bits, scheme, run_id))
+        else:
+            out.append((result[0], result[1], _rounds_bits(result[2])))
+    return out
+
+
+def _rows_edit(edit):
+    """A model text with the lines of its anchor rows replaced by ``edit(lines)``."""
+
+    def apply(text):
+        lines = text.split("\n")
+        start = lines.index('    "conditionals": [') + 1
+        stop = lines.index("    ]", start)
+        return "\n".join(lines[:start] + edit(lines[start:stop]) + lines[stop:])
+
+    return apply
+
+
+# layout -> (whether the streamed read takes it, the edit of the fitted model's text).  Its rows
+# are 2 x 4: lines 0 and 6 open a row, 1-4 and 7-10 are entries, 5 and 11 close one
+_LAYOUTS = {
+    "crlf": (True, lambda text: text.replace("\n", "\r\n")),
+    "cr": (True, lambda text: text.replace("\n", "\r")),
+    "reindented": (False, _rows_edit(lambda rows: ["  " + line for line in rows])),
+    "integer": (False, _rows_edit(lambda rows: rows[:1] + ["        1,"] + rows[2:])),
+    "nan": (False, _rows_edit(lambda rows: rows[:1] + ["        NaN,"] + rows[2:])),
+    "trailing-comma": (False, _rows_edit(lambda rows: rows[:4] + [rows[4] + ","] + rows[5:])),
+    "missing-comma": (False, _rows_edit(lambda rows: rows[:2] + [rows[2][:-1]] + rows[3:])),
+    "row-short": (False, _rows_edit(lambda rows: rows[:3] + [rows[3][:-1]] + rows[5:])),
+    "row-long": (False, _rows_edit(lambda rows: rows[:4] + [rows[4] + ",", rows[4]] + rows[5:])),
+    "one-line": (False, _rows_edit(lambda rows: [" ".join(line.strip() for line in rows)])),
+    "rows-comma-missing": (False, _rows_edit(lambda rows: rows[:5] + ["      ]"] + rows[6:])),
+    "row-opened-by-brace": (False, _rows_edit(lambda rows: rows[:6] + ["      {"] + rows[7:])),
+    "rows-closed-by-brace": (False, lambda text: text.replace("      ]\n    ]\n", "      ]\n    }\n", 1)),
+    "nan-elsewhere": (False, lambda text: text.replace('"z": ', '"z": NaN, "was": ', 1)),
+    "key-in-scheme": (False, lambda text: text.replace(
+        '"value": null\n  },', '"value": null,\n    "conditionals": [\n      [\n        0.5\n      ]\n    ]\n  },', 1
+    )),
+    "cut-in-rows": (False, lambda text: text[: text.index('    "conditionals": [') + 60]),  # in row 0's 2nd entry
+}
+
+
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+def test_model_text_off_the_layout_reads_as_the_whole_text(tmp_path, fitted, monkeypatch, layout):
+    # the streamed read refuses any text it cannot read as json would; the whole-text parse then
+    # gives the same stack and rounds, or the same error
+    streams, edit = _LAYOUTS[layout]
+    stack, scheme, _ = fitted
+    path = tmp_path / "m.json"
+    save_model(stack, str(path), scheme=scheme, run_id="run-1")
+    text = edit(path.read_text())
+    assert text != path.read_text()
+    path.write_bytes(text.encode())
+    try:
+        serialize._stream_model(str(path), anchor=True)
+    except Exception:
+        assert not streams
+    else:
+        assert streams
+    got = _outcomes(str(path))
+    monkeypatch.setattr(serialize, "_stream_model", lambda *args: _refuse(args[0]))
+    assert got == _outcomes(str(path))
 
 
 # -- traces -------------------------------------------------------------

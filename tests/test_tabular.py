@@ -7,14 +7,13 @@ import pytest
 
 from fairboost import (
     TabularDensity,
-    discrimination_control,
     fit_empirical,
     kl_divergence,
     representation_rate,
     statistical_rate,
 )
 from fairboost.schema import Attribute, AttributeSchema
-from fairboost.tabular import _KL_BLOCK, _sample_cdf
+from fairboost.tabular import _KL_BLOCK, _sample_cdf, discrimination_control
 
 from conftest import dataset_from_rows, density, group_matrix, random_density, xa_schema, xya_schema
 

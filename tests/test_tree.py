@@ -7,9 +7,6 @@ import numpy as np
 import pytest
 
 from fairboost import (
-    FAIL,
-    HBS,
-    LBS,
     Attribute,
     AttributeSchema,
     Dataset,
@@ -19,7 +16,7 @@ from fairboost import (
 )
 
 from conftest import LN2, table_classifier, tree_nodes, wla, xa_schema
-from fairboost.tree import _GAIN_TOL, LEAF_SMOOTHING, Node, _gini_terms
+from fairboost.tree import _GAIN_TOL, FAIL, HBS, LBS, LEAF_SMOOTHING, Node, _gini_terms
 
 CFG = TreeConfig()
 
