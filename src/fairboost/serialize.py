@@ -2,51 +2,50 @@
 
 ``json`` and ``csv`` do all the formatting; this module adds only what they
 cannot do.  All JSON documents carry a ``format`` tag and integer
-``version``.  Floats round-trip exactly (shortest-repr encoding on write;
-on read, each distinct number text is parsed once, exactly), and writers
-emit keys in a fixed order, so rewriting the same state produces
-byte-identical files.  ``dump_json`` writes exactly
-what ``json.dump(doc, indent=2)`` would, but also takes 1-D float64 arrays:
-``json.dumps`` lays the document out with a placeholder string for each
-array, and each array is streamed in its place, each distinct value
-formatted once.  The model readers stream that layout back: the anchor
-rows line by line, each distinct entry line checked and decoded once, and
-only the rest of the document through ``json``; a model file in any other
-layout is read whole, by ``load_json``, to the same result or the same
-error.  The trace is one ``csv`` row per ``TraceRow``, ``str`` of each
-value and an empty cell for None.
+``version``.  Floats round-trip exactly (shortest-repr encoding), and
+writers emit keys in a fixed order, so rewriting the same state produces
+byte-identical files.  ``dump_json`` writes exactly what ``json.dump(doc,
+indent=2)`` would, but also takes 1-D float64 arrays, each streamed in its
+place with each distinct value formatted once.
+
 The model document stores the run id, the leveraging scheme, the anchor
 schema and conditionals and the per-round {theta, classifier, z, z_by_group}
 in boosting order; stored normalizers are authoritative and never recomputed
-on load.  Its layout, the schema's and every tree's included, is known here
-only.  ``load_model`` returns the stack, the scheme and the run id;
-``load_model_rounds`` returns the scheme, the run id and the same decoded
-rounds, without building the anchor or the stack.  Loading rejects missing
-keys, values of the wrong JSON type (naming the field; ``rounds`` is a list,
-so ``{}`` is not read as zero rounds), bin edges that are
-not finite and non-decreasing (naming the attribute), anchor rows that are
-not distributions of JSON numbers (``load_model`` only), a theta <= 0, round
-values ``BoostRound`` refuses, trees no fit could have produced and trees
-whose score bound is not the scheme's C, prefixing every error of round t
-with ``round t: ``.  An
-integer field takes only a JSON integer, a number field (the entries of
-``z_by_group`` and of the anchor rows included) any JSON number but no string
-or boolean, and a name or a category only a JSON string.  So a stored value
-is refused on load or leaves the outputs of ``eval`` and ``guarantees``
-unchanged, with two exceptions: no reader recomputes the normalizers, so a
-``z`` or ``z_by_group`` entry moved by an ulp can pass, and ``eval`` reads a
-model without its last round as a shorter fit of the same run.  A trace is
-read in the one shape ``fbde_fit`` writes (see ``_trace_row``).
+on load.  Its layout is known here only, and a model is read in the one
+layout ``save_model`` writes: the anchor rows line by line, each distinct
+entry line decoded once, and the rest through ``json``.  A model in another
+layout is refused; a file that is not JSON ends in ``json``'s own error.
+``load_model`` returns the stack, the scheme and the run id;
+``load_model_rounds`` the scheme, the run id and the same decoded rounds,
+without building the anchor or the stack.  Loading rejects missing keys,
+values of the wrong JSON type (naming the field; ``rounds`` is a list, so
+``{}`` is not read as zero rounds), bin edges that are not finite and
+non-decreasing (naming the attribute), anchor rows that are not
+distributions (``load_model`` only), a theta <= 0, round values
+``BoostRound`` refuses, trees no fit could have produced and trees whose
+score bound is not the scheme's C, prefixing every error of round t with
+``round t: ``.  An integer field takes only a JSON integer, a number field
+(the entries of ``z_by_group`` and of the anchor rows included) any JSON
+number but no string or boolean, and a name or a category only a JSON
+string.  So a stored value is refused on load or leaves the outputs of
+``eval`` and ``guarantees`` unchanged, with two exceptions: no reader
+recomputes the normalizers, so a ``z`` or ``z_by_group`` entry moved by an
+ulp can pass, and ``eval`` reads a model without its last round as a
+shorter fit of the same run.
+
+The trace is one ``csv`` row per ``TraceRow``, ``str`` of each value and an
+empty cell for None, and is read in the one shape ``fbde_fit`` writes (see
+``_trace_row``).
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
-import re
 from typing import Sequence
 
 import numpy as np
@@ -118,33 +117,6 @@ def _write_floats(fh, arr: np.ndarray, depth: int) -> None:
     for start in range(0, len(arr), _CHUNK):
         fh.write(("" if start == 0 else sep) + sep.join(texts[which[start : start + _CHUNK]]))
     fh.write("\n" + "  " * depth + "]")
-
-
-class _FloatMemo(dict):
-    """``float(text)`` for each number text, decoded the first time it is seen."""
-
-    def __missing__(self, text: str) -> float:
-        value = self[text] = float(text)
-        return value
-
-
-def load_json(path: str) -> dict:
-    """``json.load`` of ``path``, each distinct float text decoded once.
-
-    It reads metrics and reports, and any model file not laid out as
-    ``dump_json`` writes it (the model readers stream the rest).  A model's
-    anchor rows repeat a handful of values across millions of cells; every
-    repeat shares one float object.  The text is read as ``json.load`` reads
-    it (``open(path)``'s decoding and newlines), in pieces, so the file's
-    bytes and its text are never held together.
-    """
-    text = ""
-    with open(path) as fh:
-        # CPython grows a str that only this name refers to in place, so
-        # the text exists once, not once per concatenation
-        for piece in iter(lambda: fh.read(1 << 20), ""):
-            text += piece
-    return json.loads(text, parse_float=_FloatMemo().__getitem__)
 
 
 def sha256_file(path: str) -> str:
@@ -267,108 +239,108 @@ def save_model(bd: BoostedDensity, path: str, scheme: LeveragingScheme, run_id: 
     dump_json(doc, path)
 
 
-#: the line before a model's anchor rows, as ``dump_json`` writes it
+#: the line before a model's anchor rows, as ``save_model`` writes it
 _ROWS_LINE = '    "conditionals": [\n'
-#: an anchor entry line as ``dump_json`` writes all but a row's last: 8 spaces, a JSON number
-#: with a fraction or an exponent (so ``json`` reads it as a float), a comma
-_ENTRY = re.compile(r" {8}-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+),\n")
+_LAYOUT = "model field 'q0.conditionals' is not laid out as save_model writes it"
 
 
 class _EntryMemo(dict):
-    """``float`` of each anchor entry line, checked against ``_ENTRY`` the first time it is seen."""
+    """The number of each anchor entry line (8 spaces, a JSON value, a comma), read by
+    ``json.loads`` and ``_number`` the first time it is seen; another line raises ValueError."""
 
     def __missing__(self, line: str) -> float:
-        if not _ENTRY.fullmatch(line):
-            raise ValueError(f"not an anchor entry line: {line!r}")
-        value = self[line] = float(line[8:-2])
+        text = line[8:-2]
+        if line != "        " + text.strip() + ",\n":
+            raise ValueError(line)
+        value = self[line] = _number(json.loads(text))
         return value
 
 
-def _stream_model(path: str, anchor: bool) -> dict:
-    """``load_json(path)``, with ``q0.conditionals`` read line by line as one
-    (|A|, n_x) float64 array, or as None when ``anchor`` is false.  Text off
-    ``dump_json``'s layout raises: a ValueError, or whatever looking up the
-    schema in the head raises.
-
-    The text before ``_ROWS_LINE`` gives the schema and so the anchor's shape.
-    Each row is an opening line, its entry lines and a closing line.  The rest
-    of the document is parsed with the one constant ``NaN`` in the rows'
-    place, which must land at ``q0.conditionals``.
-    """
-    with open(path) as fh:
-        head = ""  # one string grown in place, as in load_json: a file without the line is held once
-        for line in fh:
-            if line == _ROWS_LINE:
-                break
-            head += line
-        else:
-            raise ValueError("no anchor rows line")
-        schema = json.loads(head + '"conditionals": null}}')["q0"]["schema"]
-        cards = [a["cardinality"] for a in schema["attributes"]]
-        n_a, n_x = cards.pop(schema["sensitive_index"]), math.prod(cards)
-        cond, memo = np.empty((n_a, n_x)) if anchor else None, _EntryMemo()
-        for a in range(n_a):
-            if fh.readline() != "      [\n":
-                raise ValueError("an anchor row does not open on its own line")
-            entries = np.fromiter(map(memo.__getitem__, fh), np.float64, n_x - 1)
-            last = memo[fh.readline().replace("\n", ",\n")]  # the one entry line without a comma
-            if fh.readline() != ("      ]\n" if a == n_a - 1 else "      ],\n"):
-                raise ValueError("an anchor row does not close on its own line")
-            if anchor:
-                cond[a, :-1], cond[a, -1] = entries, last
-            del entries  # before the next row's: one row is held beside the anchor
-        close = fh.readline()
-        if close[:5] != "    ]":
-            raise ValueError("the anchor rows do not close on their own line")
-        text = head + '    "conditionals": NaN' + close[5:] + fh.read()
-    constants = []  # what json makes of each NaN, Infinity or -Infinity: a new object
-
-    def constant(_: str) -> object:
-        constants.append(object())
-        return constants[-1]
-
-    doc = json.loads(text, parse_float=_FloatMemo().__getitem__, parse_constant=constant)
-    if constants != [doc["q0"]["conditionals"]]:
-        raise ValueError("the anchor rows are not the document's q0.conditionals")
-    doc["q0"]["conditionals"] = cond
-    return doc
-
-
-def _read_model(path: str, anchor: bool) -> dict:
-    """The model document: streamed when it has ``dump_json``'s layout, else ``load_json``'s."""
-    try:
-        return _stream_model(path, anchor)
-    except Exception:  # the whole-text parse reads the file as before, or fails as before
-        pass
-    # outside the handler, so the failed attempt's frames and buffer are gone
-    return load_json(path)
-
-
 class _ModelReader:
-    """One parsed model document, decoded field by field.
+    """One model file, read by ``read`` and then decoded field by field.
 
     Inside ``with reader:`` a missing key ends in ``model document is missing
     key '<key>'`` and a value of the wrong JSON type in ``model field
     '<field>' has the wrong JSON type``, where ``field`` names the part being
     decoded; an integer too large to convert ends in ``model field '<field>'
-    holds a number out of range``.  Every reader starts with ``header()``.
+    holds a number out of range``.  Every reader starts with ``read``, then
+    ``header()``.
     """
 
-    def __init__(self, path: str, anchor: bool):
-        self.doc = _read_model(path, anchor)
-        self.field = "document"
+    def __init__(self, path: str):
+        self.path, self.field = path, "document"
+
+    def read(self, anchor: bool) -> np.ndarray | None:
+        """The anchor rows as one (|A|, n_x) float64 array, or None when
+        ``anchor`` is false; the rest of the document becomes ``self.doc``.
+
+        The text before ``_ROWS_LINE`` gives the header and the schema, and so
+        the anchor's shape.  Each row is an opening line, its entry lines and
+        a closing line.  The rest is parsed with one ``NaN`` in the rows'
+        place.  A file without the rows line is parsed whole and refused."""
+        with open(self.path) as fh:
+            head = ""  # one string grown in place: a file without the rows line is held once
+            for line in fh:
+                if line == _ROWS_LINE:
+                    rows_at = self._parse(head + '"conditionals": NaN}}', -1)
+                    break
+                head += line
+            else:  # no rows line: parsed whole, and refused once its header and schema are read
+                # one object per float text: an anchor repeats a handful of values
+                self.doc, rows_at = json.loads(head, parse_float=functools.lru_cache(maxsize=None)(float)), None
+            self.header()
+            schema = self.schema()
+            self.field = "q0.conditionals"
+            if rows_at is None:
+                raise ValueError(_LAYOUT) if type(self.doc["q0"]["conditionals"]) is list else TypeError
+            n_a, n_x = schema.sensitive.cardinality, schema.x_subschema().n_cells
+            cond, memo = np.empty((n_a, n_x)) if anchor else None, _EntryMemo()
+            try:
+                for a in range(n_a):
+                    if fh.readline() != "      [\n":
+                        raise ValueError
+                    entries = np.fromiter(map(memo.__getitem__, fh), np.float64, n_x - 1)
+                    last = memo[fh.readline().replace("\n", ",\n")]  # the one entry line without a comma
+                    if fh.readline() != ("      ]\n" if a == n_a - 1 else "      ],\n"):
+                        raise ValueError
+                    if anchor:
+                        cond[a, :-1], cond[a, -1] = entries, last
+                    del entries  # before the next row's: one row is held beside the anchor
+                close = fh.readline()
+                if close[:5] != "    ]":
+                    raise ValueError
+            except ValueError:  # a line off the layout, or a file cut short
+                raise ValueError(_LAYOUT) from None
+            text = head + '    "conditionals": NaN' + close[5:] + fh.read()
+        self._parse(text, rows_at)
+        return cond
+
+    def _parse(self, text: str, rows_at: int) -> int:
+        """``self.doc = json.loads(text)``, refused unless its NaN, Infinity or -Infinity
+        number ``rows_at`` (from the end when negative) is ``q0.conditionals``; that number
+        from the start.  Each constant is a float object of its own, known by identity."""
+        constants = []
+
+        def constant(name: str) -> float:
+            constants.append(float(name))
+            return constants[-1]
+
+        self.doc = json.loads(text, parse_constant=constant)
+        q0 = self.doc.get("q0") if type(self.doc) is dict else None
+        if type(q0) is not dict or q0.get("conditionals") is not constants[rows_at]:
+            raise ValueError(_LAYOUT)
+        return rows_at % len(constants)
 
     def __enter__(self) -> "_ModelReader":
         return self
 
-    def __exit__(self, kind, exc, tb) -> bool:
-        if kind is not None and issubclass(kind, KeyError):
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, KeyError):
             raise ValueError(f"model document is missing key {exc.args[0]!r}") from None
-        if kind is not None and issubclass(kind, (TypeError, AttributeError)):
+        if isinstance(exc, (TypeError, AttributeError)):
             raise ValueError(f"model field {self.field!r} has the wrong JSON type") from None
-        if kind is not None and issubclass(kind, OverflowError):
+        if isinstance(exc, OverflowError):
             raise ValueError(f"model field {self.field!r} holds a number out of range") from None
-        return False
 
     def header(self) -> tuple[LeveragingScheme, str]:
         """The scheme and the run id, once the format and version check out."""
@@ -430,23 +402,12 @@ class _ModelReader:
 
 
 def load_model(path: str) -> tuple[BoostedDensity, LeveragingScheme, str]:
-    """The fitted stack, its scheme and its run id.
-
-    A file as ``save_model`` writes it has its anchor rows read line by line
-    into the array the anchor adopts, and no text of them is held; any other
-    file is read whole by ``load_json``, to the same stack or the same error."""
-    with _ModelReader(path, anchor=True) as reader:
+    """The fitted stack, its scheme and its run id, from a file as ``save_model``
+    writes it: the anchor rows go line by line into the array the anchor adopts."""
+    with _ModelReader(path) as reader:
+        cond = reader.read(anchor=True)
         scheme, run_id = reader.header()
         schema = reader.schema()
-        reader.field = "q0.conditionals"
-        cond = reader.doc["q0"]["conditionals"]
-        if type(cond) is not np.ndarray:  # read whole: JSON lists
-            if len({len(row) for row in cond}) > 1:
-                raise ValueError("q0 conditionals: rows differ in length")
-            # JSON numbers only: a boolean, a string or a null is the wrong JSON type
-            if not all({*map(type, row)} <= {int, float} for row in cond):
-                raise TypeError
-            cond = np.asarray(cond, dtype=np.float64)
         cond.setflags(write=False)  # a fresh array: the anchor adopts it
         q0 = InitialDensity(schema, cond)
         rounds = reader.rounds(schema, scheme.c_bound)
@@ -454,12 +415,10 @@ def load_model(path: str) -> tuple[BoostedDensity, LeveragingScheme, str]:
 
 
 def load_model_rounds(path: str) -> tuple[LeveragingScheme, str, list[BoostRound]]:
-    """The scheme, the run id and every round, decoded and checked as
-    ``load_model`` decodes them, without building the anchor or the stack.
-
-    The file is read as ``load_model`` reads it, but the anchor rows are only
-    checked as JSON, one row at a time, and none is kept."""
-    with _ModelReader(path, anchor=False) as reader:
+    """The scheme, the run id and every round, read and checked as ``load_model``
+    reads them, but each anchor row is only decoded: no anchor or stack is built."""
+    with _ModelReader(path) as reader:
+        reader.read(anchor=False)
         scheme, run_id = reader.header()
         return scheme, run_id, reader.rounds(reader.schema(), scheme.c_bound)
 

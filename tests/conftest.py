@@ -1,5 +1,6 @@
 """Shared builders for small discrete domains, random tables, and stacks."""
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -135,6 +136,12 @@ def tree_nodes(tree):
         return n.leaf if n.is_leaf else (n.attr, n.op, n.value, node(n.left), node(n.right))
 
     return tree.c_bound, node(tree.root)
+
+
+def read_json(path):
+    """``json.load`` of the file at ``path``."""
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def dataset_from_rows(schema, rows):

@@ -27,7 +27,9 @@ from fairboost import (
 from fairboost.cli import main
 from fairboost.pipeline import build_initial, kfold, load_csv_with_schema
 from fairboost.seeds import FOLDS, subseed
-from fairboost.serialize import dump_json, load_json, load_model, load_model_rounds, load_trace
+from fairboost.serialize import dump_json, load_model, load_model_rounds, load_trace
+
+from conftest import read_json
 
 LN2 = math.log(2.0)
 
@@ -118,8 +120,8 @@ def test_fit_outputs(fit_run, synth_csv, tmp_path):
     metrics, report = str(tmp_path / "metrics.json"), str(tmp_path / "report.json")
     assert main(["eval", "--model", model_path, "--data", synth_csv, "--out", metrics]) == 0
     assert main(["guarantees", "--model", model_path, "--trace", trace_path, "--out", report]) == 0
-    assert load_json(metrics)["manifest"] == run_id
-    assert load_json(report)["manifest"] == run_id
+    assert read_json(metrics)["manifest"] == run_id
+    assert read_json(report)["manifest"] == run_id
     assert isinstance(run_id, str) and len(run_id) == 16
     assert manifest["resolved_config"]["tau"] == 0.8
     assert list(manifest["resolved_config"]) == [
@@ -719,36 +721,11 @@ def test_guarantees_rejects_mislabelled_regime(fit_run, tmp_path, capsys):
 
 
 def _broken_model(tmp_path, model_path, breaker):
-    doc = load_json(model_path)
+    doc = read_json(model_path)
     breaker(doc)
     path = str(tmp_path / "broken.json")
     dump_json(doc, path)
     return path
-
-
-@pytest.fixture(scope="module")
-def readme_run(tmp_path_factory):
-    """The README run's data, model and trace (its fit without --folds, which only the manifest records)."""
-    d = tmp_path_factory.mktemp("readme")
-    data, model, trace = str(d / "mixture.csv"), str(d / "model.json"), str(d / "trace.csv")
-    assert main(["synth", "--n", "5000", "--s", "0.9", "--mu", "-0.5", "0.7", "--sigma", "0.4", "0.2",
-                 "--seed", "0", "--out", data]) == 0
-    assert main(["fit", "--data", data, "--sensitive", "a", "--tau", "0.7", "--scheme", "exact", "--rounds", "10",
-                 "--bins", "50", "--max-depth", "8", "--seed", "0", "--out", model, "--trace", trace]) == 0
-    return data, model, trace
-
-
-@pytest.mark.parametrize("edge", [float("nan"), 100.0, -100.0], ids=["nan", "above", "below"])
-def test_stored_bin_edge_out_of_order_rejected(tmp_path, readme_run, capsys, edge):
-    # eval would code its data against the broken edge; the reader names the attribute instead
-    data, model_path, trace_path = readme_run
-    bad = _broken_model(tmp_path, model_path, lambda doc: _attribute(doc, "x")["bin_edges"].__setitem__(25, edge))
-    message = "error: attribute 'x': bin edges must be finite and non-decreasing\n"
-    out = tmp_path / "metrics.json"
-    assert main(["eval", "--model", bad, "--data", data, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == message
-    assert not out.exists()
-    assert _guarantees_error(bad, trace_path, tmp_path, capsys) == message
 
 
 def _first_leaf(node) -> dict:
@@ -770,7 +747,7 @@ def _first_leaf(node) -> dict:
 def test_tree_no_fit_writes_rejected_by_both_readers(tmp_path, fit_run, synth_csv, capsys, breaker, message):
     # every certificate assumes |c_t| <= C, so guarantees checks the trees as eval does
     model_path, trace_path = fit_run
-    assert "split" in load_json(model_path)["rounds"][0]["classifier"]["root"]
+    assert "split" in read_json(model_path)["rounds"][0]["classifier"]["root"]
     bad = _broken_model(tmp_path, model_path, lambda doc: breaker(doc["rounds"][0]["classifier"]))
     assert main(["eval", "--model", bad, "--data", synth_csv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -929,8 +906,8 @@ def _tree_leaves_and_depth(node) -> tuple:
 def test_fit_manifest_records_each_round(fit_run):
     # per-round seconds and tree sizes go to the manifest, which no digest pins
     model_path, _ = fit_run
-    manifest = load_json(model_path + ".manifest.json")
-    rounds = load_json(model_path)["rounds"]
+    manifest = read_json(model_path + ".manifest.json")
+    rounds = read_json(model_path)["rounds"]
     assert list(manifest)[-1] == "rounds"
     assert [r["t"] for r in manifest["rounds"]] == list(range(1, len(rounds) + 1))
     for rec, stored in zip(manifest["rounds"], rounds):

@@ -26,7 +26,9 @@ from fairboost import (
     kl_divergence,
 )
 from fairboost.pipeline import build_initial
-from fairboost.serialize import dump_json, load_json, load_model, load_model_rounds, save_model
+from fairboost.serialize import load_model, load_model_rounds, save_model
+
+from conftest import read_json
 
 BINS, FEATURES, ROWS = 60, 3, 2000
 
@@ -88,19 +90,6 @@ def test_dense_kl_holds_one_table(wide_data):
     assert tables <= 1.35
 
 
-def test_load_json_holds_the_text_once(tmp_path):
-    # the text once, then the parsed list beside it (a few distinct floats, so 8 bytes an
-    # entry); the file's bytes and its text held together would be 2x.  The text grows in
-    # place only once its loop is specialized, a few pieces in: a 2 MiB file peaks at 2.5x
-    path = tmp_path / "doc.json"
-    dump_json({"values": np.resize([1 / 3, 2 / 7, 1e-5 / 3], 480_000)}, str(path))
-    size = path.stat().st_size
-    assert size >= 10 << 20
-    doc, files = _peak(lambda: load_json(str(path)), size)
-    assert len(doc["values"]) == 480_000
-    assert files <= 1.6
-
-
 def test_model_readers_stream_the_anchor_rows(tmp_path, wide_data):
     # a model of 432,000 anchor entries, about 31 bytes of text each: the round reader holds
     # one row of entries (8 bytes each, half the anchor), about 0.13 file sizes; the whole
@@ -115,13 +104,15 @@ def test_model_readers_stream_the_anchor_rows(tmp_path, wide_data):
     assert rounds == [] and files <= 0.2
     (stack, _, _), files = _peak(lambda: load_model(path), size)
     assert stack.q0.cond.shape == (2, BINS**FEATURES) and files <= 0.75
-    # a file in another layout is read whole, 1.22 file sizes as before: the failed attempt
-    # holds its text once, and nothing of it is left when load_json starts (its lines, held
-    # one by one, would be 2.48)
-    doc = load_json(path)
+    # a file in another layout is read whole, once, and refused: its text and the parsed
+    # document, one float object per distinct value, about 1.22 file sizes (with a float
+    # object per entry it would be 1.83)
+    doc = read_json(path)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=4)
     del doc
     size = (tmp_path / "model.json").stat().st_size
-    (_, _, rounds), files = _peak(lambda: load_model_rounds(path), size)
-    assert rounds == [] and files <= 1.6
+    for load in (load_model_rounds, load_model):
+        refused, files = _peak(lambda: pytest.raises(ValueError, load, path), size)
+        assert str(refused.value) == "model field 'q0.conditionals' is not laid out as save_model writes it"
+        assert files <= 1.6

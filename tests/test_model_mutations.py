@@ -2,11 +2,13 @@
 
 One walk visits a small fitted model's fields (every object key, the first
 and last entry of every list, tree nodes down to depth 2) and applies each
-mutation class that fits (``_mutations``).  ``eval`` and ``guarantees`` run
-on each mutated model through ``cli.main`` and must either exit 1 with one
-``error:`` line and no output (``eval``'s failed self-check and
-``guarantees``' false bounds write theirs first), or exit 0 with nothing on
-stderr and the unmutated model's output, byte for byte.  ``PINNED`` holds
+mutation class that fits (``_mutations``).  Each mutant is written in the
+layout ``save_model`` writes, so it goes through the reader the commands
+use.  ``eval`` and ``guarantees`` run on each mutated model through
+``cli.main`` and must either exit 1 with one ``error:`` line and no output
+(``eval``'s failed self-check and ``guarantees``' false bounds write theirs
+first), or exit 0 with nothing on stderr and the unmutated model's output,
+byte for byte.  ``PINNED`` holds
 the exact message of each case a test of its own once pinned.
 ``KNOWN_GAPS`` lists the mutations still allowed to break the rule, each
 with its defect; each must still break it, so its entry goes when the
@@ -156,7 +158,7 @@ def _mutated_text(text: str, path, replacement) -> str:
         parent[path[-1]] = replacement[0]
     else:
         del parent[path[-1]]
-    text = json.dumps(doc)
+    text = json.dumps(doc, indent=2) + "\n"  # save_model's layout: every mutant goes through the commands' reader
     return text.replace(json.dumps(_RAW), replacement[1]) if replacement[:1] == (_RAW,) else text
 
 
@@ -197,6 +199,7 @@ def mutation_runs(tmp_path_factory):
     assert cli.main([*fit, "--out", model, "--trace", trace]) == 0
     commands = {"eval": ["eval", "--data", data], "guarantees": ["guarantees", "--trace", trace]}
     out, mutated, text = d / "out.json", d / "mutated.json", Path(model).read_text()
+    assert json.dumps(json.loads(text), indent=2) + "\n" == text  # the layout _mutated_text writes
     want = {command: _run([*argv, "--model", model], out)[3] for command, argv in commands.items()}
     runs, parser = {}, cli.build_parser()
     with pytest.MonkeyPatch.context() as mp:

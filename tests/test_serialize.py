@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -20,14 +19,12 @@ from fairboost import (
     fbde_fit,
     train_tree,
 )
-from fairboost import serialize
 from fairboost.engine import TraceRow
 from fairboost.pipeline import build_initial
 from fairboost.serialize import (
     TRACE_HEADER,
     _CHUNK,
     dump_json,
-    load_json,
     load_model,
     load_model_rounds,
     load_trace,
@@ -38,9 +35,10 @@ from fairboost.serialize import (
 )
 from fairboost.tree import FAIL, HBS, LBS, Node
 
-from conftest import extend, random_initial, tree_nodes, uniform_initial, xa_schema, xya_schema
+from conftest import extend, random_initial, read_json, tree_nodes, uniform_initial, xa_schema, xya_schema
 
 LN2 = math.log(2.0)
+_LAYOUT = "model field 'q0.conditionals' is not laid out as save_model writes it"
 
 
 @pytest.fixture()
@@ -107,7 +105,7 @@ def test_model_rejects_missing_keys(tmp_path, fitted, path):
     stack, scheme, _ = fitted
     p = str(tmp_path / "m.json")
     save_model(stack, p, scheme=scheme, run_id="run-1")
-    doc = load_json(p)
+    doc = read_json(p)
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
@@ -125,11 +123,13 @@ def test_model_rounds_read_without_the_stack(tmp_path, fitted):
     assert got_scheme == scheme and run_id == "run-2"
     assert stored == [(r.theta, r.z, r.z_by_group.tolist(), tree_nodes(r.classifier)) for r in stack.rounds]
     assert [(theta, z) for theta, z, _, _ in stored] == [(r.theta, r.z) for r in trace[1:]]
-    # the anchor is eval's to check, not this reader's
-    doc = load_json(path)
+    # the file is read as load_model reads it: rows that are not a list are refused here too
+    doc = read_json(path)
     doc["q0"]["conditionals"] = 5
     dump_json(doc, path)
-    assert _model_rounds(path) == (scheme, "run-2", stored)
+    for load in (load_model, load_model_rounds):
+        with pytest.raises(ValueError, match="^model field 'q0.conditionals' has the wrong JSON type$"):
+            load(path)
 
 
 def _model_rounds(path):
@@ -203,7 +203,7 @@ def test_model_rejects_malformed_trees(tmp_path):
     }
     path = str(tmp_path / "m.json")
     save_model(BoostedDensity(uniform_initial(_ordinal_schema())), path, LeveragingScheme("exact", 0.8, LN2), "run-1")
-    model = load_json(path)
+    model = read_json(path)
 
     def with_tree(tree):
         doc = json.loads(json.dumps(model))
@@ -239,16 +239,17 @@ def test_model_rejects_malformed_trees(tmp_path):
         ("inf", "conditional entries must be finite and >= 0"),
         ("negative", "conditional entries must be finite and >= 0"),
         ("row sum off by 1e-6", "each conditional must sum to 1 within 1e-12"),
-        ("missing row", r"conditionals must be a 2 x 4 matrix, got shape \(1, 4\)"),
-        ("extra row", r"conditionals must be a 2 x 4 matrix, got shape \(3, 4\)"),
-        ("short row", "q0 conditionals: rows differ in length"),
+        # rows that do not match the schema's shape are off save_model's layout
+        ("missing row", _LAYOUT),
+        ("extra row", _LAYOUT),
+        ("short row", _LAYOUT),
     ],
 )
 def test_model_rejects_bad_anchor(tmp_path, fitted, case, message):
     stack, scheme, _ = fitted
     path = str(tmp_path / "m.json")
     save_model(stack, path, scheme=scheme, run_id="run-1")
-    doc = load_json(path)
+    doc = read_json(path)
     cond = doc["q0"]["conditionals"]
     if case == "nan":
         cond[0][1] = float("nan")
@@ -288,7 +289,7 @@ def test_model_rejects_bad_round_values(tmp_path, fitted, field, value, message)
     stack, scheme, _ = fitted
     path = str(tmp_path / "m.json")
     save_model(stack, path, scheme=scheme, run_id="run-1")
-    doc = load_json(path)
+    doc = read_json(path)
     doc["rounds"][0][field] = value
     dump_json(doc, path)
     for load in (load_model, load_model_rounds):
@@ -313,21 +314,16 @@ def _rounds_bits(rounds):
     return [(r.theta, r.z, r.z_by_group.tobytes(), tree_nodes(r.classifier)) for r in rounds]
 
 
-def _refuse(path):
-    raise AssertionError(f"{path} was read whole")
-
-
 @pytest.mark.parametrize(
     "groups, position, feature_cards",
     [(2, 0, (3, 4)), (2, 1, (3, 4)), (2, 2, (3, 4)), (3, 0, (5, 2)), (3, 1, (5, 2)), (3, 2, (5, 2)), (2, 1, (1,))],
     ids=["2-first", "2-middle", "2-last", "3-first", "3-middle", "3-last", "one-entry-rows"],
 )
-def test_saved_models_stream_their_anchor_rows(tmp_path, monkeypatch, rng, groups, position, feature_cards):
-    # what save_model writes is read without the whole-text parse, to the same bits
+def test_saved_models_stream_their_anchor_rows(tmp_path, rng, groups, position, feature_cards):
+    # what save_model writes is read back to the same bits, wherever the sensitive column sits
     stack = _stack_with_sensitive_at(position, groups, feature_cards, rng)
     scheme, path = LeveragingScheme("exact", 0.8, LN2), str(tmp_path / "m.json")
     save_model(stack, path, scheme, run_id="run-1")
-    monkeypatch.setattr(serialize, "load_json", _refuse)
     back, back_scheme, run_id = load_model(path)
     assert (back_scheme, run_id) == (scheme, "run-1")
     assert back.q0.cond.shape == (groups, back.q0.x_schema.n_cells)
@@ -368,50 +364,57 @@ def _rows_edit(edit):
     return apply
 
 
-# layout -> (whether the streamed read takes it, the edit of the fitted model's text).  Its rows
-# are 2 x 4: lines 0 and 6 open a row, 1-4 and 7-10 are entries, 5 and 11 close one
-_LAYOUTS = {
-    "crlf": (True, lambda text: text.replace("\n", "\r\n")),
-    "cr": (True, lambda text: text.replace("\n", "\r")),
-    "reindented": (False, _rows_edit(lambda rows: ["  " + line for line in rows])),
-    "integer": (False, _rows_edit(lambda rows: rows[:1] + ["        1,"] + rows[2:])),
-    "nan": (False, _rows_edit(lambda rows: rows[:1] + ["        NaN,"] + rows[2:])),
-    "trailing-comma": (False, _rows_edit(lambda rows: rows[:4] + [rows[4] + ","] + rows[5:])),
-    "missing-comma": (False, _rows_edit(lambda rows: rows[:2] + [rows[2][:-1]] + rows[3:])),
-    "row-short": (False, _rows_edit(lambda rows: rows[:3] + [rows[3][:-1]] + rows[5:])),
-    "row-long": (False, _rows_edit(lambda rows: rows[:4] + [rows[4] + ",", rows[4]] + rows[5:])),
-    "one-line": (False, _rows_edit(lambda rows: [" ".join(line.strip() for line in rows)])),
-    "rows-comma-missing": (False, _rows_edit(lambda rows: rows[:5] + ["      ]"] + rows[6:])),
-    "row-opened-by-brace": (False, _rows_edit(lambda rows: rows[:6] + ["      {"] + rows[7:])),
-    "rows-closed-by-brace": (False, lambda text: text.replace("      ]\n    ]\n", "      ]\n    }\n", 1)),
-    "nan-elsewhere": (False, lambda text: text.replace('"z": ', '"z": NaN, "was": ', 1)),
-    "key-in-scheme": (False, lambda text: text.replace(
+_SUM, _FINITE = "each conditional must sum to 1 within 1e-12", "conditional entries must be finite and >= 0"
+_REFUSED = (_LAYOUT, _LAYOUT)
+# layout -> (the edit of the fitted model's text, what load_model and load_model_rounds each end
+# in: None for the saved bits, else the message of their ValueError).  Its rows are 2 x 4: lines
+# 0 and 6 open a row, 1-4 and 7-10 are entries, 5 and 11 close one.  An entry is decoded as JSON,
+# so an integer or a NaN reaches the anchor's own checks, which load_model_rounds does not make
+_REFUSED_LAYOUTS = {
+    "crlf": (lambda text: text.replace("\n", "\r\n"), (None, None)),
+    "cr": (lambda text: text.replace("\n", "\r"), (None, None)),
+    "integer": (_rows_edit(lambda rows: rows[:1] + ["        1,"] + rows[2:]), (_SUM, None)),
+    "nan": (_rows_edit(lambda rows: rows[:1] + ["        NaN,"] + rows[2:]), (_FINITE, None)),
+    "reindented": (_rows_edit(lambda rows: ["  " + line for line in rows]), _REFUSED),
+    "entry-reindented": (_rows_edit(lambda rows: rows[:2] + ["  " + rows[2]] + rows[3:]), _REFUSED),
+    "entry-spaced": (_rows_edit(lambda rows: rows[:2] + [rows[2][:-1] + " ,"] + rows[3:]), _REFUSED),
+    "trailing-comma": (_rows_edit(lambda rows: rows[:4] + [rows[4] + ","] + rows[5:]), _REFUSED),
+    "missing-comma": (_rows_edit(lambda rows: rows[:2] + [rows[2][:-1]] + rows[3:]), _REFUSED),
+    "row-short": (_rows_edit(lambda rows: rows[:3] + [rows[3][:-1]] + rows[5:]), _REFUSED),
+    "row-long": (_rows_edit(lambda rows: rows[:4] + [rows[4] + ",", rows[4]] + rows[5:]), _REFUSED),
+    "one-line": (_rows_edit(lambda rows: [" ".join(line.strip() for line in rows)]), _REFUSED),
+    "rows-comma-missing": (_rows_edit(lambda rows: rows[:5] + ["      ]"] + rows[6:]), _REFUSED),
+    "row-opened-by-brace": (_rows_edit(lambda rows: rows[:6] + ["      {"] + rows[7:]), _REFUSED),
+    "rows-closed-by-brace": (lambda text: text.replace("      ]\n    ]\n", "      ]\n    }\n", 1), _REFUSED),
+    # the constant in the rows' place is known from a NaN elsewhere, which reaches its own decoder
+    "nan-elsewhere": (
+        lambda text: text.replace('"z": ', '"z": NaN, "was": ', 1),
+        ("round 1: theta and normalizers must be finite",) * 2,
+    ),
+    "key-in-scheme": (lambda text: text.replace(
         '"value": null\n  },', '"value": null,\n    "conditionals": [\n      [\n        0.5\n      ]\n    ]\n  },', 1
-    )),
-    "cut-in-rows": (False, lambda text: text[: text.index('    "conditionals": [') + 60]),  # in row 0's 2nd entry
+    ), _REFUSED),
+    # json keeps the last of two keys: the rows read are not the document's
+    "key-again": (lambda text: text.replace("\n    ]\n  },", '\n    ],\n    "conditionals": []\n  },', 1), _REFUSED),
+    "cut-in-rows": (lambda text: text[: text.index('    "conditionals": [') + 60], _REFUSED),  # in row 0's 2nd entry
+    # no rows line: parsed whole, then refused
+    "indent-4": (lambda text: json.dumps(json.loads(text), indent=4), _REFUSED),
+    "one-line-document": (lambda text: json.dumps(json.loads(text)), _REFUSED),
 }
 
 
-@pytest.mark.parametrize("layout", list(_LAYOUTS))
-def test_model_text_off_the_layout_reads_as_the_whole_text(tmp_path, fitted, monkeypatch, layout):
-    # the streamed read refuses any text it cannot read as json would; the whole-text parse then
-    # gives the same stack and rounds, or the same error
-    streams, edit = _LAYOUTS[layout]
+@pytest.mark.parametrize("layout", list(_REFUSED_LAYOUTS))
+def test_model_text_off_the_layout_reads_as_the_whole_text(tmp_path, fitted, layout):
+    # the text save_model writes is the model format: a text off it ends in one ValueError
+    edit, want = _REFUSED_LAYOUTS[layout]
     stack, scheme, _ = fitted
     path = tmp_path / "m.json"
     save_model(stack, str(path), scheme=scheme, run_id="run-1")
+    saved = _outcomes(str(path))
     text = edit(path.read_text())
     assert text != path.read_text()
     path.write_bytes(text.encode())
-    try:
-        serialize._stream_model(str(path), anchor=True)
-    except Exception:
-        assert not streams
-    else:
-        assert streams
-    got = _outcomes(str(path))
-    monkeypatch.setattr(serialize, "_stream_model", lambda *args: _refuse(args[0]))
-    assert got == _outcomes(str(path))
+    assert _outcomes(str(path)) == [kept if error is None else (ValueError, error) for kept, error in zip(saved, want)]
 
 
 # -- traces -------------------------------------------------------------
@@ -633,84 +636,14 @@ def test_save_model_matches_json_dump(tmp_path, fitted):
     stack, scheme, _ = fitted
     path = tmp_path / "model.json"
     save_model(stack, str(path), scheme=scheme, run_id="0123456789abcdef")
-    doc = load_json(str(path))
+    doc = read_json(path)
     assert path.read_bytes() == _json_dump_bytes(doc, tmp_path / "plain.json")
     assert list(doc) == ["format", "version", "manifest", "scheme", "q0", "rounds"]
     assert doc["manifest"] == "0123456789abcdef"
 
 
-def _same(a, b) -> bool:
-    """Equal documents: the same key order, the same types, bit-equal floats."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, dict):
-        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
-    if isinstance(a, list):
-        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
-    if isinstance(a, float):
-        return struct.pack("<d", a) == struct.pack("<d", b)
-    return a == b
-
-
-_HAND_WRITTEN = (
-    '{"z": -0.0, "a": [0.0, 1, 1.0, NaN, Infinity, -Infinity], "m": [[1.5e-300, [-0.0, 0.0]], []], '
-    '"s": "1.0", "n": null, "t": true, "big": 12345678901234567890, "e": 2.5E+3}'
-)
-
-
-def test_load_json_matches_json_load(tmp_path, fitted):
-    stack, scheme, _ = fitted
-    model = tmp_path / "model.json"
-    save_model(stack, str(model), scheme=scheme, run_id="run-1")
-    hand = tmp_path / "hand.json"
-    hand.write_text(_HAND_WRITTEN)
-    for path in (model, hand):
-        with open(path) as fh:
-            want = json.load(fh)
-        assert _same(load_json(str(path)), want)
-
-
-@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
-def test_load_json_reads_across_its_pieces_as_json_load_does(tmp_path, newline):
-    # load_json reads 1 MiB of text at a time: a non-ASCII string spans the first
-    # boundary, and the second piece ends on a line break
-    piece, name = 1 << 20, "é€😀" * 4
-    head = '{"pad": "' + "a" * (piece - 26) + '",\n "name": "'
-    middle = head + name + '",\n "more": "'
-    middle += "b" * (2 * piece - 3 - len(middle)) + '",\n'
-    assert len(head) < piece < len(head) + len(name) and len(middle) == 2 * piece
-    rows = "".join(f"\n  [{i / 7!r}, {i}]," for i in range(20_000))
-    text = middle + ' "rows": [' + rows + "\n  []\n ]\n}\n"
-    path = tmp_path / "doc.json"
-    path.write_bytes(text.replace("\n", newline).encode("utf-8"))
-    with open(path) as fh:
-        want = json.load(fh)
-    got = load_json(str(path))
-    assert _same(got, want) and got["name"] == name and len(got["rows"]) == 20_001
-    # cut inside the last row: the error's message and position are json.load's
-    path.write_bytes(text[:-12].replace("\n", newline).encode("utf-8"))
-    with open(path) as fh, pytest.raises(json.JSONDecodeError) as want:
-        json.load(fh)
-    with pytest.raises(json.JSONDecodeError) as got:
-        load_json(str(path))
-    assert str(got.value) == str(want.value)
-    assert (got.value.pos, got.value.lineno, got.value.colno) == (want.value.pos, want.value.lineno, want.value.colno)
-
-
-def test_load_json_decodes_each_float_text_once(tmp_path, fitted):
-    path = tmp_path / "repeats.json"
-    path.write_text('{"a": [0.25, 0.25, 1.0], "b": {"c": 0.25, "d": [1.0]}, "e": 0.250}')
-    doc = load_json(str(path))
-    assert doc["a"][0] is doc["a"][1] is doc["b"]["c"]
-    assert doc["a"][2] is doc["b"]["d"][0]
-    # "0.250" is another text for the same value: decoded on its own
-    assert doc["e"] == 0.25 and doc["e"] is not doc["a"][0]
-    stack, scheme, _ = fitted
-    model = tmp_path / "model.json"
-    save_model(stack, str(model), scheme=scheme, run_id="run-1")
-    cond = load_json(str(model))["q0"]["conditionals"]
-    # smoothed counts repeat across cells: one object per distinct anchor value
-    assert len({id(v) for row in cond for v in row}) == len({v for row in cond for v in row})
+def _message_and_place(error: json.JSONDecodeError) -> tuple:
+    return str(error), error.pos, error.lineno, error.colno
 
 
 @pytest.mark.parametrize(
@@ -719,14 +652,15 @@ def test_load_json_decodes_each_float_text_once(tmp_path, fitted):
     ids=["trailing-comma", "bad-exponent", "unclosed", "extra-data", "empty", "bare-minus", "missing-comma"],
 )
 def test_load_json_errors_match_json_load(tmp_path, text):
+    # a model file that is not JSON ends in json's own error: it has no anchor rows line, so it is parsed whole
     path = tmp_path / "bad.json"
     path.write_text(text)
     with pytest.raises(json.JSONDecodeError) as want:
         json.loads(text)
-    with pytest.raises(json.JSONDecodeError) as got:
-        load_json(str(path))
-    assert str(got.value) == str(want.value)
-    assert (got.value.pos, got.value.lineno, got.value.colno) == (want.value.pos, want.value.lineno, want.value.colno)
+    for load in (load_model, load_model_rounds):
+        with pytest.raises(json.JSONDecodeError) as got:
+            load(str(path))
+        assert _message_and_place(got.value) == _message_and_place(want.value)
 
 
 def test_sha256_file(tmp_path):
