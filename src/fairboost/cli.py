@@ -12,6 +12,8 @@ those rounds and takes every value the two files share from the model.
 ``guarantees`` writes the report, then fails if a rate floor or the KL
 progress upper bound it asserts is false (the drop floors rest on sample
 margins and are only reported).
+``eval`` holds the stack only until its joint table is built; p-hat and the
+KL come after it, beside the joint alone.
 Errors, an allocation the domain size makes impossible included, end in one
 ``error:`` line and exit code 1.
 """
@@ -186,13 +188,14 @@ def cmd_fit(args) -> int:
 def cmd_eval(args) -> int:
     bd, _, run_id = load_model(args.model)
     data = load_csv_with_schema(args.data, bd.schema)
-    p_hat = fit_empirical(data, args.smoothing)
     joint = bd.table()
-    rr_table = representation_rate(joint)
     rr_norm = bd.representation_rate()
+    del bd  # the anchor and the tilt: p-hat and the KL are built beside the joint alone
+    rr_table = representation_rate(joint)
     sr = None
-    if bd.schema.target_index is not None:
+    if joint.schema.target_index is not None:
         sr = statistical_rate(joint, _SR_CLASS)
+    p_hat = fit_empirical(data, args.smoothing)
     metrics = {
         "format": METRICS_FORMAT,
         "version": 1,

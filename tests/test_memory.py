@@ -8,12 +8,14 @@ holds at once.  The fixture has 432k cells and 2,000 rows, so p-hat's support
 is under 0.5% of the domain.
 """
 
+import dataclasses
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import fairboost.cli as cli
 from fairboost import (
     Attribute,
     AttributeSchema,
@@ -25,7 +27,7 @@ from fairboost import (
     fit_empirical,
     kl_divergence,
 )
-from fairboost.pipeline import build_initial
+from fairboost.pipeline import build_initial, load_csv_with_schema
 from fairboost.serialize import load_model, load_model_rounds, save_model
 
 from conftest import read_json
@@ -116,3 +118,23 @@ def test_model_readers_stream_the_anchor_rows(tmp_path, wide_data):
         refused, files = _peak(lambda: pytest.raises(ValueError, load, path), size)
         assert str(refused.value) == "model field 'q0.conditionals' is not laid out as save_model writes it"
         assert files <= 1.6
+
+
+def test_eval_holds_the_stack_only_until_its_joint(tmp_path, wide_data):
+    # the peak, about 3.7 tables, is the joint build beside the stack (the anchor's cond and
+    # log_cond and the tilt, 2.5); the stack goes before p-hat's dense build and the KL's
+    # terms, which are held beside the joint alone (about 5.8 with the stack still held)
+    attrs = wide_data.schema.attributes[:FEATURES] + (Attribute("a", 2, categories=("0", "1")),)
+    data = Dataset(dataclasses.replace(wide_data.schema, attributes=attrs), wide_data.rows)
+    q0 = build_initial(data, data.schema, 1.0)
+    scheme = LeveragingScheme("exact", 0.7)
+    stack, _, _ = fbde_fit(data, q0, FitConfig(rounds=3, scheme=scheme))
+    model, csv, out = (str(tmp_path / name) for name in ("model.json", "data.csv", "metrics.json"))
+    save_model(stack, model, scheme, run_id="run-1")
+    header = ",".join(a.name for a in attrs)
+    np.savetxt(csv, data.rows, fmt="%d", delimiter=",", header=header, comments="")
+    assert np.array_equal(load_csv_with_schema(csv, data.schema).rows, data.rows)
+    argv = ["eval", "--model", model, "--data", csv, "--smoothing", "1", "--out", out]
+    code, tables = _peak(lambda: cli.main(argv), 8 * data.schema.n_cells)
+    assert code == 0 and read_json(out)["n_rows"] == ROWS
+    assert tables <= 3.8
