@@ -4,17 +4,19 @@
 cannot do.  All JSON documents carry a ``format`` tag and integer
 ``version``.  Floats round-trip exactly (shortest-repr encoding), and
 writers emit keys in a fixed order, so rewriting the same state produces
-byte-identical files.  ``dump_json`` writes exactly what ``json.dump(doc,
-indent=2)`` would, but also takes 1-D float64 arrays, each streamed in its
-place with each distinct value formatted once.
+byte-identical files.  ``dump_json`` is ``json.dump(doc, indent=2)`` plus a
+newline.
 
 The model document stores the run id, the leveraging scheme, the anchor
 schema and conditionals and the per-round {theta, classifier, z, z_by_group}
 in boosting order; stored normalizers are authoritative and never recomputed
-on load.  Its layout is known here only, and a model is read in the one
-layout ``save_model`` writes: the anchor rows line by line, each distinct
-entry line decoded once, and the rest through ``json``.  A model in another
-layout is refused; a file that is not JSON ends in ``json``'s own error.
+on load.  Its layout is known here only.  ``save_model`` writes the text
+``dump_json`` would, streaming the anchor rows in the lines that the layout
+constants beside it (``_ROWS_LINE`` and the rest) spell out, each distinct
+entry formatted once.  A model is read in that one layout: the anchor rows
+line by line, each distinct entry line decoded once, and the rest through
+``json``.  A model in another layout is refused; a file that is not JSON
+ends in ``json``'s own error.
 ``load_model`` returns the stack, the scheme and the run id;
 ``load_model_rounds`` the scheme, the run id and the same decoded rounds,
 without building the anchor or the stack.  Loading rejects missing keys,
@@ -65,58 +67,11 @@ REPORT_FORMAT = "fairboost.report"
 TRACE_HEADER = [f.name for f in dataclasses.fields(TraceRow)]
 
 
-#: values per write when streaming a float array
-_CHUNK = 1 << 16
-
-
-#: what ``json.dumps`` writes in each array's place before the array is streamed
-_ARRAY = "\0ndarray\0"
-_ARRAY_TEXT = json.dumps(_ARRAY)
-
-
 def dump_json(doc: dict, path: str) -> None:
-    """Write ``json.dump(doc, fh, indent=2)`` plus a newline, byte for byte.
-
-    ``doc`` may also hold 1-D float64 arrays, written as JSON lists: each
-    distinct bit pattern is formatted once and the array is streamed in
-    chunks, so a million-cell table of a few distinct values costs a few
-    formats and no list of Python floats.
-    """
-    arrays = []
-
-    def stash(value):
-        if not isinstance(value, np.ndarray):
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        if value.dtype != np.float64 or value.ndim != 1:
-            raise TypeError(f"only 1-D float64 arrays are written, not {value.ndim}-D {value.dtype}")
-        arrays.append(value)
-        return _ARRAY
-
-    pieces = json.dumps(doc, indent=2, default=stash).split(_ARRAY_TEXT)
-    if len(pieces) != len(arrays) + 1:
-        raise ValueError(f"the document holds the string {_ARRAY!r}, which stands for an array")
+    """Write ``json.dump(doc, fh, indent=2)`` plus a newline."""
     with open(path, "w") as fh:
-        fh.write(pieces[0])
-        for before, arr, after in zip(pieces, arrays, pieces[1:]):
-            line = before[before.rfind("\n") + 1 :]
-            _write_floats(fh, arr, (len(line) - len(line.lstrip(" "))) // 2)
-            fh.write(after)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
-
-
-def _write_floats(fh, arr: np.ndarray, depth: int) -> None:
-    if len(arr) == 0:
-        fh.write("[]")
-        return
-    # bit patterns, not values: 0.0 and -0.0 format differently
-    bits = np.unique(arr.view(np.uint64))
-    which = np.searchsorted(bits, arr.view(np.uint64))
-    texts = np.array([json.dumps(float(v)) for v in bits.view(np.float64)], dtype=object)
-    sep = ",\n" + "  " * (depth + 1)
-    fh.write("[" + sep[1:])
-    for start in range(0, len(arr), _CHUNK):
-        fh.write(("" if start == 0 else sep) + sep.join(texts[which[start : start + _CHUNK]]))
-    fh.write("\n" + "  " * depth + "]")
 
 
 def sha256_file(path: str) -> str:
@@ -212,7 +167,20 @@ def _tree_from_dict(d: dict, x_schema: AttributeSchema, c_bound: float) -> Decis
     return DecisionTreeClassifier(root=node(d["root"]), c_bound=c_bound)
 
 
+# The anchor rows' lines as json.dump(indent=2) lays q0.conditionals out, written by save_model
+# and read by _ModelReader; the rest of the model is dumped and parsed with the placeholder there
+_ROWS_LINE = '    "conditionals": [\n'
+_ROW_OPEN = "      [\n"
+_ENTRY = " " * 8
+_ROW_CLOSE, _LAST_ROW_CLOSE = "      ],\n", "      ]\n"
+_ROWS_CLOSE = "    ]"
+_PLACEHOLDER = '    "conditionals": NaN'
+_LAYOUT = "model field 'q0.conditionals' is not laid out as save_model writes it"
+_CHUNK = 1 << 16  # entry lines per write
+
+
 def save_model(bd: BoostedDensity, path: str, scheme: LeveragingScheme, run_id: str) -> None:
+    """The text ``dump_json`` writes of the model document, its anchor rows streamed row by row."""
     doc = {"format": MODEL_FORMAT, "version": MODEL_VERSION, "manifest": run_id}
     doc["scheme"] = _scheme_to_dict(scheme)
     schema = bd.schema
@@ -225,7 +193,7 @@ def save_model(bd: BoostedDensity, path: str, scheme: LeveragingScheme, run_id: 
             "sensitive_index": schema.sensitive_index,
             "target_index": schema.target_index,
         },
-        "conditionals": list(bd.q0.cond),
+        "conditionals": math.nan,
     }
     doc["rounds"] = [
         {
@@ -236,21 +204,36 @@ def save_model(bd: BoostedDensity, path: str, scheme: LeveragingScheme, run_id: 
         }
         for r in bd.rounds
     ]
-    dump_json(doc, path)
+    head, tail = json.dumps(doc, indent=2).split(_PLACEHOLDER)  # ValueError unless exactly one
+    cond = bd.q0.cond
+    with open(path, "w") as fh:
+        fh.write(head + _ROWS_LINE)
+        for a, row in enumerate(cond):
+            fh.write(_ROW_OPEN)
+            _write_row(fh, row)
+            fh.write(_LAST_ROW_CLOSE if a == len(cond) - 1 else _ROW_CLOSE)
+        fh.write(_ROWS_CLOSE + tail + "\n")
 
 
-#: the line before a model's anchor rows, as ``save_model`` writes it
-_ROWS_LINE = '    "conditionals": [\n'
-_LAYOUT = "model field 'q0.conditionals' is not laid out as save_model writes it"
+def _write_row(fh, row: np.ndarray) -> None:
+    """The entry lines of one anchor row: each distinct bit pattern (0.0 and -0.0
+    format differently) formatted once, and no list of Python floats."""
+    bits = np.unique(row.view(np.uint64))
+    which = np.searchsorted(bits, row.view(np.uint64))
+    lines = np.array([_ENTRY + json.dumps(float(v)) + ",\n" for v in bits.view(np.float64)], dtype=object)
+    body = which[:-1]
+    for start in range(0, len(body), _CHUNK):
+        fh.write("".join(lines[body[start : start + _CHUNK]]))
+    fh.write(lines[which[-1]][:-2] + "\n")  # the one entry line without a comma
 
 
 class _EntryMemo(dict):
-    """The number of each anchor entry line (8 spaces, a JSON value, a comma), read by
+    """The number of each anchor entry line (``_ENTRY``, a JSON value, a comma), read by
     ``json.loads`` and ``_number`` the first time it is seen; another line raises ValueError."""
 
     def __missing__(self, line: str) -> float:
-        text = line[8:-2]
-        if line != "        " + text.strip() + ",\n":
+        text = line[len(_ENTRY) : -2]
+        if line != _ENTRY + text.strip() + ",\n":
             raise ValueError(line)
         value = self[line] = _number(json.loads(text))
         return value
@@ -282,7 +265,7 @@ class _ModelReader:
             head = ""  # one string grown in place: a file without the rows line is held once
             for line in fh:
                 if line == _ROWS_LINE:
-                    rows_at = self._parse(head + '"conditionals": NaN}}', -1)
+                    rows_at = self._parse(head + _PLACEHOLDER + "}}", -1)
                     break
                 head += line
             else:  # no rows line: parsed whole, and refused once its header and schema are read
@@ -297,21 +280,21 @@ class _ModelReader:
             cond, memo = np.empty((n_a, n_x)) if anchor else None, _EntryMemo()
             try:
                 for a in range(n_a):
-                    if fh.readline() != "      [\n":
+                    if fh.readline() != _ROW_OPEN:
                         raise ValueError
                     entries = np.fromiter(map(memo.__getitem__, fh), np.float64, n_x - 1)
                     last = memo[fh.readline().replace("\n", ",\n")]  # the one entry line without a comma
-                    if fh.readline() != ("      ]\n" if a == n_a - 1 else "      ],\n"):
+                    if fh.readline() != (_LAST_ROW_CLOSE if a == n_a - 1 else _ROW_CLOSE):
                         raise ValueError
                     if anchor:
                         cond[a, :-1], cond[a, -1] = entries, last
                     del entries  # before the next row's: one row is held beside the anchor
                 close = fh.readline()
-                if close[:5] != "    ]":
+                if not close.startswith(_ROWS_CLOSE):
                     raise ValueError
             except ValueError:  # a line off the layout, or a file cut short
                 raise ValueError(_LAYOUT) from None
-            text = head + '    "conditionals": NaN' + close[5:] + fh.read()
+            text = head + _PLACEHOLDER + close[len(_ROWS_CLOSE) :] + fh.read()
         self._parse(text, rows_at)
         return cond
 

@@ -92,6 +92,16 @@ def test_dense_kl_holds_one_table(wide_data):
     assert tables <= 1.35
 
 
+def test_save_model_writes_the_anchor_row_by_row(tmp_path, wide_data):
+    # the peak, about 1.7, is one row's entry indices (half a table) beside one chunk of entry
+    # lines, as text and as the bytes written; the whole model text, over 3.5 tables, is never held
+    stack, path = BoostedDensity(build_initial(wide_data, wide_data.schema, 1.0)), str(tmp_path / "model.json")
+    scheme = LeveragingScheme("exact", 0.8)
+    _, tables = _peak(lambda: save_model(stack, path, scheme, run_id="run-1"), 8 * wide_data.schema.n_cells)
+    assert load_model(path)[0].q0.cond.tobytes() == stack.q0.cond.tobytes()
+    assert tables <= 1.9
+
+
 def test_model_readers_stream_the_anchor_rows(tmp_path, wide_data):
     # a model of 432,000 anchor entries, about 31 bytes of text each: the round reader holds
     # one row of entries (8 bytes each, half the anchor), about 0.13 file sizes; the whole

@@ -14,6 +14,7 @@ from fairboost import (
     Dataset,
     DecisionTreeClassifier,
     FitConfig,
+    InitialDensity,
     LeveragingScheme,
     TreeConfig,
     fbde_fit,
@@ -244,6 +245,7 @@ def test_model_rejects_malformed_trees(tmp_path):
         ("extra row", _LAYOUT),
         ("short row", _LAYOUT),
     ],
+    ids=["nan", "inf", "negative", "row-sum-off", "missing-row", "extra-row", "short-row"],
 )
 def test_model_rejects_bad_anchor(tmp_path, fitted, case, message):
     stack, scheme, _ = fitted
@@ -282,6 +284,17 @@ def test_model_rejects_bad_anchor(tmp_path, fitted, case, message):
         ("z_by_group", [-1.0, 1.0], "^round 1: normalizers must be > 0$"),
         ("z_by_group", [1.0, 0.0], "^round 1: normalizers must be > 0$"),
         ("z", 0.0, "^round 1: normalizers must be > 0$"),
+    ],
+    ids=[
+        "z_by_group-nan",
+        "theta-inf",
+        "z-inf",
+        "z_by_group-three-entries",
+        "z_by_group-one-entry",
+        "z_by_group-inf",
+        "z_by_group-negative",
+        "z_by_group-zero",
+        "z-zero",
     ],
 )
 def test_model_rejects_bad_round_values(tmp_path, fitted, field, value, message):
@@ -579,16 +592,6 @@ def test_dump_json_deterministic(tmp_path):
     assert p1.read_text().endswith("\n")
 
 
-def _as_lists(value):
-    if isinstance(value, np.ndarray):
-        return [float(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _as_lists(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_as_lists(v) for v in value]
-    return value
-
-
 def _json_dump_bytes(doc, path) -> bytes:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -596,50 +599,33 @@ def _json_dump_bytes(doc, path) -> bytes:
     return path.read_bytes()
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {"v": np.array([])},
-        {"v": np.arange(_CHUNK + 1000) % 7 / 3.0, "w": [np.arange(2 * _CHUNK, dtype=np.float64)]},
-        {"v": np.array([0.0, -0.0, 0.0, -0.0, 1.0])},
-        {"v": np.array([np.nan, np.inf, -np.inf, np.nan, 2.0])},
-        {"v": np.array([5e-324, 2.2250738585072014e-308 / 3, -5e-324])},
-        {"v": np.array([1e16, 1e15, 1e-5, 1e-4, 123456789012345678.0, 0.1 + 0.2])},
-        {"a": {}, "b": [], "c": [None, {"d": None, "e": np.array([1.5])}, []], "f": None},
-        {"naïve": "größe ✓ \u2028", "v": (np.array([2.0]), "é", {"k": [1, 2, {"x": 3}]})},
-        [np.array([1.0]), {}, [], [np.array([-0.0])]],
-    ],
-    ids=["empty", "chunks", "signed-zero", "non-finite", "subnormal", "exponent", "empty-none", "non-ascii", "top-list"],
-)
-def test_dump_json_matches_json_dump(tmp_path, doc):
-    dump_json(doc, str(tmp_path / "fast.json"))
-    want = _json_dump_bytes(_as_lists(doc), tmp_path / "plain.json")
-    assert (tmp_path / "fast.json").read_bytes() == want
-
-
-def test_dump_json_rejects_other_arrays(tmp_path):
-    for arr in (np.arange(3), np.zeros((2, 2))):
-        with pytest.raises(TypeError, match="only 1-D float64 arrays"):
-            dump_json({"v": arr}, str(tmp_path / "x.json"))
-
-
-@pytest.mark.parametrize("doc", [{"s": "\0ndarray\0"}, {"\0ndarray\0": np.array([1.0])}], ids=["value", "key"])
-def test_dump_json_rejects_the_array_placeholder(tmp_path, doc):
-    # the one string that stands for an array cannot also be the document's own
-    path = tmp_path / "x.json"
-    with pytest.raises(ValueError, match="stands for an array"):
-        dump_json(doc, str(path))
-    assert not path.exists()
-
-
-def test_save_model_matches_json_dump(tmp_path, fitted):
+def test_save_model_matches_json_dump(tmp_path, fitted, rng):
+    # save_model writes json.dump(indent=2) of the document it stores, and load_model reads back its bits
     stack, scheme, _ = fitted
+    anchors = [
+        random_initial(xa_schema(nx=_CHUNK + 1000, na=2), rng),  # each row crosses a chunk boundary
+        uniform_initial(xa_schema(nx=1, na=3)),  # one entry per row
+        # entries json writes in exponent form, subnormals, and a -0.0, which the anchor takes as >= 0
+        InitialDensity(
+            xa_schema(nx=6, na=2),
+            np.array(
+                [
+                    [-0.0, 5e-324, 1e-05, 0.0, 0.25, 0.75 - 1e-05],
+                    [0.5, 2.2250738585072014e-308 / 3, -0.0, 1.5e-10, 0.5 - 1.5e-10, 0.0],
+                ]
+            ),
+        ),
+    ]
     path = tmp_path / "model.json"
-    save_model(stack, str(path), scheme=scheme, run_id="0123456789abcdef")
-    doc = read_json(path)
-    assert path.read_bytes() == _json_dump_bytes(doc, tmp_path / "plain.json")
-    assert list(doc) == ["format", "version", "manifest", "scheme", "q0", "rounds"]
-    assert doc["manifest"] == "0123456789abcdef"
+    for saved in [stack, *map(BoostedDensity, anchors)]:
+        save_model(saved, str(path), scheme=scheme, run_id="0123456789abcdef")
+        doc = read_json(path)
+        assert path.read_bytes() == _json_dump_bytes(doc, tmp_path / "plain.json")
+        assert list(doc) == ["format", "version", "manifest", "scheme", "q0", "rounds"]
+        assert doc["manifest"] == "0123456789abcdef"
+        back = load_model(str(path))[0]
+        assert back.q0.cond.tobytes() == saved.q0.cond.tobytes()
+        assert _rounds_bits(back.rounds) == _rounds_bits(saved.rounds)
 
 
 def _message_and_place(error: json.JSONDecodeError) -> tuple:
