@@ -24,10 +24,10 @@ sums of log Z_k and log Z_k(a).  Expectations take a vectorized
 
 Normalizers are computed exactly (full log-space sums over the discrete
 domain), frozen when a round is appended, and serialized with the model;
-evaluation never recomputes them.  Each domain pass fills one buffer: the
-joint table is written in row-major order through a group-major view of its
-cube, and a round's normalizer terms fill one (|A|, n_x) scratch buffer, each
-cell taking the operations, and so the bits, of the group-major expressions.
+evaluation never recomputes them.  Each domain pass takes the anchor's logs as
+it goes: the joint table is written through a group-major view of its cube,
+and a round's normalizer terms fill one row buffer group by group, each cell
+taking the operations, and so the bits, of the group-major expressions.
 
 A classifier here is any object with a ``c_bound`` attribute and a method
 ``domain_scores(x_schema) -> array`` giving its score on every cell of the
@@ -73,9 +73,6 @@ class InitialDensity:
         if (np.abs(cond.sum(axis=1) - 1.0) > _SUM_TOL).any():
             raise ValueError(f"each conditional must sum to 1 within {_SUM_TOL}")
         self.cond = _readonly(cond)
-        with np.errstate(divide="ignore"):
-            self.log_cond = np.log(self.cond)
-        self.log_cond.setflags(write=False)
 
     @staticmethod
     def check_schema(schema: AttributeSchema) -> None:
@@ -153,10 +150,14 @@ class BoostedDensity:
         return child
 
     def _normalizers(self, step: np.ndarray) -> tuple[float, np.ndarray]:
-        log_terms = np.add(self.q0.log_cond, self._tilt)
-        log_terms -= self._log_zg_total[:, None]
-        log_terms += step
-        log_zg = _logsumexp(log_terms, axis=1)
+        row, log_zg = np.empty(len(step)), np.empty(len(self._log_zg_total))
+        for a, cond in enumerate(self.q0.cond):
+            with np.errstate(divide="ignore"):  # an unsmoothed anchor has empty cells
+                np.log(cond, out=row)
+            row += self._tilt
+            row -= self._log_zg_total[a]
+            row += step
+            log_zg[a] = _logsumexp(row)
         log_marg = np.log(self.sensitive_marginal())
         log_z = _logsumexp(log_marg + log_zg)
         return float(np.exp(log_z)), np.exp(log_zg)
@@ -166,7 +167,9 @@ class BoostedDensity:
     def _raw_joint_vector(self) -> np.ndarray:
         raw = np.empty(self.schema.n_cells)
         groups = np.moveaxis(raw.reshape(self.schema.shape), self.schema.sensitive_index, 0)
-        np.subtract(self.q0.log_cond.reshape(groups.shape), math.log(len(groups)), out=groups)
+        with np.errstate(divide="ignore"):
+            np.log(self.q0.cond.reshape(groups.shape), out=groups)
+        groups -= math.log(len(groups))
         groups += self._tilt.reshape(groups.shape[1:])
         raw -= self._log_z_total
         return np.exp(raw, out=raw)
@@ -238,23 +241,20 @@ def representation_rates(z_by_group: Iterable[np.ndarray]) -> list[float]:
     return rates
 
 
-def _logsumexp(a: np.ndarray, axis=None):
-    """log(sum(exp(a))) over ``axis`` (all axes when None), as scipy 1.17 sums it.
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) over every entry of ``a``, as scipy 1.17 sums it.
 
-    Every maximal element is taken out of the sum and counted (m), so the
-    result is log1p(sum(exp(a - a_max)) / m) + log(m) + a_max.  scipy's extra
-    pass for infinite results is left out: each reduced slice must hold a
-    finite maximum, as every row of log conditionals does.  ``a`` is overwritten.
+    Every maximal entry is taken out of the sum and counted (m), so the result is
+    log1p(sum(exp(a - a_max)) / m) + log(m) + a_max.  scipy's extra pass for infinite
+    results is left out, so ``a`` must hold a finite maximum.  ``a`` is overwritten.
     """
-    a_max = np.max(a, axis=axis, keepdims=True)
+    a_max = a.max()
     is_max = a == a_max
-    m = np.sum(is_max, axis=axis, keepdims=True, dtype=np.float64)
+    m = np.count_nonzero(is_max)
     np.copyto(a, -np.inf, where=is_max)
     a -= a_max
-    s = np.sum(np.exp(a, out=a), axis=axis, keepdims=True)
-    s = np.where(s == 0, s, s / m)
-    out = np.log1p(s) + np.log(m) + a_max
-    return np.squeeze(out, axis=axis)[()]
+    s = np.exp(a, out=a).sum() / m
+    return float(np.log1p(s) + np.log(m) + a_max)
 
 
 def _checked_scores(x_schema: AttributeSchema, classifier) -> np.ndarray:

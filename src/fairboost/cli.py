@@ -196,6 +196,16 @@ def cmd_eval(args) -> int:
     if joint.schema.target_index is not None:
         sr = statistical_rate(joint, _SR_CLASS)
     p_hat = fit_empirical(data, args.smoothing)
+    # the KL needs the model's mass wherever p-hat has some: name the cells that lack it
+    if (joint.mass[data.cells()] == 0).any():
+        raise ValueError(
+            "a data row falls in a cell where the model puts no mass; the KL needs a model refit with --smoothing > 0"
+        )
+    if p_hat.mass.min() > 0 and joint.mass.min() == 0:
+        raise ValueError(
+            "eval --smoothing spreads mass onto cells where the model puts none; "
+            "the KL needs a model refit with --smoothing > 0"
+        )
     metrics = {
         "format": METRICS_FORMAT,
         "version": 1,

@@ -128,8 +128,9 @@ def fbde_fit(p: Dataset, q0: InitialDensity, cfg: FitConfig) -> tuple[BoostedDen
     The empirical table p-hat is kept as its support (at most len(p) cells)
     and its masses there, and each KL is taken over those cells alone, with
     the bits of the KL over the whole table.  Beyond the anchor, a round holds
-    the tilt, the tree's one paint and one whole-domain table at a time: the joint,
-    read by its KL and then made the next round's CDF in place, or the normalizer terms.
+    the tilt, the tree's one paint and at most one whole-domain table: the joint,
+    read by its KL and then made the next round's CDF in place.  The normalizer
+    terms take one group's row at a time.
     """
     if p.schema != q0.schema:
         raise ValueError("schema mismatch")

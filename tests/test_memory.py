@@ -27,10 +27,11 @@ from fairboost import (
     fit_empirical,
     kl_divergence,
 )
+from fairboost.boosted import _checked_scores
 from fairboost.pipeline import build_initial, load_csv_with_schema
 from fairboost.serialize import load_model, load_model_rounds, save_model
 
-from conftest import read_json
+from conftest import read_json, table_classifier
 
 BINS, FEATURES, ROWS = 60, 3, 2000
 
@@ -63,23 +64,44 @@ def _peak(fn, unit):
     return result, (peak - start) / unit
 
 
-def test_build_initial_holds_two_tables(wide_data):
-    # the anchor is cond and log_cond, each built once in its own buffer
+def test_build_initial_keeps_one_table(wide_data):
+    # the anchor is cond alone: the build peaks at about 2, cond beside one group's
+    # integer counts and masses, and keeps only cond, one table, once it returns
     assert wide_data.schema.n_cells == 432_000
-    q0, tables = _peak(lambda: build_initial(wide_data, wide_data.schema, 1.0), 8 * wide_data.schema.n_cells)
+    table = 8 * wide_data.schema.n_cells
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        q0, tables = _peak(lambda: build_initial(wide_data, wide_data.schema, 1.0), table)
+        kept = (tracemalloc.get_traced_memory()[0] - start) / table
+    finally:
+        tracemalloc.stop()
     assert q0.cond.shape == (2, BINS**FEATURES)
     assert tables <= 2.2
+    assert kept <= 1.1
 
 
 def test_fit_holds_under_three_tables(wide_data):
-    # beyond the anchor, a round holds the tilt, the tree's paint and one whole table at a
-    # time (the joint, turned into its CDF in place, or the normalizer terms), about 2.2;
+    # beyond the anchor, a round holds the tilt, the tree's paint and at most one whole table
+    # (the joint, turned into its CDF in place; the normalizer terms are one group's row);
     # p-hat's dense build, its integer counts and masses beside the tilt, peaks at about 2.5
     q0 = build_initial(wide_data, wide_data.schema, 1.0)
     cfg = FitConfig(rounds=3, scheme=LeveragingScheme("exact", 0.7))
     (stack, _, _), tables = _peak(lambda: fbde_fit(wide_data, q0, cfg), 8 * wide_data.schema.n_cells)
     assert len(stack.rounds) == 3
     assert tables <= 2.6
+
+
+def test_extended_holds_one_group_row(wide_data):
+    # a round's normalizer pass fills one group's row of terms at a time, half a table
+    # here, beside that row's mask of maxima: about 0.56
+    q0 = build_initial(wide_data, wide_data.schema, 1.0)
+    n_x = q0.x_schema.n_cells
+    classifier = table_classifier(wide_data.schema, np.random.default_rng(1).uniform(-0.5, 0.5, n_x))
+    stack, scores = BoostedDensity(q0), _checked_scores(q0.x_schema, classifier)
+    child, tables = _peak(lambda: stack.extended(classifier, 0.3, scores), 8 * wide_data.schema.n_cells)
+    assert len(child.rounds) == 1 and np.shares_memory(child._tilt, scores)
+    assert tables <= 0.65
 
 
 def test_dense_kl_holds_one_table(wide_data):
@@ -105,8 +127,8 @@ def test_save_model_writes_the_anchor_row_by_row(tmp_path, wide_data):
 def test_model_readers_stream_the_anchor_rows(tmp_path, wide_data):
     # a model of 432,000 anchor entries, about 31 bytes of text each: the round reader holds
     # one row of entries (8 bytes each, half the anchor), about 0.13 file sizes; the whole
-    # text and its parsed lists, 1.33, are never held.  load_model adds the anchor it
-    # builds, cond and log_cond, about 0.26 each
+    # text and its parsed lists, 1.33, are never held.  load_model adds the anchor's cond
+    # it builds, about 0.26
     path = str(tmp_path / "model.json")
     q0 = build_initial(wide_data, wide_data.schema, 1.0)
     save_model(BoostedDensity(q0), path, LeveragingScheme("exact", 0.8), run_id="run-1")
@@ -115,7 +137,7 @@ def test_model_readers_stream_the_anchor_rows(tmp_path, wide_data):
     (_, _, rounds), files = _peak(lambda: load_model_rounds(path), size)
     assert rounds == [] and files <= 0.2
     (stack, _, _), files = _peak(lambda: load_model(path), size)
-    assert stack.q0.cond.shape == (2, BINS**FEATURES) and files <= 0.75
+    assert stack.q0.cond.shape == (2, BINS**FEATURES) and files <= 0.45
     # a file in another layout is read whole, once, and refused: its text and the parsed
     # document, one float object per distinct value, about 1.22 file sizes (with a float
     # object per entry it would be 1.83)
@@ -131,9 +153,9 @@ def test_model_readers_stream_the_anchor_rows(tmp_path, wide_data):
 
 
 def test_eval_holds_the_stack_only_until_its_joint(tmp_path, wide_data):
-    # the peak, about 3.7 tables, is the joint build beside the stack (the anchor's cond and
-    # log_cond and the tilt, 2.5); the stack goes before p-hat's dense build and the KL's
-    # terms, which are held beside the joint alone (about 5.8 with the stack still held)
+    # the peak, about 3.3 tables, is the joint build beside the stack (the anchor's cond and
+    # the tilt, 1.5); the stack goes before p-hat's dense build and the KL's terms, which
+    # are held beside the joint alone
     attrs = wide_data.schema.attributes[:FEATURES] + (Attribute("a", 2, categories=("0", "1")),)
     data = Dataset(dataclasses.replace(wide_data.schema, attributes=attrs), wide_data.rows)
     q0 = build_initial(data, data.schema, 1.0)
@@ -147,4 +169,4 @@ def test_eval_holds_the_stack_only_until_its_joint(tmp_path, wide_data):
     argv = ["eval", "--model", model, "--data", csv, "--smoothing", "1", "--out", out]
     code, tables = _peak(lambda: cli.main(argv), 8 * data.schema.n_cells)
     assert code == 0 and read_json(out)["n_rows"] == ROWS
-    assert tables <= 3.8
+    assert tables <= 3.45
