@@ -14,6 +14,7 @@ an explicit absolute-continuity check.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,8 @@ import numpy as np
 from .schema import AttributeSchema, Dataset, _readonly
 
 _SUM_TOL = 1e-12
-#: cells per block of ``kl_divergence``'s terms
+#: cells per block of ``kl_divergence``'s terms, and the longest run ``_pairwise_sum`` sums
+#: by ``np.sum``; at least numpy's 128-value leaf, so its runs are whole subtrees
 _KL_BLOCK = 1 << 14
 
 
@@ -99,9 +101,9 @@ def fit_empirical(dataset: Dataset, smoothing: float = 0.0) -> TabularDensity:
 
     mass[cell] = (count(cell) + smoothing) / (N + smoothing * n_cells),
     where count(cell) is the number of rows in the cell and N the number of
-    rows.  The table is one buffer, divided in place and handed to
-    ``TabularDensity`` read-only, so it is never copied: the build peaks at
-    two domain-sized arrays (the integer counts and the table).
+    rows.  The counts are summed as float64 weights straight into the table,
+    which is smoothed and divided in place and handed to ``TabularDensity``
+    read-only, so the build holds one domain-sized array.
     """
     if not math.isfinite(smoothing):
         raise ValueError(f"smoothing must be finite, got {smoothing!r}")
@@ -110,8 +112,12 @@ def fit_empirical(dataset: Dataset, smoothing: float = 0.0) -> TabularDensity:
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     n_cells = dataset.schema.n_cells
-    mass = np.bincount(dataset.cells(), minlength=n_cells) + float(smoothing)
-    mass /= len(dataset) + smoothing * n_cells
+    total = len(dataset) + smoothing * n_cells
+    if not math.isfinite(total):
+        raise ValueError(f"smoothing {smoothing!r} over {n_cells} cells gives a table total that overflows")
+    mass = np.bincount(dataset.cells(), weights=np.ones(len(dataset)), minlength=n_cells)
+    mass += smoothing
+    mass /= total
     mass.setflags(write=False)
     return TabularDensity(dataset.schema, mass)
 
@@ -167,26 +173,58 @@ def kl_divergence(pm: np.ndarray, qm: np.ndarray) -> float:
     ``pm`` and ``qm`` are whole tables' masses (``TabularDensity.mass``), or
     both restricted to the same cells, in the same order: the sum runs over
     the cells where ``pm > 0``, so dropping cells where p is 0 leaves the
-    result unchanged bit for bit.  The terms fill one buffer of p's support
-    size, ``_KL_BLOCK`` cells at a time, so over a whole domain the call
-    holds about one table: each term has the bits of the whole-array
-    ``p * (log p - log q)``, and the one pairwise sum over the buffer has
-    the bits of that expression's ``sum()``.
+    result unchanged bit for bit.  The terms are made ``_KL_BLOCK`` cells at
+    a time, each with the bits of the whole-array ``p * (log p - log q)``,
+    and ``_pairwise_sum`` adds them as they come with the bits of that
+    expression's ``sum()``, so no buffer of p's support size is held.
     """
     pm, qm = np.asarray(pm, dtype=np.float64), np.asarray(qm, dtype=np.float64)
     if pm.ndim != 1 or pm.shape != qm.shape:
         raise ValueError(f"mass vectors are not aligned: shapes {pm.shape} and {qm.shape}")
     support = pm > 0
-    terms = np.empty(np.count_nonzero(support))
-    filled = 0
-    for start in range(0, len(pm), _KL_BLOCK):
-        cells = slice(start, start + _KL_BLOCK)
-        p_b, q_b = pm[cells][support[cells]], qm[cells][support[cells]]
-        if (q_b <= 0).any():
-            raise ValueError("absolute continuity violated")
-        out = terms[filled : filled + len(p_b)]
-        np.log(p_b, out=out)
-        out -= np.log(q_b, out=q_b)
-        out *= p_b
-        filled += len(p_b)
-    return max(float(terms.sum()), 0.0)
+
+    def terms():
+        for start in range(0, len(pm), _KL_BLOCK):
+            cells = slice(start, start + _KL_BLOCK)
+            p_b, q_b = pm[cells][support[cells]], qm[cells][support[cells]]
+            if (q_b <= 0).any():
+                raise ValueError("absolute continuity violated")
+            out = np.log(p_b)
+            out -= np.log(q_b, out=q_b)
+            out *= p_b
+            yield out
+
+    return max(_pairwise_sum(terms(), np.count_nonzero(support)), 0.0)
+
+
+def _pairwise_sum(blocks: Iterator[np.ndarray], n: int) -> float:
+    """``np.sum`` of the concatenated ``blocks``, n float64 values in all, bit for bit.
+
+    numpy's ``add.reduce`` over a contiguous float64 array sums pairwise
+    (Higham, SIAM J. Sci. Comput. 1993): a run of more than 128 values
+    splits at ``n//2 - (n//2) % 8`` and its two halves' sums are added.
+    This walks the same tree, sums each run of at most ``_KL_BLOCK`` values
+    by ``np.sum`` over its own contiguous copy, and adds the runs' sums in
+    the tree's order, so it holds at most ``_KL_BLOCK`` values at once.  A
+    run's ``np.sum`` adds its tree to 0.0, which only turns a -0.0 sum into
+    0.0, and the whole array's ``np.sum`` does the same.
+    """
+    run = np.empty(min(n, _KL_BLOCK))
+    pending = np.empty(0)
+
+    def tree(m: int) -> float:
+        nonlocal pending
+        if m > _KL_BLOCK:
+            half = m // 2 - (m // 2) % 8
+            return tree(half) + tree(m - half)
+        filled = 0
+        while filled < m:
+            if not len(pending):
+                pending = next(blocks)
+            take = pending[: m - filled]
+            run[filled : filled + len(take)] = take
+            filled += len(take)
+            pending = pending[len(take) :]
+        return float(run[:m].sum())
+
+    return tree(n)

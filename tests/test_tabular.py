@@ -13,7 +13,7 @@ from fairboost import (
     statistical_rate,
 )
 from fairboost.schema import Attribute, AttributeSchema
-from fairboost.tabular import _KL_BLOCK, _sample_cdf, discrimination_control
+from fairboost.tabular import _KL_BLOCK, _pairwise_sum, _sample_cdf, discrimination_control
 
 from conftest import dataset_from_rows, density, group_matrix, random_density, xa_schema, xya_schema
 
@@ -206,6 +206,16 @@ def test_fit_empirical_errors():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match=f"smoothing must be finite, got {bad!r}"):
             fit_empirical(dataset_from_rows(s, [[0]]), bad)
+    # N + smoothing * n_cells overflows: refused by name, not as a table that sums to 0
+    with pytest.raises(ValueError, match=r"^smoothing 1e\+308 over 2 cells gives a table total that overflows$"):
+        fit_empirical(dataset_from_rows(s, [[0]]), 1e308)
+
+
+def test_fit_empirical_negative_zero_smoothing_keeps_the_bits():
+    d = dataset_from_rows(a_only_schema(3), [[0], [2], [0]])
+    for smoothing in (0.0, -0.0):
+        mass = fit_empirical(d, smoothing).mass
+        assert mass.tobytes() == (np.array([2.0, 0.0, 1.0]) / 3).tobytes()
 
 
 # -- representation rate --
@@ -367,6 +377,19 @@ def test_kl_blocks_keep_the_whole_array_bits(rng, zero_runs):
     assert pm[3 * B + 9] > 0.0
     with pytest.raises(ValueError, match="absolute continuity violated"):
         kl_divergence(pm, qm)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 127, 128, 129, B - 1, B + 1, 2 * B - 1, 2 * B + 1, 2_000_003])
+def test_pairwise_sum_has_the_bits_of_np_sum(rng, n):
+    # numpy's pairwise tree for add.reduce, rebuilt run by run over uneven blocks, some of
+    # them empty: if a numpy version sums differently, this fails ahead of any digest
+    values = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-20.0, 20.0, n))
+    blocks = np.split(values, np.sort(np.repeat(rng.integers(0, n + 1, 20), 2)))
+    assert any(len(b) == 0 for b in blocks)
+    got, whole = np.float64(_pairwise_sum(iter(blocks), n)), values.sum()
+    assert got.view(np.uint64) == whole.view(np.uint64)
+    zeros = np.full(n, -0.0)  # np.sum adds its tree to 0.0, so a sum of -0.0s is 0.0
+    assert np.float64(_pairwise_sum(iter([zeros]), n)).view(np.uint64) == zeros.sum().view(np.uint64)
 
 
 def test_kl_nonnegative_zero_only_at_equality(rng):
