@@ -141,8 +141,8 @@ def cmd_fit(args) -> int:
         for i, (train, test) in enumerate(splits):
             q0_i = build_initial(train, schema, args.smoothing)
             cfg_i = FitConfig(seed=seeds.subseed(args.seed, seeds.FOLDS, i), **base_cfg)
-            stack_i, _, _ = fbde_fit(train, q0_i, cfg_i)
-            train_hat, test_hat = fit_empirical(train, 0.0), fit_empirical(test, 0.0)
+            stack_i, trace_i, _ = fbde_fit(train, q0_i, cfg_i)
+            test_hat = fit_empirical(test, 0.0)
             anchor, final = BoostedDensity(q0_i).table(), stack_i.table()
             if (anchor.mass[test_hat.mass > 0] == 0).any():
                 raise ValueError(
@@ -152,10 +152,10 @@ def cmd_fit(args) -> int:
             fold_summaries.append(
                 {
                     "fold": i,
-                    "final_rr": stack_i.representation_rate(),
-                    "final_kl_train": kl_divergence(train_hat.mass, final.mass),
+                    "final_rr": trace_i[-1].rr,
+                    "final_kl_train": trace_i[-1].kl_train,
                     "final_kl_test": kl_divergence(test_hat.mass, final.mass),
-                    "anchor_kl_train": kl_divergence(train_hat.mass, anchor.mass),
+                    "anchor_kl_train": trace_i[0].kl_train,
                     "anchor_kl_test": kl_divergence(test_hat.mass, anchor.mass),
                 }
             )

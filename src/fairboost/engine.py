@@ -17,6 +17,7 @@ close to 1 forces theta toward 0 and the fit sticks to the anchor.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -34,6 +35,8 @@ RELATIVE = "relative"
 
 #: negatives drawn from the current model per data row, each round
 NEGATIVES_PER_ROW = 2
+#: the exact scheme's last round: its theta_t divides by 2^(t+1), and 2.0 ** 1024 overflows a float
+EXACT_MAX_ROUNDS = sys.float_info.max_exp - 2
 
 
 @dataclass(frozen=True)
@@ -57,10 +60,15 @@ class LeveragingScheme:
 
 
 def leverage(scheme: LeveragingScheme, t: int) -> float:
-    """theta_t for round t >= 1."""
+    """theta_t for round t >= 1; the exact scheme's ends at round ``EXACT_MAX_ROUNDS``."""
     if t < 1:
         raise ValueError("t must be >= 1")
     if scheme.kind == EXACT:
+        if t > EXACT_MAX_ROUNDS:
+            raise ValueError(
+                f"the exact scheme takes at most {EXACT_MAX_ROUNDS} rounds, got round {t}: "
+                "its theta_t needs 2^(t+1), which overflows a float past them"
+            )
         return -math.log(scheme.tau) / (scheme.c_bound * 2.0 ** (t + 1))
     return -math.log(scheme.tau) / (2.0 * scheme.c_bound * t)
 
@@ -94,6 +102,8 @@ class FitConfig:
     def __post_init__(self) -> None:
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
+        if self.rounds:
+            leverage(self.scheme, self.rounds)  # refuses a round count the scheme cannot reach, before any round runs
 
 
 @dataclass(frozen=True)
@@ -120,8 +130,8 @@ def fbde_fit(p: Dataset, q0: InitialDensity, cfg: FitConfig) -> tuple[BoostedDen
     leaves and depth, and the seconds spent sampling, on the tree, on the
     round's ``_step`` and on the joint and KL).  The trace opens with a t=0
     row for the anchor (rr and z exactly 1) so downstream consumers can read
-    off per-round drops and total progress without refitting; rounds == 0
-    returns the bare anchor with an empty trace.  Every row records
+    off per-round drops and total progress without refitting; a zero-round
+    fit is the bare anchor, its trace that one row.  Every row records
     kl_train, the KL divergence from the training data; kl_test is always
     None.  Deterministic given cfg.seed, timings aside.
 
@@ -139,9 +149,6 @@ def fbde_fit(p: Dataset, q0: InitialDensity, cfg: FitConfig) -> tuple[BoostedDen
     stack = BoostedDensity(q0)
     trace: list[TraceRow] = []
     records: list[dict] = []
-    if cfg.rounds == 0:
-        return stack, trace, records
-
     p_mass = fit_empirical(p, 0.0).mass
     support = np.flatnonzero(p_mass)
     p_mass = p_mass[support]

@@ -282,7 +282,9 @@ def build_report(
 
     ``rounds`` are the model's stored rounds; t, theta, each rate (from the
     Z_t(a)) and each rate floor (from the scheme) come from them.  ``trace``
-    is shaped as ``fbde_fit`` writes it (empty for zero rounds) and gives
+    is shaped as ``fbde_fit`` writes it (the t=0 anchor row, then one row per
+    round; a header-only file, which zero-round fits once wrote, reads as an
+    empty trace and is accepted for a zero-round model) and gives
     kl_train, the sample margins and their regime.  The trace must be the
     model's run: it has exactly those rounds, and its theta, z, rr and rr_bound
     equal the model's bit for bit (both files write numbers shortest-repr and

@@ -257,7 +257,8 @@ def write_mixture_csv(x: np.ndarray, a: np.ndarray, path: str) -> None:
 
 
 def kfold(dataset: Dataset, k: int, seed: int) -> list:
-    """Disjoint, exhaustive, shuffled (train, test) splits."""
+    """Disjoint, exhaustive, shuffled (train, test) splits; each training
+    part must hold every sensitive value, as ``build_initial`` needs."""
     n = len(dataset)
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -269,8 +270,19 @@ def kfold(dataset: Dataset, k: int, seed: int) -> list:
     for i in range(k):
         test_idx = np.sort(folds[i])
         train_idx = np.sort(np.concatenate([folds[j] for j in range(k) if j != i]))
-        splits.append((dataset.subset(train_idx), dataset.subset(test_idx)))
+        train = dataset.subset(train_idx)
+        counts = np.bincount(train.sensitive_codes(), minlength=dataset.schema.sensitive.cardinality)
+        if not counts.all():
+            label = _sensitive_label(dataset.schema, int(np.argmin(counts)))
+            raise ValueError(f"fold {i}: unrepresented sensitive value {label!r} in the fold's training part")
+        splits.append((train, dataset.subset(test_idx)))
     return splits
+
+
+def _sensitive_label(schema: AttributeSchema, code: int):
+    """The sensitive value ``code`` as the data spell it: its category, or the code itself."""
+    categories = schema.sensitive.categories
+    return code if categories is None else categories[code]
 
 
 def build_initial(train: Dataset, schema: AttributeSchema, smoothing: float) -> InitialDensity:
@@ -284,7 +296,7 @@ def build_initial(train: Dataset, schema: AttributeSchema, smoothing: float) -> 
     for a in range(len(cond)):
         mask = sensitive == a
         if not mask.any():
-            raise ValueError("unrepresented sensitive value")
+            raise ValueError(f"unrepresented sensitive value {_sensitive_label(schema, a)!r}")
         cond[a] = fit_empirical(Dataset(x_schema, x_rows[mask]), smoothing).mass
     cond.setflags(write=False)
     return InitialDensity(schema, cond)

@@ -6,14 +6,23 @@ so ``cell = sum_i code_i * prod_{j>i} card_j``.  One attribute is designated
 sensitive; an optional second one is the class attribute used by the
 statistical-rate metrics.  A schema's stored form in a model is
 ``serialize``'s alone.
+
+A schema is refused when built if its cell count, taken exactly, exceeds
+``MAX_CELLS``, the most cells one float64 table can index.  Every coordinate
+input is a matrix: ``encode`` takes ``(n, n_attributes)`` rows and
+``Dataset`` an ``(n, n_attributes)`` array, and neither reshapes a vector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+#: the most cells a table of one float64 per cell can hold: numpy caps an array at intp-max bytes
+MAX_CELLS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 
 @dataclass(frozen=True)
@@ -78,6 +87,10 @@ class AttributeSchema:
                 raise ValueError("target_index out of range")
             if self.target_index == self.sensitive_index:
                 raise ValueError("target_index must differ from sensitive_index")
+        if self.n_cells > MAX_CELLS:
+            raise ValueError(
+                f"the domain has {self.n_cells} cells, more than one float64 table can index ({MAX_CELLS})"
+            )
 
     # -- geometry -------------------------------------------------------
 
@@ -87,7 +100,7 @@ class AttributeSchema:
 
     @property
     def n_cells(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64))
+        return math.prod(map(int, self.shape))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -108,10 +121,10 @@ class AttributeSchema:
     # -- cell coding ----------------------------------------------------
 
     def encode(self, rows: np.ndarray) -> np.ndarray:
-        """Row-major cell index for each coordinate row."""
+        """Row-major cell index for each row of an (n, n_attributes) coordinate matrix."""
         rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim == 1:
-            rows = rows[None, :]
+        if rows.ndim != 2:
+            raise ValueError(f"coordinate rows must be an (n, n_attributes) matrix, got shape {rows.shape}")
         return np.ravel_multi_index(tuple(rows.T), self.shape)
 
     def decode(self, cells: np.ndarray) -> np.ndarray:
@@ -132,14 +145,9 @@ class AttributeSchema:
         return tuple(i for i in range(len(self.attributes)) if i != self.sensitive_index)
 
     def x_subschema(self) -> "AttributeSchema":
-        """Schema over the non-sensitive attributes, order preserved."""
-        if self.sensitive_index is None:
-            return self
-        attrs = tuple(self.attributes[i] for i in self.x_indices)
-        target = None
-        if self.target_index is not None:
-            target = self.target_index - (1 if self.target_index > self.sensitive_index else 0)
-        return AttributeSchema(attrs, sensitive_index=None, target_index=target)
+        """Schema over the non-sensitive attributes, order preserved, with no
+        sensitive or target designation."""
+        return AttributeSchema(tuple(self.attributes[i] for i in self.x_indices), sensitive_index=None)
 
     def split_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(feature columns, sensitive column) of a coordinate matrix."""
@@ -165,8 +173,6 @@ class Dataset:
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=np.int64)
-        if rows.ndim == 1:
-            rows = rows[:, None]
         if rows.ndim != 2 or (rows.size and rows.shape[1] != len(self.schema.attributes)):
             raise ValueError("rows must be (n, n_attributes)")
         if rows.size:

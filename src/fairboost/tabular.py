@@ -36,7 +36,6 @@ class TabularDensity:
 
     def __post_init__(self) -> None:
         mass = np.asarray(self.mass, dtype=np.float64)
-        mass = mass if mass.ndim == 1 else mass.reshape(-1)
         object.__setattr__(self, "mass", _readonly(_checked_mass(self.schema, mass)))
 
     def sensitive_marginal(self) -> np.ndarray:

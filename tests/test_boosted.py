@@ -40,7 +40,7 @@ def plusminus_classifier(schema):
 
 def density_at(bd, row):
     """Q_T at one coordinate row, read off the stack's joint table."""
-    return bd.table().mass[bd.schema.encode(np.asarray(row))[0]]
+    return bd.table().mass[bd.schema.encode(np.asarray([row]))[0]]
 
 
 def normalizers(bd, classifier, theta):
@@ -90,7 +90,7 @@ def test_anchor_joint_matches_conditionals(rng):
     joint = BoostedDensity(q0).table()
     for a in range(2):
         for x in range(4):
-            cell = joint.schema.encode(np.array([x, a]))[0]
+            cell = joint.schema.encode(np.array([[x, a]]))[0]
             assert joint.mass[cell] == pytest.approx(0.5 * q0.cond[a, x], abs=1e-15)
 
 

@@ -86,6 +86,9 @@ def test_leverage_vanishes_as_tau_approaches_one():
 def test_leverage_round_validation():
     with pytest.raises(ValueError, match="t must be >= 1"):
         leverage(exact_scheme(), 0)
+    assert leverage(exact_scheme(), 1022) == -math.log(0.9) / (LN2 * 2.0**1023) > 0  # 2.0 ** 1024 overflows
+    with pytest.raises(ValueError, match="^the exact scheme takes at most 1022 rounds, got round 1023: "):
+        leverage(exact_scheme(), 1023)
 
 
 # -- floors and mollifier sizes ----------------------------------------
@@ -142,6 +145,9 @@ def test_fit_config_validation():
     s = exact_scheme()
     with pytest.raises(ValueError, match="rounds must be >= 0"):
         FitConfig(rounds=-1, scheme=s)
+    with pytest.raises(ValueError, match="^the exact scheme takes at most 1022 rounds, got round 1023: "):
+        FitConfig(rounds=1023, scheme=s)
+    assert FitConfig(rounds=1023, scheme=relative_scheme()).rounds == 1023
 
 
 # -- the boosting loop --------------------------------------------------
@@ -162,11 +168,13 @@ def fit_setup():
 
 
 def test_fit_zero_rounds_returns_anchor(fit_setup):
+    # a zero-round fit is an ordinary one: its trace is the t=0 anchor row alone
     s, p, q0 = fit_setup
-    stack, trace, _ = fbde_fit(p, q0, FitConfig(rounds=0, scheme=exact_scheme()))
-    assert len(stack.rounds) == 0
-    assert trace == []
-    assert np.allclose(stack.table().mass, BoostedDensity(q0).table().mass)
+    stack, trace, records = fbde_fit(p, q0, FitConfig(rounds=0, scheme=exact_scheme()))
+    assert len(stack.rounds) == 0 and records == []
+    assert np.array_equal(stack.table().mass, BoostedDensity(q0).table().mass)
+    kl = kl_divergence(fit_empirical(p, 0.0).mass, stack.table().mass)
+    assert trace == [engine.TraceRow(0, 0.0, None, None, None, 1.0, 1.0, kl, None, 1.0)]
 
 
 def test_fit_trace_shape_and_baseline(fit_setup):

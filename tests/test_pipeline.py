@@ -324,6 +324,8 @@ def test_kfold_validation(rng):
         kfold(ds, 1, seed=0)
     with pytest.raises(ValueError, match="k exceeds dataset size"):
         kfold(ds, 6, seed=0)
+    with pytest.raises(ValueError, match=r"^fold \d: unrepresented sensitive value 1 in the fold's training part$"):
+        kfold(Dataset(s, [[0, 0]] * 4 + [[0, 1]]), 2, seed=0)
 
 
 # -- anchor construction ------------------------------------------------
@@ -363,7 +365,7 @@ def test_build_initial_smoothing_fills_empty_cells(rng):
 def test_build_initial_validation(rng):
     s = xa_schema(nx=3, na=2)
     rows = np.asarray([[0, 0], [1, 0], [2, 0]])
-    with pytest.raises(ValueError, match="unrepresented sensitive value"):
+    with pytest.raises(ValueError, match="^unrepresented sensitive value 1$"):
         build_initial(Dataset(s, rows), s, smoothing=1.0)
     plain = s.x_subschema()
     with pytest.raises(ValueError, match="sensitive attribute"):

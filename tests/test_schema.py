@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fairboost import Attribute, AttributeSchema, Dataset
+from fairboost.schema import MAX_CELLS
 from fairboost.pipeline import _equal_width_edges
 
 from conftest import dataset_from_rows, group_matrix, xa_schema, xya_schema
@@ -50,7 +51,16 @@ def test_schema_shape_and_encoding():
     codes = s.encode(cells)
     assert np.array_equal(s.decode(codes), cells)
     assert sorted(codes) == list(range(12))
-    assert int(s.encode(cells[7])[0]) == 7
+    assert int(s.encode(cells[7:8])[0]) == 7
+    with pytest.raises(ValueError, match=r"^coordinate rows must be an \(n, n_attributes\) matrix, got shape \(3,\)$"):
+        s.encode(cells[7])
+
+
+def test_schema_counts_cells_exactly_and_refuses_more_than_one_table_holds():
+    # 60000^4 * 2 cells are past int64, where a product in int64 wraps to 7473255926290448384
+    assert AttributeSchema((Attribute("x", MAX_CELLS),), sensitive_index=None).n_cells == MAX_CELLS == 2**60 - 1
+    with pytest.raises(ValueError, match=rf"^the domain has {60_000**4 * 2} cells, .* table can index \({MAX_CELLS}\)$"):
+        AttributeSchema((*(Attribute(f"f{j}", 60_000) for j in range(4)), Attribute("a", 2)), sensitive_index=4)
 
 
 def test_schema_validation():
@@ -72,6 +82,7 @@ def test_x_subschema_excludes_sensitive():
     s = xya_schema()
     xs = s.x_subschema()
     assert [a.name for a in xs.attributes] == ["x", "y"]
+    assert xs.sensitive_index is None and xs.target_index is None
     assert s.index_of("a") == 2
 
 
@@ -99,7 +110,7 @@ def test_dataset_basics():
     s = xa_schema()
     d = dataset_from_rows(s, [[0, 0], [1, 1], [1, 0]])
     assert len(d) == 3
-    assert sorted(d.cells()) == sorted(s.encode(r) for r in [[0, 0], [1, 1], [1, 0]])
+    assert d.cells().tolist() == [0, 3, 2]  # x * 2 + a
     assert list(d.sensitive_codes()) == [0, 1, 0]
     assert d.x_rows().shape == (3, 1)
     assert not d.rows.flags.writeable

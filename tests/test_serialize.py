@@ -86,36 +86,6 @@ def test_model_resave_byte_identical(tmp_path, fitted):
     assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
 
 
-@pytest.mark.parametrize(
-    "path",
-    [
-        ("q0", "schema"),
-        ("q0", "conditionals"),
-        ("rounds",),
-        ("rounds", 0, "z"),
-        ("scheme", "c_bound"),
-        ("manifest",),
-        ("scheme", "value"),
-        ("q0", "schema", "attributes", 0, "bin_edges"),
-        ("q0", "schema", "attributes", 1, "categories"),
-        ("q0", "schema", "sensitive_index"),
-        ("q0", "schema", "target_index"),
-    ],
-)
-def test_model_rejects_missing_keys(tmp_path, fitted, path):
-    stack, scheme, _ = fitted
-    p = str(tmp_path / "m.json")
-    save_model(stack, p, scheme=scheme, run_id="run-1")
-    doc = read_json(p)
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    del parent[path[-1]]
-    dump_json(doc, p)
-    with pytest.raises(ValueError, match=f"model document is missing key '{path[-1]}'"):
-        load_model(p)
-
-
 def test_model_rounds_read_without_the_stack(tmp_path, fitted):
     stack, scheme, trace = fitted
     path = str(tmp_path / "m.json")

@@ -39,6 +39,8 @@ def test_density_validation():
         TabularDensity(s, np.array([0.5, 0.6]))
     with pytest.raises(ValueError, match="length"):
         TabularDensity(s, np.array([1.0]))
+    with pytest.raises(ValueError, match="length"):
+        TabularDensity(s, np.array([[0.5, 0.5]]))  # a mass is flat: no shape is reshaped into one
     with pytest.raises(ValueError, match="finite"):
         TabularDensity(s, np.array([1.5, -0.5]))
 
