@@ -217,9 +217,9 @@ class BoostedDensity:
         n = int(sample_budget)
         if n < 2:
             raise ValueError("sample_budget must be >= 2 in Monte Carlo mode")
-        rows = BoostedDensity(self.q0).table().sample(n, seed).rows
-        x_idx = self.q0.x_schema.encode(self.schema.split_rows(rows)[0])
-        vals = np.exp(self._tilt[x_idx] - self._log_z_total) * _values(g, rows)
+        drawn = BoostedDensity(self.q0).table().sample(n, seed)
+        x_idx = self.q0.x_schema.encode(drawn.x_rows())
+        vals = np.exp(self._tilt[x_idx] - self._log_z_total) * _values(g, drawn.rows)
         return ExpectationEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n)), n)
 
     # -- sampling -------------------------------------------------------

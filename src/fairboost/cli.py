@@ -15,7 +15,10 @@ margins and are only reported).
 ``eval`` holds the stack only until its joint table is built; p-hat and the
 KL come after it, beside the joint alone.
 Errors, an allocation the domain size makes impossible included, end in one
-``error:`` line and exit code 1.
+``error:`` line and exit code 1.  ``fit`` builds its one ``FitConfig``, whose
+check of theta_t at rounds 1 and T vouches for every round, before it reads
+any file, so a flag refused by rule is refused before the data are read;
+each fold's config is that one with the fold's seed.
 """
 
 from __future__ import annotations
@@ -117,30 +120,28 @@ def _emit(doc: dict, out) -> None:
 def cmd_fit(args) -> int:
     if args.folds == 1 or args.folds < 0:
         raise ValueError("folds must be 0 or >= 2")
+    scheme = LeveragingScheme(args.scheme, args.tau, args.c_bound)
+    cfg = FitConfig(args.rounds, scheme, TreeConfig(max_depth=args.max_depth, min_leaf_count=args.min_leaf), args.seed)
     timings = {}
     t0 = time.perf_counter()
     spec = infer_csv_spec(args.data, args.sensitive, args.target, args.bins, args.ignore)
     dataset, schema = load_csv(spec)
     # split before the full-data fit, so that a --folds that kfold refuses fails first
-    splits = kfold(dataset, args.folds, seeds.subseed(args.seed, seeds.FOLDS)) if args.folds >= 2 else None
+    splits = kfold(dataset, args.folds, seeds.subseed(args.seed, seeds.FOLDS)) if args.folds else []
     timings["load"] = time.perf_counter() - t0
-
-    scheme = LeveragingScheme(args.scheme, args.tau, args.c_bound)
-    tree_cfg = TreeConfig(max_depth=args.max_depth, min_leaf_count=args.min_leaf)
-    base_cfg = dict(rounds=args.rounds, scheme=scheme, tree=tree_cfg)
 
     t0 = time.perf_counter()
     q0 = build_initial(dataset, schema, args.smoothing)
-    stack, trace, round_records = fbde_fit(dataset, q0, FitConfig(seed=args.seed, **base_cfg))
+    stack, trace, round_records = fbde_fit(dataset, q0, cfg)
     timings["fit"] = time.perf_counter() - t0
 
-    fold_summaries = fold_aggregate = None
-    if splits is not None:
+    extra = {"rounds": round_records}
+    if splits:
         t0 = time.perf_counter()
-        fold_summaries = []
+        fold_summaries = extra["fold_summaries"] = []
         for i, (train, test) in enumerate(splits):
             q0_i = build_initial(train, schema, args.smoothing)
-            cfg_i = FitConfig(seed=seeds.subseed(args.seed, seeds.FOLDS, i), **base_cfg)
+            cfg_i = dataclasses.replace(cfg, seed=seeds.subseed(args.seed, seeds.FOLDS, i))
             stack_i, trace_i, _ = fbde_fit(train, q0_i, cfg_i)
             test_hat = fit_empirical(test, 0.0)
             anchor, final = BoostedDensity(q0_i).table(), stack_i.table()
@@ -165,7 +166,7 @@ def cmd_fit(args) -> int:
             vals = np.array([f[key] for f in fold_summaries], dtype=np.float64)
             return {"mean": float(vals.mean()), "std": float(vals.std(ddof=1))}
 
-        fold_aggregate = {k: agg(k) for k in ("final_rr", "final_kl_train", "final_kl_test", "anchor_kl_test")}
+        extra["fold_aggregate"] = {k: agg(k) for k in ("final_rr", "final_kl_train", "final_kl_test", "anchor_kl_test")}
 
     t0 = time.perf_counter()
     resolved = {k: v for k, v in vars(args).items() if k != "command"}
@@ -175,9 +176,6 @@ def cmd_fit(args) -> int:
     if args.trace:
         save_trace(trace, args.trace)
     timings["write"] = time.perf_counter() - t0
-    extra = {"rounds": round_records}
-    if fold_summaries is not None:
-        extra.update(fold_summaries=fold_summaries, fold_aggregate=fold_aggregate)
     dump_json(
         build_manifest(run_id, "fit", resolved, digests, __version__, timings, extra),
         args.out + ".manifest.json",

@@ -17,7 +17,6 @@ close to 1 forces theta toward 0 and the fit sticks to the anchor.
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -35,8 +34,6 @@ RELATIVE = "relative"
 
 #: negatives drawn from the current model per data row, each round
 NEGATIVES_PER_ROW = 2
-#: the exact scheme's last round: its theta_t divides by 2^(t+1), and 2.0 ** 1024 overflows a float
-EXACT_MAX_ROUNDS = sys.float_info.max_exp - 2
 
 
 @dataclass(frozen=True)
@@ -60,17 +57,21 @@ class LeveragingScheme:
 
 
 def leverage(scheme: LeveragingScheme, t: int) -> float:
-    """theta_t for round t >= 1; the exact scheme's ends at round ``EXACT_MAX_ROUNDS``."""
+    """theta_t for round t >= 1, a positive finite float under either scheme; a theta_t that is
+    0.0 or inf in floats (0.0 once 2^(t+1) or t passes the largest float) is refused by name."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    if scheme.kind == EXACT:
-        if t > EXACT_MAX_ROUNDS:
-            raise ValueError(
-                f"the exact scheme takes at most {EXACT_MAX_ROUNDS} rounds, got round {t}: "
-                "its theta_t needs 2^(t+1), which overflows a float past them"
-            )
-        return -math.log(scheme.tau) / (scheme.c_bound * 2.0 ** (t + 1))
-    return -math.log(scheme.tau) / (2.0 * scheme.c_bound * t)
+    x = -math.log(scheme.tau)
+    try:
+        theta = x / (scheme.c_bound * 2.0 ** (t + 1)) if scheme.kind == EXACT else x / (2.0 * scheme.c_bound * t)
+    except OverflowError:
+        theta = 0.0
+    if not 0.0 < theta < math.inf:
+        raise ValueError(
+            f"the {scheme.kind} scheme's theta_t at round {t} is {theta!r} for tau {scheme.tau!r} and "
+            f"C {scheme.c_bound!r}; it must be a positive finite float"
+        )
+    return theta
 
 
 def rr_lower_bound(scheme: LeveragingScheme, t: int) -> float:
@@ -94,6 +95,9 @@ def mollifier_size(scheme: LeveragingScheme, t: int) -> float:
 
 @dataclass(frozen=True)
 class FitConfig:
+    """A fit's settings, checked when built: theta_t falls with t, so
+    ``leverage`` of rounds 1 and T vouches for every round's theta."""
+
     rounds: int
     scheme: LeveragingScheme
     tree: TreeConfig = field(default_factory=TreeConfig)
@@ -103,7 +107,8 @@ class FitConfig:
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
         if self.rounds:
-            leverage(self.scheme, self.rounds)  # refuses a round count the scheme cannot reach, before any round runs
+            leverage(self.scheme, 1)
+            leverage(self.scheme, self.rounds)
 
 
 @dataclass(frozen=True)
@@ -146,6 +151,9 @@ def fbde_fit(p: Dataset, q0: InitialDensity, cfg: FitConfig) -> tuple[BoostedDen
         raise ValueError("schema mismatch")
     if len(p) == 0:
         raise ValueError("empty dataset")
+    n_neg = NEGATIVES_PER_ROW * len(p)
+    if not math.isfinite(cfg.scheme.c_bound * n_neg):  # bounds every sum behind a round's margins
+        raise ValueError(f"c_bound {cfg.scheme.c_bound!r} times {n_neg} negatives overflows the round margins' sums")
     stack = BoostedDensity(q0)
     trace: list[TraceRow] = []
     records: list[dict] = []
@@ -156,7 +164,6 @@ def fbde_fit(p: Dataset, q0: InitialDensity, cfg: FitConfig) -> tuple[BoostedDen
     mass = _checked_mass(p.schema, stack.joint())
     trace.append(TraceRow(0, 0.0, None, None, None, 1.0, 1.0, kl_divergence(p_mass, mass[support]), None, 1.0))
 
-    n_neg = NEGATIVES_PER_ROW * len(p)
     for t in range(1, cfg.rounds + 1):
         theta = leverage(cfg.scheme, t)
         t0 = time.perf_counter()

@@ -149,13 +149,6 @@ class AttributeSchema:
         sensitive or target designation."""
         return AttributeSchema(tuple(self.attributes[i] for i in self.x_indices), sensitive_index=None)
 
-    def split_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(feature columns, sensitive column) of a coordinate matrix."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if self.sensitive_index is None:
-            raise ValueError("no sensitive attribute")
-        return rows[:, list(self.x_indices)], rows[:, self.sensitive_index]
-
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     if arr.flags.writeable or not arr.flags.owndata:  # adopt only a read-only array that owns its data

@@ -10,7 +10,6 @@ Run with -s (or read test_output.txt) for the per-criterion lines.
 """
 
 import importlib.util
-import json
 import math
 import time
 from pathlib import Path
@@ -38,7 +37,7 @@ from fairboost.serialize import load_model, load_trace
 from fairboost.tabular import discrimination_control
 from fairboost.tree import HBS, boosting_regime
 
-from conftest import extend, random_initial, table_classifier, xya_schema
+from conftest import extend, random_initial, read_json, table_classifier, xya_schema
 
 LN2 = math.log(2.0)
 SEED = 0
@@ -87,7 +86,7 @@ def runs(workdir, synth_csv):
             "--bins", 50, "--max-depth", 8, "--folds", 5,
             "--seed", SEED, "--out", model, "--trace", trace,
         )
-        manifest = json.load(open(model + ".manifest.json"))
+        manifest = read_json(model + ".manifest.json")
         out[name] = {"model": model, "trace": trace, "manifest": manifest}
     return out
 
@@ -443,7 +442,7 @@ def test_criterion_10_cli_determinism(workdir, synth_csv, runs):
     s1, s2 = str(workdir / "det1.csv"), str(workdir / "det2.csv")
     for p in (s1, s2):
         run_cli("synth", "--n", 500, "--seed", 17, "--out", p)
-    assert open(s1, "rb").read() == open(s2, "rb").read()
+    assert Path(s1).read_bytes() == Path(s2).read_bytes()
 
     # fit: identical flags into the same paths, compare bytes across reruns
     model = str(workdir / "det.model.json")
@@ -454,15 +453,15 @@ def test_criterion_10_cli_determinism(workdir, synth_csv, runs):
         "--seed", SEED, "--out", model, "--trace", trace,
     )
     run_cli(*flags)
-    m1, t1 = open(model, "rb").read(), open(trace, "rb").read()
+    m1, t1 = Path(model).read_bytes(), Path(trace).read_bytes()
     run_cli(*flags)
-    assert open(model, "rb").read() == m1
-    assert open(trace, "rb").read() == t1
+    assert Path(model).read_bytes() == m1
+    assert Path(trace).read_bytes() == t1
 
     # eval metrics
     e1, e2 = str(workdir / "m1.json"), str(workdir / "m2.json")
     for p in (e1, e2):
         run_cli("eval", "--model", model, "--data", synth_csv, "--smoothing", 1, "--out", p)
-    assert open(e1, "rb").read() == open(e2, "rb").read()
+    assert Path(e1).read_bytes() == Path(e2).read_bytes()
 
     report(10, "synth, fit, and eval reruns produced byte-identical data, model, trace, and metrics files")

@@ -10,6 +10,7 @@ from fairboost import (
     AttributeSchema,
     BoostedDensity,
     BoostRound,
+    Dataset,
     InitialDensity,
     kl_divergence,
     representation_rate,
@@ -456,9 +457,9 @@ def test_stack_against_brute_force_table(rng):
     q0 = random_initial(s, rng)
     bd = random_stack(s, rng, rounds=4, q0=q0)
     mass = BoostedDensity(q0).table().mass.copy()
-    cells = s.all_cells()
+    x_rows = Dataset(s, s.all_cells()).x_rows()
     for rnd in bd.rounds:
-        w = np.exp(rnd.theta * rnd.classifier.scores(s.split_rows(cells)[0]))
+        w = np.exp(rnd.theta * rnd.classifier.scores(x_rows))
         mass = mass * w
         mass /= mass.sum()
     assert np.allclose(bd.table().mass, mass, atol=1e-12)
@@ -488,8 +489,8 @@ def test_joint_and_normalizers_match_group_major_bits(rng, sensitive_index):
     s = AttributeSchema(tuple(attrs), sensitive_index=sensitive_index)
     q0 = random_initial(s, rng)
     n_x, cells = s.x_subschema().n_cells, s.all_cells()
-    x_rows, a_codes = s.split_rows(cells)
-    x_cells = s.x_subschema().encode(x_rows)
+    d = Dataset(s, cells)
+    a_codes, x_cells = d.sensitive_codes(), s.x_subschema().encode(d.x_rows())
 
     def g(rows):
         return rows[:, 0] * 0.75 - rows[:, 2] / 3.0 + rows[:, 1]

@@ -21,6 +21,7 @@ from fairboost import (
     fit_empirical,
     infer_csv_spec,
     kl_divergence,
+    leverage,
     load_csv,
     statistical_rate,
 )
@@ -86,20 +87,8 @@ def test_synth_deterministic(tmp_path, synth_csv):
 def test_synth_degenerate_share(tmp_path):
     path = str(tmp_path / "one.csv")
     assert main(["synth", "--n", "60", "--s", "1.0", "--out", path]) == 0
-    a = [line.split(",")[1] for line in open(path).read().splitlines()[1:]]
+    a = [line.split(",")[1] for line in Path(path).read_text().splitlines()[1:]]
     assert set(a) == {"1"}
-
-
-@pytest.mark.parametrize(
-    "flags, message",
-    [(["--mu", "nan", "0.7"], "mu must be finite, got nan"), (["--sigma", "inf", "0.2"], "sigma must be finite, got inf")],
-    ids=["mu-nan", "sigma-inf"],
-)
-def test_synth_rejects_non_finite_parameters(tmp_path, capsys, flags, message):
-    out = tmp_path / "s.csv"
-    assert main(["synth", "--n", "50", *flags, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists()
 
 
 # -- fit ----------------------------------------------------------------
@@ -113,7 +102,7 @@ def test_fit_outputs(fit_run, synth_csv, tmp_path):
     assert bd.representation_rate() >= 0.8 - 1e-9
     trace = load_trace(trace_path)
     assert trace[0].t == 0 and trace[-1].t == len(bd.rounds)
-    manifest = json.load(open(model_path + ".manifest.json"))
+    manifest = read_json(model_path + ".manifest.json")
     assert manifest["format"] == "fairboost.manifest"
     assert manifest["id"] == run_id
     # one run id across the model, the manifest, the metrics and the report
@@ -133,8 +122,8 @@ def test_fit_outputs(fit_run, synth_csv, tmp_path):
 
 def test_fit_rerun_byte_identical(fit_run, synth_csv):
     model_path, trace_path = fit_run
-    model_bytes = open(model_path, "rb").read()
-    trace_bytes = open(trace_path, "rb").read()
+    model_bytes = Path(model_path).read_bytes()
+    trace_bytes = Path(trace_path).read_bytes()
     code = main(
         [
             "fit",
@@ -149,8 +138,8 @@ def test_fit_rerun_byte_identical(fit_run, synth_csv):
         ]
     )
     assert code == 0
-    assert open(model_path, "rb").read() == model_bytes
-    assert open(trace_path, "rb").read() == trace_bytes
+    assert Path(model_path).read_bytes() == model_bytes
+    assert Path(trace_path).read_bytes() == trace_bytes
 
 
 def test_fit_zero_rounds_is_anchor(tmp_path, synth_csv):
@@ -176,7 +165,7 @@ def test_fit_folds_manifest(tmp_path, synth_csv):
             "--out", model,
         ]
     ) == 0
-    manifest = json.load(open(model + ".manifest.json"))
+    manifest = read_json(model + ".manifest.json")
     assert [f["fold"] for f in manifest["fold_summaries"]] == [0, 1]
     # each fold's numbers are its anchor's and its final stack's, bit for bit, the training ones read from its trace
     dataset, schema = load_csv(infer_csv_spec(synth_csv, "a", None, 12, []))
@@ -210,106 +199,12 @@ def test_fit_zero_rounds_with_folds(tmp_path, synth_csv):
     assert [(row.t, row.rr, row.z) for row in load_trace(trace)] == [(0, 1.0, 1.0)]
     bd, _, _ = load_model(model)
     assert len(bd.rounds) == 0 and bd.representation_rate() == 1.0
-    folds = json.load(open(model + ".manifest.json"))["fold_summaries"]
+    folds = read_json(model + ".manifest.json")["fold_summaries"]
     assert len(folds) == 2
     for f in folds:
         assert f["final_rr"] == 1.0
         assert f["final_kl_train"] == f["anchor_kl_train"]
         assert f["final_kl_test"] == f["anchor_kl_test"]
-
-
-def test_fit_missing_file(tmp_path, capsys):
-    code = main(
-        ["fit", "--data", str(tmp_path / "nope.csv"), "--sensitive", "a", "--out", str(tmp_path / "m.json")]
-    )
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error:")
-
-
-def _header_only_csv(tmp_path) -> tuple[str, str]:
-    data = tmp_path / "empty.csv"
-    data.write_text("x,a\n")
-    return str(data), f"error: {str(data)!r} has a header and no data rows\n"
-
-
-def test_fit_rejects_header_only_csv(tmp_path, capsys):
-    data, message = _header_only_csv(tmp_path)
-    model = tmp_path / "m.json"
-    assert main(["fit", "--data", data, "--sensitive", "a", "--out", str(model)]) == 1
-    assert capsys.readouterr().err == message
-    assert not model.exists()
-
-
-def test_eval_rejects_header_only_csv(tmp_path, fit_run, capsys):
-    data, message = _header_only_csv(tmp_path)
-    out = tmp_path / "metrics.json"
-    assert main(["eval", "--model", fit_run[0], "--data", data, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == message
-    assert not out.exists()
-
-
-def test_fit_unknown_scheme(tmp_path, synth_csv, capsys):
-    # exact and relative are the only schemes; const:<v> is unknown text too
-    for text in ("boosted", "const:0.3"):
-        code = main(
-            [
-                "fit",
-                "--data", synth_csv,
-                "--sensitive", "a",
-                "--scheme", text,
-                "--out", str(tmp_path / "m.json"),
-            ]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == f"error: unknown scheme {text!r}\n"
-        assert not (tmp_path / "m.json").exists()
-
-
-@pytest.mark.parametrize("folds", ["1", "-1"])
-def test_fit_rejects_invalid_folds(tmp_path, synth_csv, capsys, folds):
-    model = str(tmp_path / "m.json")
-    code = main(["fit", "--data", synth_csv, "--sensitive", "a", "--folds", folds, "--out", model])
-    assert code == 1
-    assert "error: folds must be 0 or >= 2" in capsys.readouterr().err
-
-
-def test_fit_checks_folds_before_fitting(tmp_path, synth_csv, capsys, monkeypatch):
-    def boom(*args, **kwargs):
-        raise AssertionError("a --folds kfold refuses fails before any fit")
-
-    monkeypatch.setattr(cli, "fbde_fit", boom)
-    model = tmp_path / "m.json"
-    code = main(["fit", "--data", synth_csv, "--sensitive", "a", "--folds", "801", "--out", str(model)])
-    assert code == 1
-    assert capsys.readouterr().err == "error: k exceeds dataset size\n"
-    assert not model.exists()
-
-
-def test_fit_rejects_single_class_target(tmp_path, synth_csv, capsys):
-    # a model of one class would fail every eval; fit refuses it instead
-    lines = open(synth_csv).read().splitlines()
-    data = tmp_path / "one-class.csv"
-    data.write_text("\n".join([lines[0] + ",y"] + [line + ",1" for line in lines[1:]]) + "\n")
-    model = tmp_path / "m.json"
-    code = main(["fit", "--data", str(data), "--sensitive", "a", "--target", "y", "--rounds", "1", "--out", str(model)])
-    assert code == 1
-    assert capsys.readouterr().err == "error: target column 'y' needs at least 2 classes, got 1\n"
-    assert not model.exists()
-
-
-def test_fit_rejects_single_valued_sensitive(tmp_path, capsys, monkeypatch):
-    # one group makes every fairness certificate vacuous; fit refuses it before any fit
-    def boom(*args, **kwargs):
-        raise AssertionError("a one-valued sensitive column fails before any fit")
-
-    monkeypatch.setattr(cli, "fbde_fit", boom)
-    data = tmp_path / "one-group.csv"
-    data.write_text("x,a\n0.1,1\n0.5,1\n0.9,1\n")
-    model = tmp_path / "m.json"
-    code = main(["fit", "--data", str(data), "--sensitive", "a", "--rounds", "2", "--out", str(model)])
-    assert code == 1
-    assert capsys.readouterr().err == "error: sensitive column 'a' needs at least 2 values, got 1\n"
-    assert not model.exists()
 
 
 def test_fit_folds_without_smoothing_names_the_fold(tmp_path, synth_csv, capsys):
@@ -358,57 +253,6 @@ def test_eval_names_the_cells_the_model_gives_no_mass(tmp_path, unsmoothed_fit, 
     assert main(["eval", "--model", model, "--data", train, "--smoothing", "0", "--out", str(out)]) == 0
 
 
-@pytest.mark.parametrize(
-    "flags, message",
-    [
-        (["--sensitive", "a", "--target", "a"], "column 'a' cannot be both sensitive and target"),
-        (["--sensitive", "a", "--target", "x", "--ignore", "x"], "column 'x' cannot be both target and ignored"),
-        (["--sensitive", "a", "--ignore", "a"], "column 'a' cannot be both sensitive and ignored"),
-    ],
-    ids=["sensitive-target", "target-ignored", "sensitive-ignored"],
-)
-def test_fit_rejects_conflicting_column_flags(tmp_path, synth_csv, capsys, flags, message):
-    model = tmp_path / "m.json"
-    code = main(["fit", "--data", synth_csv, *flags, "--rounds", "1", "--out", str(model)])
-    assert code == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not model.exists()
-
-
-@pytest.mark.parametrize(
-    "flags, message",
-    [
-        (["--c-bound", "nan"], "c_bound must be finite, got nan"),
-        (["--c-bound", "inf"], "c_bound must be finite, got inf"),
-        (["--smoothing", "nan"], "smoothing must be finite, got nan"),
-    ],
-    ids=["c-bound-nan", "c-bound-inf", "smoothing-nan"],
-)
-def test_fit_rejects_non_finite_numbers(tmp_path, synth_csv, capsys, flags, message):
-    model = tmp_path / "m.json"
-    code = main(["fit", "--data", synth_csv, "--sensitive", "a", "--rounds", "2", *flags, "--out", str(model)])
-    assert code == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not model.exists()
-
-
-@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
-def test_fit_and_eval_reject_non_finite_csv_values(tmp_path, synth_csv, fit_run, capsys, text):
-    # a numeric column with a NaN or infinity is neither binned nor read as labels
-    lines = open(synth_csv).read().splitlines()
-    lines[4] = text + "," + lines[4].split(",")[1]
-    bad = tmp_path / "bad.csv"
-    bad.write_text("\n".join(lines) + "\n")
-    message = f"error: non-finite value '{text}' in column 'x' at row 3\n"
-    model = tmp_path / "m.json"
-    assert main(["fit", "--data", str(bad), "--sensitive", "a", "--rounds", "1", "--out", str(model)]) == 1
-    assert capsys.readouterr().err == message
-    assert not model.exists()
-    model_path, _ = fit_run
-    assert main(["eval", "--model", model_path, "--data", str(bad)]) == 1
-    assert capsys.readouterr().err == message
-
-
 def test_fit_reads_its_csv_once(tmp_path, synth_csv, monkeypatch):
     reads = []
     read_rows = pipeline._read_rows
@@ -416,22 +260,6 @@ def test_fit_reads_its_csv_once(tmp_path, synth_csv, monkeypatch):
     model = tmp_path / "m.json"
     assert main(["fit", "--data", synth_csv, "--sensitive", "a", "--rounds", "1", "--out", str(model)]) == 0
     assert reads == [synth_csv]
-
-
-def test_fit_and_eval_reject_rows_longer_than_the_header(tmp_path, synth_csv, fit_run, capsys):
-    lines = open(synth_csv).read().splitlines()
-    lines[3] += ",9"
-    bad = tmp_path / "long.csv"
-    bad.write_text("\n".join(lines) + "\n")
-    message = "error: row 2 has 3 fields, the header has 2\n"
-    model = tmp_path / "m.json"
-    assert main(["fit", "--data", str(bad), "--sensitive", "a", "--rounds", "1", "--out", str(model)]) == 1
-    assert capsys.readouterr().err == message
-    assert not model.exists()
-    out = tmp_path / "metrics.json"
-    assert main(["eval", "--model", fit_run[0], "--data", str(bad), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == message
-    assert not out.exists()
 
 
 def test_fit_rejects_a_range_too_wide_to_bin(tmp_path):
@@ -450,53 +278,146 @@ def test_fit_rejects_a_range_too_wide_to_bin(tmp_path):
     assert not model.exists()
 
 
-def _refused_wide_fit(tmp_path, capsys, features, rows, bins) -> str:
-    """stderr of a fit, which must fail and write no model, on ``rows`` rows of
-    ``features`` random numeric columns and an alternating ``a``."""
+def _wide_csv(features: int, rows: int) -> list:
+    """The lines of a file of ``rows`` rows: ``features`` random numeric columns and an alternating ``a``."""
     rng = np.random.default_rng(0)
-    data, model = tmp_path / "wide.csv", tmp_path / "m.json"
-    lines = [",".join(map(repr, rng.random(features).tolist())) + f",{i % 2}\n" for i in range(rows)]
-    data.write_text(",".join(f"f{j}" for j in range(features)) + ",a\n" + "".join(lines))
-    assert main(["fit", "--data", str(data), "--sensitive", "a", "--bins", str(bins), "--rounds", "1", "--out", str(model)]) == 1
-    assert not model.exists()
-    return capsys.readouterr().err
+    body = [",".join(map(repr, rng.random(features).tolist())) + f",{i % 2}" for i in range(rows)]
+    return [",".join(f"f{j}" for j in range(features)) + ",a", *body]
 
 
 def test_fit_domain_beyond_memory_is_an_error(tmp_path, capsys):
     # 8 numeric features at 150 bins make 150**8 feature cells: the anchor's (|A|, n_x)
     # buffer needs 3.56 EiB, more than a 64-bit address space, so the allocation fails at once
-    err = _refused_wide_fit(tmp_path, capsys, 8, 60, 150)
+    data, model = tmp_path / "wide.csv", tmp_path / "m.json"
+    data.write_text("\n".join(_wide_csv(8, 60)) + "\n")
+    assert main(["fit", "--data", str(data), "--sensitive", "a", "--bins", "150", "--rounds", "1", "--out", str(model)]) == 1
+    err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate 3.56 EiB") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("bins", [60_000, 100_000])
-def test_fit_domain_beyond_one_table_is_refused_by_its_count(tmp_path, capsys, bins):
-    # 4 numeric features at 60000 bins and two groups make 2.59e19 cells, past int64: the count is exact
-    assert _refused_wide_fit(tmp_path, capsys, 4, 300, bins) == (
-        f"error: the domain has {bins**4 * 2} cells, more than one float64 table can index ({2**60 - 1})\n"
-    )
-
-
-def test_fit_refuses_rounds_past_the_exact_scheme(tmp_path, synth_csv, capsys):
-    # round 1023's theta needs 2.0 ** 1024: the count is refused before any round runs
-    model = tmp_path / "m.json"
-    argv = ["fit", "--data", synth_csv, "--sensitive", "a", "--bins", "4", "--rounds", "1023", "--out", str(model)]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == (
-        "error: the exact scheme takes at most 1022 rounds, got round 1023: "
-        "its theta_t needs 2^(t+1), which overflows a float past them\n"
-    )
     assert not model.exists()
 
 
-def test_fit_refuses_a_fold_whose_training_part_lacks_a_group(tmp_path, capsys):
-    # the one a=0 row is held out of one fold's training part: refused when the folds are split
-    data, model = tmp_path / "rare.csv", tmp_path / "m.json"
-    data.write_text("x,a\n" + "".join(f"{i / 40!r},1\n" for i in range(40)) + "0.5,0\n")
-    argv = ["fit", "--data", str(data), "--sensitive", "a", "--folds", "3", "--rounds", "2", "--bins", "5"]
-    assert main([*argv, "--out", str(model)]) == 1
-    assert capsys.readouterr().err == "error: fold 1: unrepresented sensitive value '0' in the fold's training part\n"
-    assert not model.exists() and not Path(f"{model}.manifest.json").exists()
+def test_fit_at_the_last_positive_theta_loads(tmp_path, capsys):
+    # at C = 1e300 round 26's theta is the last above 0.0 (a subnormal), and both readers take the model
+    data, model, trace = (str(tmp_path / name) for name in ("s.csv", "m.json", "trace.csv"))
+    assert main(["synth", "--n", "200", "--seed", "1", "--out", data]) == 0
+    fit = ["fit", "--data", data, "--sensitive", "a", "--bins", "4", "--rounds", "26", "--c-bound", "1e300"]
+    assert main([*fit, "--out", model, "--trace", trace]) == 0
+    assert load_trace(trace)[-1].theta == leverage(LeveragingScheme("exact", 0.9, 1e300), 26) < 1e-308
+    assert main(["eval", "--model", model, "--data", data]) == 0
+    assert main(["guarantees", "--model", model, "--trace", trace]) == 0
+
+
+# -- refusals -----------------------------------------------------------
+
+#: the stage a refusal comes at; the table's test makes the step that ends it raise
+_BEFORE_READ, _BEFORE_FIT, _IN_FIT = "before any file is read", "before any fit", "during the fit"
+_FIT = ["fit", "--data", "{data}", "--sensitive", "a"]
+_EVAL = ["eval", "--model", "{model}", "--data", "{data}"]
+
+
+def _edited_row(i, edit):
+    """The data lines with line i (row i - 1) edited."""
+    return lambda lines: [*lines[:i], edit(lines[i]), *lines[i + 1 :]]
+
+
+#: the data file of a refusal, from the synth file's lines; a row without one reads that file itself
+_DATA = {
+    "header-only": lambda lines: ["x,a"],
+    "one-class": lambda lines: [lines[0] + ",y"] + [line + ",1" for line in lines[1:]],
+    "one-group": lambda lines: ["x,a", "0.1,1", "0.5,1", "0.9,1"],
+    "nan": _edited_row(4, lambda line: "nan," + line.split(",")[1]),
+    "inf": _edited_row(4, lambda line: "inf," + line.split(",")[1]),
+    "-inf": _edited_row(4, lambda line: "-inf," + line.split(",")[1]),
+    "long-row": _edited_row(3, lambda line: line + ",9"),
+    # the one a=0 row is held out of one fold's training part
+    "rare-group": lambda lines: ["x,a", *(f"{i / 40!r},1" for i in range(40)), "0.5,0"],
+    "wide": lambda lines: _wide_csv(4, 300),
+}
+_NON_FINITE_CSV = "non-finite value '{}' in column 'x' at row 3"
+_THETA = "the {} scheme's theta_t at round {} is {} for tau 0.9 and C {}; it must be a positive finite float"
+#: id -> (argv, data, the error line's message, stage): argv and message have "{data}" and "{model}" filled in
+_REFUSALS = {
+    "synth-mu-nan": (["synth", "--n", "50", "--mu", "nan", "0.7"], None, "mu must be finite, got nan", _BEFORE_READ),
+    "synth-sigma-inf": (["synth", "--n", "50", "--sigma", "inf", "0.2"], None, "sigma must be finite, got inf",
+                        _BEFORE_READ),
+    "scheme-boosted": ([*_FIT, "--scheme", "boosted"], None, "unknown scheme 'boosted'", _BEFORE_READ),
+    "scheme-const": ([*_FIT, "--scheme", "const:0.3"], None, "unknown scheme 'const:0.3'", _BEFORE_READ),
+    "tau-before-data": ([*_FIT, "--tau", "2"], "missing", "tau must be in (0, 1)", _BEFORE_READ),
+    "folds-1": ([*_FIT, "--folds", "1"], None, "folds must be 0 or >= 2", _BEFORE_READ),
+    "folds-negative": ([*_FIT, "--folds", "-1"], None, "folds must be 0 or >= 2", _BEFORE_READ),
+    "c-bound-nan": ([*_FIT, "--c-bound", "nan"], None, "c_bound must be finite, got nan", _BEFORE_READ),
+    "c-bound-inf": ([*_FIT, "--c-bound", "inf"], None, "c_bound must be finite, got inf", _BEFORE_READ),
+    # theta_t is 0.0 once 2^(t+1) or C * 2^(t+1) overflows, or 2 C t does; it is inf when C is subnormal
+    "exact-past-1022-rounds": ([*_FIT, "--rounds", "1023"], None,
+                               _THETA.format("exact", 1023, 0.0, 0.6931471805599453), _BEFORE_READ),
+    "exact-theta-underflows": ([*_FIT, "--rounds", "60", "--c-bound", "1e300"], None,
+                               _THETA.format("exact", 60, 0.0, 1e300), _BEFORE_READ),
+    "relative-theta-underflows": ([*_FIT, "--scheme", "relative", "--rounds", "2", "--c-bound", "1e308"], None,
+                                  _THETA.format("relative", 1, 0.0, 1e308), _BEFORE_READ),
+    "theta-overflows": ([*_FIT, "--c-bound", "1e-320"], None, _THETA.format("exact", 1, "inf", 1e-320), _BEFORE_READ),
+    "sensitive-target": ([*_FIT, "--target", "a"], None, "column 'a' cannot be both sensitive and target",
+                         _BEFORE_READ),
+    "target-ignored": ([*_FIT, "--target", "x", "--ignore", "x"], None,
+                       "column 'x' cannot be both target and ignored", _BEFORE_READ),
+    "sensitive-ignored": ([*_FIT, "--ignore", "a"], None, "column 'a' cannot be both sensitive and ignored",
+                          _BEFORE_READ),
+    "fit-missing-file": (_FIT, "missing", "[Errno 2] No such file or directory: {data!r}", _BEFORE_FIT),
+    "fit-header-only": (_FIT, "header-only", "{data!r} has a header and no data rows", _BEFORE_FIT),
+    "eval-header-only": (_EVAL, "header-only", "{data!r} has a header and no data rows", _BEFORE_FIT),
+    "fit-nan": (_FIT, "nan", _NON_FINITE_CSV.format("nan"), _BEFORE_FIT),
+    "fit-inf": (_FIT, "inf", _NON_FINITE_CSV.format("inf"), _BEFORE_FIT),
+    "fit-negative-inf": (_FIT, "-inf", _NON_FINITE_CSV.format("-inf"), _BEFORE_FIT),
+    "eval-nan": (_EVAL, "nan", _NON_FINITE_CSV.format("nan"), _BEFORE_FIT),
+    "eval-inf": (_EVAL, "inf", _NON_FINITE_CSV.format("inf"), _BEFORE_FIT),
+    "eval-negative-inf": (_EVAL, "-inf", _NON_FINITE_CSV.format("-inf"), _BEFORE_FIT),
+    "fit-long-row": (_FIT, "long-row", "row 2 has 3 fields, the header has 2", _BEFORE_FIT),
+    "eval-long-row": (_EVAL, "long-row", "row 2 has 3 fields, the header has 2", _BEFORE_FIT),
+    # a model of one class would fail every eval, and one group makes every fairness certificate vacuous
+    "target-one-class": ([*_FIT, "--target", "y"], "one-class", "target column 'y' needs at least 2 classes, got 1",
+                         _BEFORE_FIT),
+    "sensitive-one-value": (_FIT, "one-group", "sensitive column 'a' needs at least 2 values, got 1", _BEFORE_FIT),
+    # 4 numeric features at 60000 bins and two groups make 2.59e19 cells, past int64: the count is exact
+    **{
+        f"domain-past-one-table-{bins}": ([*_FIT, "--bins", str(bins)], "wide",
+                                          f"the domain has {bins**4 * 2} cells, more than one float64 table can "
+                                          f"index ({2**60 - 1})", _BEFORE_FIT)
+        for bins in (60_000, 100_000)
+    },
+    "folds-past-rows": ([*_FIT, "--folds", "801"], None, "k exceeds dataset size", _BEFORE_FIT),
+    "fold-lacks-group": ([*_FIT, "--folds", "3", "--bins", "5"], "rare-group",
+                         "fold 1: unrepresented sensitive value '0' in the fold's training part", _BEFORE_FIT),
+    "smoothing-nan": ([*_FIT, "--smoothing", "nan"], None, "smoothing must be finite, got nan", _BEFORE_FIT),
+    "eval-smoothing-nan": ([*_EVAL, "--smoothing", "nan"], None, "smoothing must be finite, got nan", _BEFORE_FIT),
+    # N + smoothing * n_cells overflows, so the table would sum to 0, not 1; fit's anchor is fitted
+    # one group's row at a time, over the 16 feature cells, and eval's table covers all 32 cells
+    "fit-smoothing-overflows": ([*_FIT, "--bins", "16", "--smoothing", "1e308"], None,
+                                "smoothing 1e+308 over 16 cells gives a table total that overflows", _BEFORE_FIT),
+    "eval-smoothing-overflows": ([*_EVAL, "--smoothing", "1e308"], None,
+                                 "smoothing 1e+308 over 32 cells gives a table total that overflows", _BEFORE_FIT),
+    # the sums behind a round's margins reach C times the 1600 negatives 800 rows draw
+    "c-bound-overflows-margins": ([*_FIT, "--bins", "4", "--rounds", "2", "--c-bound", "1e306"], None,
+                                  "c_bound 1e+306 times 1600 negatives overflows the round margins' sums", _IN_FIT),
+}
+
+
+@pytest.mark.parametrize("argv, data, message, stage", _REFUSALS.values(), ids=list(_REFUSALS))
+def test_refusal(tmp_path, synth_csv, fit_run, capsys, monkeypatch, argv, data, message, stage):
+    # exit 1 with one exact error: line, no output or manifest, and at the row's stage
+    path = synth_csv if data is None else str(tmp_path / "data.csv")
+    if data in _DATA:
+        Path(path).write_text("\n".join(_DATA[data](Path(synth_csv).read_text().splitlines())) + "\n")
+    fields, out, fits = {"data": path, "model": fit_run[0]}, tmp_path / "out.json", []
+
+    def reached(*args, **kwargs):
+        raise AssertionError(f"a refusal {stage} reached a step past it")
+
+    if stage == _BEFORE_READ:
+        monkeypatch.setattr(pipeline, "_read_rows", reached)
+    monkeypatch.setattr(cli, "fbde_fit", reached if stage == _BEFORE_FIT else lambda *a: fits.append(a) or fbde_fit(*a))
+    assert main([arg.format(**fields) for arg in argv] + ["--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message.format(**fields)}\n")
+    assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+    assert bool(fits) == (stage == _IN_FIT)
 
 
 # -- eval ---------------------------------------------------------------
@@ -523,32 +444,8 @@ def test_eval_writes_file(fit_run, synth_csv, tmp_path, capsys):
     out = str(tmp_path / "metrics.json")
     assert main(["eval", "--model", model_path, "--data", synth_csv, "--out", out]) == 0
     assert capsys.readouterr().out == ""
-    doc = json.load(open(out))
+    doc = read_json(out)
     assert doc["rr_table"] == pytest.approx(doc["rr_normalizers"], abs=1e-10)
-
-
-def test_eval_rejects_non_finite_smoothing(fit_run, synth_csv, tmp_path, capsys):
-    model_path, _ = fit_run
-    out = tmp_path / "metrics.json"
-    code = main(["eval", "--model", model_path, "--data", synth_csv, "--smoothing", "nan", "--out", str(out)])
-    assert code == 1
-    assert capsys.readouterr().err == "error: smoothing must be finite, got nan\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["fit", "eval"])
-def test_smoothing_that_overflows_the_table_total_is_refused(fit_run, synth_csv, tmp_path, capsys, command):
-    # N + smoothing * n_cells overflows to inf; the table would sum to 0, not 1
-    model_path, _ = fit_run
-    q0 = load_model(model_path)[0].q0
-    if command == "fit":  # the anchor is fitted one group's row at a time
-        argv, cells = ["fit", "--data", synth_csv, "--sensitive", "a", "--bins", "16"], q0.x_schema.n_cells
-    else:
-        argv, cells = ["eval", "--model", model_path, "--data", synth_csv], q0.schema.n_cells
-    out = tmp_path / "out.json"
-    assert main(argv + ["--smoothing", "1e308", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: smoothing 1e+308 over {cells} cells gives a table total that overflows\n"
-    assert not out.exists()
 
 
 def test_eval_statistical_rate_with_target(tmp_path, capsys):
@@ -583,7 +480,7 @@ def test_eval_statistical_rate_with_target(tmp_path, capsys):
 
 def test_eval_self_check_fails_on_inconsistent_normalizers(fit_run, synth_csv, tmp_path, capsys):
     model_path, _ = fit_run
-    doc = json.load(open(model_path))
+    doc = read_json(model_path)
     doc["rounds"][0]["z_by_group"][0] *= 1.5
     bad = str(tmp_path / "bad.json")
     dump_json(doc, bad)
@@ -591,7 +488,7 @@ def test_eval_self_check_fails_on_inconsistent_normalizers(fit_run, synth_csv, t
     assert main(["eval", "--model", bad, "--data", synth_csv, "--out", out]) == 1
     assert "error: self-check failed: rr_difference" in capsys.readouterr().err
     # the metrics are still written, unchanged in form
-    metrics = json.load(open(out))
+    metrics = read_json(out)
     assert metrics["rr_difference"] > 1e-9
     assert metrics["rr_difference"] == abs(metrics["rr_table"] - metrics["rr_normalizers"])
 
@@ -616,12 +513,12 @@ def test_guarantees_out_file(fit_run, tmp_path):
     model_path, trace_path = fit_run
     out = str(tmp_path / "report.json")
     assert main(["guarantees", "--model", model_path, "--trace", trace_path, "--out", out]) == 0
-    assert json.load(open(out))["format"] == "fairboost.report"
+    assert read_json(out)["format"] == "fairboost.report"
 
 
 def test_guarantees_rejects_non_finite_trace(tmp_path, fit_run, capsys):
     model_path, trace_path = fit_run
-    lines = open(trace_path).read().splitlines()
+    lines = Path(trace_path).read_text().splitlines()
     cells = lines[2].split(",")
     cells[1] = "nan"  # theta of round t=1
     lines[2] = ",".join(cells)
@@ -716,13 +613,13 @@ def test_guarantees_rejects_trace_of_another_seed(fit_run, synth_csv, tmp_path, 
 def test_guarantees_rejects_edited_trace(fit_run, tmp_path, capsys, edit, message):
     model_path, trace_path = fit_run
     bad = tmp_path / "trace.csv"
-    bad.write_text("\n".join(edit(open(trace_path).read().splitlines())) + "\n")
+    bad.write_text("\n".join(edit(Path(trace_path).read_text().splitlines())) + "\n")
     assert _guarantees_error(model_path, str(bad), tmp_path, capsys) == message
 
 
 def _edit_round(trace_path, t, **cells) -> list:
     """The trace's lines with the named cells of round t replaced."""
-    return _edit_lines(open(trace_path).read().splitlines(), t, **cells)
+    return _edit_lines(Path(trace_path).read_text().splitlines(), t, **cells)
 
 
 def _edit_lines(lines, t, **cells) -> list:
@@ -757,7 +654,7 @@ def test_guarantees_fails_on_a_false_bound(fit_run, tmp_path, capsys):
     bad.write_text("\n".join(_edit_round(trace_path, last, kl_train="0.0")) + "\n")
     out = tmp_path / "report.json"
     assert main(["guarantees", "--model", model_path, "--trace", str(bad), "--out", str(out)]) == 1
-    delta = json.load(open(out))["delta"]
+    delta = read_json(out)["delta"]
     assert delta["upper_holds"] is False
     assert capsys.readouterr().err == (
         f"error: round {last}: KL progress {delta['measured']!r} exceeds its upper bound {delta['upper']!r}\n"
@@ -768,14 +665,14 @@ def test_guarantees_fails_on_a_false_rate_floor(fit_run, tmp_path, capsys):
     # a model whose scheme asks a floor its rounds missed, and a trace that agrees with it
     model_path, trace_path = fit_run
     model = _broken_model(tmp_path, model_path, lambda doc: doc["scheme"].update(tau=0.9999))
-    lines = open(trace_path).read().splitlines()
+    lines = Path(trace_path).read_text().splitlines()
     for t in range(1, len(lines) - 1):
         lines = _edit_lines(lines, t, rr_bound="0.9999")
     bad = tmp_path / "trace.csv"
     bad.write_text("\n".join(lines) + "\n")
     out = tmp_path / "report.json"
     assert main(["guarantees", "--model", model, "--trace", str(bad), "--out", str(out)]) == 1
-    first = next(f for f in json.load(open(out))["fairness_rounds"] if not f["holds"])
+    first = next(f for f in read_json(out)["fairness_rounds"] if not f["holds"])
     assert capsys.readouterr().err == f"error: round {first['t']}: rr {first['rr']!r} is below its floor 0.9999\n"
 
 
@@ -960,7 +857,7 @@ def test_console_script(tmp_path):
     out = str(tmp_path / "s.csv")
     proc = synth(out)
     assert proc.returncode == 0, proc.stderr
-    assert open(out).readline().strip() == "x,a"
+    assert Path(out).read_text().splitlines()[0] == "x,a"
     # sys.exit(None) also exits 0, so only a failing run shows that main returns its code
     proc = synth(str(tmp_path / "missing" / "s.csv"))
     assert proc.returncode == 1, proc.stderr

@@ -1,6 +1,7 @@
 """Leveraging schemes, their floors, and the boosting loop."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,9 +87,19 @@ def test_leverage_vanishes_as_tau_approaches_one():
 def test_leverage_round_validation():
     with pytest.raises(ValueError, match="t must be >= 1"):
         leverage(exact_scheme(), 0)
-    assert leverage(exact_scheme(), 1022) == -math.log(0.9) / (LN2 * 2.0**1023) > 0  # 2.0 ** 1024 overflows
-    with pytest.raises(ValueError, match="^the exact scheme takes at most 1022 rounds, got round 1023: "):
-        leverage(exact_scheme(), 1023)
+    assert leverage(exact_scheme(), 1022) == -math.log(0.9) / (LN2 * 2.0**1023) > 0  # subnormal, and kept
+    assert leverage(LeveragingScheme(EXACT, 0.9, 1e300), 26) > 0
+    # 2^(t+1) or t past the largest float, or a large C, makes theta_t 0.0; a subnormal C makes it inf
+    for scheme, t, value in (
+        (exact_scheme(), 1023, 0.0),
+        (relative_scheme(), 10**400, 0.0),
+        (LeveragingScheme(EXACT, 0.9, 1e300), 27, 0.0),
+        (LeveragingScheme(RELATIVE, 0.9, 1e308), 1, 0.0),
+        (LeveragingScheme(RELATIVE, 0.9, 1e-320), 1, math.inf),
+    ):
+        message = f"the {scheme.kind} scheme's theta_t at round {t} is {value!r} for tau 0.9 and C {scheme.c_bound!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}; it must be a positive finite float$"):
+            leverage(scheme, t)
 
 
 # -- floors and mollifier sizes ----------------------------------------
@@ -145,9 +156,12 @@ def test_fit_config_validation():
     s = exact_scheme()
     with pytest.raises(ValueError, match="rounds must be >= 0"):
         FitConfig(rounds=-1, scheme=s)
-    with pytest.raises(ValueError, match="^the exact scheme takes at most 1022 rounds, got round 1023: "):
+    with pytest.raises(ValueError, match="^the exact scheme's theta_t at round 1023 is 0.0 "):
         FitConfig(rounds=1023, scheme=s)
     assert FitConfig(rounds=1023, scheme=relative_scheme()).rounds == 1023
+    # theta_t falls with t, so rounds 1 and T bound it: a subnormal C is refused at round 1
+    with pytest.raises(ValueError, match="^the exact scheme's theta_t at round 1 is inf "):
+        FitConfig(rounds=5, scheme=LeveragingScheme(EXACT, 0.9, 1e-320))
 
 
 # -- the boosting loop --------------------------------------------------
@@ -312,6 +326,14 @@ def test_fit_input_validation(fit_setup):
         fbde_fit(Dataset(other, [[0, 0]]), q0, FitConfig(rounds=1, scheme=exact_scheme()))
     with pytest.raises(ValueError, match="empty dataset"):
         fbde_fit(Dataset(s, np.empty((0, 2))), q0, FitConfig(rounds=1, scheme=exact_scheme()))
+
+
+def test_fit_refuses_a_c_bound_whose_margin_sums_overflow(fit_setup):
+    # 120 rows draw 240 negatives, and C * 240 bounds every sum behind a round's margins
+    s, p, q0 = fit_setup
+    fbde_fit(p, q0, FitConfig(rounds=2, scheme=LeveragingScheme(EXACT, 0.9, 1e305)))
+    with pytest.raises(ValueError, match=r"^c_bound 1e\+307 times 240 negatives overflows the round margins' sums$"):
+        fbde_fit(p, q0, FitConfig(rounds=2, scheme=LeveragingScheme(EXACT, 0.9, 1e307)))
 
 
 def test_fit_continues_through_wla_failure(fit_setup):

@@ -80,12 +80,18 @@ PINNED = {
     ("rounds[0].theta", "string"): _TYPE.format("rounds[0].theta"),
     ("rounds[0].theta", "list"): _TYPE.format("rounds[0].theta"),
     ("rounds[0].theta", "400-digit integer"): _RANGE.format("rounds[0].theta"),
+    ("rounds[0].theta", "Infinity"): "round 1: theta and normalizers must be finite",
     ("rounds[0].theta", "zero"): "round 1: theta must be > 0",
     ("rounds[0].theta", "negated"): "round 1: theta must be > 0",
+    ("rounds[0].z", "Infinity"): "round 1: theta and normalizers must be finite",
+    ("rounds[0].z", "zero"): "round 1: normalizers must be > 0",
     ("rounds[0].z_by_group", "object"): _TYPE.format("rounds[0].z_by_group"),
     ("rounds[0].z_by_group[0]", "string"): _TYPE.format("rounds[0].z_by_group"),
+    ("rounds[0].z_by_group[0]", "NaN"): "round 1: theta and normalizers must be finite",
     ("rounds[0].z_by_group[0]", "negated"): "round 1: normalizers must be > 0",
     ("rounds[0].z_by_group[0]", "delete"): "round 1: z_by_group needs 2 entries, one per sensitive value",
+    ("rounds[0].z_by_group[1]", "Infinity"): "round 1: theta and normalizers must be finite",
+    ("rounds[0].z_by_group[1]", "zero"): "round 1: normalizers must be > 0",
     ("rounds[0].classifier.type", "delete"): "round 1: unknown classifier type None",
     ("rounds[2].classifier.type", "delete"): "round 3: unknown classifier type None",
     ("rounds[0].classifier.type", "true"): "round 1: unknown classifier type True",

@@ -89,7 +89,8 @@ def test_x_subschema_excludes_sensitive():
 def test_split_and_join_rows():
     s = xya_schema(nx=3)
     rows = np.array([[0, 1, 0], [2, 0, 1], [1, 1, 1]])
-    x_rows, a_codes = s.split_rows(rows)
+    d = Dataset(s, rows)
+    x_rows, a_codes = d.x_rows(), d.sensitive_codes()
     assert x_rows.shape == (3, 2)
     assert list(a_codes) == [0, 1, 1]
     assert np.array_equal(np.insert(x_rows, s.sensitive_index, a_codes, axis=1), rows)
@@ -102,8 +103,8 @@ def test_group_matrix_round_trip(rng):
     mass = rng.random(s.n_cells)
     mat = group_matrix(s, mass)
     assert mat.shape == (2, 6)
-    x_rows, a_codes = s.split_rows(s.all_cells())
-    assert np.array_equal(mat[a_codes, s.x_subschema().encode(x_rows)], mass)
+    d = Dataset(s, s.all_cells())
+    assert np.array_equal(mat[d.sensitive_codes(), s.x_subschema().encode(d.x_rows())], mass)
 
 
 def test_dataset_basics():
