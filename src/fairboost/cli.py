@@ -18,7 +18,9 @@ Errors, an allocation the domain size makes impossible included, end in one
 ``error:`` line and exit code 1.  ``fit`` builds its one ``FitConfig``, whose
 check of theta_t at rounds 1 and T vouches for every round, before it reads
 any file, so a flag refused by rule is refused before the data are read;
-each fold's config is that one with the fold's seed.
+each fold's config is that one with the fold's seed.  ``fit`` and ``eval``
+check ``--smoothing`` with ``check_smoothing``, the rule ``fit_empirical``
+applies, before they read any file too.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .serialize import (
     save_trace,
     sha256_file,
 )
-from .tabular import fit_empirical, kl_divergence, representation_rate, statistical_rate
+from .tabular import check_smoothing, fit_empirical, kl_divergence, representation_rate, statistical_rate
 from .tree import TreeConfig
 
 #: class code whose statistical rate eval reports
@@ -122,6 +124,7 @@ def cmd_fit(args) -> int:
         raise ValueError("folds must be 0 or >= 2")
     scheme = LeveragingScheme(args.scheme, args.tau, args.c_bound)
     cfg = FitConfig(args.rounds, scheme, TreeConfig(max_depth=args.max_depth, min_leaf_count=args.min_leaf), args.seed)
+    check_smoothing(args.smoothing)
     timings = {}
     t0 = time.perf_counter()
     spec = infer_csv_spec(args.data, args.sensitive, args.target, args.bins, args.ignore)
@@ -184,6 +187,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    check_smoothing(args.smoothing)
     bd, _, run_id = load_model(args.model)
     data = load_csv_with_schema(args.data, bd.schema)
     joint = bd.table()

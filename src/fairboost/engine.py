@@ -27,7 +27,7 @@ from . import seeds
 from .boosted import BoostedDensity, InitialDensity, _checked_scores
 from .schema import Dataset
 from .tabular import _checked_mass, _sample_cdf, fit_empirical, kl_divergence
-from .tree import TreeConfig, estimate_wla, train_tree
+from .tree import TreeConfig, boosting_regime, estimate_wla, train_tree
 
 EXACT = "exact"
 RELATIVE = "relative"
@@ -106,6 +106,8 @@ class FitConfig:
     def __post_init__(self) -> None:
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.rounds:
             leverage(self.scheme, 1)
             leverage(self.scheme, self.rounds)
@@ -113,8 +115,10 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class TraceRow:
-    """One line of the boosting trace, its fields the file's columns in order;
-    t=0 is the anchor baseline, without margins or regime."""
+    """One line of the boosting trace, its fields the file's columns in order,
+    and the one statement of its rule: t=0 is the anchor baseline, without
+    margins or regime, every later row has both margins and their regime, and
+    every row a kl_train, no kl_test and only finite numbers."""
 
     t: int
     theta: float
@@ -126,6 +130,24 @@ class TraceRow:
     kl_train: Optional[float]
     kl_test: Optional[float]  # always None: the column stays so trace files keep their 10 fields
     z: float
+
+    def __post_init__(self) -> None:
+        if self.kl_test is not None:
+            raise ValueError(f"kl_test must be empty, got {self.kl_test!r}")
+        if self.kl_train is None:
+            raise ValueError("kl_train is empty")
+        for name in ("gamma_p", "gamma_q", "regime"):
+            value = getattr(self, name)
+            if (value is None) != (self.t == 0):
+                raise ValueError(
+                    f"{name} is empty" if value is None else f"{name} must be empty on the baseline row, got {value!r}"
+                )
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        regime = boosting_regime(self.gamma_p, self.gamma_q) if self.t else None
+        if self.regime != regime:
+            raise ValueError(f"regime {self.regime!r} is not {regime!r}, its margins' regime")
 
 
 def fbde_fit(p: Dataset, q0: InitialDensity, cfg: FitConfig) -> tuple[BoostedDensity, list[TraceRow], list[dict]]:

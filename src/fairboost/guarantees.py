@@ -282,17 +282,17 @@ def build_report(
 
     ``rounds`` are the model's stored rounds; t, theta, each rate (from the
     Z_t(a)) and each rate floor (from the scheme) come from them.  ``trace``
-    is shaped as ``fbde_fit`` writes it (the t=0 anchor row, then one row per
-    round; a header-only file, which zero-round fits once wrote, reads as an
-    empty trace and is accepted for a zero-round model) and gives
-    kl_train, the sample margins and their regime.  The trace must be the
-    model's run: it has exactly those rounds, and its theta, z, rr and rr_bound
-    equal the model's bit for bit (both files write numbers shortest-repr and
-    the rates come from the same arithmetic).  Each round's margins are
-    clamped to 1 once, for its drop floor and for the lower bound on Delta;
-    both are derived for C = ln 2 only, and for any other C they are None,
-    with a note saying why.
+    holds ``TraceRow``s, which keep the row rule, and gives kl_train, the
+    sample margins and their regime.  The trace must be the model's run: its
+    t=0 anchor row, then exactly those rounds, each with the model's theta, z,
+    rr and rr_bound bit for bit (both files write numbers shortest-repr and
+    the rates come from the same arithmetic), or the error names the first
+    column that differs.  Each round's margins are clamped to 1 once, for its
+    drop floor and for the lower bound on Delta; both are derived for C = ln 2
+    only, and for any other C they are None, with a note saying why.
     """
+    if not trace or trace[0].t != 0:
+        raise ValueError("the trace does not open with its t=0 anchor row; the trace is not this model's")
     rows = trace[1:]
     if len(rows) != len(rounds):
         raise ValueError(
@@ -305,16 +305,13 @@ def build_report(
 
     fairness, drops, hbs_margins = [], [], []
     for t, (prev, r, rnd, rr) in enumerate(zip(trace, rows, rounds, rates[1:]), start=1):
-        if (r.theta, r.z) != (rnd.theta, rnd.z):
-            raise ValueError(
-                f"trace round {t}: theta {r.theta!r} and z {r.z!r} differ from the model's {rnd.theta!r} and "
-                f"{rnd.z!r}; the trace is not this model's"
-            )
-        if r.rr != rr:
-            raise ValueError(f"trace round {t}: rr {r.rr!r} differs from the model's {rr!r}")
         floor = rr_lower_bound(scheme, t)
-        if r.rr_bound != floor:
-            raise ValueError(f"trace round {t}: rr_bound {r.rr_bound!r} differs from the scheme's {floor!r}")
+        for column, value in zip(("theta", "z", "rr", "rr_bound"), (rnd.theta, rnd.z, rr, floor)):
+            if getattr(r, column) != value:
+                raise ValueError(
+                    f"trace round {t}: {column} {getattr(r, column)!r} differs from the model's {value!r}; "
+                    "the trace is not this model's"
+                )
         fairness.append({"t": t, "rr": rr, "rr_floor": floor, "holds": rr >= floor - _TOL})
 
         measured = prev.kl_train - r.kl_train

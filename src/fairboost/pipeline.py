@@ -28,11 +28,13 @@ import numpy as np
 from scipy.special import ndtri
 
 from .boosted import InitialDensity
-from .schema import Attribute, AttributeSchema, Dataset
+from .schema import MAX_CELLS, Attribute, AttributeSchema, Dataset
 from .tabular import fit_empirical
 
 #: numeric columns with at most this many distinct integer levels are categorical
 _AUTO_CATEGORICAL_MAX_LEVELS = 12
+#: the mixture's uniforms are clipped to [_U_MIN, 1 - _U_MIN], so ndtri of these two bounds every normal draw
+_U_MIN = 1e-16
 
 
 @dataclass(frozen=True)
@@ -162,6 +164,8 @@ def infer_csv_spec(
             raise ValueError(f"column {name!r} cannot be both {role} and ignored")
     if bins < 1:
         raise ValueError("bins must be >= 1")
+    if bins > MAX_CELLS:  # a binned column alone makes that many cells
+        raise ValueError(f"bins must be at most {MAX_CELLS}, the most cells one float64 table can index, got {bins}")
     header, raw_rows = _read_rows(path)
     for name in (sensitive, *((target,) if target else ()), *ignore):
         if name not in header:
@@ -232,17 +236,23 @@ class MixtureParams:
                     raise ValueError(f"{name} must be finite, got {v!r}")
         if min(self.sigma) <= 0:
             raise ValueError("sigma must be > 0")
+        for a, (mu, sigma) in enumerate(zip(self.mu, self.sigma)):
+            for z in ndtri((_U_MIN, 1.0 - _U_MIN)).tolist():  # x = mu + sigma * z is monotone in z
+                if not math.isfinite(mu + sigma * z):
+                    raise ValueError(f"group {a}'s draws overflow: mu {mu!r} + sigma {sigma!r} * {z!r} is not finite")
         if not (0.0 <= self.s <= 1.0):
             raise ValueError("s must be in [0, 1]")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def generate_mixture(params: MixtureParams) -> tuple[np.ndarray, np.ndarray]:
     """Draw (x, a) samples; a first, then x through the inverse normal CDF."""
     rng = np.random.default_rng(params.seed)
     a = (rng.random(params.n) < params.s).astype(np.int64)
-    u = np.clip(rng.random(params.n), 1e-16, 1.0 - 1e-16)
+    u = np.clip(rng.random(params.n), _U_MIN, 1.0 - _U_MIN)
     z = ndtri(u)
     mu = np.asarray(params.mu)[a]
     sigma = np.asarray(params.sigma)[a]

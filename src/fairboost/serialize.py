@@ -36,8 +36,8 @@ ulp can pass, and ``eval`` reads a model without its last round as a
 shorter fit of the same run.
 
 The trace is one ``csv`` row per ``TraceRow``, ``str`` of each value and an
-empty cell for None, and is read in the one shape ``fbde_fit`` writes (see
-``_trace_row``).
+empty cell for None.  The reader only converts cells (see ``_trace_row``):
+the rule a row keeps is ``TraceRow``'s, the one ``fbde_fit``'s rows keep.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ import numpy as np
 from .boosted import BoostedDensity, BoostRound, InitialDensity
 from .engine import LeveragingScheme, TraceRow
 from .schema import Attribute, AttributeSchema
-from .tree import DecisionTreeClassifier, Node, boosting_regime
+from .tree import DecisionTreeClassifier, Node
 
 MODEL_FORMAT = "fairboost.model"
 MODEL_VERSION = 1
@@ -417,10 +417,6 @@ def save_trace(rows: Sequence[TraceRow], path: str) -> None:
             writer.writerow(["" if v is None else str(v) for v in dataclasses.astuple(r)])
 
 
-#: trace columns that are empty on the t=0 baseline row and filled on every round
-_ROUND_ONLY = frozenset({"gamma_p", "gamma_q", "regime"})
-
-
 def _parse_cell(convert, text: str, what: str):
     try:
         return convert(text)
@@ -429,37 +425,22 @@ def _parse_cell(convert, text: str, what: str):
 
 
 def _trace_row(n: int, row: list[str]) -> TraceRow:
-    """Row n as ``fbde_fit`` writes it: t = n, kl_train always, kl_test
-    never, no margins or regime at t = 0 and at every later t both margins
-    and their ``boosting_regime``.  Anything else is an error naming t and
-    the column."""
+    """Row n's cells as a ``TraceRow``, which holds the row rule: the row has
+    the header's field count and t = n, an empty cell is None, ``regime`` is
+    text and every other cell a number.  Errors name the row and the column."""
     if len(row) != len(TRACE_HEADER):
         raise ValueError(f"trace row {n}: expected {len(TRACE_HEADER)} fields, got {len(row)}")
     t = _parse_cell(int, row[0], f"trace row {n}: t must be an integer")
     if t != n:
         raise ValueError(f"trace row {n}: expected round t={n}, got t={t}")
-    vals = {"t": t}
-    for col, text in zip(TRACE_HEADER[1:], row[1:]):
-        baseline_only = t == 0 and col in _ROUND_ONLY
-        if col == "kl_test" and text != "":
-            raise ValueError(f"trace row t={t}: kl_test must be empty, got {text!r}")
-        if text == "" and (baseline_only or col == "kl_test"):
-            vals[col] = None
-        elif baseline_only:
-            raise ValueError(f"trace row t=0: {col} must be empty on the baseline row, got {text!r}")
-        elif text == "":
-            raise ValueError(f"trace row t={t}: {col} is empty")
-        elif col == "regime":
-            vals[col] = text
-        else:
-            vals[col] = _parse_cell(float, text, f"trace row t={t}: {col} must be a number")
-            if not math.isfinite(vals[col]):
-                raise ValueError(f"trace row t={t}: {col} must be finite, got {text!r}")
-    if t >= 1:
-        regime = boosting_regime(vals["gamma_p"], vals["gamma_q"])
-        if vals["regime"] != regime:
-            raise ValueError(f"trace row t={t}: regime {vals['regime']!r} is not {regime!r}, its margins' regime")
-    return TraceRow(**vals)
+    try:
+        cells = [
+            None if text == "" else text if col == "regime" else _parse_cell(float, text, f"{col} must be a number")
+            for col, text in zip(TRACE_HEADER[1:], row[1:])
+        ]
+        return TraceRow(t, *cells)
+    except ValueError as exc:
+        raise ValueError(f"trace row t={t}: {exc}") from None
 
 
 def load_trace(path: str) -> list[TraceRow]:

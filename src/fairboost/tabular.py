@@ -95,6 +95,14 @@ def _sample_cdf(schema: AttributeSchema, cdf: np.ndarray, n: int, seed: int) -> 
     return Dataset(schema, schema.decode(cells))
 
 
+def check_smoothing(smoothing: float) -> None:
+    """The part of the smoothing rule that needs no data: finite and >= 0."""
+    if not math.isfinite(smoothing):
+        raise ValueError(f"smoothing must be finite, got {smoothing!r}")
+    if smoothing < 0:
+        raise ValueError("smoothing must be >= 0")
+
+
 def fit_empirical(dataset: Dataset, smoothing: float = 0.0) -> TabularDensity:
     """Laplace-smoothed empirical table.
 
@@ -102,12 +110,12 @@ def fit_empirical(dataset: Dataset, smoothing: float = 0.0) -> TabularDensity:
     where count(cell) is the number of rows in the cell and N the number of
     rows.  The counts are summed as float64 weights straight into the table,
     which is smoothed and divided in place and handed to ``TabularDensity``
-    read-only, so the build holds one domain-sized array.
+    read-only, so the build holds one domain-sized array.  ``smoothing``
+    keeps ``check_smoothing``; a total that overflows, and a positive
+    smoothing whose share of the total underflows to 0.0 in an empty cell,
+    are refused too.
     """
-    if not math.isfinite(smoothing):
-        raise ValueError(f"smoothing must be finite, got {smoothing!r}")
-    if smoothing < 0:
-        raise ValueError("smoothing must be >= 0")
+    check_smoothing(smoothing)
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     n_cells = dataset.schema.n_cells
@@ -117,6 +125,10 @@ def fit_empirical(dataset: Dataset, smoothing: float = 0.0) -> TabularDensity:
     mass = np.bincount(dataset.cells(), weights=np.ones(len(dataset)), minlength=n_cells)
     mass += smoothing
     mass /= total
+    if smoothing and not mass.min() > 0:
+        raise ValueError(
+            f"smoothing {smoothing!r} over {n_cells} cells gives an empty cell a mass that underflows to 0.0"
+        )
     mass.setflags(write=False)
     return TabularDensity(dataset.schema, mass)
 

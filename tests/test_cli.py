@@ -1,11 +1,13 @@
 """End-to-end command tests driven through main(argv)."""
 
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -285,6 +287,15 @@ def _wide_csv(features: int, rows: int) -> list:
     return [",".join(f"f{j}" for j in range(features)) + ",a", *body]
 
 
+def test_fit_bins_a_constant_column_around_its_value(tmp_path):
+    # a numeric column of one value is binned over [value - 0.5, value + 0.5]
+    data, model = tmp_path / "constant.csv", str(tmp_path / "m.json")
+    data.write_text("x,a\n" + "".join(f"0.5,{i % 2}\n" for i in range(40)))
+    assert main(["fit", "--data", str(data), "--sensitive", "a", "--bins", "4", "--rounds", "2", "--out", model]) == 0
+    assert load_model(model)[0].schema.attributes[0].bin_edges == (0.0, 0.25, 0.5, 0.75, 1.0)
+    assert main(["eval", "--model", model, "--data", str(data), "--out", str(tmp_path / "metrics.json")]) == 0
+
+
 def test_fit_domain_beyond_memory_is_an_error(tmp_path, capsys):
     # 8 numeric features at 150 bins make 150**8 feature cells: the anchor's (|A|, n_x)
     # buffer needs 3.56 EiB, more than a 64-bit address space, so the allocation fails at once
@@ -332,6 +343,7 @@ _DATA = {
     # the one a=0 row is held out of one fold's training part
     "rare-group": lambda lines: ["x,a", *(f"{i / 40!r},1" for i in range(40)), "0.5,0"],
     "wide": lambda lines: _wide_csv(4, 300),
+    "no-x": lambda lines: ["a", *(line.split(",")[1] for line in lines[1:])],
 }
 _NON_FINITE_CSV = "non-finite value '{}' in column 'x' at row 3"
 _THETA = "the {} scheme's theta_t at round {} is {} for tau 0.9 and C {}; it must be a positive finite float"
@@ -340,11 +352,21 @@ _REFUSALS = {
     "synth-mu-nan": (["synth", "--n", "50", "--mu", "nan", "0.7"], None, "mu must be finite, got nan", _BEFORE_READ),
     "synth-sigma-inf": (["synth", "--n", "50", "--sigma", "inf", "0.2"], None, "sigma must be finite, got inf",
                         _BEFORE_READ),
+    # the uniforms are clipped to [1e-16, 1 - 1e-16], so the most extreme draw is z = ndtri(1e-16)
+    "synth-draws-overflow": (["synth", "--n", "50", "--sigma", "1e308", "0.2"], None,
+                             "group 0's draws overflow: mu -0.5 + sigma 1e+308 * -8.222082216130435 is not finite",
+                             _BEFORE_READ),
     "scheme-boosted": ([*_FIT, "--scheme", "boosted"], None, "unknown scheme 'boosted'", _BEFORE_READ),
     "scheme-const": ([*_FIT, "--scheme", "const:0.3"], None, "unknown scheme 'const:0.3'", _BEFORE_READ),
     "tau-before-data": ([*_FIT, "--tau", "2"], "missing", "tau must be in (0, 1)", _BEFORE_READ),
     "folds-1": ([*_FIT, "--folds", "1"], None, "folds must be 0 or >= 2", _BEFORE_READ),
     "folds-negative": ([*_FIT, "--folds", "-1"], None, "folds must be 0 or >= 2", _BEFORE_READ),
+    "seed-negative": ([*_FIT, "--seed", "-1"], None, "seed must be >= 0", _BEFORE_READ),
+    "synth-seed-negative": (["synth", "--n", "50", "--seed", "-1"], None, "seed must be >= 0", _BEFORE_READ),
+    # --bins past the cell limit: bins + 1 bin edges would overflow int64
+    "bins-past-one-table": ([*_FIT, "--bins", str(2**63 - 1)], None,
+                            f"bins must be at most {2**60 - 1}, the most cells one float64 table can index, "
+                            f"got {2**63 - 1}", _BEFORE_READ),
     "c-bound-nan": ([*_FIT, "--c-bound", "nan"], None, "c_bound must be finite, got nan", _BEFORE_READ),
     "c-bound-inf": ([*_FIT, "--c-bound", "inf"], None, "c_bound must be finite, got inf", _BEFORE_READ),
     # theta_t is 0.0 once 2^(t+1) or C * 2^(t+1) overflows, or 2 C t does; it is inf when C is subnormal
@@ -372,6 +394,7 @@ _REFUSALS = {
     "eval-negative-inf": (_EVAL, "-inf", _NON_FINITE_CSV.format("-inf"), _BEFORE_FIT),
     "fit-long-row": (_FIT, "long-row", "row 2 has 3 fields, the header has 2", _BEFORE_FIT),
     "eval-long-row": (_EVAL, "long-row", "row 2 has 3 fields, the header has 2", _BEFORE_FIT),
+    "eval-without-model-column": (_EVAL, "no-x", "column 'x' not found", _BEFORE_FIT),
     # a model of one class would fail every eval, and one group makes every fairness certificate vacuous
     "target-one-class": ([*_FIT, "--target", "y"], "one-class", "target column 'y' needs at least 2 classes, got 1",
                          _BEFORE_FIT),
@@ -386,8 +409,15 @@ _REFUSALS = {
     "folds-past-rows": ([*_FIT, "--folds", "801"], None, "k exceeds dataset size", _BEFORE_FIT),
     "fold-lacks-group": ([*_FIT, "--folds", "3", "--bins", "5"], "rare-group",
                          "fold 1: unrepresented sensitive value '0' in the fold's training part", _BEFORE_FIT),
-    "smoothing-nan": ([*_FIT, "--smoothing", "nan"], None, "smoothing must be finite, got nan", _BEFORE_FIT),
-    "eval-smoothing-nan": ([*_EVAL, "--smoothing", "nan"], None, "smoothing must be finite, got nan", _BEFORE_FIT),
+    "smoothing-nan": ([*_FIT, "--smoothing", "nan"], None, "smoothing must be finite, got nan", _BEFORE_READ),
+    "eval-smoothing-nan": ([*_EVAL, "--smoothing", "nan"], None, "smoothing must be finite, got nan", _BEFORE_READ),
+    # s / (N_a + s * cells) is 0.0 in an empty cell: fit's anchor row of 4 feature cells, eval's table of 32 cells
+    "smoothing-underflows": ([*_FIT, "--bins", "4", "--smoothing", "5e-324"], None,
+                             "smoothing 5e-324 over 4 cells gives an empty cell a mass that underflows to 0.0",
+                             _BEFORE_FIT),
+    "eval-smoothing-underflows": ([*_EVAL, "--smoothing", "5e-324"], None,
+                                  "smoothing 5e-324 over 32 cells gives an empty cell a mass that underflows to 0.0",
+                                  _BEFORE_FIT),
     # N + smoothing * n_cells overflows, so the table would sum to 0, not 1; fit's anchor is fitted
     # one group's row at a time, over the 16 feature cells, and eval's table covers all 32 cells
     "fit-smoothing-overflows": ([*_FIT, "--bins", "16", "--smoothing", "1e308"], None,
@@ -412,12 +442,95 @@ def test_refusal(tmp_path, synth_csv, fit_run, capsys, monkeypatch, argv, data, 
         raise AssertionError(f"a refusal {stage} reached a step past it")
 
     if stage == _BEFORE_READ:
-        monkeypatch.setattr(pipeline, "_read_rows", reached)
+        for module, name in ((pipeline, "_read_rows"), (cli, "load_model"), (cli, "load_model_rounds")):
+            monkeypatch.setattr(module, name, reached)
     monkeypatch.setattr(cli, "fbde_fit", reached if stage == _BEFORE_FIT else lambda *a: fits.append(a) or fbde_fit(*a))
     assert main([arg.format(**fields) for arg in argv] + ["--out", str(out)]) == 1
     assert capsys.readouterr() == ("", f"error: {message.format(**fields)}\n")
     assert not out.exists() and not Path(f"{out}.manifest.json").exists()
     assert bool(fits) == (stage == _IN_FIT)
+
+
+#: the values each flag is walked over: every float flag takes _WALK_FLOATS, every integer flag _WALK_INTS
+_WALK_FLOATS = ("nan", "inf", "-inf", "0.0", "-0.0", "-1", "5e-324", "1e-320", "1e-300", "0.5", "1", "2", "1e300",
+                "1e308")
+_WALK_INTS = ("0", "1", "-1", "2", str(2**63 - 1), str(2**63), str(-(2**63) - 1))
+#: (command, flag) -> the values walked; fit's base run is 2 rounds at --bins 4 under the exact scheme
+_WALK = {
+    **{("fit", flag): _WALK_FLOATS for flag in ("--tau", "--c-bound", "--smoothing")},
+    **{("fit", flag): _WALK_INTS for flag in ("--rounds", "--bins", "--max-depth", "--min-leaf", "--folds", "--seed")},
+    ("eval", "--smoothing"): _WALK_FLOATS,
+    **{("synth", flag): _WALK_INTS for flag in ("--n", "--seed")},
+    **{("synth", flag): _WALK_FLOATS for flag in ("--s", "--mu", "--sigma")},
+}
+#: the walk's refusals that need the data, so come after it is read: a count of rows or cells decides them
+_WALK_NEEDS_DATA = {
+    ("fit", "--smoothing", "5e-324"),  # an empty cell's mass underflows among the row's cells
+    ("fit", "--smoothing", "1e308"),  # the total over the row's cells overflows
+    ("fit", "--folds", str(2**63 - 1)),  # k exceeds the rows
+    ("fit", "--folds", str(2**63)),
+    ("eval", "--smoothing", "5e-324"),
+    ("eval", "--smoothing", "1e308"),
+}
+
+
+def _walk_argv(command, flag, value, d, data, model) -> list:
+    if command == "fit":
+        base = [*_FIT, "--bins", "4", "--rounds", "2", "--trace", str(d / "trace.csv")]
+    elif command == "eval":
+        base = _EVAL
+    else:
+        base = ["synth", "--n", "50"]
+    # a pair flag takes the value first; the '=' form keeps argparse from reading '-inf' as an option
+    tail = [flag, value, "0.7"] if flag in ("--mu", "--sigma") else [f"{flag}={value}"]
+    return [arg.format(data=data, model=model) for arg in base] + ["--out", str(d / "out"), *tail]
+
+
+def _walk_outputs_read(command, d, data, capsys) -> bool:
+    """Whether the files a run wrote are read back: fit's model and trace by eval and guarantees, eval's
+    metrics as JSON, and synth's rows as finite numbers."""
+    out = str(d / "out")
+    if command == "fit":
+        readers = (["eval", "--model", out, "--data", data, "--out", str(d / "metrics.json")],
+                   ["guarantees", "--model", out, "--trace", str(d / "trace.csv"), "--out", str(d / "report.json")])
+        ok = all(main(argv) == 0 for argv in readers)
+        return ok and capsys.readouterr() == ("", "")
+    if command == "eval":
+        return read_json(out)["format"] == "fairboost.metrics"
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    return rows.shape[1] == 2 and bool(np.isfinite(rows).all())
+
+
+@pytest.mark.parametrize("command, flag", list(_WALK), ids=[f"{c}{f}" for c, f in _WALK])
+def test_flag_walk(tmp_path, synth_csv, fit_run, capsys, monkeypatch, command, flag):
+    # each value is refused with one error: line (or by argparse) and no file, before any file is read
+    # unless _WALK_NEEDS_DATA names it, or it writes files that their readers take
+    reads = []
+    for module, name in ((pipeline, "_read_rows"), (cli, "load_model"), (cli, "load_model_rounds")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real: reads.append(a) or real(*a))
+    broken = []
+    for i, value in enumerate(_WALK[command, flag]):
+        d = tmp_path / str(i)
+        d.mkdir()
+        reads.clear()
+        try:
+            code = main(_walk_argv(command, flag, value, d, synth_csv, fit_run[0]))
+        except SystemExit as exc:  # argparse's refusal: usage, then its own error line
+            code = exc.code
+        out, err = capsys.readouterr()
+        key = (command, flag, value)
+        if code == 0:
+            ok = out == err == "" and _walk_outputs_read(command, d, synth_csv, capsys)
+        elif code == 2:
+            ok = out == "" and err.splitlines()[-1].startswith(f"fairboost {command}: error:")
+            ok = ok and not any(d.iterdir())
+        else:
+            ok = code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+            ok = ok and not any(d.iterdir()) and bool(reads) == (key in _WALK_NEEDS_DATA)
+        if not ok:
+            broken.append((value, code, err.strip(), len(reads)))
+    assert broken == []
 
 
 # -- eval ---------------------------------------------------------------
@@ -516,28 +629,6 @@ def test_guarantees_out_file(fit_run, tmp_path):
     assert read_json(out)["format"] == "fairboost.report"
 
 
-def test_guarantees_rejects_non_finite_trace(tmp_path, fit_run, capsys):
-    model_path, trace_path = fit_run
-    lines = Path(trace_path).read_text().splitlines()
-    cells = lines[2].split(",")
-    cells[1] = "nan"  # theta of round t=1
-    lines[2] = ",".join(cells)
-    bad = tmp_path / "trace.csv"
-    bad.write_text("\n".join(lines) + "\n")
-    out = tmp_path / "report.json"
-    assert main(["guarantees", "--model", model_path, "--trace", str(bad), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: trace row t=1: theta must be finite")
-    assert not out.exists()
-
-
-def test_guarantees_rejects_short_trace_row(tmp_path, fit_run, capsys):
-    model_path, _ = fit_run
-    bad = tmp_path / "trace.csv"
-    bad.write_text("t,theta,gamma_p,gamma_q,regime,rr,rr_bound,kl_train,kl_test,z\n0,0.0\n")
-    assert main(["guarantees", "--model", model_path, "--trace", str(bad)]) == 1
-    assert capsys.readouterr().err.startswith("error: trace row 0: expected 10 fields, got 2")
-
-
 def test_guarantees_builds_no_stack(fit_run, tmp_path, monkeypatch):
     model_path, trace_path = fit_run
     want, got = tmp_path / "want.json", tmp_path / "got.json"
@@ -553,68 +644,11 @@ def test_guarantees_builds_no_stack(fit_run, tmp_path, monkeypatch):
     assert got.read_bytes() == want.read_bytes()
 
 
-def _fit_trace(d, data, *flags):
-    trace = str(d / "trace.csv")
-    code = main(["fit", "--data", data, "--sensitive", "a", "--rounds", "5", *flags, "--out", str(d / "m.json"),
-                 "--trace", trace])
-    assert code == 0
-    return trace
-
-
 def _guarantees_error(model_path, trace_path, tmp_path, capsys) -> str:
     out = tmp_path / "report.json"
     assert main(["guarantees", "--model", model_path, "--trace", trace_path, "--out", str(out)]) == 1
     assert not out.exists()
     return capsys.readouterr().err
-
-
-def _mismatch(t, row, theta, z):
-    return (
-        f"error: trace round {t}: theta {row.theta!r} and z {row.z!r} differ from the model's {theta!r} and "
-        f"{z!r}; the trace is not this model's\n"
-    )
-
-
-def test_guarantees_rejects_trace_of_another_model(fit_run, tmp_path, capsys):
-    # a relative run at C = 1.5 on 4 features, also 5 rounds: theta differs from round 1
-    rng = np.random.default_rng(4)
-    rows = ["f0,f1,f2,f3,a"] + [",".join(repr(float(v)) for v in rng.random(4)) + f",{i % 3 % 2}" for i in range(300)]
-    data = tmp_path / "features.csv"
-    data.write_text("\n".join(rows) + "\n")
-    trace = _fit_trace(tmp_path, str(data), "--scheme", "relative", "--c-bound", "1.5", "--bins", "6")
-    model_path, _ = fit_run
-    first = load_model_rounds(model_path)[2][0]
-    row = load_trace(trace)[1]
-    assert row.theta != first.theta
-    assert _guarantees_error(model_path, trace, tmp_path, capsys) == _mismatch(1, row, first.theta, first.z)
-
-
-def test_guarantees_rejects_trace_of_another_seed(fit_run, synth_csv, tmp_path, capsys):
-    # the same data and flags at another seed: other trees, so at some round another theta_t or Z_t
-    trace = _fit_trace(tmp_path, synth_csv, "--tau", "0.8", "--bins", "16", "--seed", "2")
-    model_path, _ = fit_run
-    rounds = load_model_rounds(model_path)[2]
-    rows = load_trace(trace)[1:]
-    assert len(rows) == len(rounds)
-    differ = [(row, rnd) for row, rnd in zip(rows, rounds) if (row.theta, row.z) != (rnd.theta, rnd.z)]
-    assert differ, "the two seeds fit the same rounds"
-    row, rnd = differ[0]
-    assert _guarantees_error(model_path, trace, tmp_path, capsys) == _mismatch(row.t, row, rnd.theta, rnd.z)
-
-
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:], "error: trace row 1: expected round t=1, got t=2\n"),
-        (lambda lines: lines[:-1], "error: trace ends at round 4, the model at round 5; the trace is not this model's\n"),
-    ],
-    ids=["swapped", "truncated"],
-)
-def test_guarantees_rejects_edited_trace(fit_run, tmp_path, capsys, edit, message):
-    model_path, trace_path = fit_run
-    bad = tmp_path / "trace.csv"
-    bad.write_text("\n".join(edit(Path(trace_path).read_text().splitlines())) + "\n")
-    assert _guarantees_error(model_path, str(bad), tmp_path, capsys) == message
 
 
 def _edit_round(trace_path, t, **cells) -> list:
@@ -630,20 +664,101 @@ def _edit_lines(lines, t, **cells) -> list:
     return lines[: t + 1] + [",".join(row)] + lines[t + 2 :]
 
 
-@pytest.mark.parametrize(
-    "cells, message",
-    [
-        ({"rr": "0.99", "rr_bound": "0.95"}, "error: trace round 1: rr 0.99 differs from the model's "),
-        ({"rr_bound": "0.7"}, "error: trace round 1: rr_bound 0.7 differs from the scheme's 0.8\n"),
-    ],
-    ids=["rr", "rr_bound"],
-)
-def test_guarantees_certifies_the_models_rates(fit_run, tmp_path, capsys, cells, message):
-    # the rr and floor a report certifies are the model's, not the trace's copies
-    model_path, trace_path = fit_run
-    bad = tmp_path / "trace.csv"
-    bad.write_text("\n".join(_edit_round(trace_path, 1, **cells)) + "\n")
-    assert _guarantees_error(model_path, str(bad), tmp_path, capsys).startswith(message)
+def _differs(t, column, row, value) -> str:
+    return (
+        f"trace round {t}: {column} {getattr(row, column)!r} differs from the model's {value!r}; "
+        "the trace is not this model's"
+    )
+
+
+def _fit_trace(run, data, *flags) -> list:
+    """The lines of the trace of a 5-round fit of ``data`` at ``flags``, made in the run's directory."""
+    trace = run.dir / "trace.csv"
+    code = main(["fit", "--data", data, "--sensitive", "a", "--rounds", "5", *flags, "--out", str(run.dir / "m.json"),
+                 "--trace", str(trace)])
+    assert code == 0
+    return trace.read_text().splitlines()
+
+
+def _another_model(run):
+    # a relative run at C = 1.5 on 4 features, also 5 rounds: theta differs from round 1
+    rng = np.random.default_rng(4)
+    rows = ["f0,f1,f2,f3,a"] + [",".join(repr(float(v)) for v in rng.random(4)) + f",{i % 3 % 2}" for i in range(300)]
+    data = run.dir / "features.csv"
+    data.write_text("\n".join(rows) + "\n")
+    lines = _fit_trace(run, str(data), "--scheme", "relative", "--c-bound", "1.5", "--bins", "6")
+    row, first = load_trace(run.dir / "trace.csv")[1], load_model_rounds(run.model)[2][0]
+    assert row.theta != first.theta
+    return run.model, lines, _differs(1, "theta", row, first.theta)
+
+
+def _another_seed(run):
+    # the same data and flags at another seed: other trees, so at some round another theta_t or Z_t
+    lines = _fit_trace(run, run.data, "--tau", "0.8", "--bins", "16", "--seed", "2")
+    rounds = load_model_rounds(run.model)[2]
+    rows = load_trace(run.dir / "trace.csv")[1:]
+    assert len(rows) == len(rounds)
+    differ = [(row, rnd) for row, rnd in zip(rows, rounds) if (row.theta, row.z) != (rnd.theta, rnd.z)]
+    assert differ, "the two seeds fit the same rounds"
+    row, rnd = differ[0]
+    column, value = ("theta", rnd.theta) if row.theta != rnd.theta else ("z", rnd.z)
+    return run.model, lines, _differs(row.t, column, row, value)
+
+
+def _header_only(run):
+    # a zero-round fit's trace is its t=0 anchor row; a header alone is no fit's
+    model = str(run.dir / "m0.json")
+    assert main(["fit", "--data", run.data, "--sensitive", "a", "--rounds", "0", "--out", model]) == 0
+    return model, run.lines[:1], "the trace does not open with its t=0 anchor row; the trace is not this model's"
+
+
+def _mislabelled_regime(run):
+    row = load_trace(run.trace)[1]
+    label = "LBS" if row.regime == "HBS" else "HBS"
+    message = f"trace row t=1: regime {label!r} is not {row.regime!r}, its margins' regime"
+    return run.model, _edit_lines(run.lines, 1, regime=label), message
+
+
+def _models_rate(run, **cells):
+    # the rr and floor a report certifies are the model's, not the trace's copies; rr is compared first
+    row = load_trace(run.trace)[1]
+    column = "rr" if "rr" in cells else "rr_bound"
+    edited = dataclasses.replace(row, **{c: float(text) for c, text in cells.items()})
+    return run.model, _edit_lines(run.lines, 1, **cells), _differs(1, column, edited, getattr(row, column))
+
+
+#: id -> a function of the run (the fit_run model, its trace's path and lines, the synth data and a
+#: directory) giving the model, the trace's lines and the message of guarantees' one error: line
+_TRACE_REFUSALS = {
+    "non-finite": lambda run: (run.model, _edit_lines(run.lines, 1, theta="nan"),
+                               "trace row t=1: theta must be finite, got nan"),
+    "short-row": lambda run: (run.model, [run.lines[0], "0,0.0"], "trace row 0: expected 10 fields, got 2"),
+    "header-only": _header_only,
+    "swapped": lambda run: (run.model, run.lines[:2] + [run.lines[3], run.lines[2]] + run.lines[4:],
+                            "trace row 1: expected round t=1, got t=2"),
+    "truncated": lambda run: (run.model, run.lines[:-1],
+                              "trace ends at round 4, the model at round 5; the trace is not this model's"),
+    "rr": lambda run: _models_rate(run, rr="0.99", rr_bound="0.95"),
+    "rr_bound": lambda run: _models_rate(run, rr_bound="0.7"),
+    "mislabelled-regime": _mislabelled_regime,
+    "another-model": _another_model,
+    "another-seed": _another_seed,
+}
+
+
+@pytest.mark.parametrize("make", _TRACE_REFUSALS.values(), ids=list(_TRACE_REFUSALS))
+def test_guarantees_trace_refusal(tmp_path, fit_run, synth_csv, capsys, make):
+    # exit 1 with one exact error: line, and no report
+    model, trace = fit_run
+    run = SimpleNamespace(model=model, trace=trace, lines=Path(trace).read_text().splitlines(), data=synth_csv,
+                          dir=tmp_path)
+    model, lines, message = make(run)
+    edited, out = tmp_path / "edited.csv", tmp_path / "report.json"
+    edited.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["guarantees", "--model", model, "--trace", str(edited), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_guarantees_fails_on_a_false_bound(fit_run, tmp_path, capsys):
@@ -674,17 +789,6 @@ def test_guarantees_fails_on_a_false_rate_floor(fit_run, tmp_path, capsys):
     assert main(["guarantees", "--model", model, "--trace", str(bad), "--out", str(out)]) == 1
     first = next(f for f in read_json(out)["fairness_rounds"] if not f["holds"])
     assert capsys.readouterr().err == f"error: round {first['t']}: rr {first['rr']!r} is below its floor 0.9999\n"
-
-
-def test_guarantees_rejects_mislabelled_regime(fit_run, tmp_path, capsys):
-    model_path, trace_path = fit_run
-    row = load_trace(trace_path)[1]
-    label = "LBS" if row.regime == "HBS" else "HBS"
-    bad = tmp_path / "trace.csv"
-    bad.write_text("\n".join(_edit_round(trace_path, 1, regime=label)) + "\n")
-    assert _guarantees_error(model_path, str(bad), tmp_path, capsys) == (
-        f"error: trace row t=1: regime {label!r} is not {row.regime!r}, its margins' regime\n"
-    )
 
 
 def _broken_model(tmp_path, model_path, breaker):

@@ -459,9 +459,41 @@ def test_build_report_clamps_each_margin_once():
 
 
 def test_build_report_empty_trace():
-    report = build_report([], exact_scheme(0.8), [])
+    # a zero-round report comes from the one anchor row; a trace without it is no run's
+    trace, rounds = hand_run(exact_scheme(0.8), [], kl=(0.5,))
+    report = build_report(trace, exact_scheme(0.8), rounds)
     assert report.rounds == 0
     assert report.fairness_rounds == ()
     assert report.delta is None
     assert report.implied["final_rr"] == 1.0
     assert report.all_fairness_hold
+    with pytest.raises(ValueError, match="^the trace does not open with its t=0 anchor row; the trace is not"):
+        build_report([], exact_scheme(0.8), [])
+
+
+def test_build_report_refuses_a_trace_without_its_anchor_row():
+    trace, rounds = hand_run(exact_scheme(0.8), [(0.5, 0.5), (0.4, 0.4)], kl=(0.5, 0.45, 0.42))
+    with pytest.raises(ValueError, match="^the trace does not open with its t=0 anchor row"):
+        build_report(trace[1:], exact_scheme(0.8), rounds[1:])
+
+
+@pytest.mark.parametrize("column", ["theta", "z", "rr", "rr_bound"])
+def test_build_report_names_the_first_column_the_model_does_not_give(column):
+    # one comparison per round: the trace's copy of each value the model fixes, named when it differs
+    scheme = exact_scheme(0.8)
+    trace, rounds = hand_run(scheme, [(0.5, 0.5), (0.4, 0.4)], kl=(0.5, 0.45, 0.42))
+    row = trace[2]
+    edited = math.nextafter(getattr(row, column), 0.0)
+    trace[2] = dataclasses.replace(row, **{column: edited})
+    with pytest.raises(ValueError) as info:
+        build_report(trace, scheme, rounds)
+    assert str(info.value) == (
+        f"trace round 2: {column} {edited!r} differs from the model's {getattr(row, column)!r}; "
+        "the trace is not this model's"
+    )
+
+
+def test_trace_row_refuses_a_round_without_margins():
+    # the rule is the row's: a round without margins is never built, so build_report never meets one
+    with pytest.raises(ValueError, match="^gamma_p is empty$"):
+        TraceRow(1, 0.1, None, None, None, 1.0, 0.8, 0.4, None, 1.0)

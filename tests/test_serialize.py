@@ -452,7 +452,8 @@ def _edited_trace(tmp_path, t, column, text) -> str:
 )
 def test_trace_rejects_non_finite_numbers(tmp_path, column, text):
     path = _edited_trace(tmp_path, 1, column, text)
-    with pytest.raises(ValueError, match=f"trace row t=1: {column} must be finite, got '{text}'"):
+    # the message shows the value TraceRow was given, not the cell's text
+    with pytest.raises(ValueError, match=f"^trace row t=1: {column} must be finite, got {text}$"):
         load_trace(path)
 
 
@@ -464,14 +465,14 @@ def test_trace_rejects_non_finite_numbers(tmp_path, column, text):
         (1, "gamma_p", "", "trace row t=1: gamma_p is empty"),
         (1, "gamma_q", "", "trace row t=1: gamma_q is empty"),
         (1, "regime", "", "trace row t=1: regime is empty"),
-        (0, "gamma_q", "0.4", "trace row t=0: gamma_q must be empty on the baseline row, got '0.4'"),
+        (0, "gamma_q", "0.4", "trace row t=0: gamma_q must be empty on the baseline row, got 0.4"),
         (0, "regime", "HBS", "trace row t=0: regime must be empty on the baseline row, got 'HBS'"),
         (1, "regime", "high", "trace row t=1: regime 'high' is not 'HBS', its margins' regime"),
         (1, "regime", "LBS", "trace row t=1: regime 'LBS' is not 'HBS', its margins' regime"),
         (1, "gamma_q", "-0.0266", "trace row t=1: regime 'HBS' is not 'FAIL', its margins' regime"),
-        (0, "kl_test", "0.6", "trace row t=0: kl_test must be empty, got '0.6'"),
-        (1, "kl_test", "0.41", "trace row t=1: kl_test must be empty, got '0.41'"),
-        (1, "kl_test", "nan", "trace row t=1: kl_test must be empty, got 'nan'"),
+        (0, "kl_test", "0.6", "trace row t=0: kl_test must be empty, got 0.6"),
+        (1, "kl_test", "0.41", "trace row t=1: kl_test must be empty, got 0.41"),
+        (1, "kl_test", "nan", "trace row t=1: kl_test must be empty, got nan"),
         (1, "t", "x", "trace row 1: t must be an integer, got 'x'"),
         (1, "theta", "abc", "trace row t=1: theta must be a number, got 'abc'"),
     ],
