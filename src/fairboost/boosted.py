@@ -25,15 +25,18 @@ sums of log Z_k and log Z_k(a).  Expectations take a vectorized
 Normalizers are computed exactly (full log-space sums over the discrete
 domain), frozen when a round is appended, and serialized with the model;
 evaluation never recomputes them.  Each domain pass takes the anchor's logs as
-it goes: the joint table is written through a group-major view of its cube,
-and a round's normalizer terms fill one row buffer group by group, each cell
-taking the operations, and so the bits, of the group-major expressions.
+it goes and writes into a buffer its caller passes, so a fit can reuse one
+workspace for every round: the joint table (``joint(out)``) is written
+through a group-major view of its cube, and a round's normalizer terms fill
+the caller's row (``extended``'s ``row``) group by group, each cell taking
+the operations, and so the bits, of the group-major expressions.
 
 A classifier here is any object with a ``c_bound`` attribute and a method
 ``domain_scores(x_schema) -> array`` giving its score on every cell of the
 non-sensitive subdomain in row-major order, a fresh array per call; trained
 trees satisfy this.  A fit paints each tree once (``_checked_scores``), reads
-its sample margins from the paint, and ``extended`` consumes it in place.
+its sample margins from the paint, and ``extended`` consumes it in place: the
+paint becomes the child's tilt.
 """
 
 from __future__ import annotations
@@ -77,9 +80,15 @@ class InitialDensity:
     @staticmethod
     def check_schema(schema: AttributeSchema) -> None:
         """Reject a schema the anchor cannot be built on: one sensitive
-        attribute and at least one other attribute to model are required."""
+        attribute of at least 2 values and at least one other attribute to
+        model are required."""
         if schema.sensitive_index is None:
             raise ValueError("schema must designate a sensitive attribute")
+        sensitive = schema.sensitive
+        if sensitive.cardinality < 2:
+            raise ValueError(
+                f"sensitive attribute {sensitive.name!r} needs at least 2 values, got {sensitive.cardinality}"
+            )
         if len(schema.attributes) < 2:
             raise ValueError("schema must have at least one attribute besides the sensitive one")
 
@@ -140,17 +149,26 @@ class BoostedDensity:
 
     # -- structure ------------------------------------------------------
 
-    def extended(self, classifier, theta: float, scores: np.ndarray) -> "BoostedDensity":
+    def extended(self, classifier, theta: float, scores: np.ndarray, row: np.ndarray) -> "BoostedDensity":
         """Append one round, computing its exact normalizers.  ``scores``, the classifier's
-        ``_checked_scores``, is scaled in place to theta * scores, then holds the child's tilt."""
+        ``_checked_scores``, is scaled in place to theta * scores, then holds the child's tilt;
+        ``row``, a float64 buffer of one value per feature cell that shares no memory with the
+        tilt or ``scores``, takes each group's normalizer terms in turn."""
         step = np.multiply(theta, scores, out=scores)
-        z, z_by_group = self._normalizers(step)
+        z, z_by_group = self._normalizers(step, row)
         child = copy.copy(self)
         child._push(BoostRound(theta, classifier, z, z_by_group), np.add(self._tilt, step, out=step))
         return child
 
-    def _normalizers(self, step: np.ndarray) -> tuple[float, np.ndarray]:
-        row, log_zg = np.empty(len(step)), np.empty(len(self._log_zg_total))
+    def _hold_tilt_in(self, buf: np.ndarray) -> None:
+        """Copy the tilt into ``buf`` and read it there from now on, releasing its own buffer;
+        the caller keeps ``buf`` unchanged while this stack is in use."""
+        np.copyto(buf, self._tilt)
+        self._tilt = buf[...]
+        self._tilt.setflags(write=False)
+
+    def _normalizers(self, step: np.ndarray, row: np.ndarray) -> tuple[float, np.ndarray]:
+        log_zg = np.empty(len(self._log_zg_total))
         for a, cond in enumerate(self.q0.cond):
             with np.errstate(divide="ignore"):  # an unsmoothed anchor has empty cells
                 np.log(cond, out=row)
@@ -164,8 +182,7 @@ class BoostedDensity:
 
     # -- evaluation -----------------------------------------------------
 
-    def _raw_joint_vector(self) -> np.ndarray:
-        raw = np.empty(self.schema.n_cells)
+    def _raw_joint_vector(self, raw: np.ndarray) -> np.ndarray:
         groups = np.moveaxis(raw.reshape(self.schema.shape), self.schema.sensitive_index, 0)
         with np.errstate(divide="ignore"):
             np.log(self.q0.cond.reshape(groups.shape), out=groups)
@@ -174,15 +191,16 @@ class BoostedDensity:
         raw -= self._log_z_total
         return np.exp(raw, out=raw)
 
-    def joint(self) -> np.ndarray:
-        """The stack's mass on every cell, renormalized by its raw total, in a fresh buffer the caller owns."""
-        raw = self._raw_joint_vector()
+    def joint(self, out: np.ndarray) -> np.ndarray:
+        """The stack's mass on every cell, renormalized by its raw total, written into the
+        caller's float64 buffer ``out`` of one value per cell, and returned."""
+        raw = self._raw_joint_vector(out)
         raw /= raw.sum()
         return raw
 
     def table(self) -> TabularDensity:
-        """Explicit table of the stack: ``joint()``, adopted read-only without a copy."""
-        mass = self.joint()
+        """Explicit table of the stack: ``joint`` in a fresh buffer, adopted read-only without a copy."""
+        mass = self.joint(np.empty(self.schema.n_cells))
         mass.setflags(write=False)
         return TabularDensity(self.schema, mass)
 
@@ -213,7 +231,8 @@ class BoostedDensity:
         """
         if sample_budget == "exact":
             rows = self.schema.all_cells()
-            return ExpectationEstimate(float(self._raw_joint_vector() @ _values(g, rows)), 0.0, len(rows))
+            raw = self._raw_joint_vector(np.empty(len(rows)))
+            return ExpectationEstimate(float(raw @ _values(g, rows)), 0.0, len(rows))
         n = int(sample_budget)
         if n < 2:
             raise ValueError("sample_budget must be >= 2 in Monte Carlo mode")

@@ -12,6 +12,10 @@ per round:
 Both floors rest on the normalizer bounds: each round can shift any pairwise
 group log-ratio by at most 2*C*theta_t.  All logarithms are natural; tau
 close to 1 forces theta toward 0 and the fit sticks to the anchor.
+
+A fit allocates one whole-domain workspace and every round reuses it, so
+after the first round the tree's paint, which becomes the child's tilt, is
+the only domain-sized array a round allocates.
 """
 
 from __future__ import annotations
@@ -164,10 +168,17 @@ def fbde_fit(p: Dataset, q0: InitialDensity, cfg: FitConfig) -> tuple[BoostedDen
 
     The empirical table p-hat is kept as its support (at most len(p) cells)
     and its masses there, and each KL is taken over those cells alone, with
-    the bits of the KL over the whole table.  Beyond the anchor, a round holds
-    the tilt, the tree's one paint and at most one whole-domain table: the joint,
-    read by its KL and then made the next round's CDF in place.  The normalizer
-    terms take one group's row at a time.
+    the bits of the KL over the whole table.  Beyond the anchor, the fit holds
+    one whole-domain workspace, allocated once, and a round's tilt and the
+    tree's one paint, each a group-sized part of a table: about 1.75 tables at
+    the peak.  The workspace holds each stack's joint table, read by its KL and
+    then made the next round's CDF in place.  Once the negatives are drawn, its
+    first group-sized part holds the parent's tilt, whose own buffer is
+    released before the tree runs, and its second the row that takes each
+    group's normalizer terms in turn; the parent is gone before the next joint
+    overwrites them.  The schema's sensitive attribute has at least 2 values,
+    so both parts fit.  The stack returned never holds its tilt in the
+    workspace.
     """
     if p.schema != q0.schema:
         raise ValueError("schema mismatch")
@@ -182,23 +193,27 @@ def fbde_fit(p: Dataset, q0: InitialDensity, cfg: FitConfig) -> tuple[BoostedDen
     p_mass = fit_empirical(p, 0.0).mass
     support = np.flatnonzero(p_mass)
     p_mass = p_mass[support]
-    # one joint table per stack, checked as a TabularDensity's: its KL, then its CDF for the next round's negatives
-    mass = _checked_mass(p.schema, stack.joint())
-    trace.append(TraceRow(0, 0.0, None, None, None, 1.0, 1.0, kl_divergence(p_mass, mass[support]), None, 1.0))
+    # the fit's one workspace: each stack's joint table, checked as a TabularDensity's, serves
+    # its KL and then, as its CDF, the next round's negatives; the parent's tilt and the
+    # normalizer row then take its first two group-sized parts (|A| >= 2, so both fit)
+    n_x, work = q0.x_schema.n_cells, np.empty(p.schema.n_cells)
+    tilt, row = work[:n_x], work[n_x : 2 * n_x]
+    _checked_mass(p.schema, stack.joint(work))
+    trace.append(TraceRow(0, 0.0, None, None, None, 1.0, 1.0, kl_divergence(p_mass, work[support]), None, 1.0))
 
     for t in range(1, cfg.rounds + 1):
         theta = leverage(cfg.scheme, t)
         t0 = time.perf_counter()
         seed = seeds.subseed(cfg.seed, seeds.NEGATIVES, t)
-        negatives = _sample_cdf(p.schema, np.cumsum(mass, out=mass), n_neg, seed)
-        mass = None  # released before the round allocates its arrays
+        negatives = _sample_cdf(p.schema, np.cumsum(work, out=work), n_neg, seed)
+        stack._hold_tilt_in(tilt)  # its own buffer goes before the tree runs
         t1 = time.perf_counter()
         classifier = train_tree(p, negatives, cfg.tree, cfg.scheme.c_bound)
         t2 = time.perf_counter()
-        stack, wla = _step(stack, classifier, theta, p, negatives)
+        stack, wla = _step(stack, classifier, theta, p, negatives, row)
         t3 = time.perf_counter()
-        mass = _checked_mass(p.schema, stack.joint())
-        kl_train = kl_divergence(p_mass, mass[support])
+        _checked_mass(p.schema, stack.joint(work))  # the parent, which read its tilt there, is gone
+        kl_train = kl_divergence(p_mass, work[support])
         seconds = {"sample_s": t1 - t0, "tree_s": t2 - t1, "extended_s": t3 - t2}
         records.append({"t": t, **seconds, "joint_kl_s": time.perf_counter() - t3, **_tree_size(classifier.root)})
         trace.append(
@@ -218,12 +233,13 @@ def fbde_fit(p: Dataset, q0: InitialDensity, cfg: FitConfig) -> tuple[BoostedDen
     return stack, trace, records
 
 
-def _step(stack: BoostedDensity, classifier, theta: float, p: Dataset, negatives: Dataset):
+def _step(stack: BoostedDensity, classifier, theta: float, p: Dataset, negatives: Dataset, row: np.ndarray):
     """One round on its trained tree: paint it once, read the sample margins from
-    the paint, and extend the stack by it.  Returns the child and the margins."""
+    the paint, and extend the stack by it, its normalizer terms in ``row``.
+    Returns the child and the margins."""
     scores = _checked_scores(stack.q0.x_schema, classifier)
     wla = estimate_wla(classifier, p, negatives, scores)
-    return stack.extended(classifier, theta, scores), wla
+    return stack.extended(classifier, theta, scores, row), wla
 
 
 def _tree_size(node) -> dict:

@@ -244,6 +244,10 @@ class MixtureParams:
             raise ValueError("s must be in [0, 1]")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.n > MAX_CELLS:  # each draw fills float64 arrays of n values
+            raise ValueError(
+                f"n must be at most {MAX_CELLS}, the most values one float64 array can index, got {self.n}"
+            )
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

@@ -32,7 +32,10 @@ attribute-by-value grids: prefix sums along the value axis give the
 threshold candidates of ordinal attributes, the bins themselves the
 one-vs-rest candidates of the rest.  So the number of numpy calls grows
 with the depth, not with the number of nodes; only building the ``Node``
-objects loops over a level.  The counts are integers held in float64, so
+objects loops over a level.  The prefix sums are taken in place in the
+histogram, and the Gini terms summed in place, so the search holds few
+histogram-sized arrays at once: a fit runs it beside its whole-domain
+workspace.  The counts are integers held in float64, so
 every sum is exact in any order.  The min-leaf and stopping rules count
 rows, never cells.  With the fit's two negatives per data row the class
 weights are 3/2 and 3/4, so the gains equal row-by-row sums bit for bit.
@@ -147,10 +150,16 @@ class DecisionTreeClassifier:
 
 
 def _gini_terms(wp, wq):
-    """Weighted Gini impurity contribution s * (1 - (wp/s)^2 - (wq/s)^2)."""
+    """Weighted Gini impurity contribution s * (1 - (wp/s)^2 - (wq/s)^2), computed as
+    s - (wp^2 + wq^2) / s where s = wp + wq > 0 and 0 elsewhere, in a fresh array; wp and wq
+    are left as they are."""
     s = wp + wq
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(s > 0, s - (wp * wp + wq * wq) / np.where(s > 0, s, 1.0), 0.0)
+    empty = s <= 0
+    out = np.multiply(wp, wp)
+    out += wq * wq
+    out /= np.where(empty, 1.0, s)
+    np.subtract(s, out, out=out)
+    np.copyto(out, 0.0, where=empty)
     return out
 
 
@@ -168,7 +177,8 @@ def train_tree(p_samples: Dataset, q_samples: Dataset, cfg: TreeConfig, c_bound:
     cells, inverse = np.unique(rows, return_inverse=True)
     counts = np.stack([np.bincount(side, minlength=len(cells)) for side in (inverse[:n_p], inverse[n_p:])])
     counts = counts.astype(np.float64)  # integers, so sums and differences stay exact
-    X = x_schema.decode(cells)
+    bins = x_schema.decode(cells)
+    del rows, inverse, cells
     # equalize class masses; keeps the count scale so min_leaf/smoothing stay meaningful
     target = 0.5 * (n_p + n_q)
     w = np.array([target / n_p, target / n_q])
@@ -178,7 +188,7 @@ def train_tree(p_samples: Dataset, q_samples: Dataset, cfg: TreeConfig, c_bound:
     n_attr, width = len(cards), int(cards.max(initial=1))
     ordinal = np.array([a.is_ordinal for a in x_schema.attributes])[:, None]
     exists = (cards >= 2) & (np.arange(width) < np.where(ordinal, cards - 1, cards))
-    bins = X + width * np.arange(n_attr)  # grid position of each cell's value, per attribute
+    bins += width * np.arange(n_attr)  # grid position of each cell's value, per attribute
 
     def leaves(tot):
         """Each node's leaf value from its (class, node) row totals."""
@@ -189,24 +199,33 @@ def train_tree(p_samples: Dataset, q_samples: Dataset, cfg: TreeConfig, c_bound:
     # node slot of every cell still inside a node that may split
     root = Node()
     level, tot = [root], counts.sum(axis=1)[:, None]
-    cell, slot = np.arange(len(cells)), np.zeros(len(cells), dtype=np.int64)
+    cell, slot = np.arange(counts.shape[1]), np.zeros(counts.shape[1], dtype=np.int64)
     for _ in range(cfg.max_depth):
         k = len(level)
         # the level's (class, node, attribute, value) histogram, one bincount per class
         key = (np.take(bins, cell, axis=0) + n_attr * width * slot[:, None]).ravel()
-        hist = [np.bincount(key, weights=np.repeat(c[cell], n_attr), minlength=k * n_attr * width) for c in counts]
-        hist = np.stack(hist).reshape(2, k, n_attr, width)
-        # the left side of `le v` is a prefix of the value axis, of `eq v` one bin;
+        hist = np.empty((2, k * n_attr * width))
+        for h, c in zip(hist, counts):
+            h[...] = np.bincount(key, weights=np.repeat(c[cell], n_attr), minlength=k * n_attr * width)
+        del key
+        # the left side of `le v` is a prefix of the value axis, of `eq v` one bin, so the
+        # prefix sums of the ordinal attributes, taken in place, make the histogram the left sides;
         # a node of fewer than 2 * min_leaf_count rows has no valid candidate
-        left = np.where(ordinal, np.cumsum(hist, axis=3), hist)
+        left = hist.reshape(2, k, n_attr, width)
+        for a in np.flatnonzero(ordinal[:, 0]):
+            np.cumsum(left[:, :, a], axis=2, out=left[:, :, a])
         right = tot[:, :, None, None] - left
         n_left = left.sum(axis=0)
         n_rows = tot.sum(axis=0)[:, None, None]
         valid = exists & (n_left >= cfg.min_leaf_count) & (n_rows - n_left >= cfg.min_leaf_count)
+        del n_left
         wc = w[:, None, None, None]  # class weights, broadcast over the nodes' grids
         parent = _gini_terms(*(w[:, None] * tot))[:, None, None]
-        gains = parent - (_gini_terms(*(wc * left)) + _gini_terms(*(wc * right)))
-        gains = np.where(valid, gains, -np.inf).reshape(k, -1)
+        gains = _gini_terms(*(wc * left))
+        gains += _gini_terms(*(wc * right))
+        np.subtract(parent, gains, out=gains)
+        np.copyto(gains, -np.inf, where=~valid)
+        gains = gains.reshape(k, -1)
         # first occurrence in row-major order: lowest attribute, then lowest value
         best = np.argmax(gains, axis=1)
         split = gains[np.arange(k), best] > _GAIN_TOL
@@ -217,7 +236,7 @@ def train_tree(p_samples: Dataset, q_samples: Dataset, cfg: TreeConfig, c_bound:
         live = split[slot]
         cell, slot = cell[live], slot[live]
         fv, vv = f[slot], value[slot]
-        col = X[cell, fv]
+        col = bins[cell, fv] - width * fv
         slot = 2 * (np.cumsum(split) - 1)[slot] + np.where(ordinal[fv, 0], col > vv, col != vv)
         next_level = []
         for node, splits, fi, vi, leaf in zip(level, split.tolist(), f.tolist(), value.tolist(), leaves(tot)):

@@ -101,8 +101,9 @@ def table_classifier(schema, values, c_bound=LN2):
 
 
 def extend(bd, classifier, theta):
-    """``bd.extended`` on the classifier's checked paint, as the fit's round step passes it."""
-    return bd.extended(classifier, theta, _checked_scores(bd.q0.x_schema, classifier))
+    """``bd.extended`` on the classifier's checked paint, as the fit's round step passes it, with a fresh row."""
+    x_schema = bd.q0.x_schema
+    return bd.extended(classifier, theta, _checked_scores(x_schema, classifier), np.empty(x_schema.n_cells))
 
 
 def wla(classifier, p, q):

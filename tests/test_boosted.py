@@ -124,6 +124,9 @@ def test_initial_density_validation():
     only_a = AttributeSchema((Attribute("a", 2),), sensitive_index=0)  # nothing to model
     with pytest.raises(ValueError, match="at least one attribute besides the sensitive one"):
         InitialDensity(only_a, np.ones((2, 1)))
+    one_group = xa_schema(nx=3, na=1)  # no group to be fair between
+    with pytest.raises(ValueError, match="^sensitive attribute 'a' needs at least 2 values, got 1$"):
+        InitialDensity(one_group, np.full((1, 3), 1 / 3))
 
 
 # -- normalizers --------------------------------------------------------
@@ -483,7 +486,8 @@ def test_joint_and_normalizers_match_group_major_bits(rng, sensitive_index):
     # the joint is written in place through a group-major view of its cube, and the
     # normalizers one group's row at a time; both keep the bits of the group-major
     # expressions: for the joint, exp(log q0 - log|A| + tilt - log Z) at each cell's group and feature cell.
-    # extended scales the paint in place and writes the child's tilt into it, with the bits of tilt + theta * scores
+    # extended scales the paint in place and writes the child's tilt into it, with the bits of tilt + theta * scores.
+    # The stack runs in the fit's workspace: the joint, then the parent's tilt and the normalizer row
     attrs = [Attribute("x0", 3), Attribute("x1", 4)]
     attrs.insert(sensitive_index, Attribute("a", 3))
     s = AttributeSchema(tuple(attrs), sensitive_index=sensitive_index)
@@ -495,19 +499,22 @@ def test_joint_and_normalizers_match_group_major_bits(rng, sensitive_index):
     def g(rows):
         return rows[:, 0] * 0.75 - rows[:, 2] / 3.0 + rows[:, 1]
 
-    bd = BoostedDensity(q0)
+    bd, work = BoostedDensity(q0), np.empty(s.n_cells)
     tilt, log_z, log_zg = np.zeros(n_x), 0.0, np.zeros(3)
     for _ in range(4):
         raw = np.exp(np.log(q0.cond) - math.log(3) + tilt[None, :] - log_z)[a_codes, x_cells]
         assert _bits(bd.table().mass) == _bits(raw / raw.sum())
+        assert bd.joint(work) is work and _bits(work) == _bits(raw / raw.sum())
         assert _bits(bd.expectation(g, "exact").value) == _bits(float(raw @ g(cells)))
 
         scores, theta = rng.uniform(-LN2, LN2, size=n_x), float(rng.uniform(0.0, 0.5))
         log_terms = np.log(q0.cond) + tilt[None, :] - log_zg[:, None] + theta * scores[None, :]
         ref_log_zg = np.array([_logsumexp(row) for row in log_terms])
         ref_log_z = _logsumexp(np.log(np.exp(log_zg - log_z) / 3) + ref_log_zg)
+        bd._hold_tilt_in(work[:n_x])
+        assert np.shares_memory(bd._tilt, work) and _bits(bd._tilt) == _bits(tilt)
         paint = scores.copy()
-        bd = bd.extended(table_classifier(s, scores), theta, paint)
+        bd = bd.extended(table_classifier(s, scores), theta, paint, work[n_x : 2 * n_x])
         rnd = bd.rounds[-1]
         assert _bits(rnd.z) == _bits(np.exp(ref_log_z))
         assert _bits(rnd.z_by_group) == _bits(np.exp(ref_log_zg))

@@ -363,6 +363,9 @@ _REFUSALS = {
     "folds-negative": ([*_FIT, "--folds", "-1"], None, "folds must be 0 or >= 2", _BEFORE_READ),
     "seed-negative": ([*_FIT, "--seed", "-1"], None, "seed must be >= 0", _BEFORE_READ),
     "synth-seed-negative": (["synth", "--n", "50", "--seed", "-1"], None, "seed must be >= 0", _BEFORE_READ),
+    "synth-n-past-one-array": (["synth", "--n", str(2**63 - 1)], None,
+                               f"n must be at most {2**60 - 1}, the most values one float64 array can index, "
+                               f"got {2**63 - 1}", _BEFORE_READ),
     # --bins past the cell limit: bins + 1 bin edges would overflow int64
     "bins-past-one-table": ([*_FIT, "--bins", str(2**63 - 1)], None,
                             f"bins must be at most {2**60 - 1}, the most cells one float64 table can index, "

@@ -284,33 +284,43 @@ def test_fit_kl_columns(fit_setup):
 
 
 def test_fit_builds_one_joint_table_per_stack(fit_setup, monkeypatch):
-    # the anchor's table and each round's serve both that stack's KL and, turned
-    # into its CDF in place, the next round's negatives: the rows TabularDensity.sample
-    # draws from that table
+    # every joint of one fit is written into one buffer, the fit's workspace.  Each stack's
+    # table serves both its KL and, turned into its CDF in place, the next round's
+    # negatives: the rows TabularDensity.sample draws from that table.  The stack the fit
+    # returns holds its tilt in a buffer of its own
     s, p, q0 = fit_setup
-    built, negatives = [], []
-    joint, train = BoostedDensity.joint, engine.train_tree
+    buffers, joints, cdfs, negatives = [], [], [], []
+    joint, sample_cdf, train = BoostedDensity.joint, engine._sample_cdf, engine.train_tree
 
-    def recording_joint(self):
-        built.append(joint(self))
-        return built[-1]
+    def recording_joint(self, out):
+        buffers.append(out)
+        joints.append(joint(self, out).copy())
+        return out
+
+    def recording_sample_cdf(schema, cdf, n, seed):
+        cdfs.append(cdf.copy())
+        return sample_cdf(schema, cdf, n, seed)
 
     def recording_train(p_samples, q_samples, *args):
         negatives.append(q_samples.rows)
         return train(p_samples, q_samples, *args)
 
     monkeypatch.setattr(BoostedDensity, "joint", recording_joint)
+    monkeypatch.setattr(engine, "_sample_cdf", recording_sample_cdf)
     monkeypatch.setattr(engine, "train_tree", recording_train)
     cfg = FitConfig(rounds=4, scheme=exact_scheme(), seed=7)
     stack, _, _ = fbde_fit(p, q0, cfg)
     monkeypatch.undo()
-    assert len(built) == 4 + 1
+    assert len(joints) == 4 + 1 and len(cdfs) == len(negatives) == 4
+    assert all(out is buffers[0] for out in buffers) and buffers[0].shape == (s.n_cells,)
     for t, rows in enumerate(negatives, start=1):
         table = BoostedDensity(q0, stack.rounds[: t - 1]).table()
-        assert np.array_equal(built[t - 1], np.cumsum(table.mass))  # the buffer became that table's CDF
+        assert np.array_equal(joints[t - 1], table.mass)
+        assert np.array_equal(cdfs[t - 1], np.cumsum(table.mass))  # the joint's buffer became that table's CDF
         seed = seeds.subseed(cfg.seed, seeds.NEGATIVES, t)
         assert np.array_equal(rows, table.sample(engine.NEGATIVES_PER_ROW * len(p), seed).rows)
-    assert np.array_equal(built[4], stack.table().mass)
+    assert np.array_equal(joints[4], stack.table().mass)
+    assert not np.shares_memory(stack._tilt, buffers[0])
 
 
 def test_fit_kl_shrinks_toward_data(fit_setup):

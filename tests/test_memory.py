@@ -10,6 +10,7 @@ is under 0.5% of the domain.
 
 import dataclasses
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,7 @@ from fairboost import (
 from fairboost.boosted import _checked_scores
 from fairboost.pipeline import build_initial, load_csv_with_schema
 from fairboost.serialize import load_model, load_model_rounds, save_model
+from fairboost.tree import TreeConfig, train_tree
 
 from conftest import read_json, table_classifier
 
@@ -82,9 +84,10 @@ def test_build_initial_keeps_one_table(wide_data):
 
 
 def test_fit_holds_under_two_tables(wide_data):
-    # beyond the anchor, a round holds the tilt, the tree's paint and at most one whole table
-    # (the joint, turned into its CDF in place; the normalizer terms are one group's row):
-    # about 1.75.  p-hat's dense build is one table, before the first round
+    # beyond the anchor, the fit holds one whole-table workspace (the joint, turned into its CDF
+    # in place, then the parent's tilt and the normalizer row) beside the tilt, or beside the
+    # tree's paint once the parent's tilt is in the workspace: about 1.75.  p-hat's dense build
+    # is one table, before the first round
     q0 = build_initial(wide_data, wide_data.schema, 1.0)
     cfg = FitConfig(rounds=3, scheme=LeveragingScheme("exact", 0.7))
     (stack, _, _), tables = _peak(lambda: fbde_fit(wide_data, q0, cfg), 8 * wide_data.schema.n_cells)
@@ -93,15 +96,27 @@ def test_fit_holds_under_two_tables(wide_data):
 
 
 def test_extended_holds_one_group_row(wide_data):
-    # a round's normalizer pass fills one group's row of terms at a time, half a table
-    # here, beside that row's mask of maxima: about 0.56
+    # the caller supplies the row that a round's normalizer pass fills with one group's
+    # terms at a time, so the pass adds only that row's mask of maxima: about 0.06
     q0 = build_initial(wide_data, wide_data.schema, 1.0)
     n_x = q0.x_schema.n_cells
     classifier = table_classifier(wide_data.schema, np.random.default_rng(1).uniform(-0.5, 0.5, n_x))
-    stack, scores = BoostedDensity(q0), _checked_scores(q0.x_schema, classifier)
-    child, tables = _peak(lambda: stack.extended(classifier, 0.3, scores), 8 * wide_data.schema.n_cells)
+    stack, scores, row = BoostedDensity(q0), _checked_scores(q0.x_schema, classifier), np.empty(n_x)
+    child, tables = _peak(lambda: stack.extended(classifier, 0.3, scores, row), 8 * wide_data.schema.n_cells)
     assert len(child.rounds) == 1 and np.shares_memory(child._tilt, scores)
-    assert tables <= 0.65
+    assert tables <= 0.1
+
+
+def test_train_tree_holds_under_half_a_table(wide_data):
+    # the tree runs beside the fit's workspace, so its level search keeps few histogram-sized
+    # arrays: about 0.34 of this domain's tables on negatives drawn from the anchor
+    q0 = build_initial(wide_data, wide_data.schema, 1.0)
+    negatives = BoostedDensity(q0).table().sample(2 * ROWS, 0)
+    classifier, tables = _peak(
+        lambda: train_tree(wide_data, negatives, TreeConfig(), math.log(2.0)), 8 * wide_data.schema.n_cells
+    )
+    assert not classifier.root.is_leaf
+    assert tables <= 0.45
 
 
 def test_fit_empirical_builds_one_table(wide_data):
