@@ -158,9 +158,9 @@ def fbde_fit(p: Dataset, q0: InitialDensity, cfg: FitConfig) -> tuple[BoostedDen
     """Run the boosting loop for cfg.rounds rounds.
 
     Returns the fitted stack, its trace and one record per round (the tree's
-    leaves and depth, and the seconds spent sampling, on the tree, on the
-    round's ``_step`` and on the joint and KL).  The trace opens with a t=0
-    row for the anchor (rr and z exactly 1) so downstream consumers can read
+    leaves and depth, and the seconds spent sampling, on the tree, on its
+    paint, margins and child, and on the joint and KL).  The trace opens with
+    a t=0 row for the anchor (rr and z exactly 1) so downstream consumers can read
     off per-round drops and total progress without refitting; a zero-round
     fit is the bare anchor, its trace that one row.  Every row records
     kl_train, the KL divergence from the training data; kl_test is always
@@ -210,7 +210,10 @@ def fbde_fit(p: Dataset, q0: InitialDensity, cfg: FitConfig) -> tuple[BoostedDen
         t1 = time.perf_counter()
         classifier = train_tree(p, negatives, cfg.tree, cfg.scheme.c_bound)
         t2 = time.perf_counter()
-        stack, wla = _step(stack, classifier, theta, p, negatives, row)
+        scores = _checked_scores(q0.x_schema, classifier)  # painted once: the margins' reads, then the child's tilt
+        gamma_p, gamma_q = estimate_wla(classifier, p, negatives, scores)
+        stack = stack.extended(classifier, theta, scores, row)
+        del scores  # the child's tilt alone holds the paint, so the next round's _hold_tilt_in can free it
         t3 = time.perf_counter()
         _checked_mass(p.schema, stack.joint(work))  # the parent, which read its tilt there, is gone
         kl_train = kl_divergence(p_mass, work[support])
@@ -220,9 +223,9 @@ def fbde_fit(p: Dataset, q0: InitialDensity, cfg: FitConfig) -> tuple[BoostedDen
             TraceRow(
                 t=t,
                 theta=theta,
-                gamma_p=wla.gamma_p,
-                gamma_q=wla.gamma_q,
-                regime=wla.regime,
+                gamma_p=gamma_p,
+                gamma_q=gamma_q,
+                regime=boosting_regime(gamma_p, gamma_q),
                 rr=stack.representation_rate(),
                 rr_bound=rr_lower_bound(cfg.scheme, t),
                 kl_train=kl_train,
@@ -231,15 +234,6 @@ def fbde_fit(p: Dataset, q0: InitialDensity, cfg: FitConfig) -> tuple[BoostedDen
             )
         )
     return stack, trace, records
-
-
-def _step(stack: BoostedDensity, classifier, theta: float, p: Dataset, negatives: Dataset, row: np.ndarray):
-    """One round on its trained tree: paint it once, read the sample margins from
-    the paint, and extend the stack by it, its normalizer terms in ``row``.
-    Returns the child and the margins."""
-    scores = _checked_scores(stack.q0.x_schema, classifier)
-    wla = estimate_wla(classifier, p, negatives, scores)
-    return stack.extended(classifier, theta, scores, row), wla
 
 
 def _tree_size(node) -> dict:

@@ -23,17 +23,18 @@ without building the anchor or the stack.  Loading rejects missing keys,
 values of the wrong JSON type (naming the field; ``rounds`` is a list, so
 ``{}`` is not read as zero rounds), bin edges that are not finite and
 non-decreasing (naming the attribute), anchor rows that are not
-distributions (``load_model`` only), a theta <= 0, round values
-``BoostRound`` refuses, trees no fit could have produced and trees whose
-score bound is not the scheme's C, prefixing every error of round t with
-``round t: ``.  An integer field takes only a JSON integer, a number field
+distributions (``load_model`` only), a theta other than the scheme's
+``leverage(scheme, t)``, round values ``BoostRound`` refuses, tree leaves
+other than the three votes 0, C and -C and trees whose score bound is not
+the scheme's C, prefixing every error of round t with ``round t: ``.  An
+integer field takes only a JSON integer, a number field
 (the entries of ``z_by_group`` and of the anchor rows included) any JSON
 number but no string or boolean, and a name or a category only a JSON
 string.  So a stored value is refused on load or leaves the outputs of
-``eval`` and ``guarantees`` unchanged, with two exceptions: no reader
-recomputes the normalizers, so a ``z`` or ``z_by_group`` entry moved by an
-ulp can pass, and ``eval`` reads a model without its last round as a
-shorter fit of the same run.
+``eval`` and ``guarantees`` unchanged, with two exceptions: each theta is
+recomputed from the scheme but no normalizer is, so a ``z`` or
+``z_by_group`` entry moved by an ulp can pass, and ``eval`` reads a model
+without its last round as a shorter fit of the same run.
 
 The trace is one ``csv`` row per ``TraceRow``, ``str`` of each value and an
 empty cell for None.  The reader only converts cells (see ``_trace_row``):
@@ -53,7 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from .boosted import BoostedDensity, BoostRound, InitialDensity
-from .engine import LeveragingScheme, TraceRow
+from .engine import LeveragingScheme, TraceRow, leverage
 from .schema import Attribute, AttributeSchema
 from .tree import DecisionTreeClassifier, Node
 
@@ -140,8 +141,11 @@ def _tree_to_dict(tree: DecisionTreeClassifier, x_schema: AttributeSchema) -> di
 
 
 def _tree_from_dict(d: dict, x_schema: AttributeSchema, c_bound: float) -> DecisionTreeClassifier:
-    """A stored tree, rejecting any node a fit cannot write: its ``c_bound``
-    must be the scheme's, which is finite and > 0, and bounds every leaf."""
+    """A stored tree whose ``c_bound`` is the scheme's C, each leaf one of the
+    votes 0.0, C and -C that ``train_tree`` casts (-0.0 paints as 0.0), and each
+    split an 'le' or 'eq' on a feature of ``x_schema`` at a value inside its
+    range.  A split's op is not held to its attribute's kind: an 'eq' on an
+    ordinal attribute, which no fit writes, is read as stored."""
     kind = d.get("type")
     if kind != "tree":
         raise ValueError(f"unknown classifier type {kind!r}")
@@ -152,8 +156,8 @@ def _tree_from_dict(d: dict, x_schema: AttributeSchema, c_bound: float) -> Decis
     def node(obj) -> Node:
         if "leaf" in obj:
             leaf = _number(obj["leaf"])
-            if not (math.isfinite(leaf) and abs(leaf) <= c_bound + 1e-12):
-                raise ValueError(f"tree leaf {leaf!r} is not a finite value in [-c_bound, c_bound]")
+            if leaf not in (0.0, c_bound, -c_bound):
+                raise ValueError(f"tree leaf {leaf!r} is not a vote 0.0, {c_bound!r} or {-c_bound!r}")
             return Node(leaf=leaf)
         attr = x_schema.index_of(obj["attr"])
         op, value = obj["split"]["op"], _int(obj["split"]["value"])
@@ -353,12 +357,12 @@ class _ModelReader:
         target = d["target_index"]
         return AttributeSchema(attributes, _int(d["sensitive_index"]), None if target is None else _int(target))
 
-    def rounds(self, schema: AttributeSchema, c_bound: float) -> list[BoostRound]:
-        """Every round of the stored list, in boosting order: theta is > 0 (no
-        fit writes another; ``BoostRound`` itself takes any finite theta), z_by_group
-        holds one entry per sensitive value, and the tree splits the schema's
-        features with the scheme's ``c_bound``.  Each error of round t starts
-        ``round t: ``."""
+    def rounds(self, schema: AttributeSchema, scheme: LeveragingScheme) -> list[BoostRound]:
+        """Every round of the stored list, in boosting order: round t's theta is
+        ``leverage(scheme, t)`` bit for bit, the fit's own rule (a round past the
+        scheme's range ends in ``leverage``'s refusal), z_by_group holds one entry
+        per sensitive value, and the tree splits the schema's features with the
+        scheme's C.  Each error of round t starts ``round t: ``."""
         x_schema, card = schema.x_subschema(), schema.sensitive.cardinality
         self.field = "rounds"
         if type(self.doc["rounds"]) is not list:
@@ -367,9 +371,9 @@ class _ModelReader:
         for t, r in enumerate(self.doc["rounds"], start=1):
             try:
                 self.field = f"rounds[{t - 1}].theta"
-                theta = _number(r["theta"])
-                if theta <= 0:
-                    raise ValueError("theta must be > 0")
+                theta, theta_t = _number(r["theta"]), leverage(scheme, t)
+                if theta != theta_t:
+                    raise ValueError(f"theta {theta!r} is not the {scheme.kind} scheme's theta_t {theta_t!r}")
                 self.field = f"rounds[{t - 1}].z"
                 z = _number(r["z"])
                 self.field = f"rounds[{t - 1}].z_by_group"
@@ -377,7 +381,7 @@ class _ModelReader:
                 if z_by_group.shape != (card,):
                     raise ValueError(f"z_by_group needs {card} entries, one per sensitive value")
                 self.field = f"rounds[{t - 1}].classifier"
-                classifier = _tree_from_dict(r["classifier"], x_schema, c_bound)
+                classifier = _tree_from_dict(r["classifier"], x_schema, scheme.c_bound)
                 rounds.append(BoostRound(theta=theta, classifier=classifier, z=z, z_by_group=z_by_group))
             except ValueError as exc:
                 raise ValueError(f"round {t}: {exc}") from None
@@ -393,7 +397,7 @@ def load_model(path: str) -> tuple[BoostedDensity, LeveragingScheme, str]:
         schema = reader.schema()
         cond.setflags(write=False)  # a fresh array: the anchor adopts it
         q0 = InitialDensity(schema, cond)
-        rounds = reader.rounds(schema, scheme.c_bound)
+        rounds = reader.rounds(schema, scheme)
     return BoostedDensity(q0, rounds), scheme, run_id
 
 
@@ -403,7 +407,7 @@ def load_model_rounds(path: str) -> tuple[LeveragingScheme, str, list[BoostRound
     with _ModelReader(path) as reader:
         reader.read(anchor=False)
         scheme, run_id = reader.header()
-        return scheme, run_id, reader.rounds(reader.schema(), scheme.c_bound)
+        return scheme, run_id, reader.rounds(reader.schema(), scheme)
 
 
 # -- traces -------------------------------------------------------------

@@ -44,7 +44,13 @@ Induction is deterministic: among a node's candidates with the largest
 Gini gain the first in row-major grid order wins, so ties resolve to the
 lowest attribute index, then the lowest split value, and a split is made
 only when its gain exceeds a small tolerance.  A tree knows nothing of its
-stored form, which ``serialize`` writes and reads.
+stored form, which ``serialize`` writes and reads, holding each stored leaf
+to the three votes above.
+
+A round's two sample margins are read from the tree's paint by
+``estimate_wla`` as a (gamma_p, gamma_q) pair, and ``boosting_regime``
+labels them; the fit writes both into the round's ``TraceRow``, whose rule
+checks the label.
 """
 
 from __future__ import annotations
@@ -266,18 +272,9 @@ def boosting_regime(gamma_p: float, gamma_q: float) -> str:
     return HBS if gamma_q >= 1.0 / 3.0 else LBS
 
 
-@dataclass(frozen=True)
-class WlaEstimate:
-    """Normalized margins gamma_p = E_P[c]/C and gamma_q = E_Q[-c]/C, and
-    their ``boosting_regime``."""
-
-    gamma_p: float
-    gamma_q: float
-    regime: str
-
-
-def estimate_wla(classifier, p_samples: Dataset, q_samples: Dataset, scores: np.ndarray) -> WlaEstimate:
-    """The classifier's sample margins on P and Q, read from its paint.
+def estimate_wla(classifier, p_samples: Dataset, q_samples: Dataset, scores: np.ndarray) -> tuple[float, float]:
+    """The classifier's normalized sample margins gamma_p = E_P[c]/C and
+    gamma_q = E_Q[-c]/C, read from its paint; ``boosting_regime`` labels them.
 
     ``scores`` is the classifier's checked ``domain_scores``
     (``boosted._checked_scores``).  Each row's score is read from it at the
@@ -290,4 +287,4 @@ def estimate_wla(classifier, p_samples: Dataset, q_samples: Dataset, scores: np.
     C = classifier.c_bound
     gamma_p = float(scores[x_schema.encode(p_samples.x_rows())].mean()) / C
     gamma_q = -float(scores[x_schema.encode(q_samples.x_rows())].mean()) / C
-    return WlaEstimate(gamma_p, gamma_q, boosting_regime(gamma_p, gamma_q))
+    return gamma_p, gamma_q

@@ -101,13 +101,13 @@ def table_classifier(schema, values, c_bound=LN2):
 
 
 def extend(bd, classifier, theta):
-    """``bd.extended`` on the classifier's checked paint, as the fit's round step passes it, with a fresh row."""
+    """``bd.extended`` on the classifier's checked paint, as the fit's round passes it, with a fresh row."""
     x_schema = bd.q0.x_schema
     return bd.extended(classifier, theta, _checked_scores(x_schema, classifier), np.empty(x_schema.n_cells))
 
 
 def wla(classifier, p, q):
-    """``estimate_wla`` on the classifier's checked paint, as the fit's round step passes it."""
+    """``estimate_wla``'s (gamma_p, gamma_q) on the classifier's checked paint, as the fit's round passes it."""
     return estimate_wla(classifier, p, q, _checked_scores(p.schema.x_subschema(), classifier))
 
 

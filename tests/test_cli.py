@@ -464,6 +464,8 @@ _WALK = {
     **{("fit", flag): _WALK_INTS for flag in ("--rounds", "--bins", "--max-depth", "--min-leaf", "--folds", "--seed")},
     ("eval", "--smoothing"): _WALK_FLOATS,
     **{("synth", flag): _WALK_INTS for flag in ("--n", "--seed")},
+    # the largest n MixtureParams takes: numpy refuses its 8 EiB of draws at once, in one line
+    ("synth", "--n"): (*_WALK_INTS, str(2**60 - 1)),
     **{("synth", flag): _WALK_FLOATS for flag in ("--s", "--mu", "--sigma")},
 }
 #: the walk's refusals that need the data, so come after it is read: a count of rows or cells decides them
@@ -780,12 +782,19 @@ def test_guarantees_fails_on_a_false_bound(fit_run, tmp_path, capsys):
 
 
 def test_guarantees_fails_on_a_false_rate_floor(fit_run, tmp_path, capsys):
-    # a model whose scheme asks a floor its rounds missed, and a trace that agrees with it
+    # a model whose scheme asks a floor its rounds missed, each theta that scheme's, and a trace that agrees with it
     model_path, trace_path = fit_run
-    model = _broken_model(tmp_path, model_path, lambda doc: doc["scheme"].update(tau=0.9999))
+    scheme = LeveragingScheme("exact", 0.9999)
+
+    def forge(doc):
+        doc["scheme"].update(tau=scheme.tau)
+        for t, r in enumerate(doc["rounds"], start=1):
+            r["theta"] = leverage(scheme, t)
+
+    model = _broken_model(tmp_path, model_path, forge)
     lines = Path(trace_path).read_text().splitlines()
     for t in range(1, len(lines) - 1):
-        lines = _edit_lines(lines, t, rr_bound="0.9999")
+        lines = _edit_lines(lines, t, theta=repr(leverage(scheme, t)), rr_bound="0.9999")
     bad = tmp_path / "trace.csv"
     bad.write_text("\n".join(lines) + "\n")
     out = tmp_path / "report.json"
@@ -808,22 +817,32 @@ def _first_leaf(node) -> dict:
     return node
 
 
+_THETA_1 = leverage(LeveragingScheme("exact", 0.8), 1)  # fit_run's round-1 theta
+
+
 @pytest.mark.parametrize(
     "breaker, message",
     [
-        (lambda tree: _first_leaf(tree["root"]).update(leaf=5.0),
-         "round 1: tree leaf 5.0 is not a finite value in [-c_bound, c_bound]"),
+        (lambda r: _first_leaf(r["classifier"]["root"]).update(leaf=5.0),
+         f"round 1: tree leaf 5.0 is not a vote 0.0, {LN2!r} or {-LN2!r}"),
+        (lambda r: _first_leaf(r["classifier"]["root"]).update(leaf=math.nextafter(LN2, math.inf)),
+         f"round 1: tree leaf {math.nextafter(LN2, math.inf)!r} is not a vote 0.0, {LN2!r} or {-LN2!r}"),
+        (lambda r: r.update(theta=2 * r["theta"]),
+         f"round 1: theta {2 * _THETA_1!r} is not the exact scheme's theta_t {_THETA_1!r}"),
     ],
-    ids=["leaf"],
+    ids=["leaf", "leaf-past-C", "theta-doubled"],
 )
 def test_tree_no_fit_writes_rejected_by_both_readers(tmp_path, fit_run, synth_csv, capsys, breaker, message):
-    # every certificate assumes |c_t| <= C, so guarantees checks the trees as eval does
+    # every certificate assumes theta_t is the scheme's and c_t votes 0 or +-C, so guarantees checks
+    # them as eval does, on a trace whose round-1 theta agrees with the model's
     model_path, trace_path = fit_run
     assert "split" in read_json(model_path)["rounds"][0]["classifier"]["root"]
-    bad = _broken_model(tmp_path, model_path, lambda doc: breaker(doc["rounds"][0]["classifier"]))
+    bad = _broken_model(tmp_path, model_path, lambda doc: breaker(doc["rounds"][0]))
     assert main(["eval", "--model", bad, "--data", synth_csv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert _guarantees_error(bad, trace_path, tmp_path, capsys) == f"error: {message}\n"
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join(_edit_round(trace_path, 1, theta=repr(read_json(bad)["rounds"][0]["theta"]))) + "\n")
+    assert _guarantees_error(bad, str(trace), tmp_path, capsys) == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

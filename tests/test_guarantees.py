@@ -348,8 +348,8 @@ def test_exact_round_margins_match_weighted_sample(rng):
     ds = Dataset(s, np.repeat(s.all_cells(), rng.integers(1, 20, size=s.n_cells), axis=0))
     p_hat = fit_empirical(ds, 0.0)
     gamma_p, _ = exact_round_margins(p_hat, prev, clf)
-    est = wla(clf, ds, ds)
-    assert est.gamma_p == pytest.approx(gamma_p, abs=1e-12)
+    sample_gamma_p, _ = wla(clf, ds, ds)
+    assert sample_gamma_p == pytest.approx(gamma_p, abs=1e-12)
 
 
 def test_exact_round_margins_schema_mismatch(rng):

@@ -28,6 +28,7 @@ from pathlib import Path
 import pytest
 
 import fairboost.cli as cli
+from fairboost.engine import LeveragingScheme, leverage
 
 #: a field's stand-in while the document is dumped, replaced by a raw JSON text
 _RAW = "\0raw\0"
@@ -51,6 +52,9 @@ _TYPE, _RANGE = "model field {!r} has the wrong JSON type", "model field {!r} ho
 _MISSING = "model document is missing key {!r}"
 _EDGES = "attribute 'x': bin edges must be finite and non-decreasing"
 _LN2 = math.log(2.0)
+#: round 1's theta_t under the fixture's scheme, the one theta its reader takes
+_THETA_1 = leverage(LeveragingScheme("exact", 0.8), 1)
+_THETA = "round 1: theta {!r} is not the exact scheme's theta_t " + repr(_THETA_1)
 #: a deleted key ends in ``_MISSING``, naming the key read in its place where there is one
 _READ_FIRST = {"leaf": "attr"}  # a node without its leaf is read as a split
 #: (field, class) -> the line both commands end in where a deleted key's rule does not give it;
@@ -80,9 +84,9 @@ PINNED = {
     ("rounds[0].theta", "string"): _TYPE.format("rounds[0].theta"),
     ("rounds[0].theta", "list"): _TYPE.format("rounds[0].theta"),
     ("rounds[0].theta", "400-digit integer"): _RANGE.format("rounds[0].theta"),
-    ("rounds[0].theta", "Infinity"): "round 1: theta and normalizers must be finite",
-    ("rounds[0].theta", "zero"): "round 1: theta must be > 0",
-    ("rounds[0].theta", "negated"): "round 1: theta must be > 0",
+    ("rounds[0].theta", "Infinity"): _THETA.format(math.inf),
+    ("rounds[0].theta", "zero"): _THETA.format(0.0),
+    ("rounds[0].theta", "negated"): _THETA.format(-_THETA_1),
     ("rounds[0].z", "Infinity"): "round 1: theta and normalizers must be finite",
     ("rounds[0].z", "zero"): "round 1: normalizers must be > 0",
     ("rounds[0].z_by_group", "object"): _TYPE.format("rounds[0].z_by_group"),
@@ -101,7 +105,7 @@ PINNED = {
     ("rounds[0].classifier.root.split.value", "nextafter"): _TYPE.format("rounds[0].classifier"),
     ("rounds[0].classifier.root.split.value", "true"): _TYPE.format("rounds[0].classifier"),
     ("rounds[0].classifier.root.right.left.leaf", "Infinity"): (
-        "round 1: tree leaf inf is not a finite value in [-c_bound, c_bound]"
+        f"round 1: tree leaf inf is not a vote 0.0, {_LN2!r} or {-_LN2!r}"
     ),
 }
 

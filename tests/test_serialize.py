@@ -18,6 +18,7 @@ from fairboost import (
     LeveragingScheme,
     TreeConfig,
     fbde_fit,
+    leverage,
     train_tree,
 )
 from fairboost.engine import TraceRow
@@ -150,9 +151,9 @@ def test_tree_round_trip(tmp_path, rng):
     q = Dataset(s, _with_a(np.minimum(rng.integers(0, 4, size=(80, 2)) + 1, 3)))
     tree = train_tree(p, q, TreeConfig(), LN2)
     assert not tree.root.is_leaf
-    path = str(tmp_path / "m.json")
-    stack = extend(BoostedDensity(uniform_initial(s)), tree, 0.1)
-    save_model(stack, path, LeveragingScheme("exact", 0.8, LN2), run_id="run-1")
+    path, scheme = str(tmp_path / "m.json"), LeveragingScheme("exact", 0.8, LN2)
+    stack = extend(BoostedDensity(uniform_initial(s)), tree, leverage(scheme, 1))
+    save_model(stack, path, scheme, run_id="run-1")
     back = load_model(path)[0].rounds[0].classifier
     cells = s.x_subschema().all_cells()
     assert np.array_equal(back.scores(cells), tree.scores(cells))
@@ -172,13 +173,13 @@ def test_model_rejects_malformed_trees(tmp_path):
             "right": {"leaf": -LN2},
         },
     }
-    path = str(tmp_path / "m.json")
-    save_model(BoostedDensity(uniform_initial(_ordinal_schema())), path, LeveragingScheme("exact", 0.8, LN2), "run-1")
+    path, scheme = str(tmp_path / "m.json"), LeveragingScheme("exact", 0.8, LN2)
+    save_model(BoostedDensity(uniform_initial(_ordinal_schema())), path, scheme, "run-1")
     model = read_json(path)
 
     def with_tree(tree):
         doc = json.loads(json.dumps(model))
-        doc["rounds"] = [{"theta": 0.1, "classifier": tree, "z": 1.0, "z_by_group": [1.0, 1.0]}]
+        doc["rounds"] = [{"theta": leverage(scheme, 1), "classifier": tree, "z": 1.0, "z_by_group": [1.0, 1.0]}]
         dump_json(doc, path)
         return path
 
@@ -196,8 +197,9 @@ def test_model_rejects_malformed_trees(tmp_path):
     bad(r"tree split op must be 'le' or 'eq', got 'lt'", op="lt")
     bad(r"tree split value -3 on 'f1' is outside \[0, 4\)", value=-3)
     bad(r"tree split value 4 on 'f1' is outside \[0, 4\)", value=4)
-    for leaf in (float("nan"), float("inf"), 5.0, -0.7):
-        bad(r"tree leaf .* is not a finite value in \[-c_bound, c_bound\]", leaf=leaf)
+    # train_tree votes 0.0, C or -C; nothing between them or past C
+    for leaf in (float("nan"), float("inf"), 5.0, -0.7, 0.4, math.nextafter(LN2, math.inf)):
+        bad(f"tree leaf {leaf!r} is not a vote 0.0, {LN2!r} or {-LN2!r}", leaf=leaf)
     # the scheme's C is finite and > 0, so a tree bound that is not is not the scheme's
     for c_bound in (float("nan"), float("inf"), 0.0, -1.0):
         bad(f"tree c_bound {c_bound!r} differs from the scheme's c_bound {LN2!r}", c_bound=c_bound)
@@ -259,16 +261,17 @@ def test_model_rejects_bad_round_values(tmp_path, fitted, field, value, message)
             load(path)
 
 
-def _stack_with_sensitive_at(position, groups, feature_cards, rng):
-    """A two-round stack of trees on a random anchor: features of ``feature_cards``,
-    with the sensitive column of ``groups`` values at ``position``."""
+def _stack_with_sensitive_at(position, groups, feature_cards, rng, scheme):
+    """A two-round stack of trees on a random anchor, with the scheme's theta and votes:
+    features of ``feature_cards``, with the sensitive column of ``groups`` values at ``position``."""
     attrs = [Attribute(f"x{j}", card) for j, card in enumerate(feature_cards)]
     attrs.insert(position, Attribute("a", groups))
     schema = AttributeSchema(tuple(attrs), sensitive_index=position)
     stack = BoostedDensity(random_initial(schema, rng))
-    for value, leaf in [(0, 0.4), (feature_cards[-1] // 2, -0.3)]:
-        split = Node(attr=len(feature_cards) - 1, op="le", value=value, left=Node(leaf=leaf), right=Node(leaf=-leaf))
-        stack = extend(stack, DecisionTreeClassifier(root=split, c_bound=LN2), 0.2)
+    C = scheme.c_bound
+    for t, value, left, right in [(1, 0, C, -C), (2, feature_cards[-1] // 2, -C, 0.0)]:
+        split = Node(attr=len(feature_cards) - 1, op="le", value=value, left=Node(leaf=left), right=Node(leaf=right))
+        stack = extend(stack, DecisionTreeClassifier(root=split, c_bound=C), leverage(scheme, t))
     return stack
 
 
@@ -283,8 +286,8 @@ def _rounds_bits(rounds):
 )
 def test_saved_models_stream_their_anchor_rows(tmp_path, rng, groups, position, feature_cards):
     # what save_model writes is read back to the same bits, wherever the sensitive column sits
-    stack = _stack_with_sensitive_at(position, groups, feature_cards, rng)
     scheme, path = LeveragingScheme("exact", 0.8, LN2), str(tmp_path / "m.json")
+    stack = _stack_with_sensitive_at(position, groups, feature_cards, rng, scheme)
     save_model(stack, path, scheme, run_id="run-1")
     back, back_scheme, run_id = load_model(path)
     assert (back_scheme, run_id) == (scheme, "run-1")

@@ -16,7 +16,7 @@ from fairboost import (
 )
 
 from conftest import LN2, table_classifier, tree_nodes, wla, xa_schema
-from fairboost.tree import _GAIN_TOL, FAIL, HBS, LBS, LEAF_SMOOTHING, Node, _gini_terms
+from fairboost.tree import _GAIN_TOL, FAIL, HBS, LBS, LEAF_SMOOTHING, Node, _gini_terms, boosting_regime
 
 CFG = TreeConfig()
 
@@ -89,10 +89,10 @@ def test_identical_sides_yield_abstaining_tree():
     tree = train_tree(Dataset(s, rows), Dataset(s, rows), CFG, LN2)
     assert tree_depth(tree) == 0
     assert np.all(cell_scores(tree, s) == 0.0)
-    est = wla(tree, Dataset(s, rows), Dataset(s, rows))
-    assert est.gamma_p == 0.0
-    assert est.gamma_q == 0.0
-    assert est.regime == FAIL
+    gamma_p, gamma_q = wla(tree, Dataset(s, rows), Dataset(s, rows))
+    assert gamma_p == 0.0
+    assert gamma_q == 0.0
+    assert boosting_regime(gamma_p, gamma_q) == FAIL
 
 
 def test_oversampled_negatives_do_not_bias_leaves():
@@ -433,10 +433,10 @@ def test_wla_perfect_separation():
     clf = table_classifier(s, [LN2, -LN2])
     p = Dataset(s, [[0, 0]] * 5)
     q = Dataset(s, [[1, 0]] * 5)
-    est = wla(clf, p, q)
-    assert est.gamma_p == pytest.approx(1.0, abs=1e-12)
-    assert est.gamma_q == pytest.approx(1.0, abs=1e-12)
-    assert est.regime == HBS
+    gamma_p, gamma_q = wla(clf, p, q)
+    assert gamma_p == pytest.approx(1.0, abs=1e-12)
+    assert gamma_q == pytest.approx(1.0, abs=1e-12)
+    assert boosting_regime(gamma_p, gamma_q) == HBS
 
 
 def test_wla_zero_classifier_fails():
@@ -444,7 +444,7 @@ def test_wla_zero_classifier_fails():
     clf = table_classifier(s, [0.0, 0.0])
     p = Dataset(s, [[0, 0]] * 5)
     q = Dataset(s, [[1, 0]] * 5)
-    assert wla(clf, p, q).regime == FAIL
+    assert boosting_regime(*wla(clf, p, q)) == FAIL
 
 
 def test_wla_low_regime_margin():
@@ -453,10 +453,10 @@ def test_wla_low_regime_margin():
     p = Dataset(s, [[0, 0]] * 5)
     # model mass 0.6 on the -C cell, 0.4 on the +C cell: gamma_q = 0.2
     q = Dataset(s, [[0, 0]] * 2 + [[1, 0]] * 3)
-    est = wla(clf, p, q)
-    assert est.gamma_p == pytest.approx(1.0, abs=1e-12)
-    assert est.gamma_q == pytest.approx(0.2, abs=1e-12)
-    assert est.regime == LBS
+    gamma_p, gamma_q = wla(clf, p, q)
+    assert gamma_p == pytest.approx(1.0, abs=1e-12)
+    assert gamma_q == pytest.approx(0.2, abs=1e-12)
+    assert boosting_regime(gamma_p, gamma_q) == LBS
 
 
 def test_wla_regime_boundary_is_high():
@@ -464,9 +464,9 @@ def test_wla_regime_boundary_is_high():
     clf = table_classifier(s, [1.0, -1.0], c_bound=1.0)
     p = Dataset(s, [[0, 0]] * 3)
     q = Dataset(s, [[0, 0], [1, 0], [1, 0]])  # gamma_q = 1/3
-    est = wla(clf, p, q)
-    assert est.gamma_q == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert est.regime == HBS
+    gamma_p, gamma_q = wla(clf, p, q)
+    assert gamma_q == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert boosting_regime(gamma_p, gamma_q) == HBS
 
 
 def test_wla_negative_p_margin_fails():
@@ -474,7 +474,7 @@ def test_wla_negative_p_margin_fails():
     clf = table_classifier(s, [-LN2, LN2])
     p = Dataset(s, [[0, 0]] * 5)
     q = Dataset(s, [[1, 0]] * 5)
-    assert wla(clf, p, q).regime == FAIL
+    assert boosting_regime(*wla(clf, p, q)) == FAIL
 
 
 @pytest.mark.parametrize("sensitive_index", [0, 2])
@@ -497,9 +497,9 @@ def test_wla_margins_equal_row_walk_means(rng, sensitive_index, depth):
         tree = random_tree(x_schema, rng, depth)
         n = int(rng.integers(1, 400))
         p, q = draw(n), draw(int(rng.integers(1, 2 * n + 1)))
-        est = wla(tree, p, q)
-        assert est.gamma_p == float(tree.scores(p.x_rows()).mean()) / LN2
-        assert est.gamma_q == -float(tree.scores(q.x_rows()).mean()) / LN2
+        gamma_p, gamma_q = wla(tree, p, q)
+        assert gamma_p == float(tree.scores(p.x_rows()).mean()) / LN2
+        assert gamma_q == -float(tree.scores(q.x_rows()).mean()) / LN2
 
 
 def test_wla_empty_side_rejected():
